@@ -1,6 +1,9 @@
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
-use crate::{CacheLine, Geometry, LruOrder, MainMemory};
+use crate::lru::shift_to_front;
+use crate::{Geometry, MainMemory};
 
 /// The kind of data-side access, used for replacement/dirty semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -25,15 +28,6 @@ pub struct EvictedLine {
     pub dirty: bool,
 }
 
-/// Result of filling a line after a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FillOutcome {
-    /// The way the new line was placed into.
-    pub way: u32,
-    /// The line that was displaced, if the victim way held valid data.
-    pub evicted: Option<EvictedLine>,
-}
-
 /// Result of a full cache access (probe + optional fill + LRU update).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccessOutcome {
@@ -47,22 +41,19 @@ pub struct AccessOutcome {
     pub evicted: Option<EvictedLine>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CacheSet {
-    lines: Vec<CacheLine>,
-    lru: LruOrder,
-}
+/// The tag of a way that holds no line. A line holds at least 4 bytes, so
+/// real tags have at most 30 bits and never equal it.
+pub(crate) const INVALID: u32 = u32::MAX;
 
-impl CacheSet {
-    fn new(ways: u32, line_bytes: u32) -> Self {
-        Self {
-            lines: (0..ways).map(|_| CacheLine::new(line_bytes)).collect(),
-            lru: LruOrder::new(ways as usize),
-        }
-    }
-}
-
-/// A write-back, write-allocate, LRU set-associative cache holding real data.
+/// A write-back, write-allocate, LRU set-associative cache holding only
+/// the state the energy accounting reads: tags, valid and dirty bits, and
+/// per-set recency.
+///
+/// Lines carry no bytes. Energy depends on residency, recency and dirty
+/// state alone, so a fill or write-back moves nothing; it only counts one
+/// line transfer on the [`MainMemory`] passed to [`access`](Self::access).
+/// All state lives in flat arrays indexed by `set × ways + way`, so an
+/// access allocates nothing.
 ///
 /// State changes and accounting are decoupled: [`probe`](Self::probe) is a
 /// side-effect-free residency check, [`access`](Self::access) performs the
@@ -77,32 +68,45 @@ impl CacheSet {
 /// # fn main() -> Result<(), waymem_cache::GeometryError> {
 /// let mut cache = SetAssocCache::new(Geometry::new(4, 2, 16)?);
 /// let mut mem = MainMemory::new();
-/// mem.write_u32(0x20, 7);
 /// assert!(cache.probe(0x20).is_none());
 /// let out = cache.access(0x20, AccessKind::Load, &mut mem);
 /// assert_eq!((out.hit, out.way), (false, 0));
 /// assert_eq!(cache.probe(0x20), Some(0));
+/// assert_eq!(mem.block_reads(), 1); // one line fill
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetAssocCache {
     geom: Geometry,
-    sets: Vec<CacheSet>,
+    /// The tag in every (set, way), [`INVALID`] where the way is empty.
+    tags: Box<[u32]>,
+    /// The dirty bit of every (set, way).
+    dirty: Box<[bool]>,
+    /// Per set, its ways ordered most recently used first.
+    lru: Box<[u8]>,
     fills: u64,
     write_backs: u64,
 }
 
 impl SetAssocCache {
     /// Creates an empty (all-invalid) cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 255 ways (recency keeps one
+    /// byte per way).
     #[must_use]
     pub fn new(geom: Geometry) -> Self {
-        let sets = (0..geom.sets())
-            .map(|_| CacheSet::new(geom.ways(), geom.line_bytes()))
-            .collect();
+        let ways = u8::try_from(geom.ways()).expect("at most 255 ways");
+        let lines = geom.sets() as usize * usize::from(ways);
+        // Way 0 starts least recently used in every set, so it fills first.
+        let order: Vec<u8> = (0..ways).rev().collect();
         Self {
             geom,
-            sets,
+            tags: vec![INVALID; lines].into(),
+            dirty: vec![false; lines].into(),
+            lru: order.repeat(geom.sets() as usize).into(),
             fills: 0,
             write_backs: 0,
         }
@@ -114,155 +118,96 @@ impl SetAssocCache {
         self.geom
     }
 
+    /// The flat-array positions of set `index`'s ways.
+    fn set(&self, index: u32) -> Range<usize> {
+        let ways = self.geom.ways() as usize;
+        let start = index as usize * ways;
+        start..start + ways
+    }
+
     /// Side-effect-free residency check: the way holding `addr`'s line, if
     /// resident. Does not update LRU state.
     #[must_use]
     pub fn probe(&self, addr: u32) -> Option<u32> {
-        let set = &self.sets[self.geom.index_of(addr) as usize];
-        let tag = self.geom.tag_of(addr);
-        set.lines
-            .iter()
-            .position(|l| l.is_valid() && l.tag() == tag)
-            .map(|w| w as u32)
+        self.resident_way(self.geom.tag_of(addr), self.geom.index_of(addr))
     }
 
     /// Residency check by (tag, set index) rather than full address. Used by
     /// consistency property tests for the MAB.
     #[must_use]
     pub fn resident_way(&self, tag: u32, index: u32) -> Option<u32> {
-        let set = &self.sets[index as usize];
-        set.lines
+        self.tags[self.set(index)]
             .iter()
-            .position(|l| l.is_valid() && l.tag() == tag)
+            .position(|&t| t == tag)
             .map(|w| w as u32)
     }
 
     /// Performs an architectural access: on a hit touches LRU; on a miss
-    /// selects the LRU victim, writes it back if dirty, fills the line from
-    /// `mem`, and touches LRU. Stores mark the line dirty; the data itself
-    /// is written separately via [`write_u32`](Self::write_u32) etc. by
-    /// callers that carry data.
+    /// evicts the LRU way, counting a write-back on `mem` if it was dirty,
+    /// fills the line (counting a line read on `mem`), and touches LRU.
+    /// Stores mark the line dirty.
     pub fn access(&mut self, addr: u32, kind: AccessKind, mem: &mut MainMemory) -> AccessOutcome {
         let index = self.geom.index_of(addr);
-        if let Some(way) = self.probe(addr) {
-            let set = &mut self.sets[index as usize];
-            set.lru.touch(way as usize);
-            if kind == AccessKind::Store {
-                set.lines[way as usize].mark_dirty();
-            }
-            return AccessOutcome {
-                hit: true,
-                way,
-                index,
-                evicted: None,
-            };
-        }
-        let fill = self.fill(addr, mem);
-        if kind == AccessKind::Store {
-            self.sets[index as usize].lines[fill.way as usize].mark_dirty();
-        }
-        AccessOutcome {
-            hit: false,
-            way: fill.way,
-            index,
-            evicted: fill.evicted,
-        }
-    }
-
-    /// Fills the line containing `addr` from `mem` into the LRU way of its
-    /// set, writing back a dirty victim first. Touches LRU for the new line.
-    ///
-    /// Most callers want [`access`](Self::access); `fill` is exposed for
-    /// front-ends that need to separate probe and fill accounting.
-    pub fn fill(&mut self, addr: u32, mem: &mut MainMemory) -> FillOutcome {
-        let index = self.geom.index_of(addr);
         let tag = self.geom.tag_of(addr);
-        let line_bytes = self.geom.line_bytes();
-        let base = self.geom.line_base(addr);
-        let low_bits = self.geom.low_bits();
-        let offset_bits = self.geom.offset_bits();
-
-        let set = &mut self.sets[index as usize];
-        let victim_way = set.lru.victim();
-        let victim = &mut set.lines[victim_way];
-
-        let evicted = if victim.is_valid() {
-            let ev = EvictedLine {
-                tag: victim.tag(),
-                index,
-                way: victim_way as u32,
-                dirty: victim.is_dirty(),
-            };
-            if victim.is_dirty() {
-                let victim_base = (victim.tag() << low_bits) | (index << offset_bits);
-                mem.write_block(victim_base, victim.data());
-                self.write_backs += 1;
+        let set = self.set(index);
+        // Search the ways most recently used first: a hit usually ends the
+        // search early, and its rank is what the LRU update needs.
+        let found = self.lru[set.clone()]
+            .iter()
+            .position(|&w| self.tags[set.start + usize::from(w)] == tag);
+        let rank = found.unwrap_or(set.len() - 1);
+        let way = u32::from(self.lru[set.start + rank]);
+        let (hit, evicted) = match found {
+            Some(_) => (true, None),
+            None => {
+                let line = set.start + way as usize;
+                let evicted = (self.tags[line] != INVALID).then(|| EvictedLine {
+                    tag: self.tags[line],
+                    index,
+                    way,
+                    dirty: self.dirty[line],
+                });
+                if self.dirty[line] {
+                    self.write_backs += 1;
+                    mem.count_block_write();
+                }
+                self.tags[line] = tag;
+                self.dirty[line] = false;
+                self.fills += 1;
+                mem.count_block_read();
+                (false, evicted)
             }
-            Some(ev)
-        } else {
-            None
         };
-
-        let mut buf = vec![0u8; line_bytes as usize];
-        mem.read_block(base, &mut buf);
-        set.lines[victim_way].fill(tag, &buf);
-        set.lru.touch(victim_way);
-        self.fills += 1;
-
-        FillOutcome {
-            way: victim_way as u32,
+        if kind == AccessKind::Store {
+            self.dirty[set.start + way as usize] = true;
+        }
+        shift_to_front(&mut self.lru[set], rank);
+        AccessOutcome {
+            hit,
+            way,
+            index,
             evicted,
         }
-    }
-
-    /// Reads a 32-bit little-endian value if the line is resident.
-    #[must_use]
-    pub fn read_u32(&self, addr: u32) -> Option<u32> {
-        let way = self.probe(addr)?;
-        let set = &self.sets[self.geom.index_of(addr) as usize];
-        let offset = self.geom.offset_of(addr);
-        let b = set.lines[way as usize].read_bytes(offset, 4);
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Writes a 32-bit little-endian value if the line is resident, marking
-    /// it dirty. Returns `false` when the line is absent.
-    pub fn write_u32(&mut self, addr: u32, value: u32) -> bool {
-        let Some(way) = self.probe(addr) else {
-            return false;
-        };
-        let index = self.geom.index_of(addr) as usize;
-        let offset = self.geom.offset_of(addr);
-        self.sets[index].lines[way as usize].write_bytes(offset, &value.to_le_bytes());
-        true
     }
 
     /// Invalidates the line containing `addr` (without write-back), returning
     /// the way it occupied, if resident. Used by coherence-style tests.
     pub fn invalidate(&mut self, addr: u32) -> Option<u32> {
         let way = self.probe(addr)?;
-        let index = self.geom.index_of(addr) as usize;
-        self.sets[index].lines[way as usize].invalidate();
+        let line = self.set(self.geom.index_of(addr)).start + way as usize;
+        self.tags[line] = INVALID;
+        self.dirty[line] = false;
         Some(way)
     }
 
-    /// Writes back every dirty line and marks them clean. Returns the number
-    /// of lines written back.
+    /// Writes back every dirty line and marks them clean, counting one
+    /// line write on `mem` each. Returns the number of lines written back.
     pub fn flush(&mut self, mem: &mut MainMemory) -> u64 {
         let mut flushed = 0;
-        let low_bits = self.geom.low_bits();
-        let offset_bits = self.geom.offset_bits();
-        for (index, set) in self.sets.iter_mut().enumerate() {
-            for line in &mut set.lines {
-                if line.is_valid() && line.is_dirty() {
-                    let base = (line.tag() << low_bits) | ((index as u32) << offset_bits);
-                    mem.write_block(base, line.data());
-                    let tag = line.tag();
-                    let data = line.data().to_vec();
-                    line.fill(tag, &data); // refill = same data, clean
-                    flushed += 1;
-                }
-            }
+        for dirty in self.dirty.iter_mut().filter(|d| **d) {
+            *dirty = false;
+            mem.count_block_write();
+            flushed += 1;
         }
         self.write_backs += flushed;
         flushed
@@ -283,31 +228,27 @@ impl SetAssocCache {
     /// Number of valid lines currently resident.
     #[must_use]
     pub fn resident_lines(&self) -> u64 {
-        self.sets
-            .iter()
-            .flat_map(|s| s.lines.iter())
-            .filter(|l| l.is_valid())
-            .count() as u64
+        self.tags.iter().filter(|&&t| t != INVALID).count() as u64
     }
 
     /// The LRU victim way of `index`'s set (the way the next fill will use).
     #[must_use]
     pub fn victim_way(&self, index: u32) -> u32 {
-        self.sets[index as usize].lru.victim() as u32
+        u32::from(self.lru[self.set(index).end - 1])
     }
 
     /// The most-recently-used way of `index`'s set — what an MRU way
     /// predictor guesses.
     #[must_use]
     pub fn mru_way(&self, index: u32) -> u32 {
-        self.sets[index as usize].lru.mru() as u32
+        u32::from(self.lru[self.set(index).start])
     }
 
     /// Tag stored in (`index`, `way`) when that way is valid.
     #[must_use]
     pub fn tag_at(&self, index: u32, way: u32) -> Option<u32> {
-        let line = &self.sets[index as usize].lines[way as usize];
-        line.is_valid().then(|| line.tag())
+        let tag = self.tags[self.set(index).start + way as usize];
+        (tag != INVALID).then_some(tag)
     }
 }
 
@@ -323,14 +264,14 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let (mut cache, mut mem) = small();
-        mem.write_u32(0x40, 0x1111_2222);
         let out = cache.access(0x40, AccessKind::Load, &mut mem);
         assert!(!out.hit);
         assert_eq!(out.evicted, None);
         let out = cache.access(0x44, AccessKind::Load, &mut mem);
         assert!(out.hit, "same line must hit");
-        assert_eq!(cache.read_u32(0x40), Some(0x1111_2222));
         assert_eq!(cache.fills(), 1);
+        assert_eq!(mem.block_reads(), 1, "one line transfer, no bytes");
+        assert_eq!(mem.resident_pages(), 0);
     }
 
     #[test]
@@ -363,15 +304,14 @@ mod tests {
     #[test]
     fn dirty_victim_is_written_back() {
         let (mut cache, mut mem) = small();
-        mem.write_u32(0x00, 0xaaaa_aaaa);
         cache.access(0x00, AccessKind::Store, &mut mem);
-        assert!(cache.write_u32(0x00, 0x5555_5555));
         // Evict line 0x00 by loading two more lines into set 0.
         cache.access(0x40, AccessKind::Load, &mut mem);
-        cache.access(0x80, AccessKind::Load, &mut mem);
+        let out = cache.access(0x80, AccessKind::Load, &mut mem);
         assert!(cache.probe(0x00).is_none());
-        assert_eq!(mem.read_u32(0x00), 0x5555_5555, "write-back must land");
+        assert!(out.evicted.is_some_and(|e| e.dirty && e.tag == 0));
         assert_eq!(cache.write_backs(), 1);
+        assert_eq!(mem.block_writes(), 1, "the write-back is one line transfer");
     }
 
     #[test]
@@ -381,6 +321,7 @@ mod tests {
         cache.access(0x40, AccessKind::Load, &mut mem);
         cache.access(0x80, AccessKind::Load, &mut mem);
         assert_eq!(cache.write_backs(), 0);
+        assert_eq!(mem.block_writes(), 0);
     }
 
     #[test]
@@ -388,27 +329,27 @@ mod tests {
         let (mut cache, mut mem) = small();
         let out = cache.access(0x20, AccessKind::Store, &mut mem);
         assert!(!out.hit);
-        cache.write_u32(0x20, 0xfeed_f00d);
-        // Force eviction.
+        assert_eq!(cache.probe(0x20), Some(out.way));
+        // Force eviction: the allocated line leaves dirty.
         cache.access(0x60, AccessKind::Load, &mut mem);
-        cache.access(0xa0, AccessKind::Load, &mut mem);
-        assert_eq!(mem.read_u32(0x20), 0xfeed_f00d);
+        let out = cache.access(0xa0, AccessKind::Load, &mut mem);
+        assert!(out.evicted.is_some_and(|e| e.dirty));
+        assert_eq!(cache.write_backs(), 1);
     }
 
     #[test]
     fn flush_writes_all_dirty_lines() {
         let (mut cache, mut mem) = small();
         cache.access(0x00, AccessKind::Store, &mut mem);
-        cache.write_u32(0x00, 1);
         cache.access(0x10, AccessKind::Store, &mut mem);
-        cache.write_u32(0x10, 2);
+        cache.access(0x20, AccessKind::Load, &mut mem);
         let flushed = cache.flush(&mut mem);
         assert_eq!(flushed, 2);
-        assert_eq!(mem.read_u32(0x00), 1);
-        assert_eq!(mem.read_u32(0x10), 2);
+        assert_eq!(mem.block_writes(), 2);
         // Lines stay resident and clean.
         assert!(cache.probe(0x00).is_some());
         assert_eq!(cache.flush(&mut mem), 0);
+        assert_eq!(cache.write_backs(), 2);
     }
 
     #[test]
@@ -438,39 +379,46 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line_without_writeback() {
-        let (mut cache, mut mem) = small();
-        cache.access(0x00, AccessKind::Store, &mut mem);
-        cache.write_u32(0x00, 0xdead_0001);
-        let way = cache.invalidate(0x00);
-        assert!(way.is_some());
-        assert!(cache.probe(0x00).is_none());
-        assert_eq!(mem.read_u32(0x00), 0, "invalidate drops dirty data");
-    }
-
-    #[test]
     fn functional_equivalence_with_flat_memory() {
-        // Random-ish access pattern; cache contents must mirror memory.
+        // Random-ish access pattern. The CPU's data lives in memory; the
+        // cache in front of it must leave that memory equal to a flat one
+        // with no cache, and count exactly the line transfers it makes.
         let (mut cache, mut mem) = small();
-        let mut model = std::collections::HashMap::new();
+        let mut flat = MainMemory::new();
         let mut x: u32 = 0x2024_0611;
         for i in 0..2000u32 {
             x = x.wrapping_mul(1664525).wrapping_add(1013904223);
             let addr = (x % 0x400) & !3;
             if x & 1 == 0 {
                 cache.access(addr, AccessKind::Store, &mut mem);
-                cache.write_u32(addr, i);
-                model.insert(addr, i);
+                mem.write_u32(addr, i);
+                flat.write_u32(addr, i);
             } else {
                 cache.access(addr, AccessKind::Load, &mut mem);
-                let got = cache.read_u32(addr).unwrap();
-                let want = model.get(&addr).copied().unwrap_or(0);
+                let (got, want) = (mem.read_u32(addr), flat.read_u32(addr));
                 assert_eq!(got, want, "addr {addr:#x} iteration {i}");
             }
+            assert!(cache.probe(addr).is_some(), "line resident after access");
         }
         cache.flush(&mut mem);
-        for (&addr, &val) in &model {
-            assert_eq!(mem.read_u32(addr), val);
+        for addr in (0..0x400).step_by(4) {
+            assert_eq!(mem.read_u32(addr), flat.read_u32(addr));
         }
+        assert_eq!(mem.resident_pages(), flat.resident_pages());
+        assert_eq!(mem.block_reads(), cache.fills());
+        assert_eq!(mem.block_writes(), cache.write_backs());
+        assert_eq!(cache.flush(&mut mem), 0, "flush leaves every line clean");
+    }
+
+    #[test]
+    fn invalidate_removes_line_without_writeback() {
+        let (mut cache, mut mem) = small();
+        cache.access(0x00, AccessKind::Store, &mut mem);
+        let way = cache.invalidate(0x00);
+        assert!(way.is_some());
+        assert!(cache.probe(0x00).is_none());
+        assert_eq!(cache.resident_lines(), 0);
+        assert_eq!(cache.flush(&mut mem), 0, "invalidate drops the dirty line");
+        assert_eq!(mem.block_writes(), 0);
     }
 }

@@ -1,13 +1,14 @@
 use serde::{Deserialize, Serialize};
 
-/// Tracks a true least-recently-used order over `n` slots (ways of a cache
-/// set, rows/columns of a MAB, entries of a set buffer).
+/// Tracks a true least-recently-used order over `n` slots (rows/columns of
+/// a MAB, entries of a set or line buffer).
 ///
 /// The paper updates MAB entries "using Least Recently Used (LRU) policy"
 /// (§3.3, citing Hennessy & Patterson), and the FR-V caches are LRU as well.
 /// Capacities in this system are tiny (2–32), so the order is kept as an
-/// explicit most-recent-first permutation; `touch` is O(n) which is faster
-/// than any pointer structure at these sizes.
+/// explicit most-recent-first permutation in a fixed array; `touch` is a
+/// short scan and a shift, which beats any pointer structure at these
+/// sizes.
 ///
 /// ```
 /// use waymem_cache::LruOrder;
@@ -20,31 +21,48 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LruOrder {
-    /// Slot indices ordered most-recently-used first.
-    order: Vec<u8>,
+    /// Slot indices ordered most-recently-used first; only the first
+    /// `len` entries are meaningful.
+    order: [u8; Self::CAPACITY],
+    len: u8,
 }
 
 impl LruOrder {
+    /// The most slots one order can track.
+    pub const CAPACITY: usize = 64;
+
     /// Creates an order over `n` slots. Slot 0 starts least recently used
     /// (so way 0 fills first after reset) and slot `n - 1` most recently
     /// used.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or exceeds 255 (hardware LRU state for larger
-    /// arrays would be impractical, and nothing in this system needs it).
+    /// Panics if `n` is zero or exceeds [`CAPACITY`](Self::CAPACITY).
     #[must_use]
     pub fn new(n: usize) -> Self {
-        assert!(n > 0 && n <= 255, "LRU capacity {n} out of range 1..=255");
-        Self {
-            order: (0..n as u8).rev().collect(),
+        assert!(
+            n > 0 && n <= Self::CAPACITY,
+            "LRU capacity {n} out of range 1..={}",
+            Self::CAPACITY
+        );
+        let mut order = [0; Self::CAPACITY];
+        for (slot, o) in (0..n as u8).rev().zip(&mut order) {
+            *o = slot;
         }
+        Self {
+            order,
+            len: n as u8,
+        }
+    }
+
+    fn slots(&self) -> &[u8] {
+        &self.order[..usize::from(self.len)]
     }
 
     /// Number of slots tracked.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.order.len()
+        usize::from(self.len)
     }
 
     /// Always `false`: an order over zero slots cannot be constructed.
@@ -59,19 +77,14 @@ impl LruOrder {
     ///
     /// Panics if `slot >= len()`.
     pub fn touch(&mut self, slot: usize) {
-        let pos = self
-            .order
-            .iter()
-            .position(|&s| usize::from(s) == slot)
-            .expect("slot within capacity");
-        let s = self.order.remove(pos);
-        self.order.insert(0, s);
+        let rank = position(self.slots(), slot);
+        self.touch_rank(rank);
     }
 
     /// The least-recently-used slot — the replacement victim.
     #[must_use]
     pub fn victim(&self) -> usize {
-        usize::from(*self.order.last().expect("non-empty order"))
+        usize::from(self.order[usize::from(self.len) - 1])
     }
 
     /// The most-recently-used slot.
@@ -82,7 +95,24 @@ impl LruOrder {
 
     /// Slots ordered most-recently-used first.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.order.iter().map(|&s| usize::from(s))
+        self.slots().iter().map(|&s| usize::from(s))
+    }
+
+    /// Searches the slots in recency order, most recent first, for one
+    /// satisfying `pred`; returns its `(rank, slot)`. Searching in recency
+    /// order finds recently used entries after a step or two, and the rank
+    /// lets [`touch_rank`](Self::touch_rank) skip a second search.
+    pub fn find(&self, mut pred: impl FnMut(usize) -> bool) -> Option<(usize, usize)> {
+        self.iter().enumerate().find(|&(_, slot)| pred(slot))
+    }
+
+    /// Marks the slot at recency `rank` as most recently used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank >= len()`.
+    pub fn touch_rank(&mut self, rank: usize) {
+        shift_to_front(&mut self.order[..usize::from(self.len)], rank);
     }
 
     /// Recency rank of `slot` (0 = MRU, `len()-1` = LRU).
@@ -92,11 +122,26 @@ impl LruOrder {
     /// Panics if `slot >= len()`.
     #[must_use]
     pub fn rank_of(&self, slot: usize) -> usize {
-        self.order
-            .iter()
-            .position(|&s| usize::from(s) == slot)
-            .expect("slot within capacity")
+        position(self.slots(), slot)
     }
+}
+
+/// Moves the entry at `rank` of the most-recent-first permutation `order`
+/// to the front. [`SetAssocCache`](crate::SetAssocCache) keeps one such
+/// permutation per set in a flat array and updates it with this function.
+pub(crate) fn shift_to_front(order: &mut [u8], rank: usize) {
+    let slot = order[rank];
+    for i in (0..rank).rev() {
+        order[i + 1] = order[i];
+    }
+    order[0] = slot;
+}
+
+fn position(order: &[u8], slot: usize) -> usize {
+    order
+        .iter()
+        .position(|&s| usize::from(s) == slot)
+        .expect("slot within capacity")
 }
 
 #[cfg(test)]
@@ -138,6 +183,15 @@ mod tests {
         assert_eq!(lru.rank_of(0), 0);
         assert_eq!(lru.rank_of(3), 1);
         assert_eq!(lru.rank_of(1), 3);
+    }
+
+    #[test]
+    fn find_searches_most_recent_first_and_touch_rank_promotes() {
+        let mut lru = LruOrder::new(4); // [3,2,1,0]
+        assert_eq!(lru.find(|s| s % 2 == 0), Some((1, 2)));
+        assert_eq!(lru.find(|s| s > 3), None);
+        lru.touch_rank(3); // slot 0 -> [0,3,2,1]
+        assert_eq!(lru.iter().collect::<Vec<_>>(), vec![0, 3, 2, 1]);
     }
 
     #[test]

@@ -2,9 +2,12 @@ use std::collections::HashMap;
 
 /// Flat, sparsely allocated 32-bit byte-addressable main memory.
 ///
-/// Backs the cache simulator and the frv-lite CPU. Pages of 4 kB are
+/// Holds the frv-lite CPU's architectural data. Pages of 4 kB are
 /// allocated on first touch; unwritten memory reads as zero, which keeps
-/// traces deterministic.
+/// traces deterministic. The tag-only [`SetAssocCache`](crate::SetAssocCache)
+/// moves no bytes through it: it only counts the line transfers its fills
+/// and write-backs make ([`block_reads`](Self::block_reads),
+/// [`block_writes`](Self::block_writes)).
 ///
 /// ```
 /// use waymem_cache::MainMemory;
@@ -81,22 +84,14 @@ impl MainMemory {
         self.write_u16(addr.wrapping_add(2), (value >> 16) as u16);
     }
 
-    /// Copies `buf.len()` bytes starting at `addr` into `buf` and counts one
-    /// memory (line) read transaction.
-    pub fn read_block(&mut self, addr: u32, buf: &mut [u8]) {
+    /// Counts one line read transaction (a cache fill).
+    pub(crate) fn count_block_read(&mut self) {
         self.reads += 1;
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u32));
-        }
     }
 
-    /// Writes `buf` starting at `addr` and counts one memory (line) write
-    /// transaction.
-    pub fn write_block(&mut self, addr: u32, buf: &[u8]) {
+    /// Counts one line write transaction (a cache write-back).
+    pub(crate) fn count_block_write(&mut self) {
         self.writes += 1;
-        for (i, &b) in buf.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u32), b);
-        }
     }
 
     /// Loads a byte slice at `base` without counting a transaction (program
@@ -159,12 +154,12 @@ mod tests {
     #[test]
     fn block_transfers_count_transactions() {
         let mut mem = MainMemory::new();
-        mem.write_block(0x40, &[1, 2, 3, 4]);
-        let mut buf = [0u8; 4];
-        mem.read_block(0x40, &mut buf);
-        assert_eq!(buf, [1, 2, 3, 4]);
-        assert_eq!(mem.block_reads(), 1);
+        mem.count_block_write();
+        mem.count_block_read();
+        mem.count_block_read();
+        assert_eq!(mem.block_reads(), 2);
         assert_eq!(mem.block_writes(), 1);
+        assert_eq!(mem.resident_pages(), 0, "counting moves no bytes");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use serde::{Deserialize, Serialize};
 
+use crate::cache::INVALID;
 use crate::{Geometry, LruOrder};
 
 /// Outcome of a [`SetBuffer`] probe.
@@ -28,6 +29,9 @@ pub enum SetBufferLookup {
 /// "cannot exploit inter-cache-line access locality" — a stream touching a
 /// new set every access gets nothing.
 ///
+/// The buffered copies live in flat arrays sized once at construction, so
+/// a refill copies the cache's tag row in place and allocates nothing.
+///
 /// ```
 /// use waymem_cache::{Geometry, SetBuffer, SetBufferLookup};
 ///
@@ -35,22 +39,19 @@ pub enum SetBufferLookup {
 /// let mut sb = SetBuffer::new(g, 1);
 /// let addr = 0x0001_2340;
 /// assert_eq!(sb.lookup(addr), SetBufferLookup::SetMiss);
-/// sb.refill(g.index_of(addr), &[Some(g.tag_of(addr)), None]);
+/// sb.refill(g.index_of(addr), [Some(g.tag_of(addr)), None]);
 /// assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(0));
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetBuffer {
     geom: Geometry,
-    entries: Vec<Option<SetEntry>>,
+    /// The set index buffered in each slot, [`INVALID`] for an empty slot.
+    sets: Box<[u32]>,
+    /// Per slot, the tag of every way of its set ([`INVALID`] = invalid way).
+    tags: Box<[u32]>,
     lru: LruOrder,
     lookups: u64,
     way_hits: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct SetEntry {
-    index: u32,
-    tags: Vec<Option<u32>>, // per way; None = invalid way
 }
 
 impl SetBuffer {
@@ -65,11 +66,18 @@ impl SetBuffer {
         assert!(entries > 0, "set buffer needs at least one entry");
         Self {
             geom,
-            entries: vec![None; entries],
+            sets: vec![INVALID; entries].into(),
+            tags: vec![INVALID; entries * geom.ways() as usize].into(),
             lru: LruOrder::new(entries),
             lookups: 0,
             way_hits: 0,
         }
+    }
+
+    /// The buffered tags of `slot`, one per cache way.
+    fn row(&mut self, slot: usize) -> &mut [u32] {
+        let ways = self.geom.ways() as usize;
+        &mut self.tags[slot * ways..(slot + 1) * ways]
     }
 
     /// Probes the buffer for `addr`'s set and tag.
@@ -81,38 +89,33 @@ impl SetBuffer {
             return SetBufferLookup::SetMiss;
         };
         self.lru.touch(slot);
-        let entry = self.entries[slot].as_ref().expect("slot_of returns filled");
-        match entry
-            .tags
-            .iter()
-            .position(|t| *t == Some(tag))
-            .map(|w| w as u32)
-        {
+        match self.row(slot).iter().position(|&t| t == tag) {
             Some(way) => {
                 self.way_hits += 1;
-                SetBufferLookup::WayKnown(way)
+                SetBufferLookup::WayKnown(way as u32)
             }
             None => SetBufferLookup::SetKnownTagMiss,
         }
     }
 
     /// Installs (or refreshes) the buffered copy of set `index` with the
-    /// cache's current per-way tags, replacing the LRU slot if the set was
-    /// not buffered.
-    pub fn refill(&mut self, index: u32, tags: &[Option<u32>]) {
-        assert_eq!(
-            tags.len(),
-            self.geom.ways() as usize,
-            "one tag per cache way"
-        );
-        let slot = match self.slot_of(index) {
-            Some(s) => s,
-            None => self.lru.victim(),
-        };
-        self.entries[slot] = Some(SetEntry {
-            index,
-            tags: tags.to_vec(),
-        });
+    /// cache's current per-way tags (`None` for an invalid way), replacing
+    /// the LRU slot if the set was not buffered.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tags` yields exactly one tag per cache way.
+    pub fn refill(&mut self, index: u32, tags: impl IntoIterator<Item = Option<u32>>) {
+        let slot = self.slot_of(index).unwrap_or_else(|| self.lru.victim());
+        self.sets[slot] = index;
+        let mut tags = tags.into_iter();
+        for t in self.row(slot) {
+            *t = tags
+                .next()
+                .expect("one tag per cache way")
+                .unwrap_or(INVALID);
+        }
+        assert!(tags.next().is_none(), "one tag per cache way");
         self.lru.touch(slot);
     }
 
@@ -120,15 +123,13 @@ impl SetBuffer {
     /// Called after a cache fill so the buffer tracks replacements.
     pub fn update_way(&mut self, index: u32, way: u32, tag: Option<u32>) {
         if let Some(slot) = self.slot_of(index) {
-            if let Some(entry) = self.entries[slot].as_mut() {
-                entry.tags[way as usize] = tag;
-            }
+            self.row(slot)[way as usize] = tag.unwrap_or(INVALID);
         }
     }
 
     /// Drops every buffered set.
     pub fn clear(&mut self) {
-        self.entries.fill(None);
+        self.sets.fill(INVALID);
     }
 
     /// Probes performed.
@@ -146,13 +147,11 @@ impl SetBuffer {
     /// Number of set slots.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.sets.len()
     }
 
     fn slot_of(&self, index: u32) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| matches!(e, Some(se) if se.index == index))
+        self.sets.iter().position(|&s| s == index)
     }
 }
 
@@ -170,7 +169,7 @@ mod tests {
         let (g, mut sb) = setup();
         let addr = 0x1230;
         assert_eq!(sb.lookup(addr), SetBufferLookup::SetMiss);
-        sb.refill(g.index_of(addr), &[None, Some(g.tag_of(addr))]);
+        sb.refill(g.index_of(addr), [None, Some(g.tag_of(addr))]);
         assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(1));
         assert_eq!(sb.way_hits(), 1);
     }
@@ -181,17 +180,17 @@ mod tests {
         let a = 0x0030; // set from bits [7:4]
         let b = a + g.sets() * g.line_bytes(); // same index, different tag
         assert_eq!(g.index_of(a), g.index_of(b));
-        sb.refill(g.index_of(a), &[Some(g.tag_of(a)), None]);
+        sb.refill(g.index_of(a), [Some(g.tag_of(a)), None]);
         assert_eq!(sb.lookup(b), SetBufferLookup::SetKnownTagMiss);
     }
 
     #[test]
     fn lru_replacement_of_sets() {
         let (g, mut sb) = setup();
-        sb.refill(0, &[Some(1), None]);
-        sb.refill(1, &[Some(1), None]);
+        sb.refill(0, [Some(1), None]);
+        sb.refill(1, [Some(1), None]);
         let _ = sb.lookup(g.line_addr(1, 0)); // touch set 0
-        sb.refill(2, &[Some(1), None]); // evicts set 1
+        sb.refill(2, [Some(1), None]); // evicts set 1
         assert_eq!(sb.lookup(g.line_addr(1, 1)), SetBufferLookup::SetMiss);
         assert_eq!(
             sb.lookup(g.line_addr(1, 0)),
@@ -202,7 +201,7 @@ mod tests {
     #[test]
     fn update_way_tracks_cache_fill() {
         let (g, mut sb) = setup();
-        sb.refill(3, &[Some(7), Some(8)]);
+        sb.refill(3, [Some(7), Some(8)]);
         sb.update_way(3, 0, Some(9));
         let addr = g.line_addr(9, 3);
         assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(0));
@@ -214,7 +213,7 @@ mod tests {
     #[test]
     fn clear_empties_buffer() {
         let (_, mut sb) = setup();
-        sb.refill(0, &[Some(1), None]);
+        sb.refill(0, [Some(1), None]);
         sb.clear();
         assert_eq!(sb.lookup(0), SetBufferLookup::SetMiss);
     }

@@ -1,10 +1,71 @@
-//! Property-based tests for the cache substrate: functional equivalence
-//! with flat memory, inclusion/LRU invariants and accounting consistency
-//! under random access streams.
+//! Property-based tests for the cache substrate: equivalence with a naive
+//! LRU reference model, transparency to main memory, inclusion/LRU
+//! invariants and accounting consistency under random access streams.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use waymem_cache::{AccessKind, Geometry, LruOrder, MainMemory, SetAssocCache};
+use waymem_cache::{
+    AccessKind, AccessOutcome, EvictedLine, Geometry, LruOrder, MainMemory, SetAssocCache,
+};
+
+/// A way of the reference cache and the line it holds as `(tag, dirty)`,
+/// or `None` while the way has never been filled.
+type RefWay = (u32, Option<(u32, bool)>);
+
+/// The reference write-back LRU cache: per set, every way in recency
+/// order, most recent first.
+struct RefCache {
+    geom: Geometry,
+    sets: Vec<Vec<RefWay>>,
+    fills: u64,
+    write_backs: u64,
+}
+
+impl RefCache {
+    fn new(geom: Geometry) -> Self {
+        // Way 0 starts least recently used, so it fills first.
+        let fresh: Vec<_> = (0..geom.ways()).rev().map(|way| (way, None)).collect();
+        Self {
+            geom,
+            sets: vec![fresh; geom.sets() as usize],
+            fills: 0,
+            write_backs: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u32, store: bool) -> AccessOutcome {
+        let (index, tag) = (self.geom.index_of(addr), self.geom.tag_of(addr));
+        let set = &mut self.sets[index as usize];
+        let found = set
+            .iter()
+            .position(|&(_, line)| matches!(line, Some((t, _)) if t == tag));
+        let (way, line) = set.remove(found.unwrap_or(set.len() - 1));
+        let mut evicted = None;
+        let dirty = match (found, line) {
+            (Some(_), Some((_, dirty))) => dirty || store,
+            _ => {
+                if let Some((old, dirty)) = line {
+                    evicted = Some(EvictedLine {
+                        tag: old,
+                        index,
+                        way,
+                        dirty,
+                    });
+                    self.write_backs += u64::from(dirty);
+                }
+                self.fills += 1;
+                store
+            }
+        };
+        set.insert(0, (way, Some((tag, dirty))));
+        AccessOutcome {
+            hit: found.is_some(),
+            way,
+            index,
+            evicted,
+        }
+    }
+}
 
 fn geometries() -> impl Strategy<Value = Geometry> {
     prop_oneof![
@@ -12,13 +73,44 @@ fn geometries() -> impl Strategy<Value = Geometry> {
         Just(Geometry::new(4, 2, 16).unwrap()),
         Just(Geometry::new(16, 4, 32).unwrap()),
         Just(Geometry::new(8, 8, 16).unwrap()),
+        Just(Geometry::new(4, 16, 16).unwrap()),
     ]
 }
 
 proptest! {
-    /// Reads through the cache always return what a flat memory would,
-    /// for any interleaving of loads and stores, and a final flush leaves
-    /// memory equal to the model.
+    /// The tag-only cache decides every access exactly as the naive
+    /// recency-list model does: hit, way, evicted line and its dirty bit,
+    /// the fill and write-back counts, and the final tags and recency.
+    #[test]
+    fn cache_matches_reference_lru_model(
+        geom in geometries(),
+        ops in prop::collection::vec((any::<u16>(), any::<bool>()), 1..400),
+    ) {
+        let mut cache = SetAssocCache::new(geom);
+        let mut mem = MainMemory::new();
+        let mut model = RefCache::new(geom);
+        let span = (4 * geom.capacity_bytes()) as u32;
+        for (a, store) in ops {
+            let addr = u32::from(a) % span;
+            let kind = if store { AccessKind::Store } else { AccessKind::Load };
+            prop_assert_eq!(cache.access(addr, kind, &mut mem), model.access(addr, store));
+        }
+        prop_assert_eq!((cache.fills(), cache.write_backs()), (model.fills, model.write_backs));
+        prop_assert_eq!((mem.block_reads(), mem.block_writes()), (model.fills, model.write_backs));
+        for (index, set) in (0u32..).zip(&model.sets) {
+            prop_assert_eq!(cache.mru_way(index), set[0].0);
+            prop_assert_eq!(cache.victim_way(index), set[set.len() - 1].0);
+            for &(way, line) in set {
+                prop_assert_eq!(cache.tag_at(index, way), line.map(|(tag, _)| tag));
+            }
+        }
+    }
+
+    /// The CPU's data lives in main memory and the tag-only cache moves no
+    /// bytes: for any interleaving of loads and stores, the memory behind
+    /// the cache reads exactly as a flat memory with no cache does, before
+    /// and after a final flush, while every fill and write-back is counted
+    /// as one line transfer.
     #[test]
     fn cache_is_functionally_transparent(
         geom in geometries(),
@@ -26,24 +118,34 @@ proptest! {
     ) {
         let mut cache = SetAssocCache::new(geom);
         let mut mem = MainMemory::new();
+        let mut flat = MainMemory::new();
         let mut model: HashMap<u32, u32> = HashMap::new();
         for (addr16, value, is_store) in ops {
             let addr = u32::from(addr16) & !3;
             if is_store {
                 cache.access(addr, AccessKind::Store, &mut mem);
-                prop_assert!(cache.write_u32(addr, value));
+                mem.write_u32(addr, value);
+                flat.write_u32(addr, value);
                 model.insert(addr, value);
             } else {
                 cache.access(addr, AccessKind::Load, &mut mem);
-                let got = cache.read_u32(addr).expect("line resident after access");
                 let want = model.get(&addr).copied().unwrap_or(0);
-                prop_assert_eq!(got, want);
+                prop_assert_eq!(mem.read_u32(addr), want);
+                prop_assert_eq!(flat.read_u32(addr), want);
             }
+            prop_assert!(cache.probe(addr).is_some(), "line resident after access");
+            prop_assert_eq!(mem.block_reads(), cache.fills());
+            prop_assert_eq!(mem.block_writes(), cache.write_backs());
         }
-        cache.flush(&mut mem);
+        let before = cache.write_backs();
+        let flushed = cache.flush(&mut mem);
+        prop_assert_eq!(cache.write_backs(), before + flushed);
+        prop_assert_eq!(mem.block_writes(), cache.write_backs());
+        prop_assert_eq!(cache.flush(&mut mem), 0);
         for (&addr, &value) in &model {
             prop_assert_eq!(mem.read_u32(addr), value);
         }
+        prop_assert_eq!(mem.resident_pages(), flat.resident_pages());
     }
 
     /// The number of resident lines never exceeds capacity, and a probe

@@ -45,7 +45,7 @@ pub enum MabConfigError {
     NoTagEntries,
     /// Zero set-index entries requested.
     NoSetEntries,
-    /// More entries than the LRU state machine supports (255).
+    /// More entries than the MAB supports ([`MabConfig::MAX_ENTRIES`]).
     TooManyEntries(usize),
 }
 
@@ -56,9 +56,11 @@ impl fmt::Display for MabConfigError {
             MabConfigError::NoSetEntries => {
                 write!(f, "MAB needs at least one set-index entry")
             }
-            MabConfigError::TooManyEntries(n) => {
-                write!(f, "{n} entries exceeds the supported maximum of 255")
-            }
+            MabConfigError::TooManyEntries(n) => write!(
+                f,
+                "{n} entries exceeds the supported maximum of {}",
+                MabConfig::MAX_ENTRIES
+            ),
         }
     }
 }
@@ -92,13 +94,17 @@ pub struct MabConfig {
 }
 
 impl MabConfig {
+    /// The most tag rows, and the most set-index columns, a MAB can have:
+    /// the valid pairs of a row are one 64-bit mask over its columns.
+    pub const MAX_ENTRIES: usize = 64;
+
     /// Creates a configuration with `tag_entries` rows and `set_entries`
     /// columns for caches shaped by `geom`.
     ///
     /// # Errors
     ///
     /// Returns [`MabConfigError`] when either entry count is zero or exceeds
-    /// 255.
+    /// [`MAX_ENTRIES`](Self::MAX_ENTRIES).
     pub fn new(
         geom: Geometry,
         tag_entries: usize,
@@ -110,10 +116,10 @@ impl MabConfig {
         if set_entries == 0 {
             return Err(MabConfigError::NoSetEntries);
         }
-        if tag_entries > 255 {
+        if tag_entries > Self::MAX_ENTRIES {
             return Err(MabConfigError::TooManyEntries(tag_entries));
         }
-        if set_entries > 255 {
+        if set_entries > Self::MAX_ENTRIES {
             return Err(MabConfigError::TooManyEntries(set_entries));
         }
         Ok(Self {

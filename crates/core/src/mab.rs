@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 use waymem_cache::LruOrder;
 
-use crate::{Cflag, DispClass, MabConfig, SmallAdder};
+use crate::{Cflag, DispClass, LowAdd, MabConfig, SmallAdder};
 
 /// Outcome of a MAB probe for one access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,11 +86,12 @@ impl MabStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct TagRow {
-    base_tag: u32,
-    cflag: Cflag,
-}
+/// Marks an unused tag row. Row contents are `base_tag << 2 | cflag`, at
+/// most 34 bits, so no real row equals it.
+const EMPTY_ROW: u64 = u64::MAX;
+/// Marks an unused set-index column (real set indices fit in 31 bits).
+const EMPTY_COL: u32 = u32::MAX;
+const MAX: usize = MabConfig::MAX_ENTRIES;
 
 /// The Memory Address Buffer: `N_t` tag rows × `N_s` set-index columns with
 /// a validity/way matrix, per §3.3 of the paper.
@@ -100,6 +101,12 @@ struct TagRow {
 /// [`invalidate_location`](Self::invalidate_location) whenever the cache
 /// replaces a line, which keeps every valid pair pointing at a resident
 /// line. See the crate docs for the soundness argument.
+///
+/// Like the hardware, it lives in fixed arrays: the row and column
+/// entries, one 64-bit mask of valid columns per row (the `vflag`
+/// matrix) and the memoized way of every pair. A probe searches at most
+/// `N_t` rows and `N_s` columns, most recently used first, and tests one
+/// bit.
 ///
 /// ```
 /// use waymem_core::{Mab, MabConfig, MabLookup};
@@ -119,10 +126,14 @@ struct TagRow {
 pub struct Mab {
     cfg: MabConfig,
     adder: SmallAdder,
-    rows: Vec<Option<TagRow>>,
-    cols: Vec<Option<u32>>,
-    vflag: Vec<bool>,
-    ways: Vec<u32>,
+    /// Tag row contents, `base_tag << 2 | cflag`, or [`EMPTY_ROW`].
+    rows: [u64; MAX],
+    /// Set index of each column, or [`EMPTY_COL`].
+    cols: [u32; MAX],
+    /// Bit `c` of `valid[r]` is `vflag[r][c]`.
+    valid: [u64; MAX],
+    /// The memoized way of pair (`r`, `c`), meaningful while it is valid.
+    ways: [[u8; MAX]; MAX],
     row_lru: LruOrder,
     col_lru: LruOrder,
     stats: MabStats,
@@ -132,17 +143,15 @@ impl Mab {
     /// Creates an empty MAB.
     #[must_use]
     pub fn new(cfg: MabConfig) -> Self {
-        let nt = cfg.tag_entries();
-        let ns = cfg.set_entries();
         Self {
             cfg,
             adder: SmallAdder::new(cfg.geometry()),
-            rows: vec![None; nt],
-            cols: vec![None; ns],
-            vflag: vec![false; nt * ns],
-            ways: vec![0; nt * ns],
-            row_lru: LruOrder::new(nt),
-            col_lru: LruOrder::new(ns),
+            rows: [EMPTY_ROW; MAX],
+            cols: [EMPTY_COL; MAX],
+            valid: [0; MAX],
+            ways: [[0; MAX]; MAX],
+            row_lru: LruOrder::new(cfg.tag_entries()),
+            col_lru: LruOrder::new(cfg.set_entries()),
             stats: MabStats::default(),
         }
     }
@@ -170,20 +179,25 @@ impl Mab {
         self.stats = MabStats::default();
     }
 
-    fn pair(&self, row: usize, col: usize) -> usize {
-        row * self.cfg.set_entries() + col
+    /// The tag row an access `base + disp` with narrow-adder result `r`
+    /// compares against: base tag and [`Cflag`].
+    fn row_of(&self, base: u32, r: LowAdd) -> u64 {
+        let cflag = Cflag {
+            carry: r.carry,
+            negative: r.class == DispClass::Ones,
+        };
+        u64::from(self.cfg.geometry().tag_of(base)) << 2 | u64::from(cflag.encode())
     }
 
-    fn find_row(&self, base_tag: u32, cflag: Cflag) -> Option<usize> {
-        self.rows.iter().position(
-            |r| matches!(r, Some(t) if t.base_tag == base_tag && t.cflag == cflag),
-        )
+    /// The `(rank, slot)` of the tag row holding `row`, searched most
+    /// recently used first.
+    fn find_row(&self, row: u64) -> Option<(usize, usize)> {
+        self.row_lru.find(|r| self.rows[r] == row)
     }
 
-    fn find_col(&self, set_index: u32) -> Option<usize> {
-        self.cols
-            .iter()
-            .position(|c| matches!(c, Some(s) if *s == set_index))
+    /// The `(rank, slot)` of the column holding `set_index`.
+    fn find_col(&self, set_index: u32) -> Option<(usize, usize)> {
+        self.col_lru.find(|c| self.cols[c] == set_index)
     }
 
     /// Probes the MAB for the access `base + disp`.
@@ -198,27 +212,17 @@ impl Mab {
             return MabLookup::Wide;
         }
         self.stats.lookups += 1;
-        let cflag = Cflag {
-            carry: r.carry,
-            negative: r.class == DispClass::Ones,
-        };
-        let base_tag = self.cfg.geometry().tag_of(base);
-        let row = self.find_row(base_tag, cflag);
+        let row = self.find_row(self.row_of(base, r));
         let col = self.find_col(r.set_index);
-        if row.is_some() {
-            self.stats.row_hits += 1;
-        }
-        if col.is_some() {
-            self.stats.col_hits += 1;
-        }
-        if let (Some(row), Some(col)) = (row, col) {
-            let p = self.pair(row, col);
-            if self.vflag[p] {
+        self.stats.row_hits += u64::from(row.is_some());
+        self.stats.col_hits += u64::from(col.is_some());
+        if let (Some((row_rank, row)), Some((col_rank, col))) = (row, col) {
+            if self.valid[row] >> col & 1 == 1 {
                 self.stats.hits += 1;
-                self.row_lru.touch(row);
-                self.col_lru.touch(col);
+                self.row_lru.touch_rank(row_rank);
+                self.col_lru.touch_rank(col_rank);
                 return MabLookup::Hit {
-                    way: self.ways[p],
+                    way: u32::from(self.ways[row][col]),
                     set_index: r.set_index,
                     offset: r.offset,
                 };
@@ -244,64 +248,48 @@ impl Mab {
     ///
     /// Returns `None` (and records nothing) for wide displacements, which
     /// the hardware cannot represent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` exceeds 255.
     pub fn record(&mut self, base: u32, disp: i32, way: u32) -> Option<RecordOutcome> {
         let r = self.adder.add(base, disp);
         if r.class == DispClass::Wide {
             return None;
         }
-        let cflag = Cflag {
-            carry: r.carry,
-            negative: r.class == DispClass::Ones,
-        };
-        let base_tag = self.cfg.geometry().tag_of(base);
-
-        let (row, row_reused) = match self.find_row(base_tag, cflag) {
-            Some(row) => (row, true),
+        let row_key = self.row_of(base, r);
+        let (row_rank, row, row_reused) = match self.find_row(row_key) {
+            Some((rank, row)) => (rank, row, true),
             None => {
                 let victim = self.row_lru.victim();
-                self.clear_row(victim);
-                self.rows[victim] = Some(TagRow { base_tag, cflag });
+                self.rows[victim] = row_key;
+                self.valid[victim] = 0;
                 self.stats.row_replacements += 1;
-                (victim, false)
+                (self.row_lru.len() - 1, victim, false)
             }
         };
-        let (col, col_reused) = match self.find_col(r.set_index) {
-            Some(col) => (col, true),
+        let (col_rank, col, col_reused) = match self.find_col(r.set_index) {
+            Some((rank, col)) => (rank, col, true),
             None => {
                 let victim = self.col_lru.victim();
-                self.clear_col(victim);
-                self.cols[victim] = Some(r.set_index);
+                self.cols[victim] = r.set_index;
+                for mask in &mut self.valid[..self.cfg.tag_entries()] {
+                    *mask &= !(1 << victim);
+                }
                 self.stats.col_replacements += 1;
-                (victim, false)
+                (self.col_lru.len() - 1, victim, false)
             }
         };
-        self.row_lru.touch(row);
-        self.col_lru.touch(col);
-        let p = self.pair(row, col);
-        self.vflag[p] = true;
-        self.ways[p] = way;
+        self.row_lru.touch_rank(row_rank);
+        self.col_lru.touch_rank(col_rank);
+        self.valid[row] |= 1 << col;
+        self.ways[row][col] = u8::try_from(way).expect("way number fits the pair's way field");
         Some(RecordOutcome {
             row,
             col,
             row_reused,
             col_reused,
         })
-    }
-
-    fn clear_row(&mut self, row: usize) {
-        for col in 0..self.cfg.set_entries() {
-            let p = self.pair(row, col);
-            self.vflag[p] = false;
-        }
-        self.rows[row] = None;
-    }
-
-    fn clear_col(&mut self, col: usize) {
-        for row in 0..self.cfg.tag_entries() {
-            let p = self.pair(row, col);
-            self.vflag[p] = false;
-        }
-        self.cols[col] = None;
     }
 
     /// Clears every valid pair that memoizes cache location
@@ -311,17 +299,15 @@ impl Mab {
     /// Returns the number of pairs cleared (0 or 1 when the structure is
     /// consistent, since at most one pair can describe one location).
     pub fn invalidate_location(&mut self, set_index: u32, way: u32) -> usize {
+        // Columns hold distinct set indices, so at most one matches.
+        let Some((_, col)) = self.find_col(set_index) else {
+            return 0;
+        };
         let mut cleared = 0;
-        for col in 0..self.cfg.set_entries() {
-            if self.cols[col] != Some(set_index) {
-                continue;
-            }
-            for row in 0..self.cfg.tag_entries() {
-                let p = self.pair(row, col);
-                if self.vflag[p] && self.ways[p] == way {
-                    self.vflag[p] = false;
-                    cleared += 1;
-                }
+        for row in 0..self.cfg.tag_entries() {
+            if self.valid[row] >> col & 1 == 1 && u32::from(self.ways[row][col]) == way {
+                self.valid[row] &= !(1 << col);
+                cleared += 1;
             }
         }
         self.stats.invalidated_pairs += cleared as u64;
@@ -331,15 +317,15 @@ impl Mab {
     /// Clears every entry and pair (e.g. on a cache flush or context
     /// switch). Statistics are preserved.
     pub fn invalidate_all(&mut self) {
-        self.rows.fill(None);
-        self.cols.fill(None);
-        self.vflag.fill(false);
+        self.rows.fill(EMPTY_ROW);
+        self.cols.fill(EMPTY_COL);
+        self.valid.fill(0);
     }
 
     /// Number of currently valid (row, column) pairs.
     #[must_use]
     pub fn valid_pairs(&self) -> usize {
-        self.vflag.iter().filter(|&&v| v).count()
+        self.valid.iter().map(|m| m.count_ones() as usize).sum()
     }
 
     /// Iterates over valid pairs as `(set_index, way, effective_tag)`
@@ -349,20 +335,15 @@ impl Mab {
         let geom = self.cfg.geometry();
         let tag_mask = (1u32 << geom.tag_bits()) - 1;
         (0..self.cfg.tag_entries()).flat_map(move |row| {
-            (0..self.cfg.set_entries()).filter_map(move |col| {
-                let p = self.pair(row, col);
-                if !self.vflag[p] {
-                    return None;
-                }
-                let trow = self.rows[row]?;
-                let set_index = self.cols[col]?;
-                let adjust = match (trow.cflag.carry, trow.cflag.negative) {
-                    (c, false) => u32::from(c),
-                    (c, true) => u32::from(c).wrapping_sub(1),
-                };
-                let eff_tag = trow.base_tag.wrapping_add(adjust) & tag_mask;
-                Some((set_index, self.ways[p], eff_tag))
-            })
+            let cflag = Cflag::decode((self.rows[row] & 0b11) as u8);
+            let adjust = match (cflag.carry, cflag.negative) {
+                (c, false) => u32::from(c),
+                (c, true) => u32::from(c).wrapping_sub(1),
+            };
+            let eff_tag = ((self.rows[row] >> 2) as u32).wrapping_add(adjust) & tag_mask;
+            (0..self.cfg.set_entries())
+                .filter(move |&col| self.valid[row] >> col & 1 == 1)
+                .map(move |col| (self.cols[col], u32::from(self.ways[row][col]), eff_tag))
         })
     }
 }

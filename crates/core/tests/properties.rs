@@ -1,8 +1,10 @@
 //! Property-based tests for the MAB datapath and structure invariants.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use waymem_cache::Geometry;
-use waymem_core::{DispClass, Mab, MabConfig, MabLookup, SmallAdder};
+use waymem_core::{DispClass, Mab, MabConfig, MabLookup, MabStats, RecordOutcome, SmallAdder};
 
 fn geometries() -> impl Strategy<Value = Geometry> {
     prop_oneof![
@@ -176,6 +178,174 @@ proptest! {
                 mab.record(base, disp, (tag ^ set) & 1);
             }
             prop_assert!(mab.stats().hits <= mab.stats().lookups);
+        }
+    }
+}
+
+/// A tag row's contents: base tag, carry, negative displacement.
+type RowKey = (u32, bool, bool);
+
+/// The reference MAB: rows and columns as explicit recency lists (most
+/// recent first) of `(slot, entry)`, and the valid pairs as a map from
+/// (row entry, set index) to the memoized way.
+struct RefMab {
+    geom: Geometry,
+    rows: Vec<(usize, Option<RowKey>)>,
+    cols: Vec<(usize, Option<u32>)>,
+    pairs: HashMap<(RowKey, u32), u32>,
+    stats: MabStats,
+}
+
+/// Moves entry `pos` (the least recently used one for `None`) of a
+/// recency list to the front; returns its slot.
+fn touch<T>(list: &mut Vec<(usize, T)>, pos: Option<usize>) -> usize {
+    let entry = list.remove(pos.unwrap_or(list.len() - 1));
+    let slot = entry.0;
+    list.insert(0, entry);
+    slot
+}
+
+/// Installs `entry` in the least recently used slot of `list`, returning
+/// what it displaced.
+fn replace_lru<T: Copy>(list: &mut [(usize, Option<T>)], entry: T) -> Option<T> {
+    let last = list.len() - 1;
+    list[last].1.replace(entry)
+}
+
+impl RefMab {
+    fn new(geom: Geometry, nt: usize, ns: usize) -> Self {
+        Self {
+            geom,
+            rows: (0..nt).rev().map(|slot| (slot, None)).collect(),
+            cols: (0..ns).rev().map(|slot| (slot, None)).collect(),
+            pairs: HashMap::new(),
+            stats: MabStats::default(),
+        }
+    }
+
+    /// Row entry, set index and offset of `base + disp` from the full
+    /// arithmetic, or `None` when the displacement is wide.
+    fn decode(&self, base: u32, disp: i32) -> Option<(RowKey, u32, u32)> {
+        let k = self.geom.low_bits();
+        if !(-(1i64 << k)..(1i64 << k)).contains(&i64::from(disp)) {
+            return None;
+        }
+        let mask = (1u32 << k) - 1;
+        let sum = (base & mask) + (disp as u32 & mask);
+        let low = sum & mask;
+        let key = (self.geom.tag_of(base), sum > mask, disp < 0);
+        Some((
+            key,
+            low >> self.geom.offset_bits(),
+            low & (self.geom.line_bytes() - 1),
+        ))
+    }
+
+    fn find(&self, key: RowKey, set_index: u32) -> (Option<usize>, Option<usize>) {
+        (
+            self.rows.iter().position(|r| r.1 == Some(key)),
+            self.cols.iter().position(|c| c.1 == Some(set_index)),
+        )
+    }
+
+    fn lookup(&mut self, base: u32, disp: i32) -> MabLookup {
+        let Some((key, set_index, offset)) = self.decode(base, disp) else {
+            self.stats.wide_bypasses += 1;
+            return MabLookup::Wide;
+        };
+        self.stats.lookups += 1;
+        let (row, col) = self.find(key, set_index);
+        self.stats.row_hits += u64::from(row.is_some());
+        self.stats.col_hits += u64::from(col.is_some());
+        match (row, col, self.pairs.get(&(key, set_index))) {
+            (Some(r), Some(c), Some(&way)) => {
+                self.stats.hits += 1;
+                touch(&mut self.rows, Some(r));
+                touch(&mut self.cols, Some(c));
+                MabLookup::Hit {
+                    way,
+                    set_index,
+                    offset,
+                }
+            }
+            _ => MabLookup::Miss {
+                row_hit: row.is_some(),
+                col_hit: col.is_some(),
+                set_index,
+            },
+        }
+    }
+
+    fn record(&mut self, base: u32, disp: i32, way: u32) -> Option<RecordOutcome> {
+        let (key, set_index, _) = self.decode(base, disp)?;
+        let (row_pos, col_pos) = self.find(key, set_index);
+        if row_pos.is_none() {
+            self.stats.row_replacements += 1;
+            if let Some(old) = replace_lru(&mut self.rows, key) {
+                self.pairs.retain(|&(k, _), _| k != old);
+            }
+        }
+        if col_pos.is_none() {
+            self.stats.col_replacements += 1;
+            if let Some(old) = replace_lru(&mut self.cols, set_index) {
+                self.pairs.retain(|&(_, s), _| s != old);
+            }
+        }
+        let row = touch(&mut self.rows, row_pos);
+        let col = touch(&mut self.cols, col_pos);
+        self.pairs.insert((key, set_index), way);
+        Some(RecordOutcome {
+            row,
+            col,
+            row_reused: row_pos.is_some(),
+            col_reused: col_pos.is_some(),
+        })
+    }
+
+    fn invalidate_location(&mut self, set_index: u32, way: u32) -> usize {
+        let before = self.pairs.len();
+        self.pairs
+            .retain(|&(_, s), &mut w| (s, w) != (set_index, way));
+        let cleared = before - self.pairs.len();
+        self.stats.invalidated_pairs += cleared as u64;
+        cleared
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The MAB answers every probe, record and invalidation exactly as the
+    /// naive recency-list model does, at shapes up to 4×32, with every
+    /// statistic equal after every operation.
+    #[test]
+    fn mab_matches_reference_model(
+        nt in 1usize..=4,
+        ns in 1usize..=32,
+        ops in prop::collection::vec((0u32..6, 0u32..48, -80i32..80, 0u32..4, 0u8..8), 1..300),
+    ) {
+        let geom = Geometry::new(64, 4, 16).unwrap();
+        let mut mab = Mab::new(MabConfig::new(geom, nt, ns).unwrap());
+        let mut model = RefMab::new(geom, nt, ns);
+        for (tag, set, disp, way, op) in ops {
+            let base = (tag << geom.low_bits()) | (set << geom.offset_bits());
+            // One op in eight probes with a displacement too wide for the MAB.
+            let disp = if op == 7 { disp << 12 } else { disp };
+            if op < 2 {
+                let index = geom.index_of(base.wrapping_add(disp as u32));
+                prop_assert_eq!(
+                    mab.invalidate_location(index, way),
+                    model.invalidate_location(index, way)
+                );
+            } else {
+                let probe = mab.lookup(base, disp);
+                prop_assert_eq!(probe, model.lookup(base, disp));
+                if !probe.is_hit() {
+                    prop_assert_eq!(mab.record(base, disp, way), model.record(base, disp, way));
+                }
+            }
+            prop_assert_eq!(mab.stats(), model.stats);
+            prop_assert_eq!(mab.valid_pairs(), model.pairs.len());
         }
     }
 }

@@ -105,7 +105,7 @@ impl DScheme {
     ///
     /// # Panics
     ///
-    /// Panics if a MAB scheme's entry counts are invalid (zero or > 255).
+    /// Panics if a MAB scheme's entry counts are invalid (zero or > 64).
     #[must_use]
     pub fn build(self, geom: Geometry) -> DFront {
         let mab = match self {
@@ -153,10 +153,10 @@ impl DScheme {
 
 /// A trace-driven D-cache model under one scheme.
 ///
-/// The front-end owns a private cache and dummy backing memory: it tracks
-/// residency, LRU and dirty state driven purely by the address stream (the
-/// CPU's architectural data lives elsewhere), which is exactly what the
-/// energy accounting needs.
+/// The front-end owns a private tag-only cache and a memory that only
+/// counts its line transfers: it tracks residency, LRU and dirty state
+/// driven purely by the address stream (the CPU's architectural data lives
+/// elsewhere), which is exactly what the energy accounting needs.
 #[derive(Debug)]
 pub struct DFront {
     scheme: DScheme,
@@ -332,15 +332,13 @@ impl DFront {
             }
             SetBufferLookup::SetKnownTagMiss | SetBufferLookup::SetMiss => {
                 self.conventional(is_store, addr);
-                // Refresh the buffered copy of this set's tags.
+                // Refresh the buffered copy of this set from the cache's tag row.
                 let index = self.geom.index_of(addr);
-                let tags: Vec<Option<u32>> = (0..self.geom.ways())
-                    .map(|w| self.cache.tag_at(index, w))
-                    .collect();
+                let cache = &self.cache;
                 self.set_buffer
                     .as_mut()
                     .expect("scheme has set buffer")
-                    .refill(index, &tags);
+                    .refill(index, (0..self.geom.ways()).map(|w| cache.tag_at(index, w)));
             }
         }
     }
@@ -384,7 +382,6 @@ impl DFront {
         match mab.lookup(base, disp) {
             MabLookup::Hit { way, set_index, .. } => {
                 debug_assert_eq!(set_index, self.geom.index_of(addr));
-                self.stats.buffer_hits += 0; // MAB hits tracked via mab stats
                 self.known_way(is_store, addr, way);
             }
             MabLookup::Miss { .. } => {

@@ -83,7 +83,7 @@ impl IScheme {
     ///
     /// # Panics
     ///
-    /// Panics if a MAB scheme's entry counts are invalid (zero or > 255).
+    /// Panics if a MAB scheme's entry counts are invalid (zero or > 64).
     #[must_use]
     pub fn build(self, geom: Geometry) -> IFront {
         let mab = match self {

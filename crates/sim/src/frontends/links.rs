@@ -130,7 +130,7 @@ impl Btb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or exceeds 255.
+    /// Panics if `entries` is zero or exceeds 64.
     #[must_use]
     pub fn new(geom: Geometry, entries: usize) -> Self {
         Self {

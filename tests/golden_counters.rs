@@ -1,0 +1,132 @@
+//! Golden counters: the exact `AccessStats` and extra cycles of every D-
+//! and I-cache scheme, pinned against a committed file.
+//!
+//! The inputs are the synthetic standard suite and the committed Lackey
+//! capture, each at the FR-V geometry and at a small 2 kB cache
+//! (64 sets × 2 ways × 16-B lines) where most accesses miss and dirty
+//! lines are written back. Together they cover the miss, fill,
+//! write-back and invalidation paths that the paper kernels (which
+//! almost always hit) leave cold.
+//!
+//! Any change to a counter fails this test. A change that is meant to
+//! alter results regenerates the file explicitly:
+//!
+//! ```sh
+//! WAYMEM_BLESS_GOLDEN=1 cargo test --test golden_counters
+//! ```
+
+use std::fmt::Write as _;
+
+use waymem::ingest::synth::standard_suite;
+use waymem::prelude::*;
+use waymem::sim::presets::{full_dschemes, full_ischemes};
+use waymem::sim::SchemeResult;
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/counters.txt");
+
+/// Synthetic accesses per pattern: enough to wrap the small cache many
+/// times, small enough for a debug build to finish in seconds.
+const SYNTH_ACCESSES: u32 = 20_000;
+
+fn geometries() -> [Geometry; 2] {
+    [
+        Geometry::frv(),
+        Geometry::new(64, 2, 16).expect("valid geometry"),
+    ]
+}
+
+fn experiments() -> Vec<Experiment<'static>> {
+    let lackey = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/crates/ingest/tests/fixtures/lackey_small.log"
+    );
+    let mut out: Vec<Experiment<'static>> = standard_suite(SYNTH_ACCESSES)
+        .into_iter()
+        .map(Experiment::synthetic)
+        .collect();
+    out.push(Experiment::ingest(lackey));
+    out
+}
+
+fn counters_line(out: &mut String, prefix: &str, side: char, r: &SchemeResult) {
+    let AccessStats {
+        accesses,
+        tag_reads,
+        way_reads,
+        hits,
+        misses,
+        mab_hits,
+        mab_lookups,
+        intra_line_skips,
+        buffer_hits,
+        write_backs,
+        unsound_hits,
+    } = r.stats;
+    writeln!(
+        out,
+        "{prefix} {side} {} = {accesses} {tag_reads} {way_reads} {hits} {misses} {mab_hits} \
+         {mab_lookups} {intra_line_skips} {buffer_hits} {write_backs} {unsound_hits} {}",
+        r.name.replace(' ', "_"),
+        r.extra_cycles
+    )
+    .expect("write to String");
+}
+
+/// Renders every counter of every run, one line per (workload, geometry,
+/// side, scheme).
+fn render() -> String {
+    let mut out = String::from(
+        "# <workload> <sets>x<ways>x<line> <D|I> <scheme> = accesses tag_reads way_reads \
+         hits misses mab_hits mab_lookups intra_line_skips buffer_hits write_backs \
+         unsound_hits extra_cycles\n",
+    );
+    for g in geometries() {
+        for exp in experiments() {
+            let result = exp
+                .geometry(g)
+                .dschemes(full_dschemes())
+                .ischemes(full_ischemes())
+                .run()
+                .expect("golden workload runs");
+            let prefix = format!(
+                "{} {}x{}x{}",
+                result.workload,
+                g.sets(),
+                g.ways(),
+                g.line_bytes()
+            );
+            writeln!(out, "{prefix} cycles = {}", result.cycles).expect("write to String");
+            for r in &result.dcache {
+                counters_line(&mut out, &prefix, 'D', r);
+            }
+            for r in &result.icache {
+                counters_line(&mut out, &prefix, 'I', r);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn every_scheme_matches_the_golden_counters() {
+    let actual = render();
+    if std::env::var_os("WAYMEM_BLESS_GOLDEN").is_some() {
+        std::fs::write(GOLDEN, &actual).expect("write golden file");
+        return;
+    }
+    let expected = std::fs::read_to_string(GOLDEN).expect("golden file is committed");
+    let diffs: Vec<String> = expected
+        .lines()
+        .zip(actual.lines())
+        .filter(|(e, a)| e != a)
+        .map(|(e, a)| format!("  expected {e}\n  actual   {a}"))
+        .collect();
+    assert!(
+        diffs.is_empty() && expected.lines().count() == actual.lines().count(),
+        "{} counter line(s) differ from {GOLDEN} ({} expected lines, {} actual):\n{}",
+        diffs.len(),
+        expected.lines().count(),
+        actual.lines().count(),
+        diffs.join("\n")
+    );
+}
