@@ -51,8 +51,8 @@ use waymem_trace::{
 use waymem_workloads::Benchmark;
 
 use crate::run::{
-    kernel_source_hash, record_trace, record_trace_streaming, replay_source_with_policy,
-    run_kernel_fanout, RunError, SimConfig, SimResult, TraceSource,
+    kernel_source_hash, record_trace, record_trace_streaming, replay, run_kernel_fanout,
+    RunError, SimConfig, SimResult, TraceSource,
 };
 use crate::{DScheme, IScheme};
 
@@ -76,6 +76,23 @@ pub enum ExecPolicy {
     /// feeding the front-ends per event straight from the interpreter —
     /// the engine the parallel replay is cross-validated against.
     Serial,
+}
+
+impl ExecPolicy {
+    /// Whether replaying `fronts` front-ends under this policy fans out
+    /// across threads. `Auto` does when that can pay for itself: on a
+    /// single-core host the scoped workers would only interleave, so it
+    /// replays inline instead — the numbers are identical either way;
+    /// only wall-clock differs.
+    pub(crate) fn parallel(self, fronts: usize) -> bool {
+        match self {
+            ExecPolicy::Auto => {
+                fronts > 1 && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+            }
+            ExecPolicy::Parallel => true,
+            ExecPolicy::Serial => false,
+        }
+    }
 }
 
 /// What an [`Experiment`] runs: the workload half of the builder.
@@ -334,14 +351,7 @@ impl<'s> Experiment<'s> {
         if let (WorkloadSpec::Kernel(bench), StoreSel::None, false) =
             (&self.workload, &self.store, self.streaming)
         {
-            let serial = match self.policy {
-                ExecPolicy::Serial => true,
-                ExecPolicy::Auto => {
-                    !crate::run::replay_in_parallel(self.dschemes.len() + self.ischemes.len())
-                }
-                ExecPolicy::Parallel => false,
-            };
-            if serial {
+            if !self.policy.parallel(self.dschemes.len() + self.ischemes.len()) {
                 return run_kernel_fanout(*bench, &self.cfg, &self.dschemes, &self.ischemes);
             }
         }
@@ -416,29 +426,13 @@ impl<'s> Experiment<'s> {
                 // materialization) entirely — for a multi-GB capture
                 // the parse *is* the cost.
                 Some(s) => {
-                    let hash = hash_file(&path).map_err(|e| RunError::Ingest {
-                        path: path.clone(),
-                        message: format!("cannot read: {e}"),
-                    })?;
+                    let hash = hash_log(&path)?;
                     let id = WorkloadId::External { hash };
                     let trace = s.get_or_record(id, hash, || {
                         let (trace, parsed_hash, meta) = parse_log(&path, format)?;
-                        // The parser folds the identical byte stream into
-                        // FNV-1a64; divergence means the file changed
-                        // between the hash and the parse (or a parser
-                        // regression) — either way the cache key would
-                        // lie about the trace it maps to.
-                        if parsed_hash != hash {
-                            return Err(RunError::Ingest {
-                                path: path.clone(),
-                                message: format!(
-                                    "file changed while being ingested \
-                                     (hashed {hash:016x}, parsed {parsed_hash:016x})"
-                                ),
-                            });
-                        }
+                        check_unchanged(&path, hash, parsed_hash)?;
                         ingest_meta = Some(meta);
-                        Ok(trace)
+                        Ok::<_, RunError>(trace)
                     })?;
                     (id, hash, trace)
                 }
@@ -508,26 +502,36 @@ fn resolve_streaming(
             // bypassed; the trace is spilled to scratch and replayed
             // from disk (the caller asked for bounded replay memory,
             // though the in-memory copy they handed over still exists).
-            let st = open_scratch_stream(id, |path| {
+            let st = open_scratch_stream(&id.file_name(), |path| {
                 stream::write_encoded(&trace, 0, path).map_err(StreamError::from)?;
                 Ok(())
             })?;
             Ok((id, 0, TraceSource::Streaming(Arc::new(st))))
         }
-        WorkloadSpec::Log { path, format } => {
-            // Hash the raw bytes up front in every case: the hash is the
-            // workload's identity, and a warm store hit then skips the
-            // parse entirely.
-            let hash = hash_file(&path).map_err(|e| RunError::Ingest {
-                path: path.clone(),
-                message: format!("cannot read: {e}"),
-            })?;
-            let id = WorkloadId::External { hash };
-            let st = open_stream_via(store, id, hash, |out| {
-                produce_log_streaming(&path, format, hash, out, ingest_meta)
-            })?;
-            Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
-        }
+        WorkloadSpec::Log { path, format } => match store {
+            // With a store, hash the raw bytes up front: the hash is the
+            // cache key, and a warm hit then skips the parse entirely.
+            Some(s) => {
+                let hash = hash_log(&path)?;
+                let id = WorkloadId::External { hash };
+                let st = s.open_stream(id, hash, |out| {
+                    let parsed_hash = produce_log_streaming(&path, format, out, ingest_meta)?;
+                    check_unchanged(&path, hash, parsed_hash)
+                })?;
+                Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
+            }
+            // Store-less, the up-front hash would only read the file a
+            // second time: parse once and take the identity from the
+            // hash the parser streams.
+            None => {
+                let mut hash = 0;
+                let st = open_scratch_stream("log.wmtr", |out| {
+                    hash = produce_log_streaming(&path, format, out, ingest_meta)?;
+                    Ok(())
+                })?;
+                Ok((WorkloadId::External { hash }, hash, TraceSource::Streaming(Arc::new(st))))
+            }
+        },
     }
 }
 
@@ -558,26 +562,22 @@ fn open_stream_via(
 ) -> Result<StreamingTrace, RunError> {
     match store {
         Some(s) => s.open_stream(id, hash, produce),
-        None => open_scratch_stream(id, produce),
+        None => open_scratch_stream(&id.file_name(), produce),
     }
 }
 
-/// Produces a `.wmtr` file into a per-process scratch path and opens it
-/// marked for deletion when the handle drops — the store-less streaming
-/// path, where nothing outlives the experiment.
+/// Produces a `.wmtr` file into a per-process scratch path ending in
+/// `name` and opens it marked for deletion when the handle drops — the
+/// store-less streaming path, where nothing outlives the experiment.
 fn open_scratch_stream(
-    id: WorkloadId,
+    name: &str,
     produce: impl FnOnce(&Path) -> Result<(), RunError>,
 ) -> Result<StreamingTrace, RunError> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let path = std::env::temp_dir().join(format!(
-        "waymem-exp-{}-{}-{}",
-        std::process::id(),
-        n,
-        id.file_name()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("waymem-exp-{}-{n}-{name}", std::process::id()));
     produce(&path)?;
     match StreamingTrace::open(&path) {
         Ok(st) => Ok(st.delete_on_drop()),
@@ -591,13 +591,13 @@ fn open_scratch_stream(
 /// Parses a log straight into a `.wmtr` file at `out`, mapping every
 /// failure to a structured [`RunError::Ingest`] and capturing the
 /// ingestion metadata — the streaming counterpart of [`parse_log`].
+/// Returns the FNV-1a64 content hash the parser streamed.
 fn produce_log_streaming(
     path: &Path,
     format: Option<LogFormat>,
-    expected_hash: u64,
     out: &Path,
     ingest_meta: &mut Option<IngestMeta>,
-) -> Result<(), RunError> {
+) -> Result<u64, RunError> {
     let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Record);
     let _span = waymem_obs::span!("record", source = path.display());
     let format = format.unwrap_or_else(|| LogFormat::for_path(path));
@@ -608,23 +608,38 @@ fn produce_log_streaming(
     if stats.events() == 0 {
         return Err(ingest_err("log contains no accesses".to_owned()));
     }
-    // The parser folds the identical byte stream into FNV-1a64;
-    // divergence means the file changed between the hash and the parse
-    // (or a parser regression) — either way the cache key would lie
-    // about the trace it maps to.
-    if stats.source_hash != expected_hash {
-        return Err(ingest_err(format!(
-            "file changed while being ingested \
-             (hashed {expected_hash:016x}, parsed {:016x})",
-            stats.source_hash
-        )));
-    }
     *ingest_meta = Some(IngestMeta {
         format,
         lines: stats.lines,
         skipped: stats.skipped,
     });
-    Ok(())
+    Ok(stats.source_hash)
+}
+
+/// Hashes a log's raw bytes: its workload identity, and the cache key a
+/// store-backed ingest needs before it parses.
+fn hash_log(path: &Path) -> Result<u64, RunError> {
+    hash_file(path).map_err(|e| RunError::Ingest {
+        path: path.to_path_buf(),
+        message: format!("cannot read: {e}"),
+    })
+}
+
+/// Checks that a store-backed ingest parsed the bytes it hashed. The
+/// parser folds the identical byte stream into FNV-1a64; divergence
+/// means the file changed between the hash and the parse (or a parser
+/// regression) — either way the cache key would lie about the trace it
+/// maps to.
+fn check_unchanged(path: &Path, hashed: u64, parsed: u64) -> Result<(), RunError> {
+    if hashed == parsed {
+        return Ok(());
+    }
+    Err(RunError::Ingest {
+        path: path.to_path_buf(),
+        message: format!(
+            "file changed while being ingested (hashed {hashed:016x}, parsed {parsed:016x})"
+        ),
+    })
 }
 
 /// Generates a synthetic trace under the Record phase, so synthetic
@@ -754,7 +769,7 @@ impl Prepared {
     /// worker panics; materialized replay is otherwise infallible.
     pub fn run(self) -> Result<SimResult, RunError> {
         catch_worker(|| {
-            replay_source_with_policy(
+            replay(
                 self.id,
                 &self.source,
                 &self.cfg,

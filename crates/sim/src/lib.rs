@@ -50,10 +50,12 @@
 //!
 //! The engine records the CPU's event stream **once** into a
 //! [`RecordedTrace`] — two flat `Vec<TraceEvent>` streams, fetches split
-//! from loads/stores at capture time — and then replays the recorded
-//! slices through every requested front-end **concurrently** on
-//! [`std::thread::scope`] workers, at most one per hardware thread.
-//! Each worker owns its front-ends outright, so `DFront` and `IFront`
+//! from loads/stores at capture time (or into a `.wmtr` file, when
+//! streaming) — and then replays it through every requested front-end
+//! **concurrently** on [`std::thread::scope`] workers, at most one per
+//! hardware thread. Each worker runs one replay chain: the fronts of one
+//! section, fed from a single read of that section. Each worker owns its
+//! front-ends outright, so `DFront` and `IFront`
 //! are (and must remain) [`Send`]: they hold only owned cache, memory
 //! and buffer state, with no shared interior mutability — a compile-time
 //! assertion in `frontends/mod.rs` enforces this. The trace itself is

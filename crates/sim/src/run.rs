@@ -1,20 +1,21 @@
 //! The experiment engine: a record-once / replay-in-parallel pipeline.
 //!
 //! The engine executes the CPU interpreter (or a parser / generator)
-//! exactly once, capturing the full fetch/load/store stream into a
-//! [`RecordedTrace`] — two flat `Vec<TraceEvent>` streams split at
-//! capture time, fetches apart from loads/stores — then replays that
-//! recorded trace through every requested scheme's front-end, under an
-//! [`ExecPolicy`]: concurrently on
-//! [`std::thread::scope`] workers, or inline on the calling thread. Each
-//! front-end consumes its stream as a slice through the batched
-//! [`TraceSink::events`] entry point, which dispatches to a monomorphic
-//! loop ([`DFront::replay`] / [`IFront::replay`]), so no per-event
-//! virtual dispatch survives on the hot path; power is composed via
-//! Eq. (1) once every worker joins. Every front-end sees the identical
-//! recorded stream, so all policies are bit-identical — including the
-//! per-event serial fanout that serial kernel runs use to skip the trace
-//! materialization entirely.
+//! exactly once, capturing the full fetch/load/store stream — into a
+//! [`RecordedTrace`] (two flat `Vec<TraceEvent>` streams split at capture
+//! time, fetches apart from loads/stores) or into a `.wmtr` file — then
+//! replays it through every requested scheme's front-end, under an
+//! [`ExecPolicy`]. One engine serves both [`TraceSource`]s: the fronts
+//! are laid out into chains, one per worker thread, each holding the
+//! fronts of one section, and each chain reads its section once through
+//! [`TraceSource::replay_section`] while a fan-out sink hands every
+//! batch to each of its fronts. The batched [`TraceSink::events`] entry
+//! point dispatches to a monomorphic loop ([`DFront::replay`] /
+//! [`IFront::replay`]), so no per-event virtual dispatch survives on the
+//! hot path; power is composed via Eq. (1) once every chain joins. Every
+//! front-end sees the identical stream, so all policies and sources are
+//! bit-identical — including the per-event serial fanout that serial
+//! kernel runs use to skip the trace materialization entirely.
 //!
 //! The composable front door to all of this is
 //! [`Experiment`](crate::Experiment) / [`Suite`]
@@ -24,6 +25,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,7 +34,7 @@ use waymem_obs::phase::Phase;
 
 use waymem_cache::{AccessStats, Geometry};
 use waymem_hwmodel::{
-    cache_energies, mab_power_mw, CacheShape, EnergyCounts, PowerBreakdown, Technology,
+    cache_energies, mab_power_mw, CacheShape, EnergyCounts, MabShape, PowerBreakdown, Technology,
 };
 use waymem_isa::{AsmError, Cpu, CpuError, FetchKind, RecordingSink, TraceEvent, TraceSink};
 use waymem_trace::{
@@ -220,32 +222,79 @@ impl SimResult {
     }
 }
 
-/// Legacy serial fanout: forwards each CPU event to every front-end as it
-/// happens. Kept (behind [`run_kernel_fanout`], the serial-policy kernel
-/// path) as the reference the record/replay engine is benchmarked and
-/// cross-validated against.
-struct FanoutSink {
-    dfronts: Vec<DFront>,
-    ifronts: Vec<IFront>,
+/// The fan-out sink: hands every event, or every batch, to each front of
+/// one replay chain in turn, so a section read once feeds them all. Each
+/// batch's time is charged to the front that consumed it, so a front's
+/// busy time survives the shared read.
+struct Fanout<F> {
+    fronts: Vec<F>,
+    busy_ns: Vec<u64>,
 }
 
-impl TraceSink for FanoutSink {
+impl<F> Fanout<F> {
+    fn new(fronts: Vec<F>) -> Self {
+        let busy_ns = vec![0; fronts.len()];
+        Fanout { fronts, busy_ns }
+    }
+
+    /// Hands the fronts back, publishing one `replay.front_ns`
+    /// observation per front: its busy time, summed over its batches.
+    fn finish(self) -> Vec<F> {
+        for ns in self.busy_ns {
+            waymem_obs::histogram!("replay.front_ns").record(ns);
+        }
+        self.fronts
+    }
+}
+
+impl<F: TraceSink> TraceSink for Fanout<F> {
     fn fetch(&mut self, pc: u32, kind: FetchKind) {
-        for f in &mut self.ifronts {
+        for f in &mut self.fronts {
             f.fetch(pc, kind);
         }
     }
 
-    fn load(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
-        for f in &mut self.dfronts {
-            f.access(false, base, disp, addr);
+    fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+        for f in &mut self.fronts {
+            f.load(base, disp, addr, size);
         }
     }
 
-    fn store(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
-        for f in &mut self.dfronts {
-            f.access(true, base, disp, addr);
+    fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+        for f in &mut self.fronts {
+            f.store(base, disp, addr, size);
         }
+    }
+
+    fn events(&mut self, batch: &[TraceEvent]) {
+        for (f, busy) in self.fronts.iter_mut().zip(&mut self.busy_ns) {
+            let started = Instant::now();
+            f.events(batch);
+            *busy += elapsed_ns(started);
+        }
+    }
+}
+
+/// The serial kernel path's sink: the interpreter's fetches fan out to
+/// the I-fronts and its loads and stores to the D-fronts, per event, as
+/// they happen. Kept (behind [`run_kernel_fanout`]) as the reference the
+/// record/replay engine is cross-validated against.
+struct FanoutSink {
+    d: Fanout<DFront>,
+    i: Fanout<IFront>,
+}
+
+impl TraceSink for FanoutSink {
+    fn fetch(&mut self, pc: u32, kind: FetchKind) {
+        self.i.fetch(pc, kind);
+    }
+
+    fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+        self.d.load(base, disp, addr, size);
+    }
+
+    fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+        self.d.store(base, disp, addr, size);
     }
 }
 
@@ -263,11 +312,40 @@ pub enum TraceSource {
     /// workers.
     Materialized(Arc<RecordedTrace>),
     /// Replayed from an on-disk `.wmtr` file through a bounded window;
-    /// each front-end replays its section from its own file cursor.
+    /// each replay chain decodes its section once, from its own file
+    /// cursor.
     Streaming(Arc<StreamingTrace>),
 }
 
 impl TraceSource {
+    /// Replays one section into `sink`: an in-memory trace hands over its
+    /// whole section slice as a single batch, a streamed one decodes the
+    /// section from a file cursor of its own in bounded batches. Returns
+    /// the number of events replayed.
+    ///
+    /// # Errors
+    ///
+    /// A streamed section's read or decode failure, as
+    /// [`StreamingTrace::replay_section`] reports it. In-memory replay
+    /// cannot fail.
+    pub fn replay_section<S: TraceSink + ?Sized>(
+        &self,
+        section: Section,
+        sink: &mut S,
+    ) -> Result<u64, StreamError> {
+        match self {
+            TraceSource::Materialized(t) => {
+                let events = match section {
+                    Section::Fetch => &t.fetch_events,
+                    Section::Data => &t.data_events,
+                };
+                sink.events(events);
+                Ok(events.len() as u64)
+            }
+            TraceSource::Streaming(t) => t.replay_section(section, sink),
+        }
+    }
+
     /// The trace's cycle count.
     #[must_use]
     pub fn cycles(&self) -> u64 {
@@ -438,64 +516,51 @@ pub fn record_trace_streaming(
     Ok(sink.finish(cycles, kernel_source_hash(bench, cfg.scale))?)
 }
 
-/// The per-run Eq. (1) ingredients shared by every scheme: the cache's
-/// per-access energies depend only on geometry and technology, so they
-/// are computed once per run, not once per scheme.
-fn run_energies(cfg: &SimConfig) -> waymem_hwmodel::CacheEnergies {
-    let shape = CacheShape {
-        sets: cfg.geometry.sets(),
-        ways: cfg.geometry.ways(),
-        line_bytes: cfg.geometry.line_bytes(),
-        tag_bits: cfg.geometry.tag_bits(),
+/// Composes the per-scheme Eq. (1) results of a finished run. The
+/// cache's per-access energies depend only on geometry and technology,
+/// so they are computed once per run, not once per scheme.
+fn sim_result(
+    workload: WorkloadId,
+    cycles: u64,
+    cfg: &SimConfig,
+    dfronts: &[DFront],
+    ifronts: &[IFront],
+) -> SimResult {
+    let g = cfg.geometry;
+    let energies = cache_energies(
+        CacheShape {
+            sets: g.sets(),
+            ways: g.ways(),
+            line_bytes: g.line_bytes(),
+            tag_bits: g.tag_bits(),
+        },
+        cfg.technology,
+    );
+    let row = |name, stats, energy, mab: Option<MabShape>, extra_cycles| {
+        let mab = mab.map(|s| mab_power_mw(s, cfg.technology));
+        SchemeResult {
+            name,
+            stats,
+            energy,
+            power: PowerBreakdown::from_counts(energy, energies, mab, cfg.technology),
+            extra_cycles,
+        }
     };
-    cache_energies(shape, cfg.technology)
-}
-
-/// Composes the Eq. (1) result for one joined D-front.
-fn dscheme_result(
-    f: &DFront,
-    cycles: u64,
-    cfg: &SimConfig,
-    energies: waymem_hwmodel::CacheEnergies,
-) -> SchemeResult {
-    let energy = f.energy_counts(cycles);
-    let mab = f.mab_shape().map(|s| mab_power_mw(s, cfg.technology));
-    SchemeResult {
-        name: f.scheme().name(),
-        stats: f.stats(),
-        energy,
-        power: PowerBreakdown::from_counts(energy, energies, mab, cfg.technology),
-        extra_cycles: f.extra_cycles(),
+    SimResult {
+        workload,
+        cycles,
+        dcache: dfronts
+            .iter()
+            .map(|f| {
+                let energy = f.energy_counts(cycles);
+                row(f.scheme().name(), f.stats(), energy, f.mab_shape(), f.extra_cycles())
+            })
+            .collect(),
+        icache: ifronts
+            .iter()
+            .map(|f| row(f.scheme().name(), f.stats(), f.energy_counts(cycles), f.mab_shape(), 0))
+            .collect(),
     }
-}
-
-/// Composes the Eq. (1) result for one joined I-front.
-fn ischeme_result(
-    f: &IFront,
-    cycles: u64,
-    cfg: &SimConfig,
-    energies: waymem_hwmodel::CacheEnergies,
-) -> SchemeResult {
-    let energy = f.energy_counts(cycles);
-    let mab = f.mab_shape().map(|s| mab_power_mw(s, cfg.technology));
-    SchemeResult {
-        name: f.scheme().name(),
-        stats: f.stats(),
-        energy,
-        power: PowerBreakdown::from_counts(energy, energies, mab, cfg.technology),
-        extra_cycles: 0,
-    }
-}
-
-/// Whether fanning replays out across threads can pay for itself: more
-/// than one front-end to run, and more than one hardware thread to run
-/// them on. On a single-core host the scoped workers would only
-/// interleave, so the engine replays inline instead — the numbers are
-/// identical either way (each front-end consumes the same slice in
-/// isolation); only wall-clock differs.
-pub(crate) fn replay_in_parallel(front_count: usize) -> bool {
-    front_count > 1
-        && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }
 
 /// Elapsed nanoseconds since `started`, saturated to `u64::MAX`.
@@ -503,63 +568,86 @@ fn elapsed_ns(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Builds one D-front and replays the recorded data stream through it,
-/// publishing the per-front instruments: `replay.data_events` (events
-/// delivered), `replay.front_ns` (wall-clock per front), and a
-/// `replay.front` span. Shared by the parallel workers and the serial
-/// path so both report identically.
-fn replay_d_front(s: DScheme, geometry: Geometry, events: &[TraceEvent]) -> DFront {
-    let _span = waymem_obs::span!("replay.front", scheme = s.name());
-    let started = Instant::now();
-    let mut f = s.build(geometry);
-    f.events(events);
-    waymem_obs::counter!("replay.data_events").add(events.len() as u64);
-    waymem_obs::histogram!("replay.front_ns").record(elapsed_ns(started));
-    f
+/// One replay chain: a contiguous run of one side's schemes, replayed on
+/// one thread from a single read of that side's section.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ChainSpec {
+    section: Section,
+    schemes: Range<usize>,
 }
 
-/// The I-front counterpart of [`replay_d_front`]: counts into
-/// `replay.fetch_events`.
-fn replay_i_front(s: IScheme, geometry: Geometry, events: &[TraceEvent]) -> IFront {
-    let _span = waymem_obs::span!("replay.front", scheme = s.name());
-    let started = Instant::now();
-    let mut f = s.build(geometry);
-    f.events(events);
-    waymem_obs::counter!("replay.fetch_events").add(events.len() as u64);
-    waymem_obs::histogram!("replay.front_ns").record(elapsed_ns(started));
-    f
+/// Lays `d` D-schemes and `i` I-schemes out into replay chains for
+/// `workers` threads. Each chain holds the fronts of one section only,
+/// every scheme lands in exactly one chain, in scheme order, and there
+/// are at most `workers` chains — except that each non-empty side needs
+/// a chain of its own, so one worker still gets a D and an I chain. The
+/// threads are shared between the sides in proportion to their front
+/// counts, and a side's fronts are split evenly over its threads.
+fn chain_layout(d: usize, i: usize, workers: usize) -> Vec<ChainSpec> {
+    let workers = workers.max(usize::from(d > 0) + usize::from(i > 0));
+    let d_workers = match (d, i) {
+        (0, _) => 0,
+        (_, 0) => workers,
+        _ => ((workers * d + (d + i) / 2) / (d + i)).clamp(1, workers - 1),
+    };
+    let side = |section, n: usize, threads: usize| {
+        let chains = threads.min(n);
+        (0..chains).map(move |k| ChainSpec {
+            section,
+            schemes: n * k / chains..n * (k + 1) / chains,
+        })
+    };
+    side(Section::Data, d, d_workers)
+        .chain(side(Section::Fetch, i, workers - d_workers))
+        .collect()
 }
 
-/// Streaming counterpart of [`replay_d_front`]: replays the data section
-/// straight from the `.wmtr` cursor, counting the delivered events that
-/// [`StreamingTrace::replay_section`] reports.
-fn stream_d_front(
-    s: DScheme,
+/// A replayed chain's fronts, by side.
+enum Chain {
+    Data(Vec<DFront>),
+    Fetch(Vec<IFront>),
+}
+
+/// Replays one chain: builds its fronts, reads its section once from
+/// `source`, and fans every batch out to them through a [`Fanout`].
+/// Publishes the chain's instruments: a `replay.chain` span naming the
+/// section and the schemes, the section's `replay.data_events` or
+/// `replay.fetch_events` counter (events × fronts, as if each front had
+/// read the section alone), and one `replay.front_ns` observation per
+/// front.
+fn replay_chain(
+    source: &TraceSource,
+    spec: &ChainSpec,
     geometry: Geometry,
-    trace: &StreamingTrace,
-) -> Result<DFront, StreamError> {
-    let _span = waymem_obs::span!("replay.front", scheme = s.name());
-    let started = Instant::now();
-    let mut f = s.build(geometry);
-    let delivered = trace.replay_section(Section::Data, &mut f)?;
-    waymem_obs::counter!("replay.data_events").add(delivered);
-    waymem_obs::histogram!("replay.front_ns").record(elapsed_ns(started));
-    Ok(f)
-}
-
-/// Streaming counterpart of [`replay_i_front`].
-fn stream_i_front(
-    s: IScheme,
-    geometry: Geometry,
-    trace: &StreamingTrace,
-) -> Result<IFront, StreamError> {
-    let _span = waymem_obs::span!("replay.front", scheme = s.name());
-    let started = Instant::now();
-    let mut f = s.build(geometry);
-    let delivered = trace.replay_section(Section::Fetch, &mut f)?;
-    waymem_obs::counter!("replay.fetch_events").add(delivered);
-    waymem_obs::histogram!("replay.front_ns").record(elapsed_ns(started));
-    Ok(f)
+    dschemes: &[DScheme],
+    ischemes: &[IScheme],
+) -> Result<Chain, StreamError> {
+    let range = spec.schemes.clone();
+    let _span = waymem_obs::span!(
+        "replay.chain",
+        section = format!("{:?}", spec.section).to_lowercase(),
+        schemes = match spec.section {
+            Section::Data => dschemes[range.clone()].iter().map(DScheme::name).collect::<Vec<_>>(),
+            Section::Fetch => ischemes[range.clone()].iter().map(IScheme::name).collect(),
+        }
+        .join(", ")
+    );
+    Ok(match spec.section {
+        Section::Data => {
+            let mut chain =
+                Fanout::new(dschemes[range].iter().map(|s| s.build(geometry)).collect());
+            let events = source.replay_section(Section::Data, &mut chain)?;
+            waymem_obs::counter!("replay.data_events").add(events * chain.fronts.len() as u64);
+            Chain::Data(chain.finish())
+        }
+        Section::Fetch => {
+            let mut chain =
+                Fanout::new(ischemes[range].iter().map(|s| s.build(geometry)).collect());
+            let events = source.replay_section(Section::Fetch, &mut chain)?;
+            waymem_obs::counter!("replay.fetch_events").add(events * chain.fronts.len() as u64);
+            Chain::Fetch(chain.finish())
+        }
+    })
 }
 
 /// Replays an already-recorded trace of the kernel `bench` through every
@@ -576,14 +664,8 @@ pub fn replay_trace(
     dschemes: &[DScheme],
     ischemes: &[IScheme],
 ) -> SimResult {
-    replay_with_policy(
-        WorkloadId::kernel(bench, cfg.scale),
-        trace,
-        cfg,
-        dschemes,
-        ischemes,
-        ExecPolicy::Auto,
-    )
+    #[allow(deprecated)]
+    run_trace(WorkloadId::kernel(bench, cfg.scale), trace, cfg, dschemes, ischemes)
 }
 
 /// Evaluates **any** recorded trace across every requested scheme's
@@ -597,112 +679,30 @@ pub fn run_trace(
     dschemes: &[DScheme],
     ischemes: &[IScheme],
 ) -> SimResult {
-    replay_with_policy(workload, trace, cfg, dschemes, ischemes, ExecPolicy::Auto)
+    let source = TraceSource::from(trace.clone());
+    replay(workload, &source, cfg, dschemes, ischemes, ExecPolicy::Auto)
+        .expect("in-memory replay cannot fail")
 }
 
-/// The replay half of the engine: evaluates a recorded trace — a
-/// built-in kernel's, an ingested external log's, a synthetic
-/// generator's — across every requested scheme's front-end, under the
-/// given [`ExecPolicy`].
+/// The replay engine: evaluates a trace source — in memory or a `.wmtr`
+/// file — across every requested scheme's front-end under `policy`.
 ///
-/// The parallel fan-out is bounded: schemes are chunked across at most
-/// [`std::thread::available_parallelism`] workers, each replaying its
-/// chunk sequentially, so a long scheme list never spawns more compute
-/// threads than the host has cores. Chunks are joined in scheme order,
-/// so the result vectors keep the order the schemes were given and the
-/// outcome is deterministic: every front-end consumes the identical
-/// event slice independently, so the numbers are bit-identical to a
-/// serial replay (pinned by `tests/experiment.rs`).
-pub(crate) fn replay_with_policy(
-    workload: WorkloadId,
-    trace: &RecordedTrace,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    policy: ExecPolicy,
-) -> SimResult {
-    let _phase = waymem_obs::phase::enter(Phase::Replay);
-    let _span = waymem_obs::span!("replay", workload = workload.name());
-    let parallel = match policy {
-        ExecPolicy::Auto => replay_in_parallel(dschemes.len() + ischemes.len()),
-        ExecPolicy::Parallel => true,
-        ExecPolicy::Serial => false,
-    };
-    let data_events = trace.data_events.as_slice();
-    let fetch_events = trace.fetch_events.as_slice();
-    let (dfronts, ifronts) = if parallel {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let chunk = (dschemes.len() + ischemes.len()).div_ceil(workers).max(1);
-        std::thread::scope(|scope| {
-            let dhandles: Vec<_> = dschemes
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .iter()
-                            .map(|&s| replay_d_front(s, cfg.geometry, data_events))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let ihandles: Vec<_> = ischemes
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .iter()
-                            .map(|&s| replay_i_front(s, cfg.geometry, fetch_events))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let dfronts: Vec<DFront> = dhandles
-                .into_iter()
-                .flat_map(|h| h.join().expect("D-front replay worker panicked"))
-                .collect();
-            let ifronts: Vec<IFront> = ihandles
-                .into_iter()
-                .flat_map(|h| h.join().expect("I-front replay worker panicked"))
-                .collect();
-            (dfronts, ifronts)
-        })
-    } else {
-        (
-            dschemes
-                .iter()
-                .map(|&s| replay_d_front(s, cfg.geometry, data_events))
-                .collect(),
-            ischemes
-                .iter()
-                .map(|&s| replay_i_front(s, cfg.geometry, fetch_events))
-                .collect(),
-        )
-    };
-    let energies = run_energies(cfg);
-    SimResult {
-        workload,
-        cycles: trace.cycles,
-        dcache: dfronts
-            .iter()
-            .map(|f| dscheme_result(f, trace.cycles, cfg, energies))
-            .collect(),
-        icache: ifronts
-            .iter()
-            .map(|f| ischeme_result(f, trace.cycles, cfg, energies))
-            .collect(),
-    }
-}
-
-/// Replays either trace source across every requested scheme's
-/// front-end: materialized sources go through [`replay_with_policy`]
-/// unchanged; streaming sources fan each front-end out over its own
-/// file cursor, consuming the section in bounded batches.
+/// The fronts are laid out into chains by [`chain_layout`], each holding
+/// fronts of one section. A chain reads its section once through
+/// [`TraceSource::replay_section`] and hands every batch to each of its
+/// fronts: an in-memory section arrives as one whole-slice batch, a
+/// streamed one is decoded once per chain, not once per front. In
+/// parallel each chain runs on a scoped worker of its own; serially the
+/// chains run inline. Chains are joined in layout order, so results keep
+/// the order the schemes were given, and every front consumes the
+/// identical event sequence in isolation, so the numbers are
+/// bit-identical across policies, sources and batch sizes.
 ///
 /// # Errors
 ///
-/// [`RunError::Stream`] when a streaming source's file fails to read or
-/// decode mid-replay. Materialized replay is infallible.
-pub(crate) fn replay_source_with_policy(
+/// [`RunError::Stream`] when a streamed section fails to read or decode
+/// mid-replay. In-memory replay cannot fail.
+pub(crate) fn replay(
     workload: WorkloadId,
     source: &TraceSource,
     cfg: &SimConfig,
@@ -710,100 +710,33 @@ pub(crate) fn replay_source_with_policy(
     ischemes: &[IScheme],
     policy: ExecPolicy,
 ) -> Result<SimResult, RunError> {
-    match source {
-        TraceSource::Materialized(trace) => {
-            Ok(replay_with_policy(workload, trace, cfg, dschemes, ischemes, policy))
-        }
-        TraceSource::Streaming(trace) => {
-            replay_streaming(workload, trace, cfg, dschemes, ischemes, policy)
-        }
-    }
-}
-
-/// The streaming replay engine: every front-end replays its section
-/// (fetches for I-fronts, loads/stores for D-fronts) straight from the
-/// `.wmtr` file through its own independent cursor —
-/// [`StreamingTrace::replay_section`] opens a fresh file handle per
-/// call, so the parallel fan-out needs no coordination and the numbers
-/// are bit-identical to the materialized engine (each front-end consumes
-/// the identical event sequence in isolation, in the same batched
-/// `events()` entry point).
-fn replay_streaming(
-    workload: WorkloadId,
-    trace: &StreamingTrace,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    policy: ExecPolicy,
-) -> Result<SimResult, RunError> {
     let _phase = waymem_obs::phase::enter(Phase::Replay);
     let _span = waymem_obs::span!("replay", workload = workload.name());
-    let parallel = match policy {
-        ExecPolicy::Auto => replay_in_parallel(dschemes.len() + ischemes.len()),
-        ExecPolicy::Parallel => true,
-        ExecPolicy::Serial => false,
-    };
-    let (dfronts, ifronts) = if parallel {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let chunk = (dschemes.len() + ischemes.len()).div_ceil(workers).max(1);
-        std::thread::scope(|scope| -> Result<_, StreamError> {
-            let dhandles: Vec<_> = dschemes
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .iter()
-                            .map(|&s| stream_d_front(s, cfg.geometry, trace))
-                            .collect::<Result<Vec<_>, StreamError>>()
-                    })
-                })
-                .collect();
-            let ihandles: Vec<_> = ischemes
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .iter()
-                            .map(|&s| stream_i_front(s, cfg.geometry, trace))
-                            .collect::<Result<Vec<_>, StreamError>>()
-                    })
-                })
-                .collect();
-            let mut dfronts: Vec<DFront> = Vec::with_capacity(dschemes.len());
-            for h in dhandles {
-                dfronts.extend(h.join().expect("D-front streaming replay worker panicked")?);
-            }
-            let mut ifronts: Vec<IFront> = Vec::with_capacity(ischemes.len());
-            for h in ihandles {
-                ifronts.extend(h.join().expect("I-front streaming replay worker panicked")?);
-            }
-            Ok((dfronts, ifronts))
-        })?
+    let parallel = policy.parallel(dschemes.len() + ischemes.len());
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let layout = chain_layout(dschemes.len(), ischemes.len(), if parallel { threads } else { 1 });
+    let chain = |spec: &ChainSpec| replay_chain(source, spec, cfg.geometry, dschemes, ischemes);
+    let chains = if parallel {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> =
+                layout.iter().map(|spec| scope.spawn(move || chain(spec))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("replay chain worker panicked"))
+                .collect::<Result<Vec<_>, _>>()
+        })
     } else {
-        let mut dfronts = Vec::with_capacity(dschemes.len());
-        for &s in dschemes {
-            dfronts.push(stream_d_front(s, cfg.geometry, trace).map_err(RunError::from)?);
+        layout.iter().map(chain).collect()
+    }?;
+    let mut dfronts = Vec::with_capacity(dschemes.len());
+    let mut ifronts = Vec::with_capacity(ischemes.len());
+    for c in chains {
+        match c {
+            Chain::Data(fronts) => dfronts.extend(fronts),
+            Chain::Fetch(fronts) => ifronts.extend(fronts),
         }
-        let mut ifronts = Vec::with_capacity(ischemes.len());
-        for &s in ischemes {
-            ifronts.push(stream_i_front(s, cfg.geometry, trace).map_err(RunError::from)?);
-        }
-        (dfronts, ifronts)
-    };
-    let cycles = trace.cycles();
-    let energies = run_energies(cfg);
-    Ok(SimResult {
-        workload,
-        cycles,
-        dcache: dfronts
-            .iter()
-            .map(|f| dscheme_result(f, cycles, cfg, energies))
-            .collect(),
-        icache: ifronts
-            .iter()
-            .map(|f| ischeme_result(f, cycles, cfg, energies))
-            .collect(),
-    })
+    }
+    Ok(sim_result(workload, source.cycles(), cfg, &dfronts, &ifronts))
 }
 
 /// Runs `bench` once and returns per-scheme statistics and Eq. (1) power
@@ -886,8 +819,9 @@ pub fn run_trace_with_store<E>(
     store: &TraceStore,
     record: impl FnOnce() -> Result<RecordedTrace, E>,
 ) -> Result<SimResult, E> {
-    let trace = store.get_or_record(id, source_hash, record)?;
-    Ok(replay_with_policy(id, &trace, cfg, dschemes, ischemes, ExecPolicy::Auto))
+    let source = TraceSource::Materialized(store.get_or_record(id, source_hash, record)?);
+    Ok(replay(id, &source, cfg, dschemes, ischemes, ExecPolicy::Auto)
+        .expect("in-memory replay cannot fail"))
 }
 
 /// The pre-record/replay serial engine: one CPU run with every front-end
@@ -911,8 +845,8 @@ pub(crate) fn run_kernel_fanout(
     let _span = waymem_obs::span!("replay", workload = bench.name());
     let wl = bench.workload(cfg.scale)?;
     let mut sink = FanoutSink {
-        dfronts: dschemes.iter().map(|s| s.build(cfg.geometry)).collect(),
-        ifronts: ischemes.iter().map(|s| s.build(cfg.geometry)).collect(),
+        d: Fanout::new(dschemes.iter().map(|s| s.build(cfg.geometry)).collect()),
+        i: Fanout::new(ischemes.iter().map(|s| s.build(cfg.geometry)).collect()),
     };
     let mut cpu = Cpu::new(&wl.program);
     let outcome = cpu.run(wl.max_steps, &mut sink)?;
@@ -921,22 +855,8 @@ pub(crate) fn run_kernel_fanout(
             max_steps: wl.max_steps,
         });
     }
-    let cycles = cpu.instret();
-    let energies = run_energies(cfg);
-    Ok(SimResult {
-        workload: WorkloadId::kernel(bench, cfg.scale),
-        cycles,
-        dcache: sink
-            .dfronts
-            .iter()
-            .map(|f| dscheme_result(f, cycles, cfg, energies))
-            .collect(),
-        icache: sink
-            .ifronts
-            .iter()
-            .map(|f| ischeme_result(f, cycles, cfg, energies))
-            .collect(),
-    })
+    let workload = WorkloadId::kernel(bench, cfg.scale);
+    Ok(sim_result(workload, cpu.instret(), cfg, &sink.d.fronts, &sink.i.fronts))
 }
 
 /// Runs all seven benchmarks under the given schemes, fanning the
@@ -1293,6 +1213,85 @@ mod tests {
             assert_eq!(r.workload, id);
         }
         assert_eq!(productions, 1, "second run must hit the store");
+    }
+
+    #[test]
+    fn chain_layout_covers_every_scheme_once_within_the_worker_bound() {
+        let d = |schemes| ChainSpec { section: Section::Data, schemes };
+        let i = |schemes| ChainSpec { section: Section::Fetch, schemes };
+        // The benchmark's case: 7 + 7 schemes on 2 threads is one D chain
+        // and one I chain; 1 + 13 on 2 threads is two chains, not three.
+        assert_eq!(chain_layout(7, 7, 2), [d(0..7), i(0..7)]);
+        assert_eq!(chain_layout(1, 13, 2), [d(0..1), i(0..13)]);
+        assert_eq!(chain_layout(7, 7, 4), [d(0..3), d(3..7), i(0..3), i(3..7)]);
+        assert_eq!(chain_layout(1, 13, 4), [d(0..1), i(0..4), i(4..8), i(8..13)]);
+        for (dn, in_) in (0..=16).flat_map(|a| (0..=16).map(move |b| (a, b))) {
+            for workers in 1..=8 {
+                let layout = chain_layout(dn, in_, workers);
+                let sides = usize::from(dn > 0) + usize::from(in_ > 0);
+                let case = format!("{dn} + {in_} on {workers}: {layout:?}");
+                assert!(layout.len() <= workers.max(sides), "{case}");
+                for (section, n) in [(Section::Data, dn), (Section::Fetch, in_)] {
+                    let mut next = 0;
+                    for c in layout.iter().filter(|c| c.section == section) {
+                        assert!(c.schemes.start == next && !c.schemes.is_empty(), "{case}");
+                        next = c.schemes.end;
+                    }
+                    assert_eq!(next, n, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_chains_match_per_front_in_memory_replay() {
+        // A miss-heavy geometry and the full 7 + 7 scheme sets: a chasing
+        // read/write data stream (misses and write-backs) and a rotating
+        // set of loops on the fetch side (I-cache misses).
+        use waymem_ingest::synth::generate;
+        use waymem_trace::{SynthPattern, SynthSpec};
+        let synth = |pattern| generate(SynthSpec { pattern, accesses: 2_000, seed: 3 });
+        let trace = RecordedTrace {
+            fetch_events: synth(SynthPattern::MultiLoop { loops: 64, period: 4 }).fetch_events,
+            data_events: synth(SynthPattern::RwChase { nodes: 4096 }).data_events,
+            cycles: 12_345,
+        };
+        let cfg = SimConfig {
+            geometry: Geometry::new(64, 2, 16).expect("valid"),
+            ..SimConfig::default()
+        };
+        let (d, i) = (crate::full_dschemes(), crate::full_ischemes());
+        // Replays every scheme through chains of `len` fronts each.
+        let chains = |source: &TraceSource, len: usize| {
+            let (mut dfronts, mut ifronts) = (Vec::new(), Vec::new());
+            for (section, n) in [(Section::Data, d.len()), (Section::Fetch, i.len())] {
+                for start in (0..n).step_by(len) {
+                    let spec = ChainSpec { section, schemes: start..(start + len).min(n) };
+                    match replay_chain(source, &spec, cfg.geometry, &d, &i).expect("replays") {
+                        Chain::Data(f) => dfronts.extend(f),
+                        Chain::Fetch(f) => ifronts.extend(f),
+                    }
+                }
+            }
+            let workload = WorkloadId::External { hash: 1 };
+            sim_result(workload, source.cycles(), &cfg, &dfronts, &ifronts)
+        };
+        // The reference: each front alone, over its whole in-memory section.
+        let want = chains(&TraceSource::from(trace.clone()), 1);
+        assert!(want.dcache[0].stats.write_backs > 0, "no write-backs: vacuous");
+        assert!(want.icache[0].stats.misses > 100, "no I-side misses: vacuous");
+
+        let path = std::env::temp_dir()
+            .join(format!("waymem-run-test-{}-chains.wmtr", std::process::id()));
+        waymem_trace::stream::write_encoded(&trace, 0, &path).expect("writes");
+        for batch in [1, 7, 4096] {
+            let st = StreamingTrace::open(&path).expect("opens").with_batch(batch);
+            let source = TraceSource::from(st);
+            for len in [1, 2, 7] {
+                assert_results_identical(&chains(&source, len), &want);
+            }
+        }
+        std::fs::remove_file(&path).expect("removes the scratch trace");
     }
 
     #[test]

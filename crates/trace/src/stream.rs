@@ -24,7 +24,9 @@
 //!   length arithmetic, and a full checksum pass over the file, so a
 //!   corrupt or truncated capture is an `Err` before a single event is
 //!   emitted. Replay takes `&self` and opens its own file handle per
-//!   call, so one handle fans out to many concurrent per-front cursors.
+//!   call, so one handle serves many concurrent cursors — in the
+//!   simulator, one per replay chain, whose fan-out sink hands each
+//!   decoded batch to every front of the chain.
 //!
 //! The memory contract, concretely: replay holds one 64 KiB read window
 //! plus one batch of decoded events (default 4096 × 24 B ≈ 96 KiB) per
@@ -563,8 +565,8 @@ impl StreamingTrace {
 
     /// Streams one section into `sink` through a bounded read window and
     /// batched [`TraceSink::events`] calls. Takes `&self` and opens its
-    /// own file handle, so concurrent replays (one cursor per front) do
-    /// not contend. Returns the number of events replayed.
+    /// own file handle, so concurrent replays (one cursor per replay
+    /// chain) do not contend. Returns the number of events replayed.
     ///
     /// # Errors
     ///

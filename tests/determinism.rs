@@ -156,7 +156,7 @@ fn lackey_fixture() -> &'static str {
 #[test]
 fn streaming_kernel_replay_is_bit_identical_to_materialized() {
     // The bounded-memory streaming pipeline (record straight to a
-    // `.wmtr` file, replay in batches through per-front cursors) must
+    // `.wmtr` file, replay in batches, one cursor per replay chain) must
     // be invisible in the results: every one of the seven kernels has
     // to produce the exact f64 bits of the materialized engine.
     for &bench in &Benchmark::ALL {
@@ -172,8 +172,9 @@ fn streaming_kernel_replay_is_bit_identical_to_materialized() {
 
 #[test]
 fn streaming_kernel_replay_is_bit_identical_under_both_policies() {
-    // The streaming replay has its own serial and parallel engines;
-    // both must agree with the materialized fanout, not just Auto.
+    // The replay engine lays its chains out per policy (one per side
+    // serially, one per worker in parallel); streamed replay under both
+    // must agree with the materialized run, not just under Auto.
     for policy in [ExecPolicy::Serial, ExecPolicy::Parallel] {
         let materialized = kernel_exp(Benchmark::Dct, policy).run().expect("materialized");
         let streamed = kernel_exp(Benchmark::Dct, policy)

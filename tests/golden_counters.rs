@@ -6,7 +6,9 @@
 //! (64 sets × 2 ways × 16-B lines) where most accesses miss and dirty
 //! lines are written back. Together they cover the miss, fill,
 //! write-back and invalidation paths that the paper kernels (which
-//! almost always hit) leave cold.
+//! almost always hit) leave cold. Every experiment is rendered twice —
+//! replayed in memory and replayed from a streamed `.wmtr` file — and
+//! both renders must match the file.
 //!
 //! Any change to a counter fails this test. A change that is meant to
 //! alter results regenerates the file explicitly:
@@ -73,8 +75,8 @@ fn counters_line(out: &mut String, prefix: &str, side: char, r: &SchemeResult) {
 }
 
 /// Renders every counter of every run, one line per (workload, geometry,
-/// side, scheme).
-fn render() -> String {
+/// side, scheme), replaying in memory or from a streamed `.wmtr` file.
+fn render(streaming: bool) -> String {
     let mut out = String::from(
         "# <workload> <sets>x<ways>x<line> <D|I> <scheme> = accesses tag_reads way_reads \
          hits misses mab_hits mab_lookups intra_line_skips buffer_hits write_backs \
@@ -83,6 +85,7 @@ fn render() -> String {
     for g in geometries() {
         for exp in experiments() {
             let result = exp
+                .streaming(streaming)
                 .geometry(g)
                 .dschemes(full_dschemes())
                 .ischemes(full_ischemes())
@@ -109,11 +112,23 @@ fn render() -> String {
 
 #[test]
 fn every_scheme_matches_the_golden_counters() {
-    let actual = render();
+    let actual = render(false);
     if std::env::var_os("WAYMEM_BLESS_GOLDEN").is_some() {
         std::fs::write(GOLDEN, &actual).expect("write golden file");
         return;
     }
+    assert_matches_golden(&actual);
+}
+
+/// The streamed replay — each section decoded once per replay chain and
+/// fanned out to its fronts — must render the committed file exactly. It
+/// never rewrites the file: the in-memory render is the one blessed.
+#[test]
+fn streamed_replay_matches_the_golden_counters() {
+    assert_matches_golden(&render(true));
+}
+
+fn assert_matches_golden(actual: &str) {
     let expected = std::fs::read_to_string(GOLDEN).expect("golden file is committed");
     let diffs: Vec<String> = expected
         .lines()

@@ -2,9 +2,9 @@
 //! capture through the streaming pipeline must peak at O(batch)
 //! resident memory, not O(trace). Materializing this capture costs
 //! hundreds of MB of `Vec<TraceEvent>`; the streaming path holds a few
-//! fixed 64 KiB windows plus one replay batch per front, so a peak-RSS
-//! delta anywhere near the trace size means someone reintroduced a
-//! hidden materialization.
+//! fixed 64 KiB windows plus one decoded batch per replay chain, so a
+//! peak-RSS delta anywhere near the trace size means someone
+//! reintroduced a hidden materialization.
 //!
 //! Gated `#[ignore]` — it writes ~100 MB of scratch and takes tens of
 //! seconds — and run explicitly by a dedicated CI step:
@@ -88,7 +88,7 @@ fn streaming_ingest_and_replay_of_100mb_capture_is_o_batch_resident() {
 
     // ~7.5M lines → ~7.5M events; materialized that is ~180 MiB of
     // event vectors. O(batch) means a handful of 64 KiB windows and one
-    // replay batch per front — 64 MiB of slack is still ~3x under the
+    // decoded batch per replay chain — 64 MiB of slack is still ~3x under the
     // materialized floor, so a regression cannot hide in allocator
     // noise.
     let events =
