@@ -1,8 +1,11 @@
-//! Checks the abstract's headline claims in one run:
-//! * I-cache power reduced by ~40 % (vs conventional),
-//! * D-cache power reduced by ~50 % (vs conventional, best case),
-//! * total cache power reduced ~30 % on average / 40 % max,
-//! * no performance penalty (zero extra cycles for the MAB schemes).
+//! Checks the abstract's headline claims in one run of the paper's scheme
+//! set, each saving against its figure's baseline as
+//! [`waymem_bench::paper`] defines it:
+//! * D-cache power against the original D-cache (Fig. 5);
+//! * I-cache power against the intra-line cache \[4\] (Fig. 7), and,
+//!   under its own name, against a conventional I-cache;
+//! * total power against original + \[4\] (Fig. 8), average and best;
+//! * no performance penalty (zero extra cycles for way memoization).
 //!
 //! It also times the 7-benchmark suite under four engines — the serial
 //! per-event fanout ([`ExecPolicy::Serial`]), a cold pass through the
@@ -20,21 +23,20 @@
 use std::time::Instant;
 
 use waymem_bench::json::{metrics_json, phases_json, store_stats_json, Json};
-use waymem_bench::{geometric_mean, ledger, store_from_env};
-use waymem_sim::{DScheme, ExecPolicy, Experiment, IScheme, Suite};
+use waymem_bench::paper::{self, Report};
+use waymem_bench::{ledger, store_from_env};
+use waymem_sim::{ExecPolicy, Experiment};
 use waymem_workloads::Benchmark;
 
 fn main() {
     // Arm span capture (WAYMEM_SPANS=<path>) and resolve the log level
     // (WAYMEM_LOG) before any instrumented work runs.
     waymem_obs::init_from_env();
-    let dschemes = [DScheme::Original, DScheme::paper_way_memo()];
-    let ischemes = [IScheme::Original, IScheme::paper_way_memo()];
+    let (dschemes, ischemes) = (paper::dschemes(), paper::ischemes());
     let store = store_from_env();
-    let suite = || Suite::kernels().dschemes(dschemes).ischemes(ischemes);
 
     let serial_start = Instant::now();
-    let serial = suite()
+    let serial = paper::suite()
         .policy(ExecPolicy::Serial)
         .run()
         .expect("serial suite runs");
@@ -43,10 +45,10 @@ fn main() {
     // Cold pass: every lookup misses in memory (records, or loads from a
     // warm cache dir); warm pass: every lookup is an in-memory hit.
     let cold_start = Instant::now();
-    let results = suite().store(&store).run().expect("suite runs");
+    let results = paper::suite().store(&store).run().expect("suite runs");
     let cold_s = cold_start.elapsed().as_secs_f64();
     let warm_start = Instant::now();
-    let warm = suite().store(&store).run().expect("suite runs");
+    let warm = paper::suite().store(&store).run().expect("suite runs");
     let warm_s = warm_start.elapsed().as_secs_f64();
 
     // Streaming pass: each kernel's trace replays from its on-disk
@@ -58,8 +60,8 @@ fn main() {
     let mut streamed = Vec::with_capacity(Benchmark::ALL.len());
     for &bench in &Benchmark::ALL {
         let prepared = Experiment::kernel(bench)
-            .dschemes(dschemes)
-            .ischemes(ischemes)
+            .dschemes(dschemes.iter().copied())
+            .ischemes(ischemes.iter().copied())
             .store(&store)
             .streaming(true)
             .prepare()
@@ -84,41 +86,8 @@ fn main() {
         }
     }
 
-    println!("Headline claims (abstract): ours vs conventional caches");
-    println!(
-        "{:<12}  {:>10}  {:>10}  {:>10}  {:>12}",
-        "benchmark", "D saving", "I saving", "total", "extra cycles"
-    );
-    let mut d_ratios = Vec::new();
-    let mut i_ratios = Vec::new();
-    let mut t_ratios = Vec::new();
-    for r in &results {
-        let d = r.dcache[1].power.total_mw() / r.dcache[0].power.total_mw();
-        let i = r.icache[1].power.total_mw() / r.icache[0].power.total_mw();
-        let t = (r.dcache[1].power.total_mw() + r.icache[1].power.total_mw())
-            / (r.dcache[0].power.total_mw() + r.icache[0].power.total_mw());
-        d_ratios.push(d);
-        i_ratios.push(i);
-        t_ratios.push(t);
-        println!(
-            "{:<12}  {:>9.1}%  {:>9.1}%  {:>9.1}%  {:>12}",
-            r.workload.name(),
-            (1.0 - d) * 100.0,
-            (1.0 - i) * 100.0,
-            (1.0 - t) * 100.0,
-            r.dcache[1].extra_cycles
-        );
-    }
-    let d_avg = (1.0 - geometric_mean(&d_ratios)) * 100.0;
-    let i_avg = (1.0 - geometric_mean(&i_ratios)) * 100.0;
-    let t_avg = (1.0 - geometric_mean(&t_ratios)) * 100.0;
-    println!(
-        "averages: D {d_avg:.1}% | I {i_avg:.1}% | total {t_avg:.1}%   (paper: D up to 50%, I up to 40%, total 30% avg)"
-    );
-    let max_saving = t_ratios
-        .iter()
-        .fold(f64::INFINITY, |acc, &r| acc.min(r));
-    println!("maximum total saving: {:.1}%", (1.0 - max_saving) * 100.0);
+    let report = Report::new(&results);
+    print!("{}", report.claims);
 
     let stats = store.stats();
     println!(
@@ -160,7 +129,7 @@ fn main() {
     // The perf figures double as this run's ledger record: what the
     // report carries at its root, `bench_diff` reads back from
     // `BENCH_LEDGER.jsonl` under `perf`.
-    let perf = vec![
+    let mut perf = vec![
         ("serial_fanout_seconds", Json::from(serial_s)),
         ("store_cold_seconds", Json::from(cold_s)),
         ("store_warm_seconds", Json::from(warm_s)),
@@ -171,13 +140,10 @@ fn main() {
         ("streaming_events_per_sec", Json::from(stream_eps)),
         ("trace_store", store_stats_json(&stats)),
         ("phases", phases_json()),
-        ("d_saving_avg_pct", Json::from(d_avg)),
-        ("i_saving_avg_pct", Json::from(i_avg)),
-        ("total_saving_avg_pct", Json::from(t_avg)),
-        ("total_saving_max_pct", Json::from((1.0 - max_saving) * 100.0)),
     ];
+    perf.extend(report.headline().map(|(name, pct)| (name, Json::from(pct))));
     let mut report = vec![
-        ("schema", Json::from("waymem/headline/v5")),
+        ("schema", Json::from("waymem/headline/v6")),
         ("git_rev", Json::from(provenance.git_rev.clone())),
         ("host_threads", Json::from(host_threads as u64)),
         ("benchmarks", Json::from(results.len() as u64)),

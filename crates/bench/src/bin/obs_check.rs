@@ -2,7 +2,7 @@
 //! (written via `WAYMEM_SPANS=<path>`) as well-formed Chrome trace-event
 //! JSON with balanced `B`/`E` pairs and spans covering the record, store
 //! I/O, and replay phases — and, when a `BENCH_headline.json` is given,
-//! checks its schema v5 `phases` breakdown and embedded `metrics`
+//! checks its schema v6 `phases` breakdown and embedded `metrics`
 //! snapshot (histogram percentiles monotone, phase totals non-negative).
 //! `--flight FILE` validates a crash flight-recorder dump instead of /
 //! as well as the span trace.
@@ -26,7 +26,7 @@ use waymem_obs::snapshot::validate_metrics;
 /// production, store disk I/O, and front-end replay.
 const REQUIRED_SPAN_PREFIXES: [&str; 3] = ["record", "store.io", "replay"];
 
-/// Keys the schema v5 `phases` object must carry.
+/// Keys the schema v6 `phases` object must carry.
 const REQUIRED_PHASES: [&str; 4] = ["resolve", "record", "io", "replay"];
 
 fn check_spans(path: &str) -> Result<(), String> {
@@ -56,8 +56,8 @@ fn check_headline(path: &str) -> Result<(), String> {
         .get("schema")
         .and_then(|v| v.as_str())
         .ok_or_else(|| format!("{path}: missing schema"))?;
-    if schema != "waymem/headline/v5" {
-        return Err(format!("{path}: schema is {schema}, expected waymem/headline/v5"));
+    if schema != "waymem/headline/v6" {
+        return Err(format!("{path}: schema is {schema}, expected waymem/headline/v6"));
     }
     let phases = root.get("phases").ok_or_else(|| format!("{path}: missing phases object"))?;
     for key in REQUIRED_PHASES {
@@ -85,7 +85,7 @@ fn check_headline(path: &str) -> Result<(), String> {
         root.get("metrics").ok_or_else(|| format!("{path}: missing metrics object"))?;
     validate_metrics(metrics).map_err(|e| format!("{path}: {e}"))?;
     println!(
-        "obs_check: {path}: schema v5, four-phase breakdown ({total:.3} s total), \
+        "obs_check: {path}: schema v6, four-phase breakdown ({total:.3} s total), \
          metrics snapshot consistent — ok"
     );
     Ok(())

@@ -29,7 +29,7 @@ pub const HIGHER_BETTER: [&str; 6] = [
     "streaming_events_per_sec",
     "events_per_sec",
     "compression_ratio",
-    "total_saving_avg_pct",
+    "total_saving_fig8_avg_pct",
 ];
 
 /// Seconds a phase must grow in absolute terms — on top of the relative
@@ -139,9 +139,9 @@ mod tests {
     use super::*;
     use waymem_obs::chrome::parse;
 
-    const REPORT: &str = r#"{"schema":"waymem/headline/v5","warm_speedup":40.0,
+    const REPORT: &str = r#"{"schema":"waymem/headline/v6","warm_speedup":40.0,
         "cold_speedup":2.0,"streaming_events_per_sec":1e7,
-        "trace_store":{"compression_ratio":3.5},"total_saving_avg_pct":30.0,
+        "trace_store":{"compression_ratio":3.5},"total_saving_fig8_avg_pct":30.0,
         "phases":{"resolve":0.01,"record":1.0,"io":0.3,"replay":2.0}}"#;
 
     #[test]
@@ -157,7 +157,7 @@ mod tests {
         let base = parse(REPORT).unwrap();
         let degraded = parse(
             r#"{"warm_speedup":10.0,"cold_speedup":2.0,"streaming_events_per_sec":1e7,
-               "trace_store":{"compression_ratio":3.5},"total_saving_avg_pct":30.0,
+               "trace_store":{"compression_ratio":3.5},"total_saving_fig8_avg_pct":30.0,
                "phases":{"resolve":0.01,"record":1.0,"io":0.3,"replay":9.0}}"#,
         )
         .unwrap();
@@ -176,7 +176,7 @@ mod tests {
         // absolute floor.
         let better = parse(
             r#"{"warm_speedup":80.0,"cold_speedup":4.0,"streaming_events_per_sec":2e7,
-               "trace_store":{"compression_ratio":4.0},"total_saving_avg_pct":35.0,
+               "trace_store":{"compression_ratio":4.0},"total_saving_fig8_avg_pct":35.0,
                "phases":{"resolve":0.02,"record":1.0,"io":0.5,"replay":2.0}}"#,
         )
         .unwrap();

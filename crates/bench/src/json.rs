@@ -167,7 +167,7 @@ pub fn store_stats_json(stats: &waymem_trace::StoreStats) -> Json {
     ])
 }
 
-/// The `phases` object for `BENCH_headline.json` (schema v5): exclusive
+/// The `phases` object for `BENCH_headline.json` (schema v6): exclusive
 /// wall-clock seconds the process spent in each engine phase — resolve
 /// (store lookup / hashing), record (interpret / parse / generate), io
 /// (store reads and writes), replay (front-end evaluation) — read from

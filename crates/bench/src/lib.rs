@@ -1,18 +1,9 @@
 //! # waymem-bench — regeneration harness for every table and figure
 //!
-//! One binary per published artifact:
-//!
 //! | binary     | regenerates                                        |
 //! |------------|----------------------------------------------------|
-//! | `table1`   | MAB area overhead (mm², % of cache)                |
-//! | `table2`   | added-circuit delay (ns) vs the 2.5 ns cycle       |
-//! | `table3`   | MAB power (mW), active and clock-gated             |
-//! | `fig4`     | tag / way accesses per D-cache access              |
-//! | `fig5`     | D-cache power (data / tag / MAB split)             |
-//! | `fig6`     | tag / way accesses per I-cache access (MAB sweep)  |
-//! | `fig7`     | I-cache power                                      |
-//! | `fig8`     | total I+D power, ours vs original+\[4\]            |
-//! | `headline` | the abstract's −40 % / −50 % / −30 % claims        |
+//! | `paper`    | Tables 1–3, Figures 4–8 and the abstract's claims  |
+//! | `headline` | the abstract's savings, plus suite wall-clocks     |
 //! | `ablation` | way-predict / two-phase / line-buffer hybrid sweep |
 //! | `related_work` | Ma et al. link memoization \[11\] vs the MAB    |
 //! | `consistency` | §3.3 LRU-consistency audit (unsound-hit counts)    |
@@ -23,40 +14,36 @@
 //! Run any of them with `cargo run --release -p waymem-bench --bin <name>`.
 //! Every binary drives the same [`Experiment`](waymem_sim::Experiment) /
 //! [`Suite`](waymem_sim::Suite) builder the library users get — e.g. the
-//! full evaluation suite behind `fig4`:
+//! evaluation behind `paper`:
 //!
 //! ```no_run
-//! use waymem_bench::fig4_dschemes;
-//! use waymem_sim::Suite;
+//! use waymem_bench::paper::{self, Report};
 //!
 //! # fn main() -> Result<(), waymem_sim::RunError> {
-//! let results = Suite::kernels().dschemes(fig4_dschemes()).run()?;
-//! assert_eq!(results.len(), 7);
+//! let results = paper::suite().run()?;
+//! let report = Report::new(&results);
+//! println!("Fig. 8 average saving: {:.1}%", report.ours("fig8.saving_avg_pct"));
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! The library part of this crate re-exports the scheme presets
-//! ([`fig4_dschemes`] / [`fig6_ischemes`] / [`full_dschemes`] /
-//! [`full_ischemes`], now defined in `waymem_sim::presets`) plus the
-//! env-wired [`store_from_env`], holds the tiny [`json`] writer behind
-//! the `BENCH_*.json` exports, the append-only run [`ledger`] those
-//! exports feed (`BENCH_LEDGER.jsonl`), and the perf-[`diff`] engine the
-//! `bench_diff` regression gate runs on, and keeps the deprecated
-//! `run_suite*` shims importable for downstream code that predates the
-//! builder.
+//! The library part of this crate holds the [`paper`] module (the
+//! paper's scheme set, baselines, averaging rule and quoted values),
+//! re-exports the scheme presets ([`fig4_dschemes`] / [`fig6_ischemes`] /
+//! [`full_dschemes`] / [`full_ischemes`], defined in `waymem_sim::presets`)
+//! plus the env-wired [`store_from_env`], and holds the tiny [`json`]
+//! writer behind the `BENCH_*.json` exports, the append-only run
+//! [`ledger`] those exports feed (`BENCH_LEDGER.jsonl`), and the
+//! perf-[`diff`] engine the `bench_diff` regression gate runs on.
 
 use waymem_sim::TraceStore;
 
 pub mod diff;
 pub mod json;
 pub mod ledger;
+pub mod paper;
 
 pub use waymem_sim::presets::{fig4_dschemes, fig6_ischemes, full_dschemes, full_ischemes};
-// The deprecated suite shims historically lived in this crate; they now
-// forward to `waymem_sim::Suite` but stay importable here.
-#[allow(deprecated)]
-pub use waymem_sim::{run_suite, run_suite_serial, run_suite_with_store};
 
 /// The per-process [`TraceStore`] the bench binaries share, wired from
 /// the environment ([`TraceStore::from_env`]): `WAYMEM_TRACE_CACHE=<dir>`
@@ -68,7 +55,7 @@ pub fn store_from_env() -> TraceStore {
     TraceStore::from_env()
 }
 
-/// Geometric-mean helper for "on average" claims.
+/// Geometric mean, the averaging rule of [`paper`]'s "on average" claims.
 ///
 /// # Panics
 ///

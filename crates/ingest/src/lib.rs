@@ -17,8 +17,8 @@
 //!   [`RecordedTrace`]s.
 //!
 //! Every parsed or generated trace is a first-class `RecordedTrace`: it
-//! flows through `waymem-sim::run_trace` / `run_trace_with_store` and the
-//! parallel replay engine exactly like a kernel recording, is cached by
+//! flows through `waymem-sim::Experiment::recorded` and the parallel
+//! replay engine exactly like a kernel recording, is cached by
 //! the [`TraceStore`](waymem_trace::TraceStore) under a
 //! [`WorkloadId`] keyed by FNV-1a64 content
 //! hash (external logs) or generator spec (synthetics), and lands in the
@@ -210,7 +210,7 @@ impl IngestStats {
 /// A successfully ingested log: the trace plus its provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ingested {
-    /// The reconstructed trace, ready for `waymem-sim::run_trace`.
+    /// The reconstructed trace, ready for `waymem-sim::Experiment::recorded`.
     pub trace: RecordedTrace,
     /// FNV-1a64 of the log's raw bytes — the workload's identity *and*
     /// its staleness fingerprint (an edited log is a different hash).

@@ -18,10 +18,9 @@
 //! kernel runs use to skip the trace materialization entirely.
 //!
 //! The composable front door to all of this is
-//! [`Experiment`](crate::Experiment) / [`Suite`]
+//! [`Experiment`](crate::Experiment) / [`Suite`](crate::Suite)
 //! (`experiment` module); this module keeps the engine itself — the
-//! result types, [`record_trace`], and the deprecated free-function
-//! shims the builder replaced.
+//! result types and [`record_trace`].
 
 use std::error::Error;
 use std::fmt;
@@ -38,12 +37,11 @@ use waymem_hwmodel::{
 };
 use waymem_isa::{AsmError, Cpu, CpuError, FetchKind, RecordingSink, TraceEvent, TraceSink};
 use waymem_trace::{
-    fnv1a64, Section, StreamError, StreamStats, StreamingEncoder, StreamingTrace, TraceStore,
-    WorkloadId,
+    fnv1a64, Section, StreamError, StreamStats, StreamingEncoder, StreamingTrace, WorkloadId,
 };
 use waymem_workloads::Benchmark;
 
-use crate::{DFront, DScheme, ExecPolicy, IFront, IScheme, Suite, SuiteResult};
+use crate::{DFront, DScheme, ExecPolicy, IFront, IScheme};
 
 /// Simulation configuration shared by all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -448,7 +446,8 @@ impl TraceSink for SplitRecordingSink {
 
 /// Executes `bench` once and records its full event stream.
 ///
-/// This is the "record" half of the engine; [`replay_trace`] is the other.
+/// This is the "record" half of the engine; replaying the trace through
+/// [`Experiment::recorded`](crate::Experiment::recorded) is the other.
 /// Splitting them lets callers amortize one CPU run over many replays
 /// (geometry sweeps, scheme sweeps) instead of re-interpreting the kernel.
 ///
@@ -650,40 +649,6 @@ fn replay_chain(
     })
 }
 
-/// Replays an already-recorded trace of the kernel `bench` through every
-/// requested scheme's front-end.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Experiment::recorded(WorkloadId::kernel(bench, cfg.scale), trace).run()"
-)]
-#[must_use]
-pub fn replay_trace(
-    bench: Benchmark,
-    trace: &RecordedTrace,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> SimResult {
-    #[allow(deprecated)]
-    run_trace(WorkloadId::kernel(bench, cfg.scale), trace, cfg, dschemes, ischemes)
-}
-
-/// Evaluates **any** recorded trace across every requested scheme's
-/// front-end.
-#[deprecated(since = "0.1.0", note = "use Experiment::recorded(workload, trace).run()")]
-#[must_use]
-pub fn run_trace(
-    workload: WorkloadId,
-    trace: &RecordedTrace,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> SimResult {
-    let source = TraceSource::from(trace.clone());
-    replay(workload, &source, cfg, dschemes, ischemes, ExecPolicy::Auto)
-        .expect("in-memory replay cannot fail")
-}
-
 /// The replay engine: evaluates a trace source — in memory or a `.wmtr`
 /// file — across every requested scheme's front-end under `policy`.
 ///
@@ -739,22 +704,6 @@ pub(crate) fn replay(
     Ok(sim_result(workload, source.cycles(), cfg, &dfronts, &ifronts))
 }
 
-/// Runs `bench` once and returns per-scheme statistics and Eq. (1) power
-/// for every requested D- and I-cache scheme.
-#[deprecated(since = "0.1.0", note = "use Experiment::kernel(bench).run()")]
-pub fn run_benchmark(
-    bench: Benchmark,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> Result<SimResult, RunError> {
-    crate::Experiment::kernel(bench)
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .run()
-}
-
 /// The FNV-1a64 of the kernel's generated assembly source at `scale` —
 /// the staleness fingerprint stored traces of built-in kernels carry.
 /// A workload-generator change alters the source text, so warm cache
@@ -781,47 +730,6 @@ pub fn kernel_source_hash(bench: Benchmark, scale: u32) -> u64 {
     let hash = fnv1a64(bench.source(scale).as_bytes());
     cache.lock().expect("hash cache poisoned").insert((bench, scale), hash);
     hash
-}
-
-/// Like `run_benchmark`, but sourcing the recorded trace from a shared
-/// [`TraceStore`].
-#[deprecated(since = "0.1.0", note = "use Experiment::kernel(bench).store(&store).run()")]
-pub fn run_benchmark_with_store(
-    bench: Benchmark,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    store: &TraceStore,
-) -> Result<SimResult, RunError> {
-    crate::Experiment::kernel(bench)
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .store(store)
-        .run()
-}
-
-/// The custom-producer store-backed runner: evaluates the workload `id`
-/// across all requested schemes, producing its trace at most once per
-/// store lifetime via `record`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Experiment (kernel/synthetic/ingest resolve their own producer), or \
-            TraceStore::get_or_record + Experiment::recorded for a custom producer"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_trace_with_store<E>(
-    id: WorkloadId,
-    source_hash: u64,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    store: &TraceStore,
-    record: impl FnOnce() -> Result<RecordedTrace, E>,
-) -> Result<SimResult, E> {
-    let source = TraceSource::Materialized(store.get_or_record(id, source_hash, record)?);
-    Ok(replay(id, &source, cfg, dschemes, ischemes, ExecPolicy::Auto)
-        .expect("in-memory replay cannot fail"))
 }
 
 /// The pre-record/replay serial engine: one CPU run with every front-end
@@ -859,75 +767,23 @@ pub(crate) fn run_kernel_fanout(
     Ok(sim_result(workload, cpu.instret(), cfg, &sink.d.fronts, &sink.i.fronts))
 }
 
-/// Runs all seven benchmarks under the given schemes, fanning the
-/// benchmarks out across worker threads.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Suite::kernels().dschemes(..).ischemes(..).run()"
-)]
-pub fn run_suite(
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> Result<Vec<SimResult>, RunError> {
-    Suite::kernels()
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .run()
-        .map(SuiteResult::into_results)
-}
-
-/// `run_suite` with a shared [`TraceStore`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use Suite::kernels().dschemes(..).ischemes(..).store(&store).run()"
-)]
-pub fn run_suite_with_store(
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-    store: &TraceStore,
-) -> Result<Vec<SimResult>, RunError> {
-    Suite::kernels()
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .store(store)
-        .run()
-        .map(SuiteResult::into_results)
-}
-
-/// The fully serial suite driver: benchmarks one after another, each
-/// feeding every front-end per event through the serial fanout sink.
-#[deprecated(
-    since = "0.1.0",
-    note = "use Suite::kernels().policy(ExecPolicy::Serial)…run()"
-)]
-pub fn run_suite_serial(
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> Result<Vec<SimResult>, RunError> {
-    Suite::kernels()
-        .config(*cfg)
-        .dschemes(dschemes.iter().copied())
-        .ischemes(ischemes.iter().copied())
-        .policy(ExecPolicy::Serial)
-        .run()
-        .map(SuiteResult::into_results)
-}
-
 #[cfg(test)]
 mod tests {
-    // These unit tests deliberately keep exercising the deprecated shims:
-    // they are the in-crate proof that every shim stays bit-identical to
-    // the `Experiment` pipeline it forwards to. Workspace-level code is
-    // held to the builder API by `tests/deprecation_tripwire.rs`.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::Experiment;
+    use waymem_trace::TraceStore;
+
+    /// `bench` under the paper's schemes, through the builder.
+    fn run_kernel(bench: Benchmark) -> SimResult {
+        let (d, i) = paper_schemes();
+        Experiment::kernel(bench).dschemes(d).ischemes(i).run().expect("runs")
+    }
+
+    /// A recorded trace under `id`, replayed under the paper's schemes.
+    fn replay_recorded(id: WorkloadId, trace: &RecordedTrace) -> SimResult {
+        let (d, i) = paper_schemes();
+        Experiment::recorded(id, trace.clone()).dschemes(d).ischemes(i).run().expect("replays")
+    }
 
     fn paper_schemes() -> (Vec<DScheme>, Vec<IScheme>) {
         (
@@ -946,9 +802,7 @@ mod tests {
 
     #[test]
     fn dct_run_produces_paper_shape() {
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
-        let r = run_benchmark(Benchmark::Dct, &cfg, &d, &i).expect("runs");
+        let r = run_kernel(Benchmark::Dct);
         assert!(r.cycles > 50_000);
 
         // All D schemes saw the same accesses.
@@ -984,9 +838,7 @@ mod tests {
 
     #[test]
     fn stats_are_internally_consistent() {
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
-        let r = run_benchmark(Benchmark::Compress, &cfg, &d, &i).expect("runs");
+        let r = run_kernel(Benchmark::Compress);
         for s in r.dcache.iter().chain(r.icache.iter()) {
             assert!(s.stats.is_consistent(), "{}", s.name);
             assert_eq!(s.energy.cycles, r.cycles);
@@ -1015,87 +867,25 @@ mod tests {
     #[test]
     fn parallel_replay_matches_legacy_fanout() {
         // Exercise the record/replay engine explicitly (not through
-        // `run_benchmark`, which may pick the fanout path on single-core
-        // hosts) and pin it bit-identical to the serial fanout.
+        // `Experiment::kernel`, which may pick the fanout path on
+        // single-core hosts) and pin it bit-identical to the serial fanout.
         let cfg = SimConfig::default();
         let (d, i) = paper_schemes();
         let trace = record_trace(Benchmark::Dct, &cfg).expect("records");
-        let replayed = replay_trace(Benchmark::Dct, &trace, &cfg, &d, &i);
+        let id = WorkloadId::kernel(Benchmark::Dct, cfg.scale);
+        let replayed = replay_recorded(id, &trace);
         let fanout = run_kernel_fanout(Benchmark::Dct, &cfg, &d, &i).expect("fanout runs");
         assert_results_identical(&replayed, &fanout);
     }
 
     #[test]
-    fn experiment_builder_matches_every_legacy_shim() {
-        // The shims must be pure plumbing: each one bit-identical to the
-        // builder chain its deprecation note names.
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
-
-        let legacy = run_benchmark(Benchmark::Dct, &cfg, &d, &i).expect("legacy runs");
-        let built = Experiment::kernel(Benchmark::Dct)
-            .dschemes(d.iter().copied())
-            .ischemes(i.iter().copied())
-            .run()
-            .expect("builder runs");
-        assert_results_identical(&legacy, &built);
-
-        let trace = record_trace(Benchmark::Dct, &cfg).expect("records");
-        let legacy = run_trace(
-            WorkloadId::kernel(Benchmark::Dct, 1),
-            &trace,
-            &cfg,
-            &d,
-            &i,
-        );
-        let built = Experiment::recorded(
-            WorkloadId::kernel(Benchmark::Dct, 1),
-            trace.clone(),
-        )
-        .dschemes(d.iter().copied())
-        .ischemes(i.iter().copied())
-        .run()
-        .expect("builder replays");
-        assert_results_identical(&legacy, &built);
-
-        let legacy_store = TraceStore::new();
-        let built_store = TraceStore::new();
-        let legacy = run_benchmark_with_store(Benchmark::Dct, &cfg, &d, &i, &legacy_store)
-            .expect("legacy store run");
-        let built = Experiment::kernel(Benchmark::Dct)
-            .dschemes(d.iter().copied())
-            .ischemes(i.iter().copied())
-            .store(&built_store)
-            .run()
-            .expect("builder store run");
-        assert_results_identical(&legacy, &built);
-        assert_eq!(legacy_store.stats().records, built_store.stats().records);
-
-        let legacy = run_suite(&cfg, &d, &i).expect("legacy suite");
-        let built = crate::Suite::kernels()
-            .dschemes(d.iter().copied())
-            .ischemes(i.iter().copied())
-            .run()
-            .expect("builder suite");
-        assert_eq!(legacy.len(), built.len());
-        for (a, b) in legacy.iter().zip(built.iter()) {
-            assert_results_identical(a, b);
-        }
-
-        let serial = run_suite_serial(&cfg, &d, &i).expect("legacy serial suite");
-        for (a, b) in serial.iter().zip(legacy.iter()) {
-            assert_results_identical(a, b);
-        }
-    }
-
-    #[test]
     fn replaying_a_recorded_trace_twice_is_identical() {
         let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
         let trace = record_trace(Benchmark::Fft, &cfg).expect("records");
         assert!(!trace.is_empty());
-        let first = replay_trace(Benchmark::Fft, &trace, &cfg, &d, &i);
-        let second = replay_trace(Benchmark::Fft, &trace, &cfg, &d, &i);
+        let id = WorkloadId::kernel(Benchmark::Fft, cfg.scale);
+        let first = replay_recorded(id, &trace);
+        let second = replay_recorded(id, &trace);
         assert_results_identical(&first, &second);
         for (x, y) in first.dcache.iter().zip(&second.dcache) {
             assert_eq!(x.stats, y.stats);
@@ -1144,16 +934,20 @@ mod tests {
         let (d, i) = paper_schemes();
         let store = TraceStore::new();
         let trace = record_trace(Benchmark::Dct, &cfg).expect("records");
-        let plain = replay_trace(Benchmark::Dct, &trace, &cfg, &d, &i);
-        let first =
-            run_benchmark_with_store(Benchmark::Dct, &cfg, &d, &i, &store).expect("runs");
-        // A different geometry replays the *same* stored trace.
-        let wide = SimConfig {
-            geometry: waymem_cache::Geometry::new(128, 8, 32).expect("valid"),
-            ..cfg
+        let id = WorkloadId::kernel(Benchmark::Dct, cfg.scale);
+        let plain = replay_recorded(id, &trace);
+        let stored = |geometry| {
+            Experiment::kernel(Benchmark::Dct)
+                .geometry(geometry)
+                .dschemes(d.iter().copied())
+                .ischemes(i.iter().copied())
+                .store(&store)
+                .run()
+                .expect("runs")
         };
-        let second =
-            run_benchmark_with_store(Benchmark::Dct, &wide, &d, &i, &store).expect("runs");
+        let first = stored(cfg.geometry);
+        // A different geometry replays the *same* stored trace.
+        let second = stored(Geometry::new(128, 8, 32).expect("valid"));
         assert_results_identical(&plain, &first);
         assert_eq!(second.cycles, first.cycles, "same trace, same cycles");
         let s = store.stats();
@@ -1165,8 +959,6 @@ mod tests {
         // A hand-built trace with no kernel behind it — the ingest
         // subsystem's shape — must flow through the same engine and
         // produce consistent per-scheme accounting.
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
         let trace = RecordedTrace {
             fetch_events: (0..2000)
                 .map(|k| TraceEvent::Fetch { pc: 0x1000 + 4 * k, kind: FetchKind::Sequential })
@@ -1182,7 +974,7 @@ mod tests {
             cycles: 2000,
         };
         let id = WorkloadId::External { hash: 0xabcd };
-        let r = run_trace(id, &trace, &cfg, &d, &i);
+        let r = replay_recorded(id, &trace);
         assert_eq!(r.workload, id);
         assert_eq!(r.cycles, 2000);
         for s in r.dcache.iter().chain(r.icache.iter()) {
@@ -1194,7 +986,6 @@ mod tests {
 
     #[test]
     fn run_trace_with_store_produces_once_and_verifies_hash() {
-        let cfg = SimConfig::default();
         let (d, i) = paper_schemes();
         let id = WorkloadId::External { hash: 77 };
         let store = TraceStore::new();
@@ -1205,12 +996,14 @@ mod tests {
             cycles: 1,
         };
         for _ in 0..2 {
-            let r = run_trace_with_store(id, 77, &cfg, &d, &i, &store, || {
-                productions += 1;
-                Ok::<_, ()>(trace.clone())
-            })
-            .expect("runs");
-            assert_eq!(r.workload, id);
+            let stored = store
+                .get_or_record(id, 77, || {
+                    productions += 1;
+                    Ok::<_, ()>(trace.clone())
+                })
+                .expect("produces");
+            let r = Experiment::recorded(id, stored).dschemes(d.clone()).ischemes(i.clone());
+            assert_eq!(r.run().expect("runs").workload, id);
         }
         assert_eq!(productions, 1, "second run must hit the store");
     }
@@ -1305,14 +1098,8 @@ mod tests {
 
     #[test]
     fn lookup_by_name_works() {
-        let cfg = SimConfig::default();
-        let r = run_benchmark(
-            Benchmark::Dct,
-            &cfg,
-            &[DScheme::Original],
-            &[IScheme::Original],
-        )
-        .expect("runs");
+        let r = Experiment::kernel(Benchmark::Dct).dschemes([DScheme::Original]);
+        let r = r.ischemes([IScheme::Original]).run().expect("runs");
         assert!(r.dcache_by_name("original").is_some());
         assert!(r.dcache_by_name("nope").is_none());
         assert!(r.icache_by_name("original").is_some());

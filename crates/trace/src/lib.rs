@@ -1,7 +1,7 @@
 //! # waymem-trace — trace storage for the way-memoization workbench
 //!
 //! The simulator's record-once/replay-in-parallel engine (PR 2) pays the
-//! CPU-interpreter cost once *per `run_benchmark` call*. Sweeps call it
+//! CPU-interpreter cost once *per kernel run*. Sweeps run a kernel
 //! dozens of times with different cache geometries while the recorded
 //! stream — which depends only on the benchmark and its scale — stays
 //! identical. This crate makes traces first-class stored artifacts:
@@ -37,9 +37,8 @@
 //!   (optionally) persists recordings under a size-capped cache
 //!   directory so repeated process invocations skip production entirely.
 //!
-//! `waymem-sim::run_benchmark_with_store` / `run_trace_with_store` and
-//! `waymem-bench::run_suite_with_store` thread one store through whole
-//! sweeps; the bench bins create one per process.
+//! `waymem-sim`'s `Experiment::store` and `Suite::store` thread one store
+//! through whole sweeps; the bench bins create one per process.
 //!
 //! ```
 //! use waymem_trace::{codec, TraceStore, WorkloadId};

@@ -78,10 +78,6 @@ pub mod prelude {
         catch_worker, DScheme, ExecPolicy, Experiment, IScheme, RunError, SimConfig, SimResult,
         Suite, SuiteFailure, SuiteResult, WorkloadSpec,
     };
-    // The deprecated free-function shims stay importable for code that
-    // predates the builder.
-    #[allow(deprecated)]
-    pub use waymem_sim::{run_benchmark, run_benchmark_with_store, run_trace, run_trace_with_store};
     pub use waymem_trace::{SynthPattern, SynthSpec, TraceStore, WorkloadId};
     pub use waymem_workloads::Benchmark;
 }

@@ -1,10 +1,51 @@
 //! End-to-end assertions of the paper's evaluation claims (the *shape* of
 //! Figures 4–8, not absolute milliwatts): who wins, by roughly what
 //! factor, and that way memoization pays no cycles.
+//!
+//! One run of the paper's scheme set serves every test that needs only
+//! those schemes, including the byte-for-byte comparison of the
+//! `waymem/paper/v1` artifact against `tests/golden/paper.json`. A change
+//! that is meant to alter the paper's numbers regenerates the file
+//! explicitly:
+//!
+//! ```sh
+//! WAYMEM_BLESS_GOLDEN=1 cargo test --test paper_claims
+//! ```
+
+use std::sync::OnceLock;
 
 use waymem::prelude::*;
+use waymem::sim::SchemeResult;
+use waymem_bench::paper::{self, Report};
 
-/// One kernel experiment under the paper's default configuration.
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/paper.json");
+
+/// The seven kernels under the paper's scheme set, and the report built
+/// from them, computed once per test binary.
+fn shared() -> &'static (Vec<SimResult>, Report) {
+    static SHARED: OnceLock<(Vec<SimResult>, Report)> = OnceLock::new();
+    SHARED.get_or_init(|| {
+        let results = paper::suite().run().expect("suite runs").into_results();
+        let report = Report::new(&results);
+        (results, report)
+    })
+}
+
+/// A saving row of the shared report, as a fraction.
+fn saving(id: &str) -> f64 {
+    shared().1.ours(id) / 100.0
+}
+
+fn dcache(r: &SimResult, scheme: DScheme) -> &SchemeResult {
+    r.dcache_by_name(&scheme.name()).expect("scheme ran")
+}
+
+fn icache(r: &SimResult, scheme: IScheme) -> &SchemeResult {
+    r.icache_by_name(&scheme.name()).expect("scheme ran")
+}
+
+/// One kernel experiment under the paper's default configuration, for
+/// the schemes outside the paper's set.
 fn run(bench: Benchmark, dschemes: &[DScheme], ischemes: &[IScheme]) -> SimResult {
     Experiment::kernel(bench)
         .dschemes(dschemes.iter().copied())
@@ -14,17 +55,31 @@ fn run(bench: Benchmark, dschemes: &[DScheme], ischemes: &[IScheme]) -> SimResul
 }
 
 #[test]
+fn paper_artifact_matches_the_golden_file() {
+    let actual = shared().1.to_json();
+    if std::env::var_os("WAYMEM_BLESS_GOLDEN").is_some() {
+        std::fs::write(GOLDEN, &actual).expect("write golden file");
+        return;
+    }
+    let expected = std::fs::read_to_string(GOLDEN).expect("golden file is committed");
+    let diffs: Vec<_> = expected.lines().zip(actual.lines()).filter(|(e, a)| e != a).collect();
+    assert!(
+        expected == actual,
+        "{} line(s) differ from {GOLDEN} ({} expected lines, {} actual), (expected, actual): \
+         {diffs:#?}",
+        diffs.len(),
+        expected.lines().count(),
+        actual.lines().count(),
+    );
+}
+
+#[test]
 fn figure4_shape_holds_on_every_benchmark() {
-    let dschemes = [
-        DScheme::Original,
-        DScheme::SetBuffer { entries: 1 },
-        DScheme::paper_way_memo(),
-    ];
-    for &bench in &Benchmark::ALL {
-        let r = run(bench, &dschemes, &[]);
-        let orig = &r.dcache[0].stats;
-        let sb = &r.dcache[1].stats;
-        let ours = &r.dcache[2].stats;
+    for r in &shared().0 {
+        let bench = r.workload;
+        let orig = &dcache(r, DScheme::Original).stats;
+        let sb = &dcache(r, DScheme::SetBuffer { entries: 1 }).stats;
+        let ours = &dcache(r, DScheme::paper_way_memo()).stats;
 
         // Original: exactly W tag reads per access.
         assert!((orig.tags_per_access() - 2.0).abs() < 1e-9, "{bench}");
@@ -47,53 +102,46 @@ fn figure4_shape_holds_on_every_benchmark() {
 
 #[test]
 fn figure5_power_ordering_holds() {
-    let dschemes = [
-        DScheme::Original,
-        DScheme::SetBuffer { entries: 1 },
-        DScheme::paper_way_memo(),
-    ];
-    let mut savings = Vec::new();
-    for &bench in &Benchmark::ALL {
-        let r = run(bench, &dschemes, &[]);
-        let orig = r.dcache[0].power.total_mw();
-        let ours = r.dcache[2].power.total_mw();
-        assert!(ours < orig, "{bench}: ours must beat original");
-        // The MAB contributes a visible but small slice.
-        assert!(r.dcache[2].power.mab_mw > 0.0, "{bench}");
+    for r in &shared().0 {
+        let bench = r.workload;
         assert!(
-            r.dcache[2].power.mab_mw < 0.35 * ours,
+            saving(&format!("fig5.{bench}.saving_pct")) > 0.0,
+            "{bench}: ours must beat original"
+        );
+        let ours = dcache(r, DScheme::paper_way_memo()).power;
+        // The MAB contributes a visible but small slice.
+        assert!(ours.mab_mw > 0.0, "{bench}");
+        assert!(
+            ours.mab_mw < 0.35 * ours.total_mw(),
             "{bench}: MAB power should not dominate"
         );
-        savings.push(1.0 - ours / orig);
     }
-    let avg = savings.iter().sum::<f64>() / savings.len() as f64;
-    // Paper: 35% average D-cache saving; accept a generous band.
+    // Paper: 35% average D-cache saving. The band admits compress, where
+    // the MAB's cost nearly cancels what it saves (README, "How close to
+    // the paper").
+    let avg = saving("fig5.saving_avg_pct");
     assert!(
-        (0.15..0.60).contains(&avg),
-        "average D-cache saving {avg:.2} outside the plausible band"
+        (0.25..0.40).contains(&avg),
+        "average D-cache saving {avg:.3} outside the band"
     );
 }
 
 #[test]
 fn figure6_icache_tag_reduction_and_mab_size_scaling() {
-    let ischemes = [
-        IScheme::Original,
-        IScheme::IntraLine,
-        IScheme::WayMemo {
-            tag_entries: 2,
-            set_entries: 8,
-        },
-        IScheme::WayMemo {
-            tag_entries: 2,
-            set_entries: 32,
-        },
-    ];
-    for &bench in &Benchmark::ALL {
-        let r = run(bench, &[], &ischemes);
-        let orig = &r.icache[0].stats;
-        let intra = &r.icache[1].stats;
-        let ours8 = &r.icache[2].stats;
-        let ours32 = &r.icache[3].stats;
+    let ours8 = IScheme::WayMemo {
+        tag_entries: 2,
+        set_entries: 8,
+    };
+    let ours32 = IScheme::WayMemo {
+        tag_entries: 2,
+        set_entries: 32,
+    };
+    for r in &shared().0 {
+        let bench = r.workload;
+        let orig = &icache(r, IScheme::Original).stats;
+        let intra = &icache(r, IScheme::IntraLine).stats;
+        let ours8 = &icache(r, ours8).stats;
+        let ours32 = &icache(r, ours32).stats;
 
         // [4] removes a large share of tag accesses (paper: ~60%).
         assert!(
@@ -118,34 +166,37 @@ fn figure6_icache_tag_reduction_and_mab_size_scaling() {
 
 #[test]
 fn figure7_icache_power_ordering() {
-    let ischemes = [IScheme::IntraLine, IScheme::paper_way_memo()];
-    for &bench in &Benchmark::ALL {
-        let r = run(bench, &[], &ischemes);
-        let base = r.icache[0].power.total_mw();
-        let ours = r.icache[1].power.total_mw();
+    for r in &shared().0 {
+        let bench = r.workload;
+        let (base, ours) = (
+            shared().1.ours(&format!("fig7.{bench}.baseline_mw")),
+            shared().1.ours(&format!("fig7.{bench}.ours_mw")),
+        );
         assert!(
             ours < base,
             "{bench}: ours {ours:.2} mW vs [4] {base:.2} mW"
         );
     }
+    // Paper: 25% average I-cache saving against [4].
+    let avg = saving("fig7.saving_avg_pct");
+    assert!(
+        (0.20..0.35).contains(&avg),
+        "average I-cache saving vs [4] {avg:.3} outside the band"
+    );
 }
 
 #[test]
 fn figure8_total_saving_band() {
-    let dschemes = [DScheme::Original, DScheme::paper_way_memo()];
-    let ischemes = [IScheme::IntraLine, IScheme::paper_way_memo()];
-    let mut savings = Vec::new();
-    for &bench in &Benchmark::ALL {
-        let r = run(bench, &dschemes, &ischemes);
-        let baseline = r.dcache[0].power.total_mw() + r.icache[0].power.total_mw();
-        let ours = r.dcache[1].power.total_mw() + r.icache[1].power.total_mw();
-        savings.push(1.0 - ours / baseline);
-    }
-    let avg = savings.iter().sum::<f64>() / savings.len() as f64;
-    // Paper: 30% average total saving vs original+[4]; wide tolerance.
+    let savings: Vec<f64> = shared()
+        .0
+        .iter()
+        .map(|r| saving(&format!("fig8.{}.saving_pct", r.workload)))
+        .collect();
+    // Paper: 30% average total saving vs original+[4].
+    let avg = saving("fig8.saving_avg_pct");
     assert!(
-        (0.10..0.55).contains(&avg),
-        "total saving {avg:.2} outside the plausible band; per-benchmark {savings:?}"
+        (0.25..0.35).contains(&avg),
+        "total saving {avg:.3} outside the band; per-benchmark {savings:?}"
     );
     assert!(
         savings.iter().all(|&s| s > 0.0),
@@ -165,8 +216,7 @@ fn no_performance_penalty_for_way_memoization() {
     // ... unlike the related-work alternatives.
     assert!(r.dcache[1].extra_cycles > 0, "way prediction mispredicts");
     assert_eq!(
-        r.dcache[2].extra_cycles,
-        r.dcache[2].stats.accesses,
+        r.dcache[2].extra_cycles, r.dcache[2].stats.accesses,
         "two-phase pays every access"
     );
 }
@@ -176,10 +226,9 @@ fn displacements_are_almost_always_narrow() {
     // §3.1: "more than 99% of displacement values are less than 2^13" on
     // the paper's benchmarks; frv-lite's 16-bit displacement field allows
     // wide ones, so the claim is measurable rather than structural.
-    let dschemes = [DScheme::paper_way_memo()];
-    for &bench in &Benchmark::ALL {
-        let r = run(bench, &dschemes, &[]);
-        let s = &r.dcache[0].stats;
+    for r in &shared().0 {
+        let bench = r.workload;
+        let s = &dcache(r, DScheme::paper_way_memo()).stats;
         let narrow = s.mab_lookups; // lookups counts narrow + wide probes
         assert!(narrow > 0, "{bench}");
         // mab_lookups here = lookups + wide bypasses = all accesses.
@@ -238,20 +287,16 @@ fn filter_cache_saves_power_but_pays_cycles() {
 fn mpeg2enc_is_among_the_best_savers() {
     // The paper's best case is mpeg2enc (40% total saving). Check it is
     // in the top half of our per-benchmark savings.
-    let dschemes = [DScheme::Original, DScheme::paper_way_memo()];
-    let ischemes = [IScheme::IntraLine, IScheme::paper_way_memo()];
-    let mut savings = Vec::new();
-    for &bench in &Benchmark::ALL {
-        let r = run(bench, &dschemes, &ischemes);
-        let baseline = r.dcache[0].power.total_mw() + r.icache[0].power.total_mw();
-        let ours = r.dcache[1].power.total_mw() + r.icache[1].power.total_mw();
-        savings.push((bench, 1.0 - ours / baseline));
-    }
-    let mpeg = savings
+    let savings: Vec<(String, f64)> = shared()
+        .0
         .iter()
-        .find(|(b, _)| *b == Benchmark::Mpeg2Enc)
-        .map(|(_, s)| *s)
-        .expect("present");
+        .map(|r| {
+            let name = r.workload.name();
+            let s = saving(&format!("fig8.{name}.saving_pct"));
+            (name, s)
+        })
+        .collect();
+    let mpeg = saving(&format!("fig8.{}.saving_pct", Benchmark::Mpeg2Enc.name()));
     let better = savings.iter().filter(|(_, s)| *s > mpeg).count();
     assert!(
         better <= 3,

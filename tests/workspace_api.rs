@@ -58,16 +58,6 @@ fn prelude_reexports_are_stable() {
         prelude::Suite<'static>,
     ) -> Result<prelude::SuiteResult, prelude::RunError> = prelude::Suite::run;
 
-    // The deprecated shims must stay importable (downstream code that
-    // predates the builder keeps compiling).
-    #[allow(deprecated, clippy::type_complexity)]
-    let _legacy_run: fn(
-        prelude::Benchmark,
-        &prelude::SimConfig,
-        &[prelude::DScheme],
-        &[prelude::IScheme],
-    ) -> Result<prelude::SimResult, waymem::sim::RunError> = prelude::run_benchmark;
-
     // The prelude types must be the same items as the per-crate exports,
     // not lookalikes (coercing a reference proves type identity).
     let geom: &prelude::Geometry = &waymem::cache::Geometry::frv();
