@@ -10,10 +10,28 @@ use waymem_bench::json::Json;
 use waymem_bench::ledger::{self, Provenance};
 use waymem_obs::chrome::{parse, Value};
 
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("waymem-ledger-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
+/// One test's scratch dir, removed on drop. The tests run in parallel,
+/// so each gets a dir of its own: none could safely remove a shared one.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(test: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("waymem-ledger-{}-{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        TempDir(dir)
+    }
+
+    fn path(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn prov(rev: &str) -> Provenance {
@@ -52,8 +70,8 @@ fn records(path: &PathBuf) -> Vec<Value> {
 
 #[test]
 fn appends_dedup_per_code_state_and_stamp_provenance() {
-    let path = tmp("dedup.jsonl");
-    std::fs::remove_file(&path).ok();
+    let dir = TempDir::new("dedup");
+    let path = dir.path("dedup.jsonl");
 
     let first = ledger::append_to(&path, "headline", perf(40.0), &prov("aaa"), 512).unwrap();
     assert_eq!((first.records, first.runs_at_rev, first.deduped), (1, 1, false));
@@ -93,8 +111,8 @@ fn appends_dedup_per_code_state_and_stamp_provenance() {
 
 #[test]
 fn rotation_keeps_only_the_newest_records() {
-    let path = tmp("rotate.jsonl");
-    std::fs::remove_file(&path).ok();
+    let dir = TempDir::new("rotate");
+    let path = dir.path("rotate.jsonl");
     for i in 0..7 {
         ledger::append_to(&path, "headline", perf(f64::from(i)), &prov(&format!("r{i}")), 4)
             .unwrap();
@@ -108,8 +126,8 @@ fn rotation_keeps_only_the_newest_records() {
 
 #[test]
 fn ledger_records_feed_the_regression_gate() {
-    let path = tmp("gate.jsonl");
-    std::fs::remove_file(&path).ok();
+    let dir = TempDir::new("gate");
+    let path = dir.path("gate.jsonl");
     ledger::append_to(&path, "headline", perf(40.0), &prov("base"), 512).unwrap();
     let baseline = records(&path).pop().unwrap();
 
@@ -127,11 +145,10 @@ fn ledger_records_feed_the_regression_gate() {
 
 #[test]
 fn atomic_write_never_leaves_a_temp_behind() {
-    let path = tmp("atomic.jsonl");
-    std::fs::remove_file(&path).ok();
+    let dir = TempDir::new("atomic");
+    let path = dir.path("atomic.jsonl");
     ledger::append_to(&path, "headline", perf(40.0), &prov("aaa"), 512).unwrap();
-    let dir = path.parent().unwrap();
-    let temps: Vec<_> = std::fs::read_dir(dir)
+    let temps: Vec<_> = std::fs::read_dir(&dir.0)
         .unwrap()
         .filter_map(Result::ok)
         .map(|e| e.file_name().to_string_lossy().into_owned())

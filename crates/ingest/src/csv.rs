@@ -29,7 +29,7 @@ use std::io::BufRead;
 
 use waymem_isa::TraceSink;
 
-use crate::{assemble, drive, IngestError, IngestStats, Ingested, Op, ParseErrorKind, SplitSink};
+use crate::{drive, IngestError, IngestStats, Ingested, LogFormat, Op, ParseErrorKind};
 
 fn parse_op(token: &str) -> Result<Op, ParseErrorKind> {
     // Case-insensitive, accepting both single letters and words.
@@ -76,8 +76,7 @@ fn parse_addr(token: &str) -> Result<u64, ParseErrorKind> {
 /// [`IngestError::Io`] from the reader, or [`IngestError::Parse`] with
 /// the 1-based line number on the first malformed line.
 pub fn parse<R: BufRead>(reader: R) -> Result<Ingested, IngestError> {
-    let (stats, sink) = parse_into(reader, SplitSink::default())?;
-    Ok(assemble(stats, sink))
+    crate::parse(LogFormat::Csv, reader)
 }
 
 /// Parses the CSV trace format from `reader`, streaming each access

@@ -28,7 +28,7 @@ use std::io::BufRead;
 
 use waymem_isa::TraceSink;
 
-use crate::{assemble, drive, IngestError, IngestStats, Ingested, Op, ParseErrorKind, SplitSink};
+use crate::{drive, IngestError, IngestStats, Ingested, LogFormat, Op, ParseErrorKind};
 
 /// Parses one access line already known not to be a banner/blank.
 /// Returns the op, address and size.
@@ -71,8 +71,7 @@ fn parse_access(line: &str) -> Result<(Op, u64, u64), ParseErrorKind> {
 /// [`IngestError::Io`] from the reader, or [`IngestError::Parse`] with
 /// the 1-based line number on the first malformed access line.
 pub fn parse<R: BufRead>(reader: R) -> Result<Ingested, IngestError> {
-    let (stats, sink) = parse_into(reader, SplitSink::default())?;
-    Ok(assemble(stats, sink))
+    crate::parse(LogFormat::Lackey, reader)
 }
 
 /// Parses a Lackey log from `reader`, streaming each access straight into

@@ -51,8 +51,8 @@ use std::fmt;
 use std::io::{self, BufRead};
 use std::path::Path;
 
-use waymem_isa::{FetchKind, RecordedTrace, TraceEvent, TraceSink};
-use waymem_trace::{fnv1a64_update, StreamError, StreamingEncoder, WorkloadId, FNV1A64_SEED};
+use waymem_isa::{FetchKind, RecordedTrace, TraceSink};
+use waymem_trace::{fnv1a64_update, WorkloadId, FNV1A64_SEED};
 
 /// The input grammars this crate understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,21 +160,10 @@ impl From<ParseError> for IngestError {
     }
 }
 
-impl From<StreamError> for IngestError {
-    fn from(e: StreamError) -> Self {
-        match e {
-            StreamError::Io(io) => IngestError::Io(io),
-            StreamError::Codec(c) => {
-                IngestError::Io(io::Error::new(io::ErrorKind::InvalidData, c))
-            }
-        }
-    }
-}
-
 /// The provenance and shape of a parsed stream — everything [`Ingested`]
 /// knows except the events themselves. This is what the sink-generic
-/// entry points ([`parse_into`], [`parse_to_wmtr`]) return: the events
-/// went wherever the caller's [`TraceSink`] sent them.
+/// entry points ([`parse_into`], [`synth::generate_into`]) return: the
+/// events went wherever the caller's [`TraceSink`] sent them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestStats {
     /// FNV-1a64 of the log's raw bytes — the workload's identity *and*
@@ -242,36 +231,12 @@ pub(crate) enum Op {
     Modify,
 }
 
-/// The crate's collecting sink: splits the stream into the fetch/data
-/// vectors a [`RecordedTrace`] holds. This is what the materializing
-/// entry points ([`parse`], [`synth::generate`]) plug into the
-/// sink-generic core.
-#[derive(Debug, Default)]
-pub(crate) struct SplitSink {
-    pub(crate) fetch_events: Vec<TraceEvent>,
-    pub(crate) data_events: Vec<TraceEvent>,
-}
-
-impl TraceSink for SplitSink {
-    fn fetch(&mut self, pc: u32, kind: FetchKind) {
-        self.fetch_events.push(TraceEvent::Fetch { pc, kind });
-    }
-
-    fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-        self.data_events.push(TraceEvent::Load { base, disp, addr, size });
-    }
-
-    fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-        self.data_events.push(TraceEvent::Store { base, disp, addr, size });
-    }
-}
-
 /// The shared trace assembler behind both parsers (and the synthetic
 /// generators): reconstructs fetch-kind provenance from the PC sequence,
 /// hashes the raw input bytes as they stream through, and emits every
-/// event straight into the caller's [`TraceSink`] — a collecting
-/// [`SplitSink`] to materialize, a
-/// [`StreamingEncoder`] to go straight to disk in bounded memory.
+/// event straight into the caller's [`TraceSink`] — a [`RecordedTrace`]
+/// to materialize, a [`StreamingEncoder`](waymem_trace::StreamingEncoder)
+/// to go straight to disk in bounded memory.
 ///
 /// External logs carry no architectural base/displacement or control-flow
 /// information, so the builder reconstructs the closest sound analogue:
@@ -281,8 +246,8 @@ impl TraceSink for SplitSink {
 /// `TakenBranch { base: prev_pc, disp: pc − prev_pc }` — which gives the
 /// I-MAB a stable `(site, offset)` key per control transfer, exactly the
 /// recurrence it memoizes on real hardware. Loads and stores use the
-/// raw-address convention ([`TraceEvent::load_at`]). Addresses are
-/// truncated to the simulated machine's 32 bits.
+/// raw-address convention ([`waymem_isa::TraceEvent::load_at`]).
+/// Addresses are truncated to the simulated machine's 32 bits.
 #[derive(Debug)]
 pub(crate) struct TraceBuilder<S: TraceSink> {
     sink: S,
@@ -375,20 +340,6 @@ impl<S: TraceSink> TraceBuilder<S> {
     }
 }
 
-/// Assembles the materialized [`Ingested`] from a collecting run.
-pub(crate) fn assemble(stats: IngestStats, sink: SplitSink) -> Ingested {
-    Ingested {
-        trace: RecordedTrace {
-            fetch_events: sink.fetch_events,
-            data_events: sink.data_events,
-            cycles: stats.cycles,
-        },
-        source_hash: stats.source_hash,
-        lines: stats.lines,
-        skipped: stats.skipped,
-    }
-}
-
 /// Parses a whole log in `format` from `reader`, streaming line-by-line
 /// (memory stays bounded by the reconstructed trace, not the text).
 ///
@@ -397,10 +348,14 @@ pub(crate) fn assemble(stats: IngestStats, sink: SplitSink) -> Ingested {
 /// [`IngestError::Io`] if the reader fails; [`IngestError::Parse`] with
 /// the 1-based line number and reason on the first malformed line.
 pub fn parse<R: BufRead>(format: LogFormat, reader: R) -> Result<Ingested, IngestError> {
-    match format {
-        LogFormat::Lackey => lackey::parse(reader),
-        LogFormat::Csv => csv::parse(reader),
-    }
+    let (stats, mut trace) = parse_into(format, reader, RecordedTrace::default())?;
+    trace.cycles = stats.cycles;
+    Ok(Ingested {
+        trace,
+        source_hash: stats.source_hash,
+        lines: stats.lines,
+        skipped: stats.skipped,
+    })
 }
 
 /// Parses a whole log in `format` from `reader`, emitting every event
@@ -420,25 +375,6 @@ pub fn parse_into<R: BufRead, S: TraceSink>(
         LogFormat::Lackey => lackey::parse_into(reader, sink),
         LogFormat::Csv => csv::parse_into(reader, sink),
     }
-}
-
-/// Parses a whole log in `format` from `reader` straight into an encoded
-/// `.wmtr` file at `out_path` — the fully streaming ingest path: no
-/// event vector exists at any point, so a multi-GB capture costs O(64
-/// KiB) resident memory.
-///
-/// # Errors
-///
-/// As [`parse`], plus I/O failures writing the encoded file.
-pub fn parse_to_wmtr<R: BufRead>(
-    format: LogFormat,
-    reader: R,
-    out_path: &Path,
-) -> Result<IngestStats, IngestError> {
-    let encoder = StreamingEncoder::create(out_path)?;
-    let (stats, encoder) = parse_into(format, reader, encoder)?;
-    encoder.finish(stats.cycles, stats.source_hash)?;
-    Ok(stats)
 }
 
 /// Opens `path`, picks the format from its extension
@@ -535,14 +471,16 @@ pub(crate) fn drive<R: BufRead, S: TraceSink>(
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use waymem_isa::TraceEvent;
 
-    fn builder() -> TraceBuilder<SplitSink> {
-        TraceBuilder::new(SplitSink::default())
+    fn builder() -> TraceBuilder<RecordedTrace> {
+        TraceBuilder::new(RecordedTrace::default())
     }
 
-    fn finish(b: TraceBuilder<SplitSink>) -> Ingested {
-        let (stats, sink) = b.finish();
-        assemble(stats, sink)
+    fn finish(b: TraceBuilder<RecordedTrace>) -> RecordedTrace {
+        let (stats, mut trace) = b.finish();
+        trace.cycles = stats.cycles;
+        trace
     }
 
     #[test]
@@ -561,7 +499,7 @@ mod tests {
         b.push(Op::Instr, 0x2000, 4); // jump: branch from 0x1004
         b.push(Op::Instr, 0x2004, 2);
         b.push(Op::Instr, 0x2006, 2); // 2-byte instr continues: sequential
-        let t = finish(b).trace;
+        let t = finish(b);
         assert!(matches!(t.fetch_events[0], TraceEvent::Fetch { kind: FetchKind::Sequential, .. }));
         assert!(matches!(t.fetch_events[1], TraceEvent::Fetch { kind: FetchKind::Sequential, .. }));
         assert!(matches!(
@@ -580,16 +518,16 @@ mod tests {
         let mut b = builder();
         b.push(Op::Load, 0x10, 4);
         b.push(Op::Modify, 0x20, 4);
-        let ing = finish(b);
-        assert_eq!(ing.trace.data_events.len(), 3);
-        assert_eq!(ing.trace.cycles, 3);
+        let t = finish(b);
+        assert_eq!(t.data_events.len(), 3);
+        assert_eq!(t.cycles, 3);
     }
 
     #[test]
     fn addresses_truncate_to_32_bits() {
         let mut b = builder();
         b.push(Op::Load, 0x1234_5678_9abc_def0, 999);
-        let t = finish(b).trace;
+        let t = finish(b);
         assert_eq!(
             t.data_events[0],
             TraceEvent::Load { base: 0x9abc_def0, disp: 0, addr: 0x9abc_def0, size: u8::MAX }
@@ -618,7 +556,9 @@ mod tests {
             .join(format!("waymem-ingest-wmtr-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.wmtr");
-        let stats = parse_to_wmtr(LogFormat::Lackey, Cursor::new(log), &path).unwrap();
+        let encoder = waymem_trace::StreamingEncoder::create(&path).unwrap();
+        let (stats, encoder) = parse_into(LogFormat::Lackey, Cursor::new(log), encoder).unwrap();
+        encoder.finish(stats.cycles, stats.source_hash).unwrap();
         assert_eq!(stats.source_hash, ing.source_hash);
         assert_eq!(stats.workload_id(), ing.workload_id());
         assert_eq!((stats.lines, stats.skipped), (ing.lines, ing.skipped));

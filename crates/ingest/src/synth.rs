@@ -50,7 +50,7 @@
 use waymem_isa::{RecordedTrace, TraceSink};
 use waymem_trace::{fnv1a64, SynthPattern, SynthSpec, WorkloadId};
 
-use crate::{assemble, IngestStats, Op, SplitSink, TraceBuilder};
+use crate::{IngestStats, Op, TraceBuilder};
 
 /// Bumped whenever any generator's output changes for the same spec, so
 /// cached traces from older generators read as stale, not current.
@@ -287,8 +287,9 @@ fn chase_cycle(nodes: u32, rng: &mut XorShift32) -> Vec<u32> {
 /// (events are materialized, like any recorded trace).
 #[must_use]
 pub fn generate(spec: SynthSpec) -> RecordedTrace {
-    let (stats, sink) = generate_into(spec, SplitSink::default());
-    assemble(stats, sink).trace
+    let (stats, mut trace) = generate_into(spec, RecordedTrace::default());
+    trace.cycles = stats.cycles;
+    trace
 }
 
 /// Fabricates the trace a spec describes, streaming every event straight

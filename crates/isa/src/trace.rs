@@ -142,6 +142,24 @@ impl RecordedTrace {
     }
 }
 
+/// A trace records whatever a producer pushes into it, splitting the
+/// stream at capture time — fetches into the I-side stream, loads and
+/// stores into the D-side one — so replay never re-partitions it. The
+/// producer owns `cycles`, which no event carries.
+impl TraceSink for RecordedTrace {
+    fn fetch(&mut self, pc: u32, kind: FetchKind) {
+        self.fetch_events.push(TraceEvent::Fetch { pc, kind });
+    }
+
+    fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+        self.data_events.push(TraceEvent::Load { base, disp, addr, size });
+    }
+
+    fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
+        self.data_events.push(TraceEvent::Store { base, disp, addr, size });
+    }
+}
+
 /// Consumer of the CPU's event stream. Cache front-ends implement this; the
 /// default methods ignore everything so a sink can subscribe selectively.
 pub trait TraceSink {
@@ -272,8 +290,8 @@ impl RecordingSink {
     /// Clamps an event-count estimate to a sane pre-allocation:
     /// [`MAX_PREALLOC_EVENTS`](Self::MAX_PREALLOC_EVENTS) at most, on
     /// overflow too. Shared by [`with_step_budget`](Self::with_step_budget)
-    /// and the sim engine's split-stream recorder so the clamp logic
-    /// cannot drift between them.
+    /// and the streamed trace decoder so the clamp logic cannot drift
+    /// between them.
     #[must_use]
     pub fn prealloc_cap(estimated_events: u64) -> usize {
         usize::try_from(estimated_events)
@@ -405,6 +423,18 @@ mod tests {
         batched.events(&events);
         assert_eq!(batched, per_event);
         assert_eq!((batched.fetches, batched.loads, batched.stores), (3, 1, 1));
+    }
+
+    #[test]
+    fn recorded_trace_splits_the_stream_per_side_in_program_order() {
+        let events = sample_events();
+        let mut trace = RecordedTrace::default();
+        trace.events(&events);
+        let (fetches, data): (Vec<_>, Vec<_>) =
+            events.iter().partition(|e| matches!(e, TraceEvent::Fetch { .. }));
+        assert_eq!(trace.fetch_events, fetches);
+        assert_eq!(trace.data_events, data);
+        assert_eq!(trace.cycles, 0, "cycles are the producer's to set");
     }
 
     #[test]

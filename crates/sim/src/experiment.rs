@@ -7,16 +7,22 @@
 //! copy-pasted positional plumbing. [`Experiment`] replaces them with a
 //! typed builder over the one underlying pipeline:
 //!
-//! 1. **resolve** the workload to a [`WorkloadId`] plus a
-//!    [`RecordedTrace`] — interpreting a kernel, parsing a log,
-//!    running a synthetic generator, or taking a trace as given;
-//! 2. **record-or-load** through an optional [`TraceStore`], so the
-//!    expensive production step happens at most once per store lifetime
-//!    (zero times, with a warm persistent cache);
+//! 1. **resolve** the workload once to where its trace comes from: the
+//!    one producer of its kind (the interpreter for a kernel, the parser
+//!    for a log, the generator for a synthetic pattern), a store, or a
+//!    trace taken as given;
+//! 2. **record-or-load**: the producer drives the sink of the one
+//!    destination chosen — a [`RecordedTrace`] in memory, a `.wmtr` file
+//!    when [streaming](Experiment::streaming) — through an optional
+//!    [`TraceStore`], so the production step happens at most once per
+//!    store lifetime (zero times, with a warm persistent cache). A
+//!    production that fails does so before anything is sealed or cached;
 //! 3. **replay** the trace across every requested scheme front-end under
 //!    an [`ExecPolicy`] — scoped worker threads, a serial loop, or an
 //!    adaptive choice between them. All policies are bit-identical;
-//!    only wall-clock differs.
+//!    only wall-clock differs. A serial run with nothing to keep (no
+//!    store, no file) skips the trace: the producer feeds every front
+//!    per event through the serial fan-out.
 //!
 //! ```
 //! use waymem_sim::{Experiment, DScheme, IScheme};
@@ -42,18 +48,12 @@ use std::sync::Arc;
 
 use waymem_cache::Geometry;
 use waymem_hwmodel::Technology;
-use waymem_ingest::{hash_file, parse, parse_to_wmtr, synth, LogFormat};
+use waymem_ingest::LogFormat;
 use waymem_isa::RecordedTrace;
-use waymem_trace::{
-    stream, StoreStats, StreamError, StreamingEncoder, StreamingTrace, SynthSpec, TraceStore,
-    WorkloadId,
-};
+use waymem_trace::{stream, StoreIo, StoreStats, StreamError, SynthSpec, TraceStore, WorkloadId};
 use waymem_workloads::Benchmark;
 
-use crate::run::{
-    kernel_source_hash, record_trace, record_trace_streaming, replay, run_kernel_fanout,
-    RunError, SimConfig, SimResult, TraceSource,
-};
+use crate::run::{replay, source_hash, Producer, RunError, SimConfig, SimResult, TraceSource};
 use crate::{DScheme, IScheme};
 
 /// How replay work is scheduled across the host's cores.
@@ -71,10 +71,11 @@ pub enum ExecPolicy {
     /// Always fan out across scoped worker threads, at most one per
     /// hardware thread.
     Parallel,
-    /// Always run inline on the calling thread. For a kernel workload
-    /// without a store this additionally skips materializing the trace,
-    /// feeding the front-ends per event straight from the interpreter —
-    /// the engine the parallel replay is cross-validated against.
+    /// Always run inline on the calling thread. A produced workload
+    /// (kernel, synthetic or log) run in memory without a store
+    /// additionally skips the trace: its producer feeds the front-ends
+    /// per event through the serial fan-out — the engine the parallel
+    /// replay is cross-validated against.
     Serial,
 }
 
@@ -157,6 +158,38 @@ impl From<&Path> for WorkloadSpec {
 impl From<PathBuf> for WorkloadSpec {
     fn from(path: PathBuf) -> Self {
         WorkloadSpec::Log { path, format: None }
+    }
+}
+
+/// Where a workload's trace comes from.
+enum Origin {
+    /// Produced on demand by the one producer of its kind.
+    Produced(Producer),
+    /// A bare external id: only a store can hold its trace.
+    Stored(WorkloadId),
+    /// Taken as given, under a caller-chosen identity.
+    Given(WorkloadId, Arc<RecordedTrace>),
+}
+
+impl WorkloadSpec {
+    /// Maps the workload to where its trace comes from. `hash_logs`
+    /// hashes a log's raw bytes up front, as a store-backed resolution
+    /// needs ([`Producer::log`]).
+    fn origin(&self, scale: u32, hash_logs: bool) -> Result<Origin, RunError> {
+        Ok(Origin::Produced(match self {
+            WorkloadSpec::Kernel(bench) => Producer::Kernel { bench: *bench, scale },
+            WorkloadSpec::Id(WorkloadId::Kernel { benchmark, scale }) => {
+                Producer::Kernel { bench: *benchmark, scale: *scale }
+            }
+            WorkloadSpec::Id(WorkloadId::Synthetic(spec)) | WorkloadSpec::Synthetic(spec) => {
+                Producer::Synthetic(*spec)
+            }
+            WorkloadSpec::Log { path, format } => Producer::log(path, *format, hash_logs)?,
+            WorkloadSpec::Id(id @ WorkloadId::External { .. }) => return Ok(Origin::Stored(*id)),
+            WorkloadSpec::Recorded { id, trace } => {
+                return Ok(Origin::Given(*id, Arc::clone(trace)));
+            }
+        }))
     }
 }
 
@@ -340,19 +373,18 @@ impl<'s> Experiment<'s> {
     /// # Errors
     ///
     /// [`RunError`] when the workload cannot be produced — a kernel that
-    /// fails to assemble or halt, an unreadable or malformed log, or an
-    /// external [`WorkloadId`] no store holds — or when a
+    /// fails to assemble or halt, an unreadable, malformed or empty log,
+    /// or an external [`WorkloadId`] no store holds — or when a
     /// [`streaming`](Experiment::streaming) run's trace file fails to
     /// read back. Materialized replay itself is infallible.
     pub fn run(self) -> Result<SimResult, RunError> {
-        // A serial kernel run without a store can skip materializing the
-        // trace entirely, feeding the front-ends per event straight from
-        // the interpreter (bit-identical; pinned by tests/experiment.rs).
-        if let (WorkloadSpec::Kernel(bench), StoreSel::None, false) =
-            (&self.workload, &self.store, self.streaming)
-        {
-            if !self.policy.parallel(self.dschemes.len() + self.ischemes.len()) {
-                return run_kernel_fanout(*bench, &self.cfg, &self.dschemes, &self.ischemes);
+        // A serial run with nothing to keep (no store, no file) skips the
+        // trace: the producer feeds every front per event through the
+        // serial fan-out (bit-identical; pinned by tests/experiment.rs).
+        let serial = !self.policy.parallel(self.dschemes.len() + self.ischemes.len());
+        if serial && self.store.get().is_none() && !self.streaming {
+            if let Origin::Produced(producer) = self.workload.origin(self.cfg.scale, false)? {
+                return producer.fan_out(&self.cfg, &self.dschemes, &self.ischemes);
             }
         }
         self.prepare()?.run()
@@ -370,329 +402,86 @@ impl<'s> Experiment<'s> {
         let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Resolve);
         let _span = waymem_obs::span!("resolve", workload = describe_workload(&self.workload));
         let Experiment { workload, cfg, dschemes, ischemes, store, policy, streaming } = self;
-        let store = store.get();
-        let mut ingest_meta = None;
-        if streaming {
-            let (id, source_hash, source) =
-                resolve_streaming(workload, &cfg, store, &mut ingest_meta)?;
-            return Ok(Prepared {
-                id,
-                source_hash,
-                source,
-                cfg,
-                dschemes,
-                ischemes,
-                policy,
-                ingest_meta,
-            });
-        }
-        let (id, source_hash, trace) = match workload {
-            WorkloadSpec::Kernel(bench) => {
-                resolve_kernel(bench, cfg.scale, &cfg, store)?
-            }
-            WorkloadSpec::Id(WorkloadId::Kernel { benchmark, scale }) => {
-                resolve_kernel(benchmark, scale, &cfg, store)?
-            }
-            WorkloadSpec::Id(WorkloadId::Synthetic(spec))
-            | WorkloadSpec::Synthetic(spec) => {
-                let id = WorkloadId::Synthetic(spec);
-                let hash = synth::source_hash(spec);
-                let trace = match store {
-                    Some(s) => s
-                        .get_or_record(id, hash, || {
-                            Ok::<_, std::convert::Infallible>(generate_synth(spec))
-                        })
-                        .unwrap_or_else(|e| match e {}),
-                    None => Arc::new(generate_synth(spec)),
-                };
-                (id, hash, trace)
-            }
-            WorkloadSpec::Id(id @ WorkloadId::External { hash }) => {
-                // Only a store (e.g. a warm persistent cache dir) can
-                // resolve a bare external id — there is nothing to
-                // re-produce it from.
-                let trace = match store {
-                    Some(s) => {
-                        s.get_or_record(id, hash, || Err(RunError::MissingTrace { id }))?
-                    }
-                    None => return Err(RunError::MissingTrace { id }),
-                };
-                (id, hash, trace)
-            }
-            WorkloadSpec::Recorded { id, trace } => (id, 0, trace),
-            WorkloadSpec::Log { path, format } => match store {
-                // With a store, hash the raw bytes up front: a warm
-                // `.wmtr` hit then skips the parse (and the event
-                // materialization) entirely — for a multi-GB capture
-                // the parse *is* the cost.
-                Some(s) => {
-                    let hash = hash_log(&path)?;
-                    let id = WorkloadId::External { hash };
-                    let trace = s.get_or_record(id, hash, || {
-                        let (trace, parsed_hash, meta) = parse_log(&path, format)?;
-                        check_unchanged(&path, hash, parsed_hash)?;
-                        ingest_meta = Some(meta);
-                        Ok::<_, RunError>(trace)
-                    })?;
-                    (id, hash, trace)
-                }
-                // Store-less, the up-front hash would only double the
-                // file I/O: parse once and take the identity from the
-                // hash the parser streams.
-                None => {
-                    let (trace, hash, meta) = parse_log(&path, format)?;
-                    ingest_meta = Some(meta);
-                    (WorkloadId::External { hash }, hash, Arc::new(trace))
-                }
-            },
-        };
-        Ok(Prepared {
-            id,
-            source_hash,
-            source: TraceSource::Materialized(trace),
-            cfg,
-            dschemes,
-            ischemes,
-            policy,
-            ingest_meta,
-        })
+        let (id, source_hash, source, ingest_meta) =
+            resolve(&workload, &cfg, store.get(), streaming)?;
+        Ok(Prepared { id, source_hash, source, cfg, dschemes, ischemes, policy, ingest_meta })
     }
 }
 
-/// Resolves a workload to an on-disk `.wmtr` streaming handle — the
-/// [`Experiment::streaming`] counterpart of the materializing match in
-/// [`Experiment::prepare`]. Store-backed resolutions go through
-/// [`TraceStore::open_stream`] (warm cache files open in place, cold
-/// ones are produced straight to disk); store-less ones produce to a
-/// scratch temp file removed when the handle drops.
-fn resolve_streaming(
-    workload: WorkloadSpec,
+/// The one resolve path behind [`Experiment::prepare`]. It maps the
+/// workload to where its trace comes from once; for a produced workload
+/// it then picks store × destination once, and the destination is just
+/// the sink the producer drives: a [`RecordedTrace`] in memory, or a
+/// `.wmtr` file when `streaming`. With a store, production goes through
+/// [`TraceStore::get_or_record`] / [`TraceStore::open_stream`] (a warm
+/// hit produces nothing); without one, into memory or a self-cleaning
+/// [`stream::scratch`] file. A producer fails before the trace is sealed
+/// or cached, so a failed run leaves nothing behind.
+fn resolve(
+    workload: &WorkloadSpec,
     cfg: &SimConfig,
     store: Option<&TraceStore>,
-    ingest_meta: &mut Option<IngestMeta>,
-) -> Result<(WorkloadId, u64, TraceSource), RunError> {
-    match workload {
-        WorkloadSpec::Kernel(bench) => resolve_kernel_streaming(bench, cfg.scale, cfg, store),
-        WorkloadSpec::Id(WorkloadId::Kernel { benchmark, scale }) => {
-            resolve_kernel_streaming(benchmark, scale, cfg, store)
+    streaming: bool,
+) -> Result<(WorkloadId, u64, TraceSource, Option<IngestMeta>), RunError> {
+    let producer = match workload.origin(cfg.scale, store.is_some())? {
+        Origin::Produced(producer) => producer,
+        Origin::Stored(id) => {
+            // Only a store (e.g. a warm persistent cache dir) can resolve
+            // a bare external id: there is nothing to re-produce it from.
+            let missing = || RunError::MissingTrace { id };
+            let (s, hash) = (store.ok_or_else(missing)?, source_hash(id));
+            let source = if streaming {
+                s.open_stream(id, hash, |_| Err(missing()))?.into()
+            } else {
+                s.get_or_record(id, hash, || Err(missing()))?.into()
+            };
+            return Ok((id, hash, source, None));
         }
-        WorkloadSpec::Id(WorkloadId::Synthetic(spec)) | WorkloadSpec::Synthetic(spec) => {
-            let id = WorkloadId::Synthetic(spec);
-            let hash = synth::source_hash(spec);
-            let st = open_stream_via(store, id, hash, |path| {
-                let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Record);
-                let _span = waymem_obs::span!("record", workload = id.name());
-                let enc = StreamingEncoder::create(path).map_err(StreamError::from)?;
-                let (stats, enc) = synth::generate_into(spec, enc);
-                enc.finish(stats.cycles, hash)?;
-                Ok(())
-            })?;
-            Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
-        }
-        WorkloadSpec::Id(id @ WorkloadId::External { hash }) => match store {
-            Some(s) => {
-                let st =
-                    s.open_stream(id, hash, |_: &Path| Err(RunError::MissingTrace { id }))?;
-                Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
-            }
-            None => Err(RunError::MissingTrace { id }),
-        },
-        WorkloadSpec::Recorded { id, trace } => {
-            // Taken as given, like the materialized path: the store is
-            // bypassed; the trace is spilled to scratch and replayed
-            // from disk (the caller asked for bounded replay memory,
-            // though the in-memory copy they handed over still exists).
-            let st = open_scratch_stream(&id.file_name(), |path| {
-                stream::write_encoded(&trace, 0, path).map_err(StreamError::from)?;
-                Ok(())
-            })?;
-            Ok((id, 0, TraceSource::Streaming(Arc::new(st))))
-        }
-        WorkloadSpec::Log { path, format } => match store {
-            // With a store, hash the raw bytes up front: the hash is the
-            // cache key, and a warm hit then skips the parse entirely.
-            Some(s) => {
-                let hash = hash_log(&path)?;
-                let id = WorkloadId::External { hash };
-                let st = s.open_stream(id, hash, |out| {
-                    let parsed_hash = produce_log_streaming(&path, format, out, ingest_meta)?;
-                    check_unchanged(&path, hash, parsed_hash)
+        Origin::Given(id, trace) => {
+            // Taken as given: the store is bypassed rather than trusted
+            // over the caller's trace. Streaming spills it to scratch and
+            // replays it from disk (the caller asked for bounded replay
+            // memory, though the copy they handed over still exists).
+            let source = if streaming {
+                let (st, _) = stream::scratch(StoreIo::passthrough(), |path| {
+                    stream::write_encoded(&trace, 0, path).map_err(StreamError::from)
                 })?;
-                Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
-            }
-            // Store-less, the up-front hash would only read the file a
-            // second time: parse once and take the identity from the
-            // hash the parser streams.
-            None => {
-                let mut hash = 0;
-                let st = open_scratch_stream("log.wmtr", |out| {
-                    hash = produce_log_streaming(&path, format, out, ingest_meta)?;
-                    Ok(())
-                })?;
-                Ok((WorkloadId::External { hash }, hash, TraceSource::Streaming(Arc::new(st))))
-            }
-        },
-    }
-}
-
-/// Streaming kernel resolution: the CPU interpreter's event stream goes
-/// straight to the `.wmtr` file via [`record_trace_streaming`].
-fn resolve_kernel_streaming(
-    bench: Benchmark,
-    scale: u32,
-    cfg: &SimConfig,
-    store: Option<&TraceStore>,
-) -> Result<(WorkloadId, u64, TraceSource), RunError> {
-    let id = WorkloadId::kernel(bench, scale);
-    let hash = kernel_source_hash(bench, scale);
-    let record_cfg = SimConfig { scale, ..*cfg };
-    let st = open_stream_via(store, id, hash, |path| {
-        record_trace_streaming(bench, &record_cfg, path).map(|_| ())
-    })?;
-    Ok((id, hash, TraceSource::Streaming(Arc::new(st))))
-}
-
-/// Opens a streaming handle through the store when one is attached, or
-/// through a self-cleaning scratch file otherwise.
-fn open_stream_via(
-    store: Option<&TraceStore>,
-    id: WorkloadId,
-    hash: u64,
-    produce: impl FnOnce(&Path) -> Result<(), RunError>,
-) -> Result<StreamingTrace, RunError> {
-    match store {
-        Some(s) => s.open_stream(id, hash, produce),
-        None => open_scratch_stream(&id.file_name(), produce),
-    }
-}
-
-/// Produces a `.wmtr` file into a per-process scratch path ending in
-/// `name` and opens it marked for deletion when the handle drops — the
-/// store-less streaming path, where nothing outlives the experiment.
-fn open_scratch_stream(
-    name: &str,
-    produce: impl FnOnce(&Path) -> Result<(), RunError>,
-) -> Result<StreamingTrace, RunError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let path =
-        std::env::temp_dir().join(format!("waymem-exp-{}-{n}-{name}", std::process::id()));
-    produce(&path)?;
-    match StreamingTrace::open(&path) {
-        Ok(st) => Ok(st.delete_on_drop()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&path);
-            Err(e.into())
+                st.into()
+            } else {
+                trace.into()
+            };
+            return Ok((id, 0, source, None));
         }
-    }
-}
-
-/// Parses a log straight into a `.wmtr` file at `out`, mapping every
-/// failure to a structured [`RunError::Ingest`] and capturing the
-/// ingestion metadata — the streaming counterpart of [`parse_log`].
-/// Returns the FNV-1a64 content hash the parser streamed.
-fn produce_log_streaming(
-    path: &Path,
-    format: Option<LogFormat>,
-    out: &Path,
-    ingest_meta: &mut Option<IngestMeta>,
-) -> Result<u64, RunError> {
-    let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Record);
-    let _span = waymem_obs::span!("record", source = path.display());
-    let format = format.unwrap_or_else(|| LogFormat::for_path(path));
-    let ingest_err = |message: String| RunError::Ingest { path: path.to_path_buf(), message };
-    let file = std::fs::File::open(path).map_err(|e| ingest_err(format!("cannot open: {e}")))?;
-    let stats = parse_to_wmtr(format, std::io::BufReader::new(file), out)
-        .map_err(|e| ingest_err(e.to_string()))?;
-    if stats.events() == 0 {
-        return Err(ingest_err("log contains no accesses".to_owned()));
-    }
-    *ingest_meta = Some(IngestMeta {
-        format,
-        lines: stats.lines,
-        skipped: stats.skipped,
-    });
-    Ok(stats.source_hash)
-}
-
-/// Hashes a log's raw bytes: its workload identity, and the cache key a
-/// store-backed ingest needs before it parses.
-fn hash_log(path: &Path) -> Result<u64, RunError> {
-    hash_file(path).map_err(|e| RunError::Ingest {
-        path: path.to_path_buf(),
-        message: format!("cannot read: {e}"),
-    })
-}
-
-/// Checks that a store-backed ingest parsed the bytes it hashed. The
-/// parser folds the identical byte stream into FNV-1a64; divergence
-/// means the file changed between the hash and the parse (or a parser
-/// regression) — either way the cache key would lie about the trace it
-/// maps to.
-fn check_unchanged(path: &Path, hashed: u64, parsed: u64) -> Result<(), RunError> {
-    if hashed == parsed {
-        return Ok(());
-    }
-    Err(RunError::Ingest {
-        path: path.to_path_buf(),
-        message: format!(
-            "file changed while being ingested (hashed {hashed:016x}, parsed {parsed:016x})"
-        ),
-    })
-}
-
-/// Generates a synthetic trace under the Record phase, so synthetic
-/// production shows up in the phase breakdown and span stream exactly
-/// like a kernel interpretation or a log parse.
-fn generate_synth(spec: SynthSpec) -> RecordedTrace {
-    let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Record);
-    let _span = waymem_obs::span!("record", workload = WorkloadId::Synthetic(spec).name());
-    synth::generate(spec)
-}
-
-/// Resolves a kernel workload at an explicit scale: record through the
-/// store when one is present (verified against [`kernel_source_hash`]),
-/// interpret directly otherwise.
-fn resolve_kernel(
-    bench: Benchmark,
-    scale: u32,
-    cfg: &SimConfig,
-    store: Option<&TraceStore>,
-) -> Result<(WorkloadId, u64, Arc<RecordedTrace>), RunError> {
-    let id = WorkloadId::kernel(bench, scale);
-    let hash = kernel_source_hash(bench, scale);
-    let record_cfg = SimConfig { scale, ..*cfg };
-    let trace = match store {
-        Some(s) => s.get_or_record(id, hash, || record_trace(bench, &record_cfg))?,
-        None => Arc::new(record_trace(bench, &record_cfg)?),
     };
-    Ok((id, hash, trace))
-}
-
-/// Parses a log file into a trace plus its streamed content hash and
-/// ingestion metadata, mapping every failure — unreadable file,
-/// malformed line, empty capture — to a structured [`RunError::Ingest`].
-fn parse_log(
-    path: &Path,
-    format: Option<LogFormat>,
-) -> Result<(RecordedTrace, u64, IngestMeta), RunError> {
-    let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Record);
-    let _span = waymem_obs::span!("record", source = path.display());
-    let format = format.unwrap_or_else(|| LogFormat::for_path(path));
-    let ingest_err = |message: String| RunError::Ingest { path: path.to_path_buf(), message };
-    let file = std::fs::File::open(path).map_err(|e| ingest_err(format!("cannot open: {e}")))?;
-    let ingested = parse(format, std::io::BufReader::new(file))
-        .map_err(|e| ingest_err(e.to_string()))?;
-    if ingested.trace.is_empty() {
-        return Err(ingest_err("log contains no accesses".to_owned()));
-    }
-    let meta = IngestMeta {
-        format,
-        lines: ingested.lines,
-        skipped: ingested.skipped,
+    let mut ingest = None;
+    let (id, source) = match (store.zip(producer.id()), streaming) {
+        (Some((s, id)), false) => {
+            let trace = s.get_or_record(id, source_hash(id), || {
+                producer.record().map(|(trace, made)| {
+                    ingest = made.ingest;
+                    trace
+                })
+            })?;
+            (id, trace.into())
+        }
+        (Some((s, id)), true) => {
+            let st = s.open_stream(id, source_hash(id), |path| {
+                producer.encode(path).map(|made| ingest = made.ingest)
+            })?;
+            (id, st.into())
+        }
+        (None, false) => {
+            let (trace, made) = producer.record()?;
+            ingest = made.ingest;
+            (made.id, trace.into())
+        }
+        (None, true) => {
+            let (st, made) = stream::scratch(StoreIo::passthrough(), |path| producer.encode(path))?;
+            ingest = made.ingest;
+            (made.id, st.into())
+        }
     };
-    Ok((ingested.trace, ingested.source_hash, meta))
+    Ok((id, source_hash(id), source, ingest))
 }
 
 /// What a log ingestion observed, when this experiment actually parsed

@@ -1,10 +1,13 @@
 //! The experiment engine: a record-once / replay-in-parallel pipeline.
 //!
-//! The engine executes the CPU interpreter (or a parser / generator)
-//! exactly once, capturing the full fetch/load/store stream — into a
-//! [`RecordedTrace`] (two flat `Vec<TraceEvent>` streams split at capture
-//! time, fetches apart from loads/stores) or into a `.wmtr` file — then
-//! replays it through every requested scheme's front-end, under an
+//! Each produced workload kind has one producer — the CPU interpreter
+//! for a kernel, the generator for a synthetic pattern, the parser for a
+//! log — and it runs exactly once, pushing the full fetch/load/store
+//! stream into whichever sink is the destination: a [`RecordedTrace`]
+//! (two flat `Vec<TraceEvent>` streams split at capture time, fetches
+//! apart from loads/stores), a `.wmtr` file, or every front at once
+//! through the per-event serial fan-out. The recorded trace is then
+//! replayed through every requested scheme's front-end, under an
 //! [`ExecPolicy`]. One engine serves both [`TraceSource`]s: the fronts
 //! are laid out into chains, one per worker thread, each holding the
 //! fronts of one section, and each chain reads its section once through
@@ -13,35 +16,38 @@
 //! point dispatches to a monomorphic loop ([`DFront::replay`] /
 //! [`IFront::replay`]), so no per-event virtual dispatch survives on the
 //! hot path; power is composed via Eq. (1) once every chain joins. Every
-//! front-end sees the identical stream, so all policies and sources are
-//! bit-identical — including the per-event serial fanout that serial
-//! kernel runs use to skip the trace materialization entirely.
+//! front-end sees the identical stream, so all policies, sources and the
+//! serial fan-out are bit-identical.
 //!
 //! The composable front door to all of this is
 //! [`Experiment`](crate::Experiment) / [`Suite`](crate::Suite)
 //! (`experiment` module); this module keeps the engine itself — the
-//! result types and [`record_trace`].
+//! producers, the result types and [`record_trace`].
 
 use std::error::Error;
 use std::fmt;
+use std::fs::File;
+use std::io::BufReader;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use waymem_obs::phase::Phase;
+use waymem_obs::span::SpanGuard;
 
 use waymem_cache::{AccessStats, Geometry};
 use waymem_hwmodel::{
     cache_energies, mab_power_mw, CacheShape, EnergyCounts, MabShape, PowerBreakdown, Technology,
 };
 use waymem_isa::{AsmError, Cpu, CpuError, FetchKind, RecordingSink, TraceEvent, TraceSink};
+use waymem_ingest::{hash_file, parse_into, synth, LogFormat};
 use waymem_trace::{
-    fnv1a64, Section, StreamError, StreamStats, StreamingEncoder, StreamingTrace, WorkloadId,
+    fnv1a64, Section, StreamError, StreamingEncoder, StreamingTrace, SynthSpec, WorkloadId,
 };
 use waymem_workloads::Benchmark;
 
-use crate::{DFront, DScheme, ExecPolicy, IFront, IScheme};
+use crate::{DFront, DScheme, ExecPolicy, IFront, IScheme, IngestMeta};
 
 /// Simulation configuration shared by all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -273,9 +279,9 @@ impl<F: TraceSink> TraceSink for Fanout<F> {
     }
 }
 
-/// The serial kernel path's sink: the interpreter's fetches fan out to
-/// the I-fronts and its loads and stores to the D-fronts, per event, as
-/// they happen. Kept (behind [`run_kernel_fanout`]) as the reference the
+/// The serial fan-out's sink: a producer's fetches fan out to the
+/// I-fronts and its loads and stores to the D-fronts, per event, as they
+/// happen. Kept (behind [`Producer::fan_out`]) as the reference the
 /// record/replay engine is cross-validated against.
 struct FanoutSink {
     d: Fanout<DFront>,
@@ -411,36 +417,190 @@ impl From<StreamingTrace> for TraceSource {
     }
 }
 
-/// The recording sink behind [`record_trace`]: like
-/// [`waymem_isa::RecordingSink`] but splitting the stream at capture time
-/// so replay never re-partitions it.
-#[derive(Debug, Default)]
-struct SplitRecordingSink {
-    fetches: Vec<TraceEvent>,
-    data: Vec<TraceEvent>,
+/// The one producer of each produced workload kind: the CPU interpreter
+/// for a kernel, the generator for a synthetic pattern, the parser for a
+/// log. Every destination is just the sink [`produce`](Self::produce)
+/// drives — a [`RecordedTrace`] in memory ([`record`](Self::record)), a
+/// [`StreamingEncoder`] on disk ([`encode`](Self::encode)), or every
+/// front at once through the serial fan-out ([`fan_out`](Self::fan_out)).
+#[derive(Debug)]
+pub(crate) enum Producer {
+    /// A built-in kernel at an explicit scale, run on the interpreter.
+    Kernel { bench: Benchmark, scale: u32 },
+    /// A synthetic access pattern, run on its generator.
+    Synthetic(SynthSpec),
+    /// An external log, run through its grammar's parser.
+    Log {
+        path: PathBuf,
+        format: LogFormat,
+        /// The FNV-1a64 of the raw bytes, when a store-backed run took it
+        /// up front as its cache key; the parse must then reproduce it.
+        /// `None` lets the parser's own hash name the trace.
+        hashed: Option<u64>,
+    },
 }
 
-impl TraceSink for SplitRecordingSink {
-    fn fetch(&mut self, pc: u32, kind: FetchKind) {
-        self.fetches.push(TraceEvent::Fetch { pc, kind });
+/// What a production run reports beside the events it pushed.
+#[derive(Debug)]
+pub(crate) struct Produced {
+    /// The workload's identity.
+    pub(crate) id: WorkloadId,
+    /// Instructions retired (= cycles at CPI 1).
+    pub(crate) cycles: u64,
+    /// What the parse observed, for a log.
+    pub(crate) ingest: Option<IngestMeta>,
+}
+
+impl Producer {
+    /// A log's producer. With `hash_first`, the raw bytes are hashed
+    /// here, before any parse: a store needs the hash as its cache key,
+    /// and a warm hit then skips the parse. Without, the file is read
+    /// once, and the parser's hash names the trace.
+    pub(crate) fn log(
+        path: &Path,
+        format: Option<LogFormat>,
+        hash_first: bool,
+    ) -> Result<Self, RunError> {
+        let hashed = hash_first.then(|| hash_file(path)).transpose().map_err(|e| {
+            RunError::Ingest { path: path.to_path_buf(), message: format!("cannot read: {e}") }
+        })?;
+        let format = format.unwrap_or_else(|| LogFormat::for_path(path));
+        Ok(Producer::Log { path: path.to_path_buf(), format, hashed })
     }
 
-    fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-        self.data.push(TraceEvent::Load {
-            base,
-            disp,
-            addr,
-            size,
-        });
+    /// The workload's identity, when it is known before production:
+    /// always for kernels and synthetics, for a log once hashed.
+    pub(crate) fn id(&self) -> Option<WorkloadId> {
+        match self {
+            Producer::Kernel { bench, scale } => Some(WorkloadId::kernel(*bench, *scale)),
+            Producer::Synthetic(spec) => Some(WorkloadId::Synthetic(*spec)),
+            Producer::Log { hashed, .. } => hashed.map(|hash| WorkloadId::External { hash }),
+        }
     }
 
-    fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-        self.data.push(TraceEvent::Store {
-            base,
-            disp,
-            addr,
-            size,
-        });
+    /// Enters span `name`, saying what is being produced.
+    fn span(&self, name: &'static str) -> SpanGuard {
+        waymem_obs::span::enter_args(name, || {
+            vec![match self {
+                Producer::Kernel { bench, .. } => ("workload", bench.name().to_owned()),
+                Producer::Synthetic(spec) => ("workload", WorkloadId::Synthetic(*spec).name()),
+                Producer::Log { path, .. } => ("source", path.display().to_string()),
+            }]
+        })
+    }
+
+    /// Runs the producer, pushing every event into `sink` in program
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError`] when a kernel fails to assemble, faults or does not
+    /// halt within its step budget, or a log is unreadable, malformed,
+    /// empty, or no longer hashes to what it hashed to up front. Every
+    /// check runs before `produce` returns, so before the caller seals
+    /// or caches anything.
+    pub(crate) fn produce<S: TraceSink>(&self, sink: &mut S) -> Result<Produced, RunError> {
+        match self {
+            Producer::Kernel { bench, scale } => {
+                let wl = bench.workload(*scale)?;
+                let mut cpu = Cpu::new(&wl.program);
+                if !cpu.run(wl.max_steps, sink)?.halted() {
+                    return Err(RunError::StepLimit { max_steps: wl.max_steps });
+                }
+                let id = WorkloadId::kernel(*bench, *scale);
+                Ok(Produced { id, cycles: cpu.instret(), ingest: None })
+            }
+            Producer::Synthetic(spec) => {
+                let (stats, _) = synth::generate_into(*spec, sink);
+                let id = WorkloadId::Synthetic(*spec);
+                Ok(Produced { id, cycles: stats.cycles, ingest: None })
+            }
+            Producer::Log { path, format, hashed } => {
+                let fail = |message| RunError::Ingest { path: path.clone(), message };
+                let file = File::open(path).map_err(|e| fail(format!("cannot open: {e}")))?;
+                let (stats, _) = parse_into(*format, BufReader::new(file), sink)
+                    .map_err(|e| fail(e.to_string()))?;
+                let parsed = stats.source_hash;
+                if stats.events() == 0 {
+                    return Err(fail("log contains no accesses".to_owned()));
+                }
+                // The parser folds the same bytes into the same FNV-1a64: a
+                // mismatch means the file changed between the hash and the
+                // parse, and the cache key would lie about its trace.
+                if let Some(hashed) = hashed.filter(|&h| h != parsed) {
+                    let why = format!("hashed {hashed:016x}, parsed {parsed:016x}");
+                    return Err(fail(format!("file changed while being ingested ({why})")));
+                }
+                let (lines, skipped) = (stats.lines, stats.skipped);
+                let ingest = Some(IngestMeta { format: *format, lines, skipped });
+                let id = WorkloadId::External { hash: parsed };
+                Ok(Produced { id, cycles: stats.cycles, ingest })
+            }
+        }
+    }
+
+    /// Produces into memory, under the Record phase.
+    ///
+    /// # Errors
+    ///
+    /// As [`produce`](Self::produce).
+    pub(crate) fn record(&self) -> Result<(RecordedTrace, Produced), RunError> {
+        let _phase = waymem_obs::phase::enter(Phase::Record);
+        let _span = self.span("record");
+        let mut trace = RecordedTrace::default();
+        if let Producer::Kernel { .. } = self {
+            // A kernel's step budget (30 M steps per unit of scale) puts
+            // both estimates — one fetch per step, one load/store per
+            // four — past `RecordingSink`'s clamp, so both streams start
+            // at the cap; the Vecs grow geometrically past it. Parsers and
+            // generators start empty.
+            trace.fetch_events.reserve_exact(RecordingSink::MAX_PREALLOC_EVENTS);
+            trace.data_events.reserve_exact(RecordingSink::MAX_PREALLOC_EVENTS);
+        }
+        let produced = self.produce(&mut trace)?;
+        trace.cycles = produced.cycles;
+        Ok((trace, produced))
+    }
+
+    /// Produces into a `.wmtr` file at `path`, under the Record phase.
+    /// The file is sealed only once production has succeeded; a failed
+    /// production drops the encoder and its spools, leaving no file.
+    ///
+    /// # Errors
+    ///
+    /// As [`produce`](Self::produce), plus [`RunError::Stream`] when the
+    /// file cannot be written.
+    pub(crate) fn encode(&self, path: &Path) -> Result<Produced, RunError> {
+        let _phase = waymem_obs::phase::enter(Phase::Record);
+        let _span = self.span("record");
+        let mut encoder = StreamingEncoder::create(path).map_err(StreamError::from)?;
+        let produced = self.produce(&mut encoder)?;
+        encoder.finish(produced.cycles, source_hash(produced.id))?;
+        Ok(produced)
+    }
+
+    /// Produces straight into every front, per event, with no trace in
+    /// between: the serial fan-out, kept as the cross-check of the
+    /// record/replay engine. Being replay, it runs under the Replay
+    /// phase, production included.
+    ///
+    /// # Errors
+    ///
+    /// As [`produce`](Self::produce).
+    pub(crate) fn fan_out(
+        &self,
+        cfg: &SimConfig,
+        dschemes: &[DScheme],
+        ischemes: &[IScheme],
+    ) -> Result<SimResult, RunError> {
+        let _phase = waymem_obs::phase::enter(Phase::Replay);
+        let _span = self.span("replay");
+        let mut sink = FanoutSink {
+            d: Fanout::new(dschemes.iter().map(|s| s.build(cfg.geometry)).collect()),
+            i: Fanout::new(ischemes.iter().map(|s| s.build(cfg.geometry)).collect()),
+        };
+        let produced = self.produce(&mut sink)?;
+        Ok(sim_result(produced.id, produced.cycles, cfg, &sink.d.fronts, &sink.i.fronts))
     }
 }
 
@@ -456,63 +616,8 @@ impl TraceSink for SplitRecordingSink {
 /// Returns [`RunError`] if the kernel fails to assemble, faults, or does
 /// not halt within its step budget.
 pub fn record_trace(bench: Benchmark, cfg: &SimConfig) -> Result<RecordedTrace, RunError> {
-    let _phase = waymem_obs::phase::enter(Phase::Record);
-    let _span = waymem_obs::span!("record", workload = bench.name());
-    let wl = bench.workload(cfg.scale)?;
-    // Pre-size each stream with `RecordingSink`'s shared clamp. The
-    // estimates are one fetch per budgeted instruction (+1 for `halt`)
-    // and one load/store per four instructions (typical kernels issue
-    // one every 4–8); both are *estimates*, not bounds — the Vecs grow
-    // geometrically past them. The default 30 M-step budgets exceed the
-    // clamp anyway, so in practice both streams start at the cap and
-    // the estimates only matter for small custom budgets.
-    let mut sink = SplitRecordingSink {
-        fetches: Vec::with_capacity(RecordingSink::prealloc_cap(wl.max_steps.saturating_add(1))),
-        data: Vec::with_capacity(RecordingSink::prealloc_cap(wl.max_steps / 4)),
-    };
-    let mut cpu = Cpu::new(&wl.program);
-    let outcome = cpu.run(wl.max_steps, &mut sink)?;
-    if !outcome.halted() {
-        return Err(RunError::StepLimit {
-            max_steps: wl.max_steps,
-        });
-    }
-    Ok(RecordedTrace {
-        fetch_events: sink.fetches,
-        data_events: sink.data,
-        cycles: cpu.instret(),
-    })
-}
-
-/// Executes `bench` once, encoding its full event stream straight to a
-/// `.wmtr` file at `path` — the bounded-memory counterpart of
-/// [`record_trace`]: the event vector is never materialized, so a
-/// long-running kernel costs O(1) resident memory to capture. The file's
-/// header carries [`kernel_source_hash`] as its staleness fingerprint,
-/// so a store treats it exactly like a trace it recorded itself.
-///
-/// # Errors
-///
-/// [`RunError`] if the kernel fails to assemble, faults, does not halt
-/// within its step budget, or the file cannot be written.
-pub fn record_trace_streaming(
-    bench: Benchmark,
-    cfg: &SimConfig,
-    path: &Path,
-) -> Result<StreamStats, RunError> {
-    let _phase = waymem_obs::phase::enter(Phase::Record);
-    let _span = waymem_obs::span!("record", workload = bench.name());
-    let wl = bench.workload(cfg.scale)?;
-    let mut sink = StreamingEncoder::create(path).map_err(StreamError::from)?;
-    let mut cpu = Cpu::new(&wl.program);
-    let outcome = cpu.run(wl.max_steps, &mut sink)?;
-    if !outcome.halted() {
-        return Err(RunError::StepLimit {
-            max_steps: wl.max_steps,
-        });
-    }
-    let cycles = cpu.instret();
-    Ok(sink.finish(cycles, kernel_source_hash(bench, cfg.scale))?)
+    let (trace, _) = Producer::Kernel { bench, scale: cfg.scale }.record()?;
+    Ok(trace)
 }
 
 /// Composes the per-scheme Eq. (1) results of a finished run. The
@@ -732,39 +837,15 @@ pub fn kernel_source_hash(bench: Benchmark, scale: u32) -> u64 {
     hash
 }
 
-/// The pre-record/replay serial engine: one CPU run with every front-end
-/// fed per event through the serial [`FanoutSink`], skipping trace
-/// materialization entirely. This is what [`ExecPolicy::Serial`] (and
-/// `Auto`, when parallel replay cannot pay) resolves to for kernel
-/// workloads without a store; kept private as the reference engine the
-/// parallel replay is cross-validated against.
-///
-/// # Errors
-///
-/// Returns [`RunError`] if the kernel fails to assemble, faults, or does
-/// not halt.
-pub(crate) fn run_kernel_fanout(
-    bench: Benchmark,
-    cfg: &SimConfig,
-    dschemes: &[DScheme],
-    ischemes: &[IScheme],
-) -> Result<SimResult, RunError> {
-    let _phase = waymem_obs::phase::enter(Phase::Replay);
-    let _span = waymem_obs::span!("replay", workload = bench.name());
-    let wl = bench.workload(cfg.scale)?;
-    let mut sink = FanoutSink {
-        d: Fanout::new(dschemes.iter().map(|s| s.build(cfg.geometry)).collect()),
-        i: Fanout::new(ischemes.iter().map(|s| s.build(cfg.geometry)).collect()),
-    };
-    let mut cpu = Cpu::new(&wl.program);
-    let outcome = cpu.run(wl.max_steps, &mut sink)?;
-    if !outcome.halted() {
-        return Err(RunError::StepLimit {
-            max_steps: wl.max_steps,
-        });
+/// The staleness fingerprint of the trace `id` names: the
+/// [`kernel_source_hash`] of a kernel, the generator-versioned hash of a
+/// synthetic spec, and an external trace's own content hash.
+pub(crate) fn source_hash(id: WorkloadId) -> u64 {
+    match id {
+        WorkloadId::Kernel { benchmark, scale } => kernel_source_hash(benchmark, scale),
+        WorkloadId::Synthetic(spec) => synth::source_hash(spec),
+        WorkloadId::External { hash } => hash,
     }
-    let workload = WorkloadId::kernel(bench, cfg.scale);
-    Ok(sim_result(workload, cpu.instret(), cfg, &sink.d.fronts, &sink.i.fronts))
 }
 
 #[cfg(test)]
@@ -871,10 +952,11 @@ mod tests {
         // single-core hosts) and pin it bit-identical to the serial fanout.
         let cfg = SimConfig::default();
         let (d, i) = paper_schemes();
-        let trace = record_trace(Benchmark::Dct, &cfg).expect("records");
+        let producer = Producer::Kernel { bench: Benchmark::Dct, scale: cfg.scale };
+        let (trace, _) = producer.record().expect("records");
         let id = WorkloadId::kernel(Benchmark::Dct, cfg.scale);
         let replayed = replay_recorded(id, &trace);
-        let fanout = run_kernel_fanout(Benchmark::Dct, &cfg, &d, &i).expect("fanout runs");
+        let fanout = producer.fan_out(&cfg, &d, &i).expect("fanout runs");
         assert_results_identical(&replayed, &fanout);
     }
 

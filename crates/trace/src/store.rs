@@ -685,18 +685,6 @@ impl TraceStore {
         Ok(trace)
     }
 
-    /// A unique scratch path for a store-less streaming open; the
-    /// returned [`StreamingTrace`] deletes it on drop.
-    fn scratch_stream_path(key: WorkloadId) -> PathBuf {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "waymem-scratch-{}-{n}-{}",
-            std::process::id(),
-            key.file_name()
-        ))
-    }
-
     /// Returns a bounded-memory [`StreamingTrace`] handle for `key`,
     /// running `produce` (which must write a complete `.wmtr` file to
     /// the path it is given — e.g. through a
@@ -712,7 +700,8 @@ impl TraceStore {
     /// key's trace happens to sit in this process's memory already, it is
     /// spilled to disk once and streamed from there (`hits` +
     /// `stream_opens`). Without a cache dir the file lives under the
-    /// system temp dir and deletes itself when the handle drops.
+    /// system temp dir ([`stream::scratch`]) and deletes itself when the
+    /// handle drops, or at once if production or validation fails.
     ///
     /// Staleness follows the same rule as `get_or_record`: a file whose
     /// embedded hash disagrees with a nonzero `source_hash` is
@@ -814,18 +803,21 @@ impl TraceStore {
             };
         }
 
-        // Memory-only store: the file is scratch, cleaned up on drop.
-        let path = Self::scratch_stream_path(key);
-        if let Some((hash, trace)) = cached {
-            stream::write_encoded_with(&trace, hash, &path, &self.io)
-                .map_err(|e| E::from(StreamError::Io(e)))?;
-            Counters::bump(&self.counters.hits);
-            Counters::bump(&self.counters.stream_opens);
-        } else {
-            produce(&path)?;
-            Counters::bump(&self.counters.records);
-        }
-        Ok(StreamingTrace::open_with(&path, self.io.clone()).map_err(E::from)?.delete_on_drop())
+        // Memory-only store: the file is scratch, cleaned up on drop (and
+        // on failure).
+        let (st, ()) = stream::scratch(self.io.clone(), |path| -> Result<(), E> {
+            if let Some((hash, trace)) = cached {
+                stream::write_encoded_with(&trace, hash, path, &self.io)
+                    .map_err(|e| E::from(StreamError::Io(e)))?;
+                Counters::bump(&self.counters.hits);
+                Counters::bump(&self.counters.stream_opens);
+            } else {
+                produce(path)?;
+                Counters::bump(&self.counters.records);
+            }
+            Ok(())
+        })?;
+        Ok(st)
     }
 
     /// The trace for `key` if it is already in memory. Does not consult
@@ -1350,6 +1342,20 @@ mod tests {
         assert_eq!(store.stats().records, 1);
         drop(st);
         assert!(!scratch.exists());
+    }
+
+    #[test]
+    fn open_stream_without_store_dir_removes_an_invalid_scratch_file() {
+        let store = TraceStore::new();
+        let mut seen = None;
+        let opened = store.open_stream(dct(2), 0, |p| -> Result<(), StreamError> {
+            seen = Some(p.to_path_buf());
+            std::fs::write(p, b"WMTRgarbage, not a real trace")?;
+            Ok(())
+        });
+        assert!(opened.is_err(), "an invalid scratch file must not open");
+        let scratch = seen.expect("the producer ran");
+        assert!(!scratch.exists(), "invalid scratch file left at {}", scratch.display());
     }
 
     #[test]

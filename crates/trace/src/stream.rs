@@ -389,6 +389,36 @@ pub fn write_encoded_with(
     Ok(bytes.len() as u64)
 }
 
+/// Produces a `.wmtr` file at a fresh scratch path under the system temp
+/// dir, validates it through `io` and hands it back marked
+/// [`delete_on_drop`](StreamingTrace::delete_on_drop), along with
+/// whatever `produce` returned — the one home of every trace file
+/// nothing should outlive: store-less streaming runs and a memory-only
+/// store's streaming opens. If `produce` fails, or the file it wrote
+/// fails validation, the file is removed before the error returns, so a
+/// failed run leaves nothing behind.
+///
+/// # Errors
+///
+/// The producer's error, or the validation failure via
+/// `E: From<StreamError>`.
+pub fn scratch<T, E: From<StreamError>>(
+    io: StoreIo,
+    produce: impl FnOnce(&Path) -> Result<T, E>,
+) -> Result<(StreamingTrace, T), E> {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("waymem-scratch-{}-{n}.wmtr", std::process::id()));
+    match produce(&path).and_then(|made| Ok((StreamingTrace::open_with(&path, io)?, made))) {
+        Ok((st, made)) => Ok((st.delete_on_drop(), made)),
+        Err(e) => {
+            let _ = fs::remove_file(&path);
+            Err(e)
+        }
+    }
+}
+
 /// A validated, replayable handle to an encoded trace file.
 ///
 /// Holds the header fields and the path — never the events. See the
@@ -857,6 +887,47 @@ mod tests {
             assert!(st.path().exists());
         }
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn scratch_hands_back_a_self_cleaning_handle_and_the_producers_value() {
+        let trace = sample_trace();
+        let (st, bytes) = scratch(StoreIo::passthrough(), |path| {
+            write_encoded(&trace, 5, path).map_err(StreamError::from)
+        })
+        .expect("produces and opens");
+        let path = st.path().to_path_buf();
+        assert!(path.starts_with(std::env::temp_dir()));
+        assert_eq!(fs::metadata(&path).expect("exists").len(), bytes);
+        assert_eq!(st.decode().expect("decodes"), trace);
+        drop(st);
+        assert!(!path.exists(), "scratch file must go with its handle");
+    }
+
+    #[test]
+    fn scratch_removes_the_file_when_production_fails_after_writing_it() {
+        let mut seen = None;
+        let failed = scratch(StoreIo::passthrough(), |path| -> Result<(), StreamError> {
+            seen = Some(path.to_path_buf());
+            write_encoded(&sample_trace(), 0, path)?;
+            Err(StreamError::Io(io::Error::other("producer failed after sealing")))
+        });
+        assert!(failed.is_err());
+        let path = seen.expect("the producer ran");
+        assert!(!path.exists(), "a failed production left {}", path.display());
+    }
+
+    #[test]
+    fn scratch_removes_a_file_that_fails_validation() {
+        let mut seen = None;
+        let failed = scratch(StoreIo::passthrough(), |path| -> Result<(), StreamError> {
+            seen = Some(path.to_path_buf());
+            fs::write(path, b"WMTRgarbage, not a trace")?;
+            Ok(())
+        });
+        assert!(failed.is_err(), "garbage must not open");
+        let path = seen.expect("the producer ran");
+        assert!(!path.exists(), "an invalid scratch file survived at {}", path.display());
     }
 
     #[test]

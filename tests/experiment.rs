@@ -75,6 +75,29 @@ impl Drop for TempLog {
     }
 }
 
+/// A trace-cache directory, removed with everything in it on drop.
+struct TempCacheDir(std::path::PathBuf);
+
+impl TempCacheDir {
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("waymem-exp-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempCacheDir(dir)
+    }
+
+    /// The `.wmtr` files the directory holds (none when it does not exist).
+    fn traces(&self) -> Vec<std::path::PathBuf> {
+        let entries = std::fs::read_dir(&self.0).into_iter().flatten().flatten();
+        entries.map(|e| e.path()).filter(|p| p.extension().is_some_and(|x| x == "wmtr")).collect()
+    }
+}
+
+impl Drop for TempCacheDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 fn every_policy_is_bit_identical_for_kernels() {
     let (d, i) = schemes();
@@ -113,6 +136,28 @@ fn every_policy_is_bit_identical_for_synthetics() {
     let parallel = run(ExecPolicy::Parallel);
     assert_identical(&serial, &parallel);
     assert!(serial.dcache[0].stats.accesses >= 20_000);
+}
+
+#[test]
+fn every_policy_is_bit_identical_for_ingested_logs() {
+    // The serial fan-out feeds logs too: the parser drives every front
+    // per event, and must match the parallel replay of the parsed trace
+    // under the full scheme sets.
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/ingest/tests/fixtures/lackey_small.log");
+    let run = |policy| {
+        Experiment::ingest(&fixture)
+            .dschemes(waymem::sim::full_dschemes())
+            .ischemes(waymem::sim::full_ischemes())
+            .policy(policy)
+            .run()
+            .expect("runs")
+    };
+    let serial = run(ExecPolicy::Serial);
+    let parallel = run(ExecPolicy::Parallel);
+    assert_identical(&serial, &parallel);
+    assert_eq!((serial.dcache.len(), serial.icache.len()), (7, 7));
+    assert!(serial.dcache[0].stats.accesses > 0 && serial.icache[0].stats.accesses > 0);
 }
 
 #[test]
@@ -435,6 +480,34 @@ fn streaming_ingest_failures_are_structured_errors() {
         .run()
         .expect_err("empty log");
     assert!(matches!(err, RunError::Ingest { .. }), "{err}");
+}
+
+#[test]
+fn a_failed_empty_log_ingest_never_poisons_the_trace_cache() {
+    // An empty capture fails every time. The first streamed ingest must
+    // not leave a sealed empty trace in the cache dir for a later run —
+    // streamed, or in memory through a fresh store over the same dir —
+    // to replay as a 0-cycle success.
+    let dir = TempCacheDir::new("empty-log-cache");
+    let empty = TempLog::new("cache-empty.csv", "# nothing here\n");
+    let ingest = |store: &TraceStore, streaming| {
+        Experiment::ingest(&empty.0)
+            .dschemes([DScheme::Original])
+            .store(store)
+            .streaming(streaming)
+            .run()
+            .map(|r| r.cycles)
+    };
+    let store = TraceStore::with_cache_dir(&dir.0);
+    let runs = [
+        ingest(&store, true),
+        ingest(&store, true),
+        ingest(&TraceStore::with_cache_dir(&dir.0), false),
+    ];
+    for (n, run) in runs.iter().enumerate() {
+        assert!(matches!(run, Err(RunError::Ingest { .. })), "run {}: {run:?}", n + 1);
+    }
+    assert!(dir.traces().is_empty(), "cache dir holds {:?}", dir.traces());
 }
 
 #[test]
