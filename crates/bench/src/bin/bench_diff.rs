@@ -35,7 +35,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use waymem_bench::diff::{compare, Delta};
-use waymem_obs::chrome::{parse, Value};
+use waymem_obs::json::{parse, Json};
 
 struct Options {
     current: PathBuf,
@@ -96,7 +96,7 @@ fn parse_args() -> Options {
     opts
 }
 
-fn read_json(path: &PathBuf) -> Result<Value, String> {
+fn read_json(path: &PathBuf) -> Result<Json, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     parse(&text).map_err(|e| format!("{}: {e}", path.display()))
@@ -109,7 +109,7 @@ fn ledger_baseline(
     path: &PathBuf,
     bin: &str,
     keep_latest: bool,
-) -> Result<Option<(Value, String)>, String> {
+) -> Result<Option<(Json, String)>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -122,10 +122,10 @@ fn ledger_baseline(
         }
         let record =
             parse(line).map_err(|e| format!("{} line {}: {e}", path.display(), i + 1))?;
-        if record.get("bin").and_then(Value::as_str) == Some(bin) {
+        if record.get("bin").and_then(Json::as_str) == Some(bin) {
             let rev = record
                 .get("git_rev")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .unwrap_or("unknown")
                 .to_owned();
             matching.push((record, rev));

@@ -1,43 +1,19 @@
-//! Exports the full evaluation as CSV plus machine-readable JSON: one row
-//! per (benchmark, cache, scheme) with tag/way/hit counters and the
-//! Eq. (1) power decomposition — the raw data behind every figure, ready
-//! for a plotting tool. With a directory argument, writes `results.csv`
-//! and `BENCH_results.json` there; without one, prints the CSV to stdout
-//! and drops `BENCH_results.json` in the current directory so the
-//! machine-readable export is always produced.
+//! Exports the full evaluation as CSV plus machine-readable JSON: one
+//! CSV row per (benchmark, cache, scheme) with tag/way/hit counters and
+//! the Eq. (1) power decomposition — the raw data behind every figure,
+//! ready for a plotting tool — and one [`result_json`] object per
+//! benchmark in `BENCH_export.json` (schema `waymem/export/v1`). With a
+//! directory argument, writes `results.csv` and `BENCH_export.json`
+//! there; without one, prints the CSV to stdout and drops
+//! `BENCH_export.json` in the current directory so the machine-readable
+//! export is always produced.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use waymem_bench::json::{store_stats_json, Json};
 use waymem_bench::{full_dschemes, full_ischemes, store_from_env};
-use waymem_sim::{SchemeResult, SimConfig, SimResult, Suite};
-
-fn row_json(r: &SimResult, side: &str, s: &SchemeResult) -> Json {
-    let st = &s.stats;
-    let p = &s.power;
-    Json::object(vec![
-        ("benchmark", Json::from(r.workload.name())),
-        ("cache", Json::from(side)),
-        ("scheme", Json::from(s.name.clone())),
-        ("cycles", Json::from(r.cycles)),
-        ("accesses", Json::from(st.accesses)),
-        ("tag_reads", Json::from(st.tag_reads)),
-        ("way_reads", Json::from(st.way_reads)),
-        ("hits", Json::from(st.hits)),
-        ("misses", Json::from(st.misses)),
-        ("mab_lookups", Json::from(st.mab_lookups)),
-        ("mab_hits", Json::from(st.mab_hits)),
-        ("intra_line_skips", Json::from(st.intra_line_skips)),
-        ("buffer_hits", Json::from(st.buffer_hits)),
-        ("extra_cycles", Json::from(s.extra_cycles)),
-        ("data_mw", Json::from(p.data_mw)),
-        ("tag_mw", Json::from(p.tag_mw)),
-        ("mab_mw", Json::from(p.mab_mw)),
-        ("buffer_mw", Json::from(p.buffer_mw)),
-        ("total_mw", Json::from(p.total_mw())),
-    ])
-}
+use waymem_obs::json::Json;
+use waymem_sim::{result_json, SimConfig, Suite};
 
 fn main() {
     let out_dir = std::env::args().nth(1);
@@ -56,7 +32,6 @@ fn main() {
          mab_lookups,mab_hits,intra_line_skips,buffer_hits,extra_cycles,\
          data_mw,tag_mw,mab_mw,buffer_mw,total_mw\n",
     );
-    let mut rows = Vec::new();
     for r in &results {
         for (side, schemes) in [("D", &r.dcache), ("I", &r.icache)] {
             for s in schemes.iter() {
@@ -85,26 +60,25 @@ fn main() {
                     p.buffer_mw,
                     p.total_mw(),
                 );
-                rows.push(row_json(r, side, s));
             }
         }
     }
     let json = Json::object(vec![
-        ("schema", Json::from("waymem/results/v1")),
+        ("schema", Json::from("waymem/export/v1")),
         ("geometry", Json::object(vec![
             ("sets", Json::from(cfg.geometry.sets())),
             ("ways", Json::from(cfg.geometry.ways())),
             ("line_bytes", Json::from(cfg.geometry.line_bytes())),
         ])),
         ("scale", Json::from(cfg.scale)),
-        ("trace_store", store_stats_json(&store.stats())),
-        ("rows", Json::Array(rows)),
+        ("trace_store", store.stats().to_json()),
+        ("results", Json::Array(results.iter().map(result_json).collect())),
     ]);
 
     let json_dir = out_dir.clone().unwrap_or_else(|| ".".to_owned());
-    let json_path = Path::new(&json_dir).join("BENCH_results.json");
+    let json_path = Path::new(&json_dir).join("BENCH_export.json");
     std::fs::create_dir_all(&json_dir).expect("create output directory");
-    std::fs::write(&json_path, format!("{json}\n")).expect("write BENCH_results.json");
+    std::fs::write(&json_path, format!("{json}\n")).expect("write BENCH_export.json");
     eprintln!("wrote {}", json_path.display());
 
     match out_dir {

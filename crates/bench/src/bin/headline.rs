@@ -22,9 +22,10 @@
 
 use std::time::Instant;
 
-use waymem_bench::json::{metrics_json, phases_json, store_stats_json, Json};
 use waymem_bench::paper::{self, Report};
 use waymem_bench::{ledger, store_from_env};
+use waymem_obs::json::Json;
+use waymem_obs::phase;
 use waymem_sim::{ExecPolicy, Experiment};
 use waymem_workloads::Benchmark;
 
@@ -114,7 +115,7 @@ fn main() {
         stats.compression_ratio()
     );
 
-    let phases = waymem_obs::phase::snapshot();
+    let phases = phase::snapshot();
     println!(
         "engine phases (exclusive wall-clock): {}",
         phases
@@ -138,8 +139,8 @@ fn main() {
         ("streaming_seconds", Json::from(stream_s)),
         ("streaming_events", Json::from(stream_events)),
         ("streaming_events_per_sec", Json::from(stream_eps)),
-        ("trace_store", store_stats_json(&stats)),
-        ("phases", phases_json()),
+        ("trace_store", stats.to_json()),
+        ("phases", phase::to_json(&phases)),
     ];
     perf.extend(report.headline().map(|(name, pct)| (name, Json::from(pct))));
     let mut report = vec![
@@ -151,7 +152,8 @@ fn main() {
         ("ischemes", Json::from(ischemes.len() as u64)),
     ];
     report.extend(perf.iter().cloned());
-    report.push(("metrics", metrics_json()));
+    let metrics = waymem_obs::snapshot::take().to_json();
+    report.push(("metrics", metrics.clone()));
     let report = Json::object(report);
     std::fs::write("BENCH_headline.json", format!("{report}\n"))
         .expect("write BENCH_headline.json");
@@ -159,7 +161,7 @@ fn main() {
 
     // Append this run to the durable trajectory (WAYMEM_LEDGER=off to
     // skip; see waymem_bench::ledger for the dedup/rotation policy).
-    if let Some(outcome) = ledger::append_from_env("headline", Json::object(perf)) {
+    if let Some(outcome) = ledger::append_from_env("headline", Json::object(perf), metrics) {
         eprintln!(
             "ledger: {} — {} records (run {} at rev {}{})",
             outcome.path.display(),

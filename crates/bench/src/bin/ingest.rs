@@ -2,7 +2,9 @@
 //! the built-in synthetic access patterns — through every implemented
 //! lookup scheme (conventional, the paper's way memoization, and all
 //! ablations), printing per-scheme tag/way activations and Eq. (1) power
-//! per workload and exporting the rows into `BENCH_results.json`.
+//! per workload and exporting them into `BENCH_ingest.json` (schema
+//! `waymem/ingest/v2`): one entry per workload, its source and replay
+//! speed around the shared [`result_json`] encoding.
 //!
 //! ```text
 //! cargo run --release -p waymem-bench --bin ingest -- [OPTIONS] [LOG...]
@@ -15,7 +17,7 @@
 //! --stream             bounded-memory pipeline: parse straight to disk
 //!                      and replay in batches — resident memory is
 //!                      O(batch), not O(trace), so multi-GB captures fit
-//! --out DIR            write BENCH_results.json there (default: cwd)
+//! --out DIR            write BENCH_ingest.json there (default: cwd)
 //! ```
 //!
 //! Capture a real program's trace and run it in two commands:
@@ -33,11 +35,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use waymem_bench::json::{metrics_json, phases_json, store_stats_json, Json};
 use waymem_bench::{full_dschemes, full_ischemes, ledger, store_from_env};
 use waymem_ingest::{synth, LogFormat};
+use waymem_obs::json::Json;
 use waymem_sim::{
-    catch_worker, Experiment, FigureRow, Prepared, RunError, SchemeResult, SimConfig, SimResult,
+    catch_worker, result_json, Experiment, FigureRow, Prepared, RunError, SimConfig, SimResult,
     TraceSource, WorkloadId,
 };
 
@@ -135,30 +137,6 @@ fn replay_row(
             0.0
         },
     })
-}
-
-fn scheme_json(side: &str, s: &SchemeResult, cycles: u64) -> Json {
-    let st = &s.stats;
-    let p = &s.power;
-    Json::object(vec![
-        ("cache", Json::from(side)),
-        ("scheme", Json::from(s.name.clone())),
-        ("cycles", Json::from(cycles)),
-        ("accesses", Json::from(st.accesses)),
-        ("tag_reads", Json::from(st.tag_reads)),
-        ("way_reads", Json::from(st.way_reads)),
-        ("hits", Json::from(st.hits)),
-        ("misses", Json::from(st.misses)),
-        ("mab_lookups", Json::from(st.mab_lookups)),
-        ("mab_hits", Json::from(st.mab_hits)),
-        ("tags_per_access", Json::from(st.tags_per_access())),
-        ("ways_per_access", Json::from(st.ways_per_access())),
-        ("total_mw", Json::from(p.total_mw())),
-        ("tag_mw", Json::from(p.tag_mw)),
-        ("data_mw", Json::from(p.data_mw)),
-        ("mab_mw", Json::from(p.mab_mw)),
-        ("buffer_mw", Json::from(p.buffer_mw)),
-    ])
 }
 
 fn print_tables(row: &Row) {
@@ -318,32 +296,21 @@ fn main() -> ExitCode {
         print_tables(row);
     }
 
-    // One JSON row per (workload, cache side, scheme), plus per-workload
-    // metadata — the same machine-readable contract as `export`, keyed
-    // by workload instead of benchmark.
-    let mut json_rows = Vec::new();
-    let mut workloads = Vec::new();
-    for row in &rows {
-        let r = &row.result;
-        workloads.push(Json::object(vec![
-            ("workload", Json::from(row.label.clone())),
-            ("id", Json::from(r.workload.name())),
-            ("cycles", Json::from(r.cycles)),
-            ("source_mode", Json::from(row.source_mode)),
-            ("replay_seconds", Json::from(row.replay_seconds)),
-            ("events_per_sec", Json::from(row.events_per_sec)),
-            ("source", row.source.clone()),
-        ]));
-        for (side, schemes) in [("D", &r.dcache), ("I", &r.icache)] {
-            for s in schemes.iter() {
-                let mut pairs = vec![("workload".to_owned(), Json::from(row.label.clone()))];
-                if let Json::Object(rest) = scheme_json(side, s, r.cycles) {
-                    pairs.extend(rest);
-                }
-                json_rows.push(Json::Object(pairs));
-            }
-        }
-    }
+    // One entry per workload: its label, source and replay speed around
+    // the shared result encoding.
+    let workloads: Vec<Json> = rows
+        .iter()
+        .map(|row| {
+            Json::object(vec![
+                ("workload", Json::from(row.label.clone())),
+                ("source_mode", Json::from(row.source_mode)),
+                ("replay_seconds", Json::from(row.replay_seconds)),
+                ("events_per_sec", Json::from(row.events_per_sec)),
+                ("source", row.source.clone()),
+                ("result", result_json(&row.result)),
+            ])
+        })
+        .collect();
     let failure_rows: Vec<Json> = failures
         .iter()
         .map(|(workload, error)| {
@@ -354,8 +321,9 @@ fn main() -> ExitCode {
             ])
         })
         .collect();
+    let metrics = waymem_obs::snapshot::take().to_json();
     let json = Json::object(vec![
-        ("schema", Json::from("waymem/ingest/v1")),
+        ("schema", Json::from("waymem/ingest/v2")),
         (
             "geometry",
             Json::object(vec![
@@ -366,11 +334,10 @@ fn main() -> ExitCode {
         ),
         ("workloads", Json::Array(workloads)),
         ("failures", Json::Array(failure_rows)),
-        ("trace_store", store_stats_json(&store.stats())),
-        ("metrics", metrics_json()),
-        ("rows", Json::Array(json_rows)),
+        ("trace_store", store.stats().to_json()),
+        ("metrics", metrics.clone()),
     ]);
-    let json_path = opts.out_dir.join("BENCH_results.json");
+    let json_path = opts.out_dir.join("BENCH_ingest.json");
     if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
         eprintln!("ingest: cannot create {}: {e}", opts.out_dir.display());
         return ExitCode::FAILURE;
@@ -395,10 +362,10 @@ fn main() -> ExitCode {
             "events_per_sec",
             Json::from(if replay_seconds > 0.0 { replayed_events / replay_seconds } else { 0.0 }),
         ),
-        ("trace_store", store_stats_json(&store.stats())),
-        ("phases", phases_json()),
+        ("trace_store", store.stats().to_json()),
+        ("phases", waymem_obs::phase::to_json(&waymem_obs::phase::snapshot())),
     ];
-    if let Some(outcome) = ledger::append_from_env("ingest", Json::object(perf)) {
+    if let Some(outcome) = ledger::append_from_env("ingest", Json::object(perf), metrics) {
         eprintln!(
             "ledger: {} — {} records (run {})",
             outcome.path.display(),

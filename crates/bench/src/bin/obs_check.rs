@@ -18,8 +18,9 @@
 
 use std::process::ExitCode;
 
-use waymem_obs::chrome::{parse, validate_trace};
+use waymem_obs::chrome::validate_trace;
 use waymem_obs::flight::validate_dump;
+use waymem_obs::json::parse;
 use waymem_obs::snapshot::validate_metrics;
 
 /// Span-name prefixes a headline run must have recorded: trace

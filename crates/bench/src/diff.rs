@@ -18,7 +18,7 @@
 //! fail the gate), but zero shared metrics is an error — that means the
 //! two files were never comparable at all.
 
-use waymem_obs::chrome::Value;
+use waymem_obs::json::Json;
 
 /// Metrics where bigger is better, read from the report root (headline)
 /// or its `perf` object (ledger records). `compression_ratio` also
@@ -75,11 +75,11 @@ impl DiffReport {
 /// Missing metrics are simply absent — [`compare`] works on the
 /// intersection.
 #[must_use]
-pub fn extract(root: &Value) -> Vec<(String, f64)> {
+pub fn extract(root: &Json) -> Vec<(String, f64)> {
     let perf = root.get("perf").unwrap_or(root);
     let mut out = Vec::new();
     for key in HIGHER_BETTER {
-        let value = perf.get(key).and_then(Value::as_num).or_else(|| {
+        let value = perf.get(key).and_then(Json::as_num).or_else(|| {
             (key == "compression_ratio")
                 .then(|| perf.get("trace_store")?.get(key)?.as_num())
                 .flatten()
@@ -88,7 +88,7 @@ pub fn extract(root: &Value) -> Vec<(String, f64)> {
             out.push((key.to_owned(), v));
         }
     }
-    if let Some(Value::Obj(phases)) = perf.get("phases") {
+    if let Some(Json::Object(phases)) = perf.get("phases") {
         for (name, seconds) in phases {
             if let Some(s) = seconds.as_num().filter(|s| s.is_finite()) {
                 out.push((format!("phase.{name}"), s));
@@ -106,8 +106,8 @@ pub fn extract(root: &Value) -> Vec<(String, f64)> {
 /// When the two reports share no comparable metric — the files were
 /// not comparable bench reports.
 pub fn compare(
-    current: &Value,
-    baseline: &Value,
+    current: &Json,
+    baseline: &Json,
     tolerance_pct: f64,
 ) -> Result<DiffReport, String> {
     let base = extract(baseline);
@@ -137,7 +137,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waymem_obs::chrome::parse;
+    use waymem_obs::json::parse;
 
     const REPORT: &str = r#"{"schema":"waymem/headline/v6","warm_speedup":40.0,
         "cold_speedup":2.0,"streaming_events_per_sec":1e7,

@@ -1,9 +1,11 @@
 //! The append-only run ledger behind `BENCH_LEDGER.jsonl`.
 //!
-//! Every `headline` / `ingest` invocation [appends](append_from_env) one
-//! provenance-stamped record — git revision, dirty flag, host thread
-//! count, wall-clock timestamp, the run's key perf numbers, and the full
-//! metrics [`snapshot`](waymem_obs::snapshot) — as one JSON line, so the
+//! Every `headline` / `ingest` / `loadgen` invocation
+//! [appends](append_from_env) one provenance-stamped record — git
+//! revision, dirty flag, host thread count, wall-clock timestamp, the
+//! run's key perf numbers, and the metrics
+//! [`snapshot`](waymem_obs::snapshot) of the process that did the work
+//! (the daemon's, for `loadgen`) — as one JSON line, so the
 //! bench trajectory survives the next run overwriting `BENCH_*.json`.
 //! The `bench_diff` binary reads the tail back as the regression
 //! baseline.
@@ -32,8 +34,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use crate::json::{metrics_json, Json};
-use waymem_obs::chrome::{self, Value};
+use waymem_obs::json::{self, Json};
 
 /// Schema tag every ledger record carries.
 pub const SCHEMA: &str = "waymem/ledger/v1";
@@ -101,15 +102,16 @@ pub struct LedgerOutcome {
 }
 
 /// `true` when `record` (a parsed ledger line) matches the dedup key.
-fn same_state(record: &Value, bin: &str, prov: &Provenance) -> bool {
-    record.get("bin").and_then(Value::as_str) == Some(bin)
-        && record.get("git_rev").and_then(Value::as_str) == Some(prov.git_rev.as_str())
-        && record.get("git_dirty") == Some(&Value::Bool(prov.git_dirty))
+fn same_state(record: &Json, bin: &str, prov: &Provenance) -> bool {
+    record.get("bin").and_then(Json::as_str) == Some(bin)
+        && record.get("git_rev").and_then(Json::as_str) == Some(prov.git_rev.as_str())
+        && record.get("git_dirty") == Some(&Json::Bool(prov.git_dirty))
 }
 
 /// Appends one record for `bin` with this run's `perf` numbers and the
-/// current metrics snapshot, deduping against the tail and rotating to
-/// `max_records`. The write is atomic (temp file + rename).
+/// `metrics` snapshot of the process that did the work, deduping against
+/// the tail and rotating to `max_records`. The write is atomic (temp
+/// file + rename).
 ///
 /// # Errors
 ///
@@ -119,6 +121,7 @@ pub fn append_to(
     path: &Path,
     bin: &str,
     perf: Json,
+    metrics: Json,
     prov: &Provenance,
     max_records: usize,
 ) -> io::Result<LedgerOutcome> {
@@ -130,11 +133,11 @@ pub fn append_to(
     let mut runs_at_rev = 1u64;
     let mut deduped = false;
     if let Some(last) = lines.last() {
-        if let Ok(record) = chrome::parse(last) {
+        if let Ok(record) = json::parse(last) {
             if same_state(&record, bin, prov) {
                 runs_at_rev = record
                     .get("runs_at_rev")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .map_or(1, |n| if n.is_finite() && n >= 1.0 { n as u64 } else { 1 })
                     .saturating_add(1);
                 lines.pop();
@@ -151,7 +154,7 @@ pub fn append_to(
         ("host_threads", Json::from(prov.host_threads)),
         ("runs_at_rev", Json::from(runs_at_rev)),
         ("perf", perf),
-        ("metrics", metrics_json()),
+        ("metrics", metrics),
     ]);
     lines.push(record.to_string());
     if lines.len() > max_records.max(1) {
@@ -165,12 +168,13 @@ pub fn append_to(
 }
 
 /// The env-wired [`append_to`] the bench binaries call after writing
-/// their `BENCH_*.json`: path from `WAYMEM_LEDGER` (default
+/// their `BENCH_*.json`, with the snapshot of the process that did the
+/// work as `metrics`: path from `WAYMEM_LEDGER` (default
 /// [`DEFAULT_PATH`]; `off` / `0` / `none` disables), rotation cap from
 /// `WAYMEM_LEDGER_MAX`, provenance [detected](Provenance::detect) now.
 /// Returns `None` when disabled; a failed write warns and returns
 /// `None` rather than failing the run that produced the results.
-pub fn append_from_env(bin: &str, perf: Json) -> Option<LedgerOutcome> {
+pub fn append_from_env(bin: &str, perf: Json, metrics: Json) -> Option<LedgerOutcome> {
     let path = match std::env::var("WAYMEM_LEDGER") {
         Ok(v) if matches!(v.trim().to_ascii_lowercase().as_str(), "off" | "0" | "none") => {
             return None;
@@ -182,7 +186,8 @@ pub fn append_from_env(bin: &str, perf: Json) -> Option<LedgerOutcome> {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(DEFAULT_MAX_RECORDS);
-    match append_to(&path, bin, perf, &Provenance::detect(), max_records) {
+    let prov = Provenance::detect();
+    match append_to(&path, bin, perf, metrics, &prov, max_records) {
         Ok(outcome) => Some(outcome),
         Err(e) => {
             waymem_obs::warn!("ledger.append_failed", path = path.display(), error = e);

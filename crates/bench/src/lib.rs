@@ -8,7 +8,7 @@
 //! | `related_work` | Ma et al. link memoization \[11\] vs the MAB    |
 //! | `consistency` | §3.3 LRU-consistency audit (unsound-hit counts)    |
 //! | `assoc_sweep` | MAB payoff vs associativity (1–16 way) + scaled stress |
-//! | `export`   | full results as CSV + `BENCH_results.json`             |
+//! | `export`   | full results as CSV + `BENCH_export.json`              |
 //! | `ingest`   | any external/synthetic trace through every scheme      |
 //!
 //! Run any of them with `cargo run --release -p waymem-bench --bin <name>`.
@@ -31,15 +31,14 @@
 //! paper's scheme set, baselines, averaging rule and quoted values),
 //! re-exports the scheme presets ([`fig4_dschemes`] / [`fig6_ischemes`] /
 //! [`full_dschemes`] / [`full_ischemes`], defined in `waymem_sim::presets`)
-//! plus the env-wired [`store_from_env`], and holds the tiny [`json`]
-//! writer behind the `BENCH_*.json` exports, the append-only run
-//! [`ledger`] those exports feed (`BENCH_LEDGER.jsonl`), and the
-//! perf-[`diff`] engine the `bench_diff` regression gate runs on.
+//! plus the env-wired [`store_from_env`], and holds the append-only run
+//! [`ledger`] the `BENCH_*.json` exports feed (`BENCH_LEDGER.jsonl`) and
+//! the perf-[`diff`] engine the `bench_diff` regression gate runs on.
+//! Every export is built with [`waymem_obs::json`].
 
 use waymem_sim::TraceStore;
 
 pub mod diff;
-pub mod json;
 pub mod ledger;
 pub mod paper;
 

@@ -23,13 +23,13 @@ use waymem_cache::AccessStats;
 use waymem_hwmodel::{
     cache_area_mm2, mab_area_mm2, mab_delay_ns, mab_power_mw, CacheShape, MabShape, Technology,
 };
+use waymem_obs::json::Json;
 use waymem_sim::{
     fig4_dschemes, fig6_ischemes, format_power_table, format_ratio_table, DScheme, FigureRow,
     IScheme, SchemeResult, SimResult, Suite,
 };
 
 use crate::geometric_mean;
-use crate::json::Json;
 
 /// Schema tag of the artifact [`Report::to_json`] renders.
 pub const SCHEMA: &str = "waymem/paper/v1";

@@ -6,9 +6,8 @@
 use std::path::PathBuf;
 
 use waymem_bench::diff;
-use waymem_bench::json::Json;
 use waymem_bench::ledger::{self, Provenance};
-use waymem_obs::chrome::{parse, Value};
+use waymem_obs::json::{parse, Json};
 
 /// One test's scratch dir, removed on drop. The tests run in parallel,
 /// so each gets a dir of its own: none could safely remove a shared one.
@@ -59,7 +58,14 @@ fn perf(warm_speedup: f64) -> Json {
     ])
 }
 
-fn records(path: &PathBuf) -> Vec<Value> {
+/// The snapshot of the process that did the work — here one that is
+/// not this test's, as the daemon's is not `loadgen`'s.
+fn metrics() -> Json {
+    parse(r#"{"counters":{"serve.requests":7},"gauges":{},"histograms":{},"phases":{}}"#)
+        .expect("fixed snapshot parses")
+}
+
+fn records(path: &PathBuf) -> Vec<Json> {
     std::fs::read_to_string(path)
         .expect("ledger readable")
         .lines()
@@ -73,40 +79,45 @@ fn appends_dedup_per_code_state_and_stamp_provenance() {
     let dir = TempDir::new("dedup");
     let path = dir.path("dedup.jsonl");
 
-    let first = ledger::append_to(&path, "headline", perf(40.0), &prov("aaa"), 512).unwrap();
+    let first =
+        ledger::append_to(&path, "headline", perf(40.0), metrics(), &prov("aaa"), 512).unwrap();
     assert_eq!((first.records, first.runs_at_rev, first.deduped), (1, 1, false));
 
     // Same (bin, rev, dirty): the tail record is replaced, not stacked.
-    let rerun = ledger::append_to(&path, "headline", perf(41.0), &prov("aaa"), 512).unwrap();
+    let rerun =
+        ledger::append_to(&path, "headline", perf(41.0), metrics(), &prov("aaa"), 512).unwrap();
     assert_eq!((rerun.records, rerun.runs_at_rev, rerun.deduped), (1, 2, true));
 
     // A different bin at the same rev is a distinct state.
-    let other = ledger::append_to(&path, "ingest", perf(5.0), &prov("aaa"), 512).unwrap();
+    let other =
+        ledger::append_to(&path, "ingest", perf(5.0), metrics(), &prov("aaa"), 512).unwrap();
     assert_eq!((other.records, other.deduped), (2, false));
 
     // A new revision appends.
-    let bumped = ledger::append_to(&path, "headline", perf(42.0), &prov("bbb"), 512).unwrap();
+    let bumped =
+        ledger::append_to(&path, "headline", perf(42.0), metrics(), &prov("bbb"), 512).unwrap();
     assert_eq!((bumped.records, bumped.runs_at_rev, bumped.deduped), (3, 1, false));
 
     let all = records(&path);
     assert_eq!(all.len(), 3);
     for record in &all {
         assert_eq!(
-            record.get("schema").and_then(Value::as_str),
+            record.get("schema").and_then(Json::as_str),
             Some(ledger::SCHEMA),
             "every line carries the schema tag"
         );
-        let metrics = record.get("metrics").expect("full snapshot embedded");
-        waymem_obs::snapshot::validate_metrics(metrics).expect("snapshot validates");
+        let embedded = record.get("metrics").expect("caller's snapshot embedded");
+        waymem_obs::snapshot::validate_metrics(embedded).expect("snapshot validates");
+        assert_eq!(embedded, &metrics(), "the record carries the caller's metrics");
     }
     // The deduped record kept the latest perf numbers and the bump count.
     let deduped = &all[0];
-    assert_eq!(deduped.get("runs_at_rev").and_then(Value::as_num), Some(2.0));
+    assert_eq!(deduped.get("runs_at_rev").and_then(Json::as_num), Some(2.0));
     assert_eq!(
-        deduped.get("perf").and_then(|p| p.get("warm_speedup")).and_then(Value::as_num),
+        deduped.get("perf").and_then(|p| p.get("warm_speedup")).and_then(Json::as_num),
         Some(41.0)
     );
-    assert_eq!(deduped.get("host_threads").and_then(Value::as_num), Some(8.0));
+    assert_eq!(deduped.get("host_threads").and_then(Json::as_num), Some(8.0));
 }
 
 #[test]
@@ -114,13 +125,13 @@ fn rotation_keeps_only_the_newest_records() {
     let dir = TempDir::new("rotate");
     let path = dir.path("rotate.jsonl");
     for i in 0..7 {
-        ledger::append_to(&path, "headline", perf(f64::from(i)), &prov(&format!("r{i}")), 4)
-            .unwrap();
+        let rev = prov(&format!("r{i}"));
+        ledger::append_to(&path, "headline", perf(f64::from(i)), metrics(), &rev, 4).unwrap();
     }
     let all = records(&path);
     assert_eq!(all.len(), 4, "rotation trims to the cap");
     let revs: Vec<_> =
-        all.iter().map(|r| r.get("git_rev").and_then(Value::as_str).unwrap().to_owned()).collect();
+        all.iter().map(|r| r.get("git_rev").and_then(Json::as_str).unwrap().to_owned()).collect();
     assert_eq!(revs, ["r3", "r4", "r5", "r6"], "oldest records dropped first");
 }
 
@@ -128,7 +139,7 @@ fn rotation_keeps_only_the_newest_records() {
 fn ledger_records_feed_the_regression_gate() {
     let dir = TempDir::new("gate");
     let path = dir.path("gate.jsonl");
-    ledger::append_to(&path, "headline", perf(40.0), &prov("base"), 512).unwrap();
+    ledger::append_to(&path, "headline", perf(40.0), metrics(), &prov("base"), 512).unwrap();
     let baseline = records(&path).pop().unwrap();
 
     // An identical run is within any tolerance.
@@ -147,7 +158,7 @@ fn ledger_records_feed_the_regression_gate() {
 fn atomic_write_never_leaves_a_temp_behind() {
     let dir = TempDir::new("atomic");
     let path = dir.path("atomic.jsonl");
-    ledger::append_to(&path, "headline", perf(40.0), &prov("aaa"), 512).unwrap();
+    ledger::append_to(&path, "headline", perf(40.0), metrics(), &prov("aaa"), 512).unwrap();
     let temps: Vec<_> = std::fs::read_dir(&dir.0)
         .unwrap()
         .filter_map(Result::ok)

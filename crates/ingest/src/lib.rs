@@ -21,8 +21,9 @@
 //! replay engine exactly like a kernel recording, is cached by
 //! the [`TraceStore`](waymem_trace::TraceStore) under a
 //! [`WorkloadId`] keyed by FNV-1a64 content
-//! hash (external logs) or generator spec (synthetics), and lands in the
-//! same `BENCH_results.json` rows as the paper's figures.
+//! hash (external logs) or generator spec (synthetics), and its results
+//! take the same JSON encoding as the paper's kernels
+//! (`waymem_sim::result_json`).
 //!
 //! Parsing never panics: every malformed line is a structured
 //! [`ParseError`] carrying its 1-based line number and a reason, and the

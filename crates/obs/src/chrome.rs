@@ -1,283 +1,16 @@
-//! A standalone JSON parser and Chrome trace-event validator.
+//! The Chrome trace-event validator.
 //!
-//! The span tracer *writes* Chrome trace JSON by string assembly; this
-//! module is the independent reader that proves the output round-trips:
-//! [`parse`] is a small recursive-descent JSON parser (strings, numbers,
-//! bools, null, arrays, objects — the whole grammar), and
-//! [`validate_trace`] checks the trace-event contract on top of it: a
-//! root object with a non-empty `traceEvents` array, every event
-//! carrying `name`/`ph`/`ts`/`pid`/`tid`, and begin/end (`B`/`E`) pairs
-//! balanced per thread with matching names. CI's span smoke step and
-//! the tracer's own tests both run emitted profiles through it.
+//! The span tracer writes Chrome trace JSON through [`crate::json`];
+//! [`validate_trace`] reads it back with [`crate::json::parse`] and
+//! checks the trace-event contract on top: a root object with a
+//! non-empty `traceEvents` array, every event carrying
+//! `name`/`ph`/`ts`/`pid`/`tid`, and begin/end (`B`/`E`) pairs balanced
+//! per thread with matching names. CI's span smoke step and the
+//! tracer's own tests both run emitted profiles through it.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, in source order.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// The value under `key` when this is an object that has it.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string content when this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric value when this is a number.
-    #[must_use]
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The elements when this is an array.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Where and why parsing failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError { at: self.pos, message: message.into() })
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected '{}'", b as char))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b) => self.err(format!("unexpected byte 0x{b:02x}")),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            self.err(format!("expected '{text}'"))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ParseError { at: start, message: "non-utf8 number".into() })?;
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
-            _ => Err(ParseError { at: start, message: format!("bad number '{text}'") }),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            match hex.and_then(char::from_u32) {
-                                // Surrogate pairs are beyond what the
-                                // tracer ever emits; reject them rather
-                                // than mis-decode.
-                                Some(c) => {
-                                    out.push(c);
-                                    self.pos += 4;
-                                }
-                                None => return self.err("bad \\u escape"),
-                            }
-                        }
-                        _ => return self.err("bad escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences
-                    // whole, so `pos` stays on a char boundary).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| ParseError { at: self.pos, message: "non-utf8".into() })?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
-    }
-}
-
-/// Parses `text` as one JSON document (trailing whitespace allowed,
-/// trailing garbage not).
-///
-/// # Errors
-///
-/// A [`ParseError`] locating the first malformed byte.
-pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.err("trailing garbage after document");
-    }
-    Ok(value)
-}
+use crate::json::{parse, Json};
 
 /// What [`validate_trace`] found in a well-formed profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -330,7 +63,7 @@ pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
         let ph = field("ph")?.as_str().ok_or_else(|| format!("event {i} ph not a string"))?;
         field("ts")?.as_num().ok_or_else(|| format!("event {i} ts not a number"))?;
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let pid_tid = |v: &Value| v.as_num().map(|n| n as u64);
+        let pid_tid = |v: &Json| v.as_num().map(|n| n as u64);
         let pid = pid_tid(field("pid")?).ok_or_else(|| format!("event {i} pid not a number"))?;
         let tid = pid_tid(field("tid")?).ok_or_else(|| format!("event {i} tid not a number"))?;
         names.insert(name.to_owned());
@@ -363,30 +96,6 @@ pub fn validate_trace(text: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_every_value_kind() {
-        let v = parse(
-            r#"{"a": [1, -2.5, 1e3], "b": "x\n\"y\"", "c": true, "d": null, "e": {}}"#,
-        )
-        .unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert!((v.get("a").unwrap().as_arr().unwrap()[2].as_num().unwrap() - 1000.0).abs() < 1e-9);
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\n\"y\""));
-        assert_eq!(v.get("c"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Value::Null));
-        assert_eq!(v.get("e"), Some(&Value::Obj(vec![])));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(parse("").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse(r#"{"a":}"#).is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("123 456").is_err());
-        assert!(parse(r#""unterminated"#).is_err());
-    }
 
     fn event(name: &str, ph: &str, ts: u64, tid: u64) -> String {
         format!(r#"{{"name":"{name}","ph":"{ph}","ts":{ts},"pid":1,"tid":{tid}}}"#)

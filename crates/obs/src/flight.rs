@@ -26,13 +26,12 @@
 
 use std::cell::OnceCell;
 use std::collections::{BTreeSet, VecDeque};
-use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
 
-use crate::chrome::Value;
+use crate::json::{self, Json};
 use crate::log::Level;
 
 /// Events each thread's ring retains; older events are evicted first.
@@ -292,43 +291,30 @@ pub fn dump_to(path: &Path, reason: &str) -> io::Result<usize> {
     let unix_ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    let mut out = String::with_capacity(4096);
-    let _ = write!(out, "{{\"schema\":\"{SCHEMA}\",\"reason\":\"");
-    crate::span::escape_into(&mut out, reason);
-    let _ = write!(
-        out,
-        "\",\"pid\":{},\"unix_ts\":{unix_ts},\"events\":[",
-        std::process::id()
-    );
-    for (i, (tid, e)) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"ts_ns\":{},\"tid\":{tid},\"kind\":\"{}\",\"name\":\"",
-            e.ts_ns,
-            e.kind.name()
-        );
-        crate::span::escape_into(&mut out, &e.name);
-        out.push_str("\",\"fields\":{");
-        for (j, (k, v)) in e.fields.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            crate::span::escape_into(&mut out, k);
-            out.push_str("\":\"");
-            crate::span::escape_into(&mut out, v);
-            out.push('"');
-        }
-        out.push_str("}}");
-    }
-    out.push_str("],\"metrics\":");
-    out.push_str(&crate::snapshot::take().to_json());
-    out.push('}');
-    std::fs::write(path, out)?;
-    Ok(events.len())
+    let written = events.len();
+    let events = events
+        .into_iter()
+        .map(|(tid, e)| {
+            let fields = e.fields.into_iter().map(|(k, v)| (k, Json::from(v))).collect();
+            Json::object(vec![
+                ("ts_ns", Json::from(e.ts_ns)),
+                ("tid", Json::from(tid)),
+                ("kind", Json::from(e.kind.name())),
+                ("name", Json::from(e.name)),
+                ("fields", Json::Object(fields)),
+            ])
+        })
+        .collect();
+    let dump = Json::object(vec![
+        ("schema", Json::from(SCHEMA)),
+        ("reason", Json::from(reason)),
+        ("pid", Json::from(std::process::id())),
+        ("unix_ts", Json::from(unix_ts)),
+        ("events", Json::Array(events)),
+        ("metrics", crate::snapshot::take().to_json()),
+    ]);
+    std::fs::write(path, dump.to_string())?;
+    Ok(written)
 }
 
 /// What [`validate_dump`] found in a well-formed dump.
@@ -359,25 +345,25 @@ impl FlightSummary {
 ///
 /// A human-readable description of the first violation.
 pub fn validate_dump(text: &str) -> Result<FlightSummary, String> {
-    let root = crate::chrome::parse(text).map_err(|e| e.to_string())?;
+    let root = json::parse(text).map_err(|e| e.to_string())?;
     let schema = root
         .get("schema")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or("dump has no schema string")?;
     if schema != SCHEMA {
         return Err(format!("schema is {schema}, expected {SCHEMA}"));
     }
     let reason = root
         .get("reason")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or("dump has no reason string")?;
     if reason.is_empty() {
         return Err("dump reason is empty".into());
     }
-    root.get("pid").and_then(Value::as_num).ok_or("dump has no numeric pid")?;
+    root.get("pid").and_then(Json::as_num).ok_or("dump has no numeric pid")?;
     let events = root
         .get("events")
-        .and_then(Value::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("dump has no events array")?;
     let mut names = BTreeSet::new();
     for (i, event) in events.iter().enumerate() {
@@ -391,7 +377,7 @@ pub fn validate_dump(text: &str) -> Result<FlightSummary, String> {
         }
         let name =
             field("name")?.as_str().ok_or_else(|| format!("event {i} name not a string"))?;
-        if !matches!(field("fields")?, Value::Obj(_)) {
+        if !matches!(field("fields")?, Json::Object(_)) {
             return Err(format!("event {i} fields is not an object"));
         }
         names.insert(name.to_owned());

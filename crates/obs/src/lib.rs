@@ -25,9 +25,12 @@
 //! * [`phase`] — exclusive wall-clock accounting for the four run phases
 //!   (resolve / record / io / replay); the per-run breakdown the
 //!   `headline` binary exports into `BENCH_headline.json`.
-//! * [`chrome`] — a minimal standalone JSON parser and a Chrome
-//!   trace-event validator, so tests and CI can round-trip the profiles
-//!   the tracer emits without external tooling.
+//! * [`json`] — the workspace's one JSON module: the [`Json`](json::Json)
+//!   value every artifact is built as, its compact writer (one string
+//!   escaper, one float rule) and its depth-bounded reader,
+//!   [`parse`](json::parse).
+//! * [`chrome`] — the Chrome trace-event validator, so tests and CI can
+//!   round-trip the profiles the tracer emits without external tooling.
 //! * [`snapshot`] — a one-call JSON freeze of the whole registry plus
 //!   the phase accounting, embedded as the `"metrics"` object of every
 //!   bench export and ledger record, with a matching reader-side
@@ -45,6 +48,7 @@
 
 pub mod chrome;
 pub mod flight;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod phase;

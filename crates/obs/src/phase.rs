@@ -12,13 +12,16 @@
 //! Accumulators are global relaxed atomics summed across threads; with
 //! parallel workers the totals are "thread-seconds" (they can exceed
 //! elapsed wall-clock), which is exactly the cost-attribution quantity a
-//! breakdown wants. [`snapshot`] reads the totals; the `headline` binary
-//! exports them as the `phases` object of `BENCH_headline.json`.
+//! breakdown wants. [`snapshot`] reads the totals and [`to_json`]
+//! renders them: the `phases` object of `BENCH_headline.json` and of
+//! every metrics snapshot.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+use crate::json::Json;
 
 /// The four places a run's wall-clock can go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,6 +128,13 @@ pub fn snapshot() -> [(&'static str, f64); COUNT] {
     ]
 }
 
+/// Renders per-phase totals, as [`snapshot`] returns them, as the
+/// `phases` JSON object: `{"resolve":s,"record":s,"io":s,"replay":s}`.
+#[must_use]
+pub fn to_json(totals: &[(&'static str, f64)]) -> Json {
+    Json::object(totals.iter().map(|&(name, seconds)| (name, Json::from(seconds))).collect())
+}
+
 /// Zeroes every accumulator (tests and repeated in-process runs).
 pub fn reset() {
     for acc in &ACCUM_NS {
@@ -169,5 +179,13 @@ mod tests {
     fn names_are_the_export_contract() {
         let names: Vec<_> = snapshot().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["resolve", "record", "io", "replay"]);
+    }
+
+    #[test]
+    fn phases_report_all_four_keys() {
+        let rendered = to_json(&snapshot()).to_string();
+        for key in ["resolve", "record", "io", "replay"] {
+            assert!(rendered.contains(&format!("\"{key}\":")), "missing {key} in {rendered}");
+        }
     }
 }

@@ -4,21 +4,20 @@
 //! registry — counters, gauges, and histograms reduced to their summary
 //! statistics (count / sum / max / mean / p50 / p95 / p99) — together
 //! with the [`phase`] accumulators, into one plain-data
-//! [`Snapshot`]. [`Snapshot::to_json`] renders it as a compact JSON
-//! object, which is what the bench binaries embed as the `"metrics"`
+//! [`Snapshot`]. [`Snapshot::to_json`] renders it as a JSON object,
+//! which is what the bench binaries embed as the `"metrics"`
 //! object of `BENCH_*.json`, what every `BENCH_LEDGER.jsonl` record
 //! carries, and what the [`flight`](crate::flight) recorder dumps next
 //! to its event ring.
 //!
-//! [`validate_metrics`] is the matching reader-side check (built on the
-//! [`chrome`](crate::chrome) JSON parser): histogram percentiles must be
-//! monotone (p50 ≤ p95 ≤ p99), counts must agree with finiteness, and
-//! phase totals must be non-negative. The `obs_check` binary runs it
-//! over exported files; tests run it over freshly rendered snapshots.
+//! [`validate_metrics`] is the matching reader-side check, over the
+//! value [`json::parse`](crate::json::parse) reads back: histogram
+//! percentiles must be monotone (p50 ≤ p95 ≤ p99), counts must agree
+//! with finiteness, and phase totals must be non-negative. The
+//! `obs_check` binary runs it over exported files; tests run it over
+//! freshly rendered snapshots.
 
-use std::fmt::Write as _;
-
-use crate::chrome::Value;
+use crate::json::Json;
 use crate::metrics::{registry, HistogramSnapshot};
 use crate::phase;
 
@@ -89,28 +88,8 @@ pub fn take() -> Snapshot {
     }
 }
 
-/// Writes `v` as a JSON number: `{:?}` keeps a decimal point so the
-/// value round-trips as a float; non-finite values become `null`.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_key(out: &mut String, first: &mut bool, key: &str) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push('"');
-    crate::span::escape_into(out, key);
-    out.push_str("\":");
-}
-
 impl Snapshot {
-    /// Renders the snapshot as one compact JSON object:
+    /// Renders the snapshot as one JSON object:
     ///
     /// ```json
     /// {"counters":{"replay.data_events":123},
@@ -120,40 +99,27 @@ impl Snapshot {
     ///  "phases":{"resolve":0.01,"record":1.2,"io":0.3,"replay":2.0}}
     /// ```
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":{");
-        let mut first = true;
-        for (name, value) in &self.counters {
-            push_key(&mut out, &mut first, name);
-            let _ = write!(out, "{value}");
-        }
-        out.push_str("},\"gauges\":{");
-        first = true;
-        for (name, value) in &self.gauges {
-            push_key(&mut out, &mut first, name);
-            push_f64(&mut out, *value);
-        }
-        out.push_str("},\"histograms\":{");
-        first = true;
-        for (name, h) in &self.histograms {
-            push_key(&mut out, &mut first, name);
-            let _ = write!(
-                out,
-                "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":",
-                h.count, h.sum, h.max
-            );
-            push_f64(&mut out, h.mean);
-            let _ = write!(out, ",\"p50\":{},\"p95\":{},\"p99\":{}}}", h.p50, h.p95, h.p99);
-        }
-        out.push_str("},\"phases\":{");
-        first = true;
-        for (name, seconds) in &self.phases {
-            push_key(&mut out, &mut first, name);
-            push_f64(&mut out, *seconds);
-        }
-        out.push_str("}}");
-        out
+    pub fn to_json(&self) -> Json {
+        let histogram = |h: &HistogramStats| {
+            Json::object(vec![
+                ("count", Json::from(h.count)),
+                ("sum", Json::from(h.sum)),
+                ("max", Json::from(h.max)),
+                ("mean", Json::from(h.mean)),
+                ("p50", Json::from(h.p50)),
+                ("p95", Json::from(h.p95)),
+                ("p99", Json::from(h.p99)),
+            ])
+        };
+        let counters = self.counters.iter().map(|(n, v)| (n.as_str(), Json::from(*v)));
+        let gauges = self.gauges.iter().map(|(n, v)| (n.as_str(), Json::from(*v)));
+        let histograms = self.histograms.iter().map(|(n, h)| (n.as_str(), histogram(h)));
+        Json::object(vec![
+            ("counters", Json::object(counters.collect())),
+            ("gauges", Json::object(gauges.collect())),
+            ("histograms", Json::object(histograms.collect())),
+            ("phases", phase::to_json(&self.phases)),
+        ])
     }
 }
 
@@ -166,10 +132,10 @@ impl Snapshot {
 /// # Errors
 ///
 /// A human-readable description of the first violation.
-pub fn validate_metrics(metrics: &Value) -> Result<(), String> {
-    let section = |key: &str| -> Result<&[(String, Value)], String> {
+pub fn validate_metrics(metrics: &Json) -> Result<(), String> {
+    let section = |key: &str| -> Result<&[(String, Json)], String> {
         match metrics.get(key) {
-            Some(Value::Obj(fields)) => Ok(fields),
+            Some(Json::Object(fields)) => Ok(fields),
             Some(_) => Err(format!("metrics.{key} is not an object")),
             None => Err(format!("metrics has no {key} object")),
         }
@@ -185,14 +151,14 @@ pub fn validate_metrics(metrics: &Value) -> Result<(), String> {
     for (name, value) in section("gauges")? {
         // Gauges are free-form levels; they only need to be numeric
         // (the writer already turned non-finite values into null).
-        if value.as_num().is_none() && *value != Value::Null {
+        if value.as_num().is_none() && *value != Json::Null {
             return Err(format!("gauge {name} is not a number"));
         }
     }
     for (name, hist) in section("histograms")? {
         let field = |key: &str| {
             hist.get(key)
-                .and_then(Value::as_num)
+                .and_then(Json::as_num)
                 .ok_or_else(|| format!("histogram {name}.{key} missing or non-numeric"))
         };
         let count = field("count")?;
@@ -223,7 +189,7 @@ pub fn validate_metrics(metrics: &Value) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chrome::parse;
+    use crate::json::parse;
 
     #[test]
     fn snapshot_round_trips_through_its_own_validator() {
@@ -235,14 +201,46 @@ mod tests {
         }
         let snap = take();
         assert!(snap.counters.iter().any(|(n, v)| n == "test.snapshot.counter" && *v >= 3));
-        let text = snap.to_json();
+        let text = snap.to_json().to_string();
         let parsed = parse(&text).expect("snapshot renders valid JSON");
         validate_metrics(&parsed).expect("snapshot validates");
         let hist = parsed
             .get("histograms")
             .and_then(|h| h.get("test.snapshot.hist"))
             .expect("histogram exported");
-        assert!(hist.get("count").and_then(Value::as_num).unwrap() >= 4.0);
+        assert!(hist.get("count").and_then(Json::as_num).unwrap() >= 4.0);
+    }
+
+    #[test]
+    fn fixed_snapshot_renders_the_pinned_layout() {
+        let hist = HistogramStats {
+            count: 4,
+            sum: 1111,
+            max: 1000,
+            mean: 277.75,
+            p50: 16,
+            p95: 1000,
+            p99: 1000,
+        };
+        let snap = Snapshot {
+            counters: vec![("replay.events".into(), 3), ("z \"q\"\\\n".into(), u64::MAX)],
+            gauges: vec![
+                ("g.level".into(), 1.5),
+                ("g.whole".into(), 2.0),
+                ("g.nan".into(), f64::NAN),
+            ],
+            histograms: vec![("store.io.read_ns".into(), hist)],
+            phases: vec![("resolve", 0.0), ("record", 1.25), ("io", 1e-7), ("replay", 2.0)],
+        };
+        // The layout the hand-built writer this replaced produced.
+        let expected = concat!(
+            r#"{"counters":{"replay.events":3,"z \"q\"\\\n":18446744073709551615},"#,
+            r#""gauges":{"g.level":1.5,"g.whole":2.0,"g.nan":null},"#,
+            r#""histograms":{"store.io.read_ns":{"count":4,"sum":1111,"max":1000,"#,
+            r#""mean":277.75,"p50":16,"p95":1000,"p99":1000}},"#,
+            r#""phases":{"resolve":0.0,"record":1.25,"io":1e-7,"replay":2.0}}"#,
+        );
+        assert_eq!(snap.to_json().to_string(), expected);
     }
 
     #[test]

@@ -23,12 +23,13 @@
 //! balanced) and counted in the `spans.dropped` counter.
 
 use std::cell::OnceCell;
-use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::json::Json;
 
 /// Begin/end events a single thread may buffer before its spans start
 /// dropping (≈ 512K spans — far beyond any workbench run).
@@ -198,24 +199,6 @@ macro_rules! span {
     };
 }
 
-/// Escapes a string for embedding in a JSON string literal. Shared by
-/// every hand-rolled JSON writer in the crate.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Drains every thread's buffered events and writes them to `path` as
 /// Chrome trace-event JSON (overwriting any previous file).
 /// Returns the number of events written.
@@ -229,44 +212,34 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
 /// Propagates the file write failure; the drained events are lost.
 pub fn flush_to(path: &Path) -> io::Result<usize> {
     let pid = std::process::id();
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut written = 0usize;
+    let mut events = Vec::new();
     let bufs: Vec<Arc<ThreadBuf>> =
         thread_bufs().lock().expect("span registry poisoned").clone();
     for buf in bufs {
-        let events: Vec<Event> =
+        let drained: Vec<Event> =
             std::mem::take(&mut *buf.events.lock().expect("span buffer poisoned"));
-        for e in events {
-            if written > 0 {
-                out.push(',');
-            }
-            let ph = if e.begin { 'B' } else { 'E' };
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"waymem\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{},\"ts\":{}.{:03}",
-                e.name,
-                buf.tid,
-                e.ts_ns / 1_000,
-                e.ts_ns % 1_000
-            );
+        for e in drained {
+            let mut fields = vec![
+                ("name", Json::from(e.name)),
+                ("cat", Json::from("waymem")),
+                ("ph", Json::from(if e.begin { "B" } else { "E" })),
+                ("pid", Json::from(pid)),
+                ("tid", Json::from(buf.tid)),
+                ("ts", Json::from(e.ts_ns as f64 / 1e3)),
+            ];
             if !e.args.is_empty() {
-                out.push_str(",\"args\":{");
-                for (i, (k, v)) in e.args.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{k}\":\"");
-                    escape_into(&mut out, v);
-                    out.push('"');
-                }
-                out.push('}');
+                let args = e.args.into_iter().map(|(k, v)| (k, Json::from(v))).collect();
+                fields.push(("args", Json::object(args)));
             }
-            out.push('}');
-            written += 1;
+            events.push(Json::object(fields));
         }
     }
-    out.push_str("]}");
-    std::fs::write(path, out)?;
+    let written = events.len();
+    let trace = Json::object(vec![
+        ("displayTimeUnit", Json::from("ms")),
+        ("traceEvents", Json::Array(events)),
+    ]);
+    std::fs::write(path, trace.to_string())?;
     // Surface the balanced-drop tally: a silent cap hit would make the
     // exported profile look complete when it is not.
     let dropped = crate::counter!("spans.dropped").get();

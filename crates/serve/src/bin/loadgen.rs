@@ -11,9 +11,9 @@
 //! single-flight execution — the dedup path under maximum contention.
 //! Phase 2 is the steady-state hammer: a round-robin mix of synthetic
 //! workloads (warm after first touch) with pings interleaved. Results
-//! land in `BENCH_results.json` (schema `waymem/loadgen/v1`) with the
+//! land in `BENCH_loadgen.json` (schema `waymem/loadgen/v2`) with the
 //! daemon's own `serve.*` snapshot embedded, and the run is appended to
-//! the ledger as bin `loadgen`.
+//! the ledger as bin `loadgen`, carrying that snapshot as its metrics.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
-use waymem_bench::json::Json;
 use waymem_bench::ledger;
+use waymem_obs::json::{self, Json};
 use waymem_serve::client::{Client, ClientError};
 use waymem_serve::proto::RunRequest;
 use waymem_trace::{SynthPattern, SynthSpec, WorkloadId};
@@ -236,10 +236,12 @@ fn main() -> ExitCode {
     let p99 = percentile(&merged.latencies_us, 0.99);
     let throughput = if wall_seconds > 0.0 { merged.ok as f64 / wall_seconds } else { 0.0 };
 
-    // Pull the daemon's own view before (optionally) draining it.
-    let daemon_snapshot = Client::connect(opts.addr.as_str())
+    // Pull the daemon's own view before (optionally) draining it: the
+    // daemon did the work, so its snapshot is this run's metrics.
+    let daemon_metrics = Client::connect(opts.addr.as_str())
         .ok()
-        .and_then(|mut c| c.stats().ok());
+        .and_then(|mut c| c.stats().ok())
+        .and_then(|text| json::parse(&text).ok());
     if opts.shutdown {
         match Client::connect(opts.addr.as_str()) {
             Ok(mut c) => {
@@ -271,32 +273,34 @@ fn main() -> ExitCode {
         ("latency_p99_us", Json::from(p99)),
     ]);
     let json = Json::object(vec![
-        ("schema", Json::from("waymem/loadgen/v1")),
+        ("schema", Json::from("waymem/loadgen/v2")),
         ("addr", Json::from(opts.addr.clone())),
         ("perf", perf.clone()),
-        (
-            "daemon",
-            daemon_snapshot.clone().map_or(Json::Null, Json::Raw),
-        ),
+        ("daemon", daemon_metrics.clone().unwrap_or(Json::Null)),
     ]);
     if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
         eprintln!("loadgen: cannot create {}: {e}", opts.out_dir.display());
         return ExitCode::FAILURE;
     }
-    let json_path = opts.out_dir.join("BENCH_results.json");
+    let json_path = opts.out_dir.join("BENCH_loadgen.json");
     if let Err(e) = std::fs::write(&json_path, format!("{json}\n")) {
         eprintln!("loadgen: cannot write {}: {e}", json_path.display());
         return ExitCode::FAILURE;
     }
     eprintln!("wrote {}", json_path.display());
 
-    if let Some(outcome) = ledger::append_from_env("loadgen", perf) {
-        eprintln!(
-            "ledger: {} — {} records (run {})",
-            outcome.path.display(),
-            outcome.records,
-            outcome.runs_at_rev
-        );
+    match daemon_metrics {
+        Some(metrics) => {
+            if let Some(outcome) = ledger::append_from_env("loadgen", perf, metrics) {
+                eprintln!(
+                    "ledger: {} — {} records (run {})",
+                    outcome.path.display(),
+                    outcome.records,
+                    outcome.runs_at_rev
+                );
+            }
+        }
+        None => waymem_obs::warn!("loadgen.ledger_skipped", reason = "no daemon snapshot"),
     }
 
     if merged.ok == 0 || !worker_failures.is_empty() {

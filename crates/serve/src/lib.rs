@@ -31,7 +31,7 @@
 //!     accesses: 10_000,
 //!     seed: 1,
 //! })))?;
-//! assert!(reply.result_json.contains("\"schema\":\"waymem/serve-result/v1\""));
+//! assert!(reply.result_json.contains("\"schema\":\"waymem/serve-result/v2\""));
 //! client.shutdown()?;
 //! handle.join();
 //! # Ok(())

@@ -238,13 +238,15 @@ pub enum Response {
         /// `true` when single-flight dedup shared an in-flight
         /// execution instead of enqueueing a new one.
         shared: bool,
-        /// The result, rendered as one compact JSON object. Rendering
-        /// is deterministic, so byte-equal JSON means bit-equal results.
+        /// The `waymem/serve-result/v2` JSON object: the schema tag and
+        /// the run's [`result_json`](crate::server::result_json) under
+        /// `"result"`. Rendering is deterministic, so byte-equal JSON
+        /// means bit-equal results.
         result_json: String,
     },
     /// `Stats` succeeded: the daemon's obs snapshot JSON.
     StatsOk {
-        /// [`waymem_obs::snapshot::Snapshot::to_json`] output.
+        /// [`waymem_obs::snapshot::Snapshot::to_json`], rendered.
         snapshot_json: String,
     },
     /// `Shutdown` acknowledged; drain has begun.

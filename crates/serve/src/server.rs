@@ -33,14 +33,19 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use waymem_bench::json::Json;
+use waymem_obs::json::Json;
 use waymem_obs::{counter, gauge, histogram, span};
-use waymem_sim::{full_dschemes, full_ischemes, DScheme, IScheme, SimResult};
+use waymem_sim::{full_dschemes, full_ischemes, DScheme, IScheme};
 use waymem_trace::TraceStore;
 
 use crate::proto::{
     self, ProtoError, Request, Response, RunRequest, SchemeSet, Status,
 };
+
+/// The one [`SimResult`](waymem_sim::SimResult) encoding, which every
+/// `RunOk` reply embeds under `"result"`. Equal results render
+/// byte-equal — the property the dedup test pins end to end.
+pub use waymem_sim::result_json;
 
 /// How the daemon is sized. Every knob has an environment override so
 /// the binary stays flag-light.
@@ -353,7 +358,9 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 // Publish the store's counters as gauges first, so the
                 // snapshot carries `store.*` alongside `serve.*`.
                 shared.store.stats().publish();
-                Response::StatsOk { snapshot_json: waymem_obs::snapshot::take().to_json() }
+                Response::StatsOk {
+                    snapshot_json: waymem_obs::snapshot::take().to_json().to_string(),
+                }
             }
             Request::Shutdown => {
                 shared.draining.store(true, Ordering::SeqCst);
@@ -495,46 +502,13 @@ fn execute(shared: &Arc<Shared>, run: &RunRequest) -> FlightResult {
             .run()
     });
     match outcome {
-        Ok(result) => Ok(Arc::new(result_json(&result).to_string())),
+        Ok(result) => {
+            let reply = Json::object(vec![
+                ("schema", Json::from("waymem/serve-result/v2")),
+                ("result", result_json(&result)),
+            ]);
+            Ok(Arc::new(reply.to_string()))
+        }
         Err(e) => Err(e.to_string()),
     }
-}
-
-/// Renders one [`SimResult`] as the deterministic JSON object `RunOk`
-/// replies carry. Rendering goes through the bench [`Json`] writer, so
-/// equal results produce byte-equal JSON — the property the dedup test
-/// pins end to end.
-#[must_use]
-pub fn result_json(result: &SimResult) -> Json {
-    let sides = [("dcache", &result.dcache), ("icache", &result.icache)];
-    let mut schemes = Vec::new();
-    for (side, results) in sides {
-        for s in results {
-            let st = &s.stats;
-            let p = &s.power;
-            schemes.push(Json::object(vec![
-                ("cache", Json::from(side)),
-                ("scheme", Json::from(s.name.clone())),
-                ("accesses", Json::from(st.accesses)),
-                ("hits", Json::from(st.hits)),
-                ("misses", Json::from(st.misses)),
-                ("tag_reads", Json::from(st.tag_reads)),
-                ("way_reads", Json::from(st.way_reads)),
-                ("mab_lookups", Json::from(st.mab_lookups)),
-                ("mab_hits", Json::from(st.mab_hits)),
-                ("extra_cycles", Json::from(s.extra_cycles)),
-                ("total_mw", Json::from(p.total_mw())),
-                ("tag_mw", Json::from(p.tag_mw)),
-                ("data_mw", Json::from(p.data_mw)),
-                ("mab_mw", Json::from(p.mab_mw)),
-                ("buffer_mw", Json::from(p.buffer_mw)),
-            ]));
-        }
-    }
-    Json::object(vec![
-        ("schema", Json::from("waymem/serve-result/v1")),
-        ("workload", Json::from(result.workload.file_name())),
-        ("cycles", Json::from(result.cycles)),
-        ("schemes", Json::Array(schemes)),
-    ])
 }

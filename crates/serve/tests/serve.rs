@@ -59,7 +59,7 @@ fn concurrent_cold_clients_share_one_recording_and_identical_results() {
     let stats = handle.store_stats();
     assert_eq!(stats.records, 1, "eight cold clients must cost exactly one recording");
     let first = &replies[0].result_json;
-    assert!(first.contains("\"schema\":\"waymem/serve-result/v1\""));
+    assert!(first.contains("\"schema\":\"waymem/serve-result/v2\""));
     for reply in &replies {
         assert_eq!(
             &reply.result_json, first,

@@ -91,8 +91,8 @@ pub use frontends::{DFront, DScheme, IFront, IScheme};
 pub use presets::{fig4_dschemes, fig6_ischemes, full_dschemes, full_ischemes};
 pub use report::{format_power_table, format_ratio_table, FigureRow};
 pub use run::{
-    kernel_source_hash, record_trace, RecordedTrace, RunError, SchemeResult, SimConfig, SimResult,
-    TraceSource,
+    kernel_source_hash, record_trace, result_json, RecordedTrace, RunError, SchemeResult,
+    SimConfig, SimResult, TraceSource,
 };
 // The store an `Experiment` threads through its pipeline and the
 // workload-identity types it speaks, re-exported so driver-level

@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use waymem_obs::json::Json;
 use waymem_obs::phase::Phase;
 use waymem_obs::span::SpanGuard;
 
@@ -224,6 +225,49 @@ impl SimResult {
     pub fn icache_by_name(&self, name: &str) -> Option<&SchemeResult> {
         self.icache.iter().find(|r| r.name == name)
     }
+}
+
+/// The one JSON encoding of a [`SimResult`], which `export`, `ingest`
+/// and the serve `RunOk` reply all embed: the workload's label and
+/// cycles, then per scheme every [`AccessStats`] counter, tags and ways
+/// per access, the lookup-penalty cycles, and the four Eq. (1) terms
+/// with their total. Equal results render byte-equal.
+#[must_use]
+pub fn result_json(result: &SimResult) -> Json {
+    let sides = [("dcache", &result.dcache), ("icache", &result.icache)];
+    let schemes = sides.into_iter().flat_map(|(cache, side)| {
+        side.iter().map(move |s| {
+            let (st, p) = (&s.stats, &s.power);
+            Json::object(vec![
+                ("cache", Json::from(cache)),
+                ("scheme", Json::from(s.name.as_str())),
+                ("accesses", Json::from(st.accesses)),
+                ("tag_reads", Json::from(st.tag_reads)),
+                ("way_reads", Json::from(st.way_reads)),
+                ("hits", Json::from(st.hits)),
+                ("misses", Json::from(st.misses)),
+                ("mab_hits", Json::from(st.mab_hits)),
+                ("mab_lookups", Json::from(st.mab_lookups)),
+                ("intra_line_skips", Json::from(st.intra_line_skips)),
+                ("buffer_hits", Json::from(st.buffer_hits)),
+                ("write_backs", Json::from(st.write_backs)),
+                ("unsound_hits", Json::from(st.unsound_hits)),
+                ("tags_per_access", Json::from(st.tags_per_access())),
+                ("ways_per_access", Json::from(st.ways_per_access())),
+                ("extra_cycles", Json::from(s.extra_cycles)),
+                ("data_mw", Json::from(p.data_mw)),
+                ("tag_mw", Json::from(p.tag_mw)),
+                ("mab_mw", Json::from(p.mab_mw)),
+                ("buffer_mw", Json::from(p.buffer_mw)),
+                ("total_mw", Json::from(p.total_mw())),
+            ])
+        })
+    });
+    Json::object(vec![
+        ("workload", Json::from(result.workload.name())),
+        ("cycles", Json::from(result.cycles)),
+        ("schemes", Json::Array(schemes.collect())),
+    ])
 }
 
 /// The fan-out sink: hands every event, or every batch, to each front of
@@ -879,6 +923,81 @@ mod tests {
                 IScheme::paper_way_memo(),
             ],
         )
+    }
+
+    #[test]
+    fn result_json_carries_every_counter_and_power_term() {
+        let spec = SynthSpec {
+            pattern: waymem_trace::SynthPattern::RwChase { nodes: 4096 },
+            accesses: 20_000,
+            seed: 1,
+        };
+        let result = Experiment::synthetic(spec)
+            .dschemes(crate::full_dschemes())
+            .ischemes(crate::full_ischemes())
+            .run()
+            .expect("runs");
+        let parsed = waymem_obs::json::parse(&result_json(&result).to_string()).expect("parses");
+        assert_eq!(parsed.get("workload").and_then(Json::as_str), Some("rwchase4096"));
+        #[allow(clippy::cast_precision_loss)]
+        let num = |v: u64| Some(v as f64);
+        assert_eq!(parsed.get("cycles").and_then(Json::as_num), num(result.cycles));
+        let schemes = parsed.get("schemes").and_then(Json::as_arr).expect("schemes array");
+        let sides = result.dcache.iter().map(|s| ("dcache", s));
+        let expected: Vec<_> = sides.chain(result.icache.iter().map(|s| ("icache", s))).collect();
+        assert_eq!(schemes.len(), expected.len());
+        for (json, (cache, s)) in schemes.iter().zip(expected) {
+            let field = |key: &str| json.get(key).and_then(Json::as_num);
+            assert_eq!(json.get("cache").and_then(Json::as_str), Some(cache));
+            assert_eq!(json.get("scheme").and_then(Json::as_str), Some(s.name.as_str()));
+            // Destructured whole, so a new counter fails to compile here
+            // until the encoder emits it and this test checks it.
+            let AccessStats {
+                accesses,
+                tag_reads,
+                way_reads,
+                hits,
+                misses,
+                mab_hits,
+                mab_lookups,
+                intra_line_skips,
+                buffer_hits,
+                write_backs,
+                unsound_hits,
+            } = s.stats;
+            let counters = [
+                ("accesses", accesses),
+                ("tag_reads", tag_reads),
+                ("way_reads", way_reads),
+                ("hits", hits),
+                ("misses", misses),
+                ("mab_hits", mab_hits),
+                ("mab_lookups", mab_lookups),
+                ("intra_line_skips", intra_line_skips),
+                ("buffer_hits", buffer_hits),
+                ("write_backs", write_backs),
+                ("unsound_hits", unsound_hits),
+                ("extra_cycles", s.extra_cycles),
+            ];
+            for (key, value) in counters {
+                assert_eq!(field(key), num(value), "{cache}/{}: {key}", s.name);
+            }
+            let PowerBreakdown { data_mw, tag_mw, mab_mw, buffer_mw } = s.power;
+            let floats = [
+                ("tags_per_access", s.stats.tags_per_access()),
+                ("ways_per_access", s.stats.ways_per_access()),
+                ("data_mw", data_mw),
+                ("tag_mw", tag_mw),
+                ("mab_mw", mab_mw),
+                ("buffer_mw", buffer_mw),
+                ("total_mw", s.power.total_mw()),
+            ];
+            for (key, value) in floats {
+                assert_eq!(field(key), Some(value), "{cache}/{}: {key}", s.name);
+            }
+        }
+        // A counter the old encoders dropped is live in this run.
+        assert!(result.dcache.iter().any(|s| s.stats.write_backs > 0), "no write-backs");
     }
 
     #[test]

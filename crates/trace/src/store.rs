@@ -60,6 +60,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
 use waymem_isa::RecordedTrace;
+use waymem_obs::json::Json;
 use waymem_obs::metrics::Stopwatch;
 
 use crate::codec;
@@ -154,6 +155,32 @@ impl StoreStats {
         } else {
             self.raw_bytes as f64 / self.encoded_bytes as f64
         }
+    }
+
+    /// The `trace_store` object the bench exports embed: every counter
+    /// plus [`hit_rate`](Self::hit_rate) and
+    /// [`compression_ratio`](Self::compression_ratio).
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::object(vec![
+            ("lookups", Json::from(self.lookups)),
+            ("hits", Json::from(self.hits)),
+            ("disk_hits", Json::from(self.disk_hits)),
+            ("stream_opens", Json::from(self.stream_opens)),
+            ("records", Json::from(self.records)),
+            ("hit_rate", Json::from(self.hit_rate())),
+            ("stale", Json::from(self.stale)),
+            ("raw_bytes", Json::from(self.raw_bytes)),
+            ("encoded_bytes", Json::from(self.encoded_bytes)),
+            ("compression_ratio", Json::from(self.compression_ratio())),
+            ("files_saved", Json::from(self.files_saved)),
+            ("files_loaded", Json::from(self.files_loaded)),
+            ("files_evicted", Json::from(self.files_evicted)),
+            ("bytes_evicted", Json::from(self.bytes_evicted)),
+            ("quarantined", Json::from(self.quarantined)),
+            ("recovered", Json::from(self.recovered)),
+            ("io_retries", Json::from(self.io_retries)),
+        ])
     }
 
     /// Mirrors the snapshot into the global metrics registry as
@@ -987,6 +1014,27 @@ mod tests {
     use crate::workload::{SynthPattern, SynthSpec};
     use waymem_isa::{FetchKind, TraceEvent};
     use waymem_workloads::Benchmark;
+
+    #[test]
+    fn store_stats_serialize_with_stable_keys() {
+        let rendered = StoreStats::default().to_json().to_string();
+        for key in [
+            "lookups",
+            "records",
+            "stream_opens",
+            "hit_rate",
+            "stale",
+            "compression_ratio",
+            "encoded_bytes",
+            "files_evicted",
+            "bytes_evicted",
+            "quarantined",
+            "recovered",
+            "io_retries",
+        ] {
+            assert!(rendered.contains(&format!("\"{key}\":")), "missing {key} in {rendered}");
+        }
+    }
 
     fn tiny_trace(cycles: u64) -> RecordedTrace {
         RecordedTrace {

@@ -37,7 +37,7 @@ fn worker_panic_and_panic_hook_both_dump_a_valid_black_box() {
     );
     // The embedded metrics snapshot is part of the validate_dump
     // contract; spot-check it actually carries this process's state.
-    let root = obs::chrome::parse(&text).expect("dump parses");
+    let root = obs::json::parse(&text).expect("dump parses");
     assert!(root.get("metrics").and_then(|m| m.get("counters")).is_some());
 
     // Stage 2: the panic hook. Install it, then let an uncaught panic
