@@ -11,14 +11,14 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use waymem_bench::{full_dschemes, full_ischemes, store_from_env};
+use waymem_bench::{full_dschemes, full_ischemes};
 use waymem_obs::json::Json;
-use waymem_sim::{result_json, SimConfig, Suite};
+use waymem_sim::{result_json, SimConfig, Suite, TraceStore};
 
 fn main() {
     let out_dir = std::env::args().nth(1);
     let cfg = SimConfig::default();
-    let store = store_from_env();
+    let store = TraceStore::from_env();
     let results = Suite::kernels()
         .config(cfg)
         .dschemes(full_dschemes())

@@ -23,10 +23,10 @@
 use std::time::Instant;
 
 use waymem_bench::paper::{self, Report};
-use waymem_bench::{ledger, store_from_env};
+use waymem_bench::ledger;
 use waymem_obs::json::Json;
 use waymem_obs::phase;
-use waymem_sim::{ExecPolicy, Experiment};
+use waymem_sim::{ExecPolicy, Experiment, TraceStore};
 use waymem_workloads::Benchmark;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
     // (WAYMEM_LOG) before any instrumented work runs.
     waymem_obs::init_from_env();
     let (dschemes, ischemes) = (paper::dschemes(), paper::ischemes());
-    let store = store_from_env();
+    let store = TraceStore::from_env();
 
     let serial_start = Instant::now();
     let serial = paper::suite()

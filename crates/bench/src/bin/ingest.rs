@@ -35,12 +35,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use waymem_bench::{full_dschemes, full_ischemes, ledger, store_from_env};
+use waymem_bench::{full_dschemes, full_ischemes, ledger};
 use waymem_ingest::{synth, LogFormat};
 use waymem_obs::json::Json;
 use waymem_sim::{
     catch_worker, result_json, Experiment, FigureRow, Prepared, RunError, SimConfig, SimResult,
-    TraceSource, WorkloadId,
+    TraceSource, TraceStore, WorkloadId,
 };
 
 /// One evaluated workload: where it came from, what ran, how fast the
@@ -186,7 +186,7 @@ fn main() -> ExitCode {
     let cfg = SimConfig::default();
     let dschemes = full_dschemes();
     let ischemes = full_ischemes();
-    let store = store_from_env();
+    let store = TraceStore::from_env();
     let mut rows: Vec<Row> = Vec::new();
     // Per-workload failure isolation: one unreadable log (or a worker
     // panic) skips that workload and is reported, instead of discarding

@@ -30,29 +30,18 @@
 //! The library part of this crate holds the [`paper`] module (the
 //! paper's scheme set, baselines, averaging rule and quoted values),
 //! re-exports the scheme presets ([`fig4_dschemes`] / [`fig6_ischemes`] /
-//! [`full_dschemes`] / [`full_ischemes`], defined in `waymem_sim::presets`)
-//! plus the env-wired [`store_from_env`], and holds the append-only run
-//! [`ledger`] the `BENCH_*.json` exports feed (`BENCH_LEDGER.jsonl`) and
-//! the perf-[`diff`] engine the `bench_diff` regression gate runs on.
-//! Every export is built with [`waymem_obs::json`].
-
-use waymem_sim::TraceStore;
+//! [`full_dschemes`] / [`full_ischemes`], defined in `waymem_sim::presets`),
+//! and holds the append-only run [`ledger`] the `BENCH_*.json` exports
+//! feed (`BENCH_LEDGER.jsonl`) and the perf-[`diff`] engine the
+//! `bench_diff` regression gate runs on. Every export is built with
+//! [`waymem_obs::json`]. The binaries wire their trace store from the
+//! environment with `TraceStore::from_env`.
 
 pub mod diff;
 pub mod ledger;
 pub mod paper;
 
 pub use waymem_sim::presets::{fig4_dschemes, fig6_ischemes, full_dschemes, full_ischemes};
-
-/// The per-process [`TraceStore`] the bench binaries share, wired from
-/// the environment ([`TraceStore::from_env`]): `WAYMEM_TRACE_CACHE=<dir>`
-/// enables persistence, `WAYMEM_TRACE_CACHE_MAX_BYTES=<n>` caps the
-/// directory with oldest-mtime eviction. Unset variables mean a
-/// memory-only store / no cap.
-#[must_use]
-pub fn store_from_env() -> TraceStore {
-    TraceStore::from_env()
-}
 
 /// Geometric mean, the averaging rule of [`paper`]'s "on average" claims.
 ///

@@ -9,7 +9,7 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use waymem_ingest::{csv, lackey, parse, IngestError, LogFormat};
-use waymem_trace::codec;
+use waymem_trace::{codec, stream, StoreIo, StreamError};
 
 /// One abstract access for rendering into either text format.
 #[derive(Debug, Clone, Copy)]
@@ -77,9 +77,15 @@ proptest! {
         let ing = lackey::parse(Cursor::new(text)).expect("rendered log parses");
         prop_assert_eq!(ing.trace.len(), expected_events(&accs));
         let bytes = codec::encode_with_hash(&ing.trace, ing.source_hash);
-        let decoder = codec::Decoder::new(&bytes).expect("encodes validly");
-        prop_assert_eq!(decoder.source_hash(), ing.source_hash);
-        prop_assert_eq!(decoder.decode().expect("decodes"), ing.trace);
+        prop_assert_eq!(&codec::decode(&bytes).expect("decodes"), &ing.trace);
+        // The header carries the parse's content hash: read it back
+        // through a (self-cleaning) file handle.
+        let (st, ()) = stream::scratch(StoreIo::passthrough(), |path| {
+            std::fs::write(path, &bytes).map_err(StreamError::Io)
+        })
+        .expect("encodes validly");
+        prop_assert_eq!(st.source_hash(), ing.source_hash);
+        prop_assert_eq!(st.decode().expect("decodes"), ing.trace);
     }
 
     /// Same identity on the CSV grammar.

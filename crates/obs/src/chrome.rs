@@ -25,7 +25,7 @@ pub struct TraceSummary {
 
 impl TraceSummary {
     /// `true` when some span name starts with `prefix` — how callers
-    /// check taxonomy coverage (`store.io.read` and `store.io.write`
+    /// check taxonomy coverage (`store.io.open` and `store.io.write`
     /// both satisfy `store.io`).
     #[must_use]
     pub fn has_span_prefix(&self, prefix: &str) -> bool {

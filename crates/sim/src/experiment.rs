@@ -193,26 +193,6 @@ impl WorkloadSpec {
     }
 }
 
-/// The experiment's storage selection: nothing, a caller-shared store,
-/// or one the experiment owns.
-#[derive(Debug, Default)]
-enum StoreSel<'s> {
-    #[default]
-    None,
-    Borrowed(&'s TraceStore),
-    Owned(Box<TraceStore>),
-}
-
-impl StoreSel<'_> {
-    fn get(&self) -> Option<&TraceStore> {
-        match self {
-            StoreSel::None => None,
-            StoreSel::Borrowed(s) => Some(s),
-            StoreSel::Owned(s) => Some(s.as_ref()),
-        }
-    }
-}
-
 /// A single workload × scheme-set × store run, assembled builder-style
 /// and terminated by [`run`](Experiment::run) (or
 /// [`prepare`](Experiment::prepare) when the caller wants the resolved
@@ -227,7 +207,7 @@ pub struct Experiment<'s> {
     cfg: SimConfig,
     dschemes: Vec<DScheme>,
     ischemes: Vec<IScheme>,
-    store: StoreSel<'s>,
+    store: Option<&'s TraceStore>,
     policy: ExecPolicy,
     streaming: bool,
 }
@@ -241,7 +221,7 @@ impl Experiment<'_> {
             cfg: SimConfig::default(),
             dschemes: Vec::new(),
             ischemes: Vec::new(),
-            store: StoreSel::None,
+            store: None,
             policy: ExecPolicy::Auto,
             streaming: false,
         }
@@ -335,16 +315,7 @@ impl<'s> Experiment<'s> {
     /// store lifetime; every later run with the same workload — any
     /// geometry, any scheme set, any thread — replays the cached trace.
     pub fn store(mut self, store: &'s TraceStore) -> Self {
-        self.store = StoreSel::Borrowed(store);
-        self
-    }
-
-    /// Like [`store`](Experiment::store), but with a store owned by the
-    /// experiment and wired from the environment
-    /// ([`TraceStore::from_env`]): `WAYMEM_TRACE_CACHE` enables a
-    /// persistent cache dir, `WAYMEM_TRACE_CACHE_MAX_BYTES` caps it.
-    pub fn store_from_env(mut self) -> Self {
-        self.store = StoreSel::Owned(Box::new(TraceStore::from_env()));
+        self.store = Some(store);
         self
     }
 
@@ -382,7 +353,7 @@ impl<'s> Experiment<'s> {
         // trace: the producer feeds every front per event through the
         // serial fan-out (bit-identical; pinned by tests/experiment.rs).
         let serial = !self.policy.parallel(self.dschemes.len() + self.ischemes.len());
-        if serial && self.store.get().is_none() && !self.streaming {
+        if serial && self.store.is_none() && !self.streaming {
             if let Origin::Produced(producer) = self.workload.origin(self.cfg.scale, false)? {
                 return producer.fan_out(&self.cfg, &self.dschemes, &self.ischemes);
             }
@@ -403,7 +374,7 @@ impl<'s> Experiment<'s> {
         let _span = waymem_obs::span!("resolve", workload = describe_workload(&self.workload));
         let Experiment { workload, cfg, dschemes, ischemes, store, policy, streaming } = self;
         let (id, source_hash, source, ingest_meta) =
-            resolve(&workload, &cfg, store.get(), streaming)?;
+            resolve(&workload, &cfg, store, streaming)?;
         Ok(Prepared { id, source_hash, source, cfg, dschemes, ischemes, policy, ingest_meta })
     }
 }
@@ -592,7 +563,7 @@ pub struct Suite<'s> {
     cfg: SimConfig,
     dschemes: Vec<DScheme>,
     ischemes: Vec<IScheme>,
-    store: StoreSel<'s>,
+    store: Option<&'s TraceStore>,
     policy: ExecPolicy,
     streaming: bool,
     isolate_failures: bool,
@@ -613,7 +584,7 @@ impl Suite<'_> {
             cfg: SimConfig::default(),
             dschemes: Vec::new(),
             ischemes: Vec::new(),
-            store: StoreSel::None,
+            store: None,
             policy: ExecPolicy::Auto,
             streaming: false,
             isolate_failures: false,
@@ -687,14 +658,7 @@ impl<'s> Suite<'s> {
     /// suite (and, with an outer loop over geometries, through a whole
     /// sweep).
     pub fn store(mut self, store: &'s TraceStore) -> Self {
-        self.store = StoreSel::Borrowed(store);
-        self
-    }
-
-    /// Like [`store`](Suite::store), but owned and wired from the
-    /// environment ([`TraceStore::from_env`]).
-    pub fn store_from_env(mut self) -> Self {
-        self.store = StoreSel::Owned(Box::new(TraceStore::from_env()));
+        self.store = Some(store);
         self
     }
 
@@ -744,7 +708,6 @@ impl<'s> Suite<'s> {
     pub fn run(self) -> Result<SuiteResult, RunError> {
         let Suite { workloads, cfg, dschemes, ischemes, store, policy, streaming, isolate_failures } =
             self;
-        let store_ref = store.get();
         let run_one = |w: &WorkloadSpec| {
             let _span = waymem_obs::span!("suite.workload", workload = describe_workload(w));
             let exp = Experiment {
@@ -752,10 +715,7 @@ impl<'s> Suite<'s> {
                 cfg,
                 dschemes: dschemes.clone(),
                 ischemes: ischemes.clone(),
-                store: match store_ref {
-                    Some(s) => StoreSel::Borrowed(s),
-                    None => StoreSel::None,
-                },
+                store,
                 policy,
                 streaming,
             };
@@ -829,7 +789,7 @@ impl<'s> Suite<'s> {
         Ok(SuiteResult {
             results,
             failures,
-            store_stats: store_ref.map(TraceStore::stats),
+            store_stats: store.map(TraceStore::stats),
         })
     }
 }

@@ -84,10 +84,15 @@ pub(crate) const TRAILER_LEN: usize = 4;
 pub(crate) const REPLAY_CHUNK: usize = 4096;
 
 /// Upper bound on one event's wire size: a tag byte, up to three 5-byte
-/// varints, and a size byte. The file-backed reader
-/// ([`crate::stream::StreamingTrace`]) uses it to know when its buffered
-/// window is guaranteed to hold at least one whole event.
+/// varints, and a size byte. The section decoder uses it to know when
+/// its buffered window is guaranteed to hold at least one whole event.
 pub(crate) const MAX_EVENT_WIRE: usize = 17;
+
+/// Scratch-buffer size for the section decoder's refill window, the
+/// streaming encoder's section spools and the file checksum pass. Big
+/// enough that syscall overhead vanishes, small enough that a dozen
+/// concurrent cursors stay cache-friendly.
+pub(crate) const WINDOW_BYTES: usize = 64 * 1024;
 
 const TAG_SEQUENTIAL: u8 = 0;
 const TAG_TAKEN_BRANCH: u8 = 1;
@@ -167,9 +172,11 @@ impl std::error::Error for CodecError {}
 /// [`fnv1a32_update`].
 pub(crate) const FNV1A32_SEED: u32 = 0x811c_9dc5;
 
-/// Folds `bytes` into a running FNV-1a32 accumulator, so callers that
-/// see the data in pieces (the file-backed streaming encoder/reader)
-/// compute the same checksum as a single [`fnv1a32`] pass.
+/// Folds `bytes` into a running FNV-1a32 accumulator — the trailer
+/// checksum, computed the same way whether the data arrives in one slice
+/// or in pieces (the file-backed encoder and reader). FNV-1a is tiny,
+/// dependency-free, and plenty to catch the corruption/truncation class
+/// of faults (this is an integrity check, not an authenticity one).
 pub(crate) fn fnv1a32_update(mut hash: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         hash ^= u32::from(b);
@@ -178,11 +185,15 @@ pub(crate) fn fnv1a32_update(mut hash: u32, bytes: &[u8]) -> u32 {
     hash
 }
 
-/// FNV-1a, 32-bit — tiny, dependency-free, and plenty to catch the
-/// corruption/truncation class of faults (this is an integrity check,
-/// not an authenticity one).
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    fnv1a32_update(FNV1A32_SEED, bytes)
+/// Checks a trailer against the checksum computed over bytes
+/// `[4, end − 4)` — the one trailer check of both front doors.
+pub(crate) fn check_trailer(trailer: [u8; TRAILER_LEN], computed: u32) -> Result<(), CodecError> {
+    let stored = u32::from_le_bytes(trailer);
+    if stored == computed {
+        Ok(())
+    } else {
+        Err(CodecError::BadChecksum { stored, computed })
+    }
 }
 
 /// Zigzag: maps small-magnitude signed values to small unsigned ones.
@@ -212,32 +223,23 @@ fn push_varint(out: &mut Vec<u8>, mut v: u32) {
     out.push(v as u8);
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// A bounds-checked reader over one section's bytes.
-pub(crate) struct Cursor<'a> {
+/// A bounds-checked reader over one window of section bytes.
+struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
     }
 
-    pub(crate) fn done(&self) -> bool {
+    fn done(&self) -> bool {
         self.pos >= self.bytes.len()
     }
 
-    /// Bytes consumed so far.
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes still unread.
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -317,7 +319,7 @@ fn encode_mem(out: &mut Vec<u8>, tag: u8, base: u32, disp: i32, addr: u32, size:
     push_varint(out, addr_delta(addr, base.wrapping_add(disp as u32)));
 }
 
-pub(crate) fn decode_event(cur: &mut Cursor<'_>, prev: &mut u32) -> Result<TraceEvent, CodecError> {
+fn decode_event(cur: &mut Cursor<'_>, prev: &mut u32) -> Result<TraceEvent, CodecError> {
     let tag = cur.u8()?;
     let e = match tag {
         TAG_SEQUENTIAL | TAG_TAKEN_BRANCH | TAG_LINK_RETURN | TAG_INDIRECT => {
@@ -362,36 +364,76 @@ fn encode_section(out: &mut Vec<u8>, events: &[TraceEvent]) {
     }
 }
 
-/// Decodes one section, handing events downstream in chunks of at most
-/// [`REPLAY_CHUNK`] — the section is never materialized whole.
-fn parse_section(
-    bytes: &[u8],
+/// The one section decoder, shared by [`decode`] (over a slice) and
+/// [`StreamingTrace::replay_section`](crate::stream::StreamingTrace::replay_section)
+/// (over a file). It pulls the section's `len` bytes through `read` —
+/// which fills the front of its buffer like [`std::io::Read::read`] and
+/// returns 0 at the section's end — into a bounded window, and hands the
+/// `declared` events to `emit` in batches of at most `batch`. Returns
+/// the number of events decoded.
+///
+/// Decoding is strict: bytes that run out before the declared count, or
+/// are left over after it, are a `SectionMismatch`; an event cut off at
+/// the end is `Truncated`. Batches emitted before an error stand.
+pub(crate) fn decode_section<E: From<CodecError>>(
+    len: u64,
     declared: u64,
+    batch: usize,
+    mut read: impl FnMut(&mut [u8]) -> Result<usize, E>,
     mut emit: impl FnMut(&[TraceEvent]),
-) -> Result<(), CodecError> {
-    let mut cur = Cursor::new(bytes);
-    let mut prev = 0u32;
+) -> Result<u64, E> {
+    let mut window = vec![0u8; WINDOW_BYTES.max(MAX_EVENT_WIRE)];
+    let mut valid = 0usize; // bytes of section data in window[..valid]
+    let mut start = 0usize; // consumed prefix of window[..valid]
+    let mut exhausted = false; // reader hit EOF
+    let mut consumed = 0u64; // section bytes decoded so far
     let mut decoded = 0u64;
-    let mut chunk = Vec::with_capacity(REPLAY_CHUNK.min(usize::try_from(declared).unwrap_or(REPLAY_CHUNK)));
-    while decoded < declared {
-        if cur.done() {
-            return Err(CodecError::SectionMismatch { declared, decoded });
+    let mut prev = 0u32;
+    let chunk_cap = batch.min(usize::try_from(declared).unwrap_or(batch)).max(1);
+    let mut chunk: Vec<TraceEvent> = Vec::with_capacity(chunk_cap);
+
+    loop {
+        if decoded == declared && consumed == len {
+            break; // clean finish: every declared event, every byte
         }
-        chunk.push(decode_event(&mut cur, &mut prev)?);
-        decoded += 1;
-        if chunk.len() == REPLAY_CHUNK {
-            emit(&chunk);
-            chunk.clear();
+        // Compact the unconsumed tail to the front, then refill.
+        window.copy_within(start..valid, 0);
+        valid -= start;
+        while valid < window.len() && !exhausted {
+            let n = read(&mut window[valid..])?;
+            if n == 0 {
+                exhausted = true;
+            } else {
+                valid += n;
+            }
         }
+        if valid == 0 || decoded == declared {
+            // Out of bytes before the declared count, or bytes left
+            // over past the final event: corrupt counts.
+            return Err(CodecError::SectionMismatch { declared, decoded }.into());
+        }
+        let mut cur = Cursor::new(&window[..valid]);
+        // Decode while a whole event is guaranteed to fit in the
+        // window (or the input is exhausted, in which case a
+        // mid-event shortage is a genuine Truncated error).
+        while decoded < declared
+            && !cur.done()
+            && (exhausted || cur.remaining() >= MAX_EVENT_WIRE)
+        {
+            chunk.push(decode_event(&mut cur, &mut prev)?);
+            decoded += 1;
+            if chunk.len() == batch {
+                emit(&chunk);
+                chunk.clear();
+            }
+        }
+        start = cur.pos;
+        consumed += start as u64;
     }
     if !chunk.is_empty() {
         emit(&chunk);
     }
-    if !cur.done() {
-        // Bytes left over after the declared events: corrupt counts.
-        return Err(CodecError::SectionMismatch { declared, decoded });
-    }
-    Ok(())
+    Ok(decoded)
 }
 
 /// Encodes `trace` into a fresh buffer with no source hash (0 = none).
@@ -421,39 +463,33 @@ pub fn encode_into(trace: &RecordedTrace, out: &mut Vec<u8>) -> usize {
 /// `(RecordedTrace, source_hash)` pair has exactly one wire form.
 pub fn encode_into_with_hash(trace: &RecordedTrace, source_hash: u64, out: &mut Vec<u8>) -> usize {
     let start = out.len();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags (reserved)
-    push_u64(out, trace.fetch_events.len() as u64);
-    push_u64(out, trace.data_events.len() as u64);
-    push_u64(out, trace.cycles);
-    // Section lengths are back-patched once known.
-    let lengths_at = out.len();
-    push_u64(out, 0);
-    push_u64(out, 0);
-    push_u64(out, source_hash);
-    debug_assert_eq!(out.len() - start, HEADER_LEN);
-
-    let fetch_start = out.len();
+    // The header is written once the section lengths are known.
+    out.resize(start + HEADER_LEN, 0);
     encode_section(out, &trace.fetch_events);
-    let fetch_len = (out.len() - fetch_start) as u64;
+    let fetch_len = (out.len() - start - HEADER_LEN) as u64;
     encode_section(out, &trace.data_events);
-    let data_len = (out.len() - fetch_start) as u64 - fetch_len;
-    out[lengths_at..lengths_at + 8].copy_from_slice(&fetch_len.to_le_bytes());
-    out[lengths_at + 8..lengths_at + 16].copy_from_slice(&data_len.to_le_bytes());
-
-    let checksum = fnv1a32(&out[start + MAGIC.len()..]);
+    let header = Header {
+        version: FORMAT_VERSION,
+        fetch_count: trace.fetch_events.len() as u64,
+        data_count: trace.data_events.len() as u64,
+        cycles: trace.cycles,
+        fetch_len,
+        data_len: (out.len() - start - HEADER_LEN) as u64 - fetch_len,
+        source_hash,
+    };
+    out[start..start + HEADER_LEN].copy_from_slice(&header.to_bytes());
+    let checksum = fnv1a32_update(FNV1A32_SEED, &out[start + MAGIC.len()..]);
     out.extend_from_slice(&checksum.to_le_bytes());
     out.len() - start
 }
 
-/// The fields of a parsed `.wmtr` header, shared by the slice-backed
-/// [`Decoder`] and the file-backed [`crate::stream::StreamingTrace`] so
-/// the two front doors validate identically.
+/// The fields of a `.wmtr` header. Its one writer ([`to_bytes`](Self::to_bytes))
+/// and one reader ([`read`](Self::read)) serve both the slice codec and
+/// the file-backed [`crate::stream`], so the two front doors write and
+/// validate identically.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Header {
     pub(crate) version: u16,
-    pub(crate) header_len: usize,
     pub(crate) fetch_count: u64,
     pub(crate) data_count: u64,
     pub(crate) cycles: u64,
@@ -463,49 +499,120 @@ pub(crate) struct Header {
 }
 
 impl Header {
-    /// Total byte length the header implies for the whole buffer/file
-    /// (header + both sections + trailer), or `Truncated` on overflow.
-    pub(crate) fn expected_total(&self) -> Result<u64, CodecError> {
-        (self.header_len as u64)
-            .checked_add(self.fetch_len)
-            .and_then(|v| v.checked_add(self.data_len))
-            .and_then(|v| v.checked_add(TRAILER_LEN as u64))
-            .ok_or(CodecError::Truncated)
-    }
-}
+    /// Byte offsets of the six `u64` fields, in wire order: fetch and
+    /// data counts, cycles, fetch and data section lengths, source hash
+    /// (v2 only).
+    const FIELDS: [usize; 6] = [8, 16, 24, 32, 40, 48];
 
-/// Parses and validates the fixed header at the front of `bytes`
-/// (magic, version, field extraction). `bytes` only needs to hold the
-/// header itself; whole-buffer length and checksum checks are the
-/// caller's job since they need the rest of the data.
-pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, CodecError> {
-    if bytes.len() < HEADER_LEN_V1 {
-        return Err(CodecError::Truncated);
+    /// The v2 wire form of this header.
+    pub(crate) fn to_bytes(self) -> [u8; HEADER_LEN] {
+        let mut out = [0u8; HEADER_LEN];
+        out[..4].copy_from_slice(&MAGIC);
+        out[4..6].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        // Bytes 6..8 are the reserved flags, always 0.
+        let values = [
+            self.fetch_count,
+            self.data_count,
+            self.cycles,
+            self.fetch_len,
+            self.data_len,
+            self.source_hash,
+        ];
+        for (at, v) in Self::FIELDS.into_iter().zip(values) {
+            out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        out
     }
-    let magic: [u8; 4] = bytes[0..4].try_into().expect("4-byte slice");
-    if magic != MAGIC {
-        return Err(CodecError::BadMagic(magic));
+
+    /// Reads and checks the header at the front of an encoded trace of
+    /// `total` bytes, given at least its first `min(total, HEADER_LEN)`
+    /// bytes in `bytes`: magic, version, the length arithmetic, and each
+    /// event count no larger than its section's byte length (every event
+    /// costs at least one byte, so a larger count is corrupt — and would
+    /// otherwise size an allocation). The trailer checksum is the
+    /// caller's to check, since it needs the rest of the data.
+    pub(crate) fn read(bytes: &[u8], total: u64) -> Result<Header, CodecError> {
+        // The version field sits inside the smaller v1 header, so this
+        // minimum suffices to read it for either format.
+        if total < (HEADER_LEN_V1 + TRAILER_LEN) as u64 || bytes.len() < HEADER_LEN_V1 {
+            return Err(CodecError::Truncated);
+        }
+        let magic: [u8; 4] = bytes[..4].try_into().expect("4-byte slice");
+        if magic != MAGIC {
+            return Err(CodecError::BadMagic(magic));
+        }
+        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2-byte slice"));
+        let header_len = match version {
+            FORMAT_VERSION => HEADER_LEN,
+            FORMAT_VERSION_V1 => HEADER_LEN_V1,
+            v => return Err(CodecError::UnsupportedVersion(v)),
+        };
+        if total < (header_len + TRAILER_LEN) as u64 || bytes.len() < header_len {
+            return Err(CodecError::Truncated);
+        }
+        // A v1 header ends before the source hash, which reads as 0 (none).
+        let [fetch_count, data_count, cycles, fetch_len, data_len, source_hash] =
+            Self::FIELDS.map(|at| {
+                bytes[..header_len]
+                    .get(at..at + 8)
+                    .map_or(0, |field| u64::from_le_bytes(field.try_into().expect("8-byte slice")))
+            });
+        let expected = fetch_len
+            .checked_add(data_len)
+            .and_then(|n| n.checked_add((header_len + TRAILER_LEN) as u64))
+            .ok_or(CodecError::Truncated)?;
+        if expected != total {
+            return Err(CodecError::LengthMismatch { expected, found: total });
+        }
+        for (declared, len) in [(fetch_count, fetch_len), (data_count, data_len)] {
+            if declared > len {
+                return Err(CodecError::SectionMismatch { declared, decoded: 0 });
+            }
+        }
+        Ok(Header { version, fetch_count, data_count, cycles, fetch_len, data_len, source_hash })
     }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2-byte slice"));
-    let header_len = match version {
-        FORMAT_VERSION => HEADER_LEN,
-        FORMAT_VERSION_V1 => HEADER_LEN_V1,
-        v => return Err(CodecError::UnsupportedVersion(v)),
-    };
-    if bytes.len() < header_len {
-        return Err(CodecError::Truncated);
+
+    fn header_len(&self) -> usize {
+        if self.version == FORMAT_VERSION_V1 {
+            HEADER_LEN_V1
+        } else {
+            HEADER_LEN
+        }
     }
-    let read_u64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"));
-    Ok(Header {
-        version,
-        header_len,
-        fetch_count: read_u64(8),
-        data_count: read_u64(16),
-        cycles: read_u64(24),
-        fetch_len: read_u64(32),
-        data_len: read_u64(40),
-        source_hash: if version == FORMAT_VERSION { read_u64(48) } else { 0 },
-    })
+
+    /// Bytes of the whole encoded trace: header, both sections, trailer.
+    pub(crate) fn encoded_len(&self) -> u64 {
+        (self.header_len() + TRAILER_LEN) as u64 + self.fetch_len + self.data_len
+    }
+
+    /// Where `section` sits: its byte offset and length, and the number
+    /// of events it declares.
+    pub(crate) fn section(&self, section: Section) -> (u64, u64, u64) {
+        let start = self.header_len() as u64;
+        match section {
+            Section::Fetch => (start, self.fetch_len, self.fetch_count),
+            Section::Data => (start + self.fetch_len, self.data_len, self.data_count),
+        }
+    }
+
+    /// Materializes the trace, decoding each section through `replay`
+    /// into a sink pre-sized from its declared count.
+    pub(crate) fn materialize<E>(
+        &self,
+        mut replay: impl FnMut(Section, &mut RecordingSink) -> Result<u64, E>,
+    ) -> Result<RecordedTrace, E> {
+        let mut section = |section: Section| {
+            let mut sink = RecordingSink {
+                events: Vec::with_capacity(RecordingSink::prealloc_cap(self.section(section).2)),
+            };
+            replay(section, &mut sink).map(|_| sink.events)
+        };
+        Ok(RecordedTrace {
+            fetch_events: section(Section::Fetch)?,
+            data_events: section(Section::Data)?,
+            cycles: self.cycles,
+        })
+    }
 }
 
 /// Which of the two encoded streams to replay.
@@ -517,179 +624,38 @@ pub enum Section {
     Data,
 }
 
-/// A validated view over an encoded trace, ready to stream events out.
-///
-/// Construction ([`Decoder::new`]) checks the header and the integrity
-/// checksum up front; the per-event byte stream is still validated
-/// lazily as it is walked, so even a checksum collision cannot make the
-/// decoder emit out-of-spec data structures or panic.
-#[derive(Debug, Clone, Copy)]
-pub struct Decoder<'a> {
-    fetch_section: &'a [u8],
-    data_section: &'a [u8],
-    fetch_count: u64,
-    data_count: u64,
-    cycles: u64,
-    version: u16,
-    source_hash: u64,
-}
-
-impl<'a> Decoder<'a> {
-    /// Validates `bytes` (magic, version, lengths, checksum) and returns
-    /// a decoder over its sections. Both the current format and the v1
-    /// format (no source hash) are accepted.
-    ///
-    /// # Errors
-    ///
-    /// Any malformed buffer yields the matching [`CodecError`].
-    pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        // The version field sits inside the smaller v1 header, so this
-        // minimum suffices to read it for either format.
-        if bytes.len() < HEADER_LEN_V1 + TRAILER_LEN {
-            return Err(CodecError::Truncated);
-        }
-        let h = parse_header(bytes)?;
-        if bytes.len() < h.header_len + TRAILER_LEN {
-            return Err(CodecError::Truncated);
-        }
-        let expected = h.expected_total()?;
-        if expected != bytes.len() as u64 {
-            return Err(CodecError::LengthMismatch {
-                expected,
-                found: bytes.len() as u64,
-            });
-        }
-        let stored = u32::from_le_bytes(
-            bytes[bytes.len() - TRAILER_LEN..].try_into().expect("4-byte slice"),
-        );
-        let computed = fnv1a32(&bytes[MAGIC.len()..bytes.len() - TRAILER_LEN]);
-        if stored != computed {
-            return Err(CodecError::BadChecksum { stored, computed });
-        }
-        // Every event costs at least one byte, so counts larger than the
-        // section reject cheaply (and bound any pre-allocation).
-        if h.fetch_count > h.fetch_len || h.data_count > h.data_len {
-            return Err(CodecError::SectionMismatch {
-                declared: if h.fetch_count > h.fetch_len { h.fetch_count } else { h.data_count },
-                decoded: 0,
-            });
-        }
-        let fetch_end =
-            h.header_len + usize::try_from(h.fetch_len).map_err(|_| CodecError::Truncated)?;
-        let data_end = fetch_end + usize::try_from(h.data_len).map_err(|_| CodecError::Truncated)?;
-        Ok(Decoder {
-            fetch_section: &bytes[h.header_len..fetch_end],
-            data_section: &bytes[fetch_end..data_end],
-            fetch_count: h.fetch_count,
-            data_count: h.data_count,
-            cycles: h.cycles,
-            version: h.version,
-            source_hash: h.source_hash,
-        })
-    }
-
-    /// Instructions retired by the recorded run.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// The header's format version ([`FORMAT_VERSION`] or
-    /// [`FORMAT_VERSION_V1`]).
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
-    /// The source hash embedded in the header: the FNV-1a64 of whatever
-    /// produced the trace. Zero for v1 buffers (which predate the field)
-    /// and for encoders that did not know it.
-    #[must_use]
-    pub fn source_hash(&self) -> u64 {
-        self.source_hash
-    }
-
-    /// Events in the fetch stream.
-    #[must_use]
-    pub fn fetch_count(&self) -> u64 {
-        self.fetch_count
-    }
-
-    /// Events in the data stream.
-    #[must_use]
-    pub fn data_count(&self) -> u64 {
-        self.data_count
-    }
-
-    /// Streams one section straight into `sink` via batched
-    /// [`TraceSink::events`] calls, using a bounded scratch buffer —
-    /// the stream is never materialized whole. Returns the number of
-    /// events replayed.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] if the section's bytes are malformed; events
-    /// already emitted before the error stand (sinks that need
-    /// all-or-nothing should decode first).
-    pub fn replay_section<S: TraceSink + ?Sized>(
-        &self,
-        section: Section,
-        sink: &mut S,
-    ) -> Result<u64, CodecError> {
-        let (bytes, declared) = match section {
-            Section::Fetch => (self.fetch_section, self.fetch_count),
-            Section::Data => (self.data_section, self.data_count),
-        };
-        parse_section(bytes, declared, |chunk| sink.events(chunk))?;
-        Ok(declared)
-    }
-
-    /// Streams both sections (fetches, then loads/stores) into `sink`.
-    /// Returns the total number of events replayed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CodecError`] from either section.
-    pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) -> Result<u64, CodecError> {
-        Ok(self.replay_section(Section::Fetch, sink)? + self.replay_section(Section::Data, sink)?)
-    }
-
-    /// Materializes the full [`RecordedTrace`].
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] if either section's bytes are malformed.
-    pub fn decode(&self) -> Result<RecordedTrace, CodecError> {
-        let mut fetch_events = Vec::with_capacity(RecordingSink::prealloc_cap(self.fetch_count));
-        parse_section(self.fetch_section, self.fetch_count, |chunk| {
-            fetch_events.extend_from_slice(chunk);
-        })?;
-        let mut data_events = Vec::with_capacity(RecordingSink::prealloc_cap(self.data_count));
-        parse_section(self.data_section, self.data_count, |chunk| {
-            data_events.extend_from_slice(chunk);
-        })?;
-        Ok(RecordedTrace {
-            fetch_events,
-            data_events,
-            cycles: self.cycles,
-        })
-    }
-}
-
-/// Decodes an encoded buffer back into a [`RecordedTrace`].
+/// Decodes an encoded buffer back into a [`RecordedTrace`]. Both the
+/// current format and the v1 format (no source hash) are accepted.
 ///
 /// # Errors
 ///
-/// Any malformed buffer yields the matching [`CodecError`]; decoding
-/// never panics.
+/// Any malformed buffer yields the matching [`CodecError`] — the same
+/// one [`StreamingTrace::open`](crate::StreamingTrace::open) reports for
+/// the same bytes in a file; decoding never panics.
 pub fn decode(bytes: &[u8]) -> Result<RecordedTrace, CodecError> {
-    Decoder::new(bytes)?.decode()
+    let header = Header::read(bytes, bytes.len() as u64)?;
+    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_LEN);
+    check_trailer(
+        trailer.try_into().expect("4-byte trailer"),
+        fnv1a32_update(FNV1A32_SEED, &body[MAGIC.len()..]),
+    )?;
+    header.materialize(|section, sink| {
+        let (offset, len, declared) = header.section(section);
+        // In bounds: `Header::read` matched the lengths to the buffer.
+        let mut rest = &bytes[offset as usize..(offset + len) as usize];
+        decode_section(
+            len,
+            declared,
+            REPLAY_CHUNK,
+            |buf| std::io::Read::read(&mut rest, buf).map_err(|_| CodecError::Truncated),
+            |batch| sink.events(batch),
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waymem_isa::CountingSink;
 
     fn sample_trace() -> RecordedTrace {
         RecordedTrace {
@@ -756,62 +722,33 @@ mod tests {
         assert_eq!(decode(&buf[2..]).expect("decodes"), trace);
     }
 
-    #[test]
-    fn streaming_replay_matches_counts() {
-        let trace = sample_trace();
-        let bytes = encode(&trace);
-        let dec = Decoder::new(&bytes).expect("valid");
-        assert_eq!(dec.cycles(), trace.cycles);
-        let mut sink = CountingSink::default();
-        let replayed = dec.replay(&mut sink).expect("replays");
-        assert_eq!(replayed, trace.len() as u64);
-        assert_eq!(sink.fetches, trace.fetch_events.len() as u64);
-        assert_eq!(sink.loads + sink.stores, trace.data_events.len() as u64);
-        let mut fetch_only = CountingSink::default();
-        dec.replay_section(Section::Fetch, &mut fetch_only).expect("replays");
-        assert_eq!(fetch_only.loads + fetch_only.stores, 0);
-        assert_eq!(fetch_only.fetches, trace.fetch_events.len() as u64);
-    }
-
-    /// Builds a version-1 buffer (PR 3 layout: no source-hash field) so
-    /// the read-only v1 decode path stays pinned without keeping old
-    /// binaries around.
+    /// Builds a version-1 buffer (the v2 header without its
+    /// source-hash field) so the read-only v1 decode path stays pinned
+    /// without keeping old binaries around.
     fn encode_v1(trace: &RecordedTrace) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        push_u64(&mut out, trace.fetch_events.len() as u64);
-        push_u64(&mut out, trace.data_events.len() as u64);
-        push_u64(&mut out, trace.cycles);
-        let lengths_at = out.len();
-        push_u64(&mut out, 0);
-        push_u64(&mut out, 0);
-        assert_eq!(out.len(), HEADER_LEN_V1);
-        let fetch_start = out.len();
-        encode_section(&mut out, &trace.fetch_events);
-        let fetch_len = (out.len() - fetch_start) as u64;
-        encode_section(&mut out, &trace.data_events);
-        let data_len = (out.len() - fetch_start) as u64 - fetch_len;
-        out[lengths_at..lengths_at + 8].copy_from_slice(&fetch_len.to_le_bytes());
-        out[lengths_at + 8..lengths_at + 16].copy_from_slice(&data_len.to_le_bytes());
-        let checksum = fnv1a32(&out[MAGIC.len()..]);
+        let v2 = encode(trace);
+        let mut out = v2[..HEADER_LEN_V1].to_vec();
+        out[4..6].copy_from_slice(&FORMAT_VERSION_V1.to_le_bytes());
+        out.extend_from_slice(&v2[HEADER_LEN..v2.len() - TRAILER_LEN]);
+        let checksum = fnv1a32_update(FNV1A32_SEED, &out[MAGIC.len()..]);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
+    }
+
+    fn header(bytes: &[u8]) -> Header {
+        Header::read(bytes, bytes.len() as u64).expect("valid header")
     }
 
     #[test]
     fn source_hash_round_trips() {
         let trace = sample_trace();
         let bytes = encode_with_hash(&trace, 0xdead_beef_cafe_f00d);
-        let dec = Decoder::new(&bytes).expect("valid");
-        assert_eq!(dec.version(), FORMAT_VERSION);
-        assert_eq!(dec.source_hash(), 0xdead_beef_cafe_f00d);
-        assert_eq!(dec.decode().expect("decodes"), trace);
+        let h = header(&bytes);
+        assert_eq!(h.version, FORMAT_VERSION);
+        assert_eq!(h.source_hash, 0xdead_beef_cafe_f00d);
+        assert_eq!(decode(&bytes).expect("decodes"), trace);
         // The plain encoder writes hash 0 ("unknown").
-        let plain_bytes = encode(&trace);
-        let plain = Decoder::new(&plain_bytes).expect("valid");
-        assert_eq!(plain.source_hash(), 0);
+        assert_eq!(header(&encode(&trace)).source_hash, 0);
     }
 
     #[test]
@@ -829,10 +766,9 @@ mod tests {
     fn v1_buffers_still_decode() {
         let trace = sample_trace();
         let bytes = encode_v1(&trace);
-        let dec = Decoder::new(&bytes).expect("v1 decodes");
-        assert_eq!(dec.version(), FORMAT_VERSION_V1);
-        assert_eq!(dec.source_hash(), 0, "v1 predates the hash field");
-        assert_eq!(dec.decode().expect("decodes"), trace);
+        let h = header(&bytes);
+        assert_eq!(h.version, FORMAT_VERSION_V1);
+        assert_eq!(h.source_hash, 0, "v1 predates the hash field");
         assert_eq!(decode(&bytes).expect("decodes"), trace);
         // Truncations and bit flips of a v1 buffer error like v2's.
         for len in 0..bytes.len() {

@@ -422,33 +422,6 @@ impl StoreIo {
         }
     }
 
-    /// Reads the whole file at `path` through the seam, retrying
-    /// transient errors per-chunk.
-    ///
-    /// # Errors
-    ///
-    /// Any non-transient I/O error (or a transient one that outlives the
-    /// retry budget).
-    pub fn read_to_vec(&self, path: &Path) -> io::Result<Vec<u8>> {
-        let _phase = waymem_obs::phase::enter(Phase::Io);
-        let _span = waymem_obs::span!("store.io.read");
-        let started = Instant::now();
-        let result = (|| {
-            let mut file = self.open(path)?;
-            let mut out = Vec::new();
-            let mut buf = [0u8; 64 * 1024];
-            loop {
-                let n = self.retry(|| file.read(&mut buf))?;
-                if n == 0 {
-                    return Ok(out);
-                }
-                out.extend_from_slice(&buf[..n]);
-            }
-        })();
-        waymem_obs::histogram!("store.io.read_ns").record(elapsed_ns(started));
-        result
-    }
-
     /// A process-unique in-flight path for an atomic write targeting
     /// `path`: `<path>.p<pid>-<seq>.tmp`. The embedded pid lets the
     /// store's orphan sweep tell a crashed process's leftovers from a
@@ -509,8 +482,9 @@ fn elapsed_ns(started: Instant) -> u64 {
 }
 
 /// The writer pid a [`StoreIo::temp_path`] name embeds
-/// (`<name>.p<pid>-<seq>.tmp`), or `None` for temp files that do not
-/// follow the convention (e.g. a streaming encoder's section spools).
+/// (`<name>.p<pid>-<seq>.tmp`: an atomic write's temp, or a streaming
+/// encoder's section spool such as `<name>.fetch.p<pid>-<seq>.tmp`), or
+/// `None` for temp files that do not follow the convention.
 pub(crate) fn temp_owner_pid(name: &str) -> Option<u32> {
     let stem = name.strip_suffix(TEMP_SUFFIX)?;
     let at = stem.rfind(".p")?;
@@ -669,14 +643,18 @@ mod tests {
         let path = dir.join("y.bin");
         std::fs::write(&path, vec![0u8; 1 << 16]).expect("seed file");
 
+        // The whole file reads through the quiet seam, to its end.
         let quiet = StoreIo::passthrough();
-        let bytes = quiet.read_to_vec(&path).expect("reads");
-        assert_eq!(bytes.len(), 1 << 16);
+        let mut file = quiet.open(&path).expect("opens");
+        let mut bytes = vec![1u8; 1 << 16];
+        read_full(&mut file, &mut bytes, &quiet).expect("reads");
+        assert_eq!(bytes, vec![0u8; 1 << 16]);
+        assert_eq!(file.read(&mut [0u8; 1]).expect("reads EOF"), 0);
         assert_eq!(quiet.faults_injected(), 0);
 
         // Every-op plan: reading the same file must inject something.
         let noisy = StoreIo::with_plan(FaultPlan::new(1).with_period(1));
-        let _ = noisy.read_to_vec(&path);
+        let _ = read_full(&mut noisy.open(&path).expect("opens"), &mut bytes, &noisy);
         assert!(noisy.faults_injected() > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -11,14 +11,15 @@
 //!   delta-encoded addresses with varint lengths, split fetch/data
 //!   sections, a versioned header with event counts and an FNV-1a
 //!   integrity checksum. [`codec::encode_into`]/[`codec::decode`]
-//!   materialize; [`codec::Decoder`] streams events straight into any
-//!   [`TraceSink`](waymem_isa::TraceSink) through batched
-//!   `events(&[TraceEvent])` calls without building a `Vec`.
+//!   work over byte slices. `codec` is the only module that knows the
+//!   layout: its one header writer, header check and section decoder
+//!   serve the slice functions and [`stream`] alike.
 //! * [`stream`] — the bounded-memory counterpart of the codec:
 //!   [`StreamingEncoder`] sinks a producer's event stream straight to a
 //!   `.wmtr` file (byte-identical to the slice encoder) and
-//!   [`StreamingTrace`] replays from the file through a bounded window
-//!   — neither ever holds the event vector, so multi-GB captures cost
+//!   [`StreamingTrace`] replays from the file into any
+//!   [`TraceSink`](waymem_isa::TraceSink) through a bounded window —
+//!   neither ever holds the event vector, so multi-GB captures cost
 //!   O(batch) resident memory.
 //! * [`workload`] — [`WorkloadId`], the storage key: a built-in kernel at
 //!   a scale, an external log identified by FNV-1a64 content hash, or a
@@ -75,8 +76,7 @@ pub mod stream;
 pub mod workload;
 
 pub use codec::{
-    decode, encode, encode_into, encode_into_with_hash, encode_with_hash, CodecError, Decoder,
-    Section,
+    decode, encode, encode_into, encode_into_with_hash, encode_with_hash, CodecError, Section,
 };
 pub use fault::{FaultFile, FaultPlan, StoreIo};
 pub use store::{StoreStats, TraceStore, LOCK_SUFFIX, QUARANTINE_DIR};

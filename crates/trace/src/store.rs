@@ -22,9 +22,17 @@
 //! the caller's — the kernel generator changed, the input log was edited
 //! in place — is treated as a **stale miss** and re-recorded instead of
 //! silently replayed. Passing hash `0` means "unverified": any cached
-//! copy is accepted (what bulk [`TraceStore::load`] preloading uses).
-//! Legacy v1 files carry no hash, so a caller that *does* verify
-//! re-records them once and upgrades the file to v2 in passing.
+//! copy is accepted. Legacy v1 files carry no hash, so a caller that
+//! *does* verify re-records them once and upgrades the file to v2 in
+//! passing.
+//!
+//! Both lookups ([`TraceStore::get_or_record`] and
+//! [`TraceStore::open_stream`]) read a cache file the same way: they
+//! open it as a [`StreamingTrace`], which validates header and checksum,
+//! and share one miss path (stale count, quarantine, record lock,
+//! re-check). They differ only in how a hit is served — decoded into
+//! memory, handed back as the open file, or spilled from an in-memory
+//! copy — and in where production writes.
 //!
 //! ## Disk hygiene
 //!
@@ -116,8 +124,8 @@ pub struct StoreStats {
     pub encoded_bytes: u64,
     /// Cache files written (best-effort persistence).
     pub files_saved: u64,
-    /// Cache files successfully decoded (on-miss loads plus
-    /// [`TraceStore::load`]).
+    /// Cache files decoded into memory by
+    /// [`TraceStore::get_or_record`] disk hits.
     pub files_loaded: u64,
     /// Cache files deleted by the size-cap eviction sweep.
     pub files_evicted: u64,
@@ -234,9 +242,9 @@ impl Counters {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn account_trace(&self, trace: &RecordedTrace, encoded_len: usize) {
+    fn account_trace(&self, trace: &RecordedTrace, encoded_len: u64) {
         self.raw_bytes.fetch_add(trace.raw_size_bytes(), Ordering::Relaxed);
-        self.encoded_bytes.fetch_add(encoded_len as u64, Ordering::Relaxed);
+        self.encoded_bytes.fetch_add(encoded_len, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> StoreStats {
@@ -266,20 +274,28 @@ impl Counters {
 /// same staleness rule as disk loads.
 type Cached = (u64, Arc<RecordedTrace>);
 
-/// What the cache dir had to say about one key.
-enum DiskLoad {
-    /// A current file decoded successfully.
-    Hit(Cached),
-    /// A decodable file exists but its source hash is outdated.
+/// What one open of a key's cache file found.
+enum Found<T> {
+    /// A current file, served.
+    Hit(T),
+    /// A valid file whose source hash is outdated (left in place — the
+    /// re-record overwrites it).
     Stale,
-    /// No usable file: none at all (`quarantined == false`), or a
-    /// corrupt/unreadable one the store just moved aside
-    /// (`quarantined == true` — the caller counts a `recovered` event
-    /// once the re-record succeeds).
-    Absent {
-        /// Whether this miss quarantined a bad file on the way.
-        quarantined: bool,
-    },
+    /// No file.
+    Missing,
+    /// An unreadable or invalid file, now quarantined.
+    Corrupt,
+}
+
+/// A lookup that found no current cache file and goes on to produce.
+struct Miss {
+    /// Where production persists (`None` for a memory-only store).
+    path: Option<PathBuf>,
+    /// The cross-process record lock, held until the lookup is done.
+    _lock: Option<RecordLock>,
+    /// Whether this lookup quarantined a corrupt file (a successful
+    /// production then counts as `recovered`).
+    recovering: bool,
 }
 
 /// One key's slot. The per-key mutex serializes *production* of that key
@@ -436,47 +452,61 @@ impl TraceStore {
         expected == 0 || found == expected
     }
 
-    /// Tries to serve `key` from the cache dir. A missing file is a
-    /// plain miss; an unreadable or undecodable one is quarantined (a
-    /// corrupt cache file must never break a run, and must not shadow
-    /// the re-record either); a decodable file whose source hash
-    /// disagrees with `expected_hash` is a [`DiskLoad::Stale`] miss
-    /// (left in place — the re-record overwrites it). Staleness is
-    /// *reported*, not counted here: the caller folds it into the
-    /// per-lookup accounting (a lookup that rejects both a stale preload
-    /// and its stale backing file is one stale event, not two).
-    fn load_from_disk(&self, key: WorkloadId, expected_hash: u64) -> DiskLoad {
+    /// The cache-file side of one lookup, shared by
+    /// [`get_or_record`](Self::get_or_record) and
+    /// [`open_stream`](Self::open_stream), which differ only in how
+    /// `serve` turns a current file into a hit. `stale` says the
+    /// in-memory slot held an outdated copy.
+    ///
+    /// The key's file is opened — the one way the store reads a cache
+    /// file — and sorted as current (served), stale, missing, or corrupt:
+    /// unreadable, invalid, or failing to serve. A corrupt file is
+    /// quarantined, since it must never break a run nor shadow the
+    /// re-record. Without a current file the lookup counts one stale
+    /// event if it rejected an outdated copy (in memory or on disk), takes
+    /// the cross-process record lock and, holding it, opens the file
+    /// again: a racer that waited usually finds the winner's file there
+    /// and skips its own production.
+    fn probe<T>(
+        &self,
+        key: WorkloadId,
+        source_hash: u64,
+        mut stale: bool,
+        mut serve: impl FnMut(StreamingTrace) -> Result<T, StreamError>,
+    ) -> Result<T, Miss> {
+        let path = self.file_path(key);
         self.sweep_orphans();
-        let Some(path) = self.file_path(key) else {
-            return DiskLoad::Absent { quarantined: false };
-        };
-        let bytes = match self.io.read_to_vec(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return DiskLoad::Absent { quarantined: false };
-            }
-            Err(_) => {
-                self.quarantine(&path);
-                return DiskLoad::Absent { quarantined: true };
-            }
-        };
-        let decoder = match codec::Decoder::new(&bytes) {
-            Ok(decoder) => decoder,
-            Err(_) => {
-                self.quarantine(&path);
-                return DiskLoad::Absent { quarantined: true };
+        let mut open = |path: Option<&Path>| {
+            let Some(path) = path else { return Found::Missing };
+            match StreamingTrace::open_with(path, self.io.clone()) {
+                Ok(st) if !Self::hash_current(source_hash, st.source_hash()) => Found::Stale,
+                Err(StreamError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Found::Missing,
+                opened => match opened.and_then(&mut serve) {
+                    Ok(hit) => Found::Hit(hit),
+                    Err(_) => {
+                        self.quarantine(path);
+                        Found::Corrupt
+                    }
+                },
             }
         };
-        if !Self::hash_current(expected_hash, decoder.source_hash()) {
-            return DiskLoad::Stale;
+        let mut recovering = false;
+        match open(path.as_deref()) {
+            Found::Hit(hit) => return Ok(hit),
+            Found::Stale => stale = true,
+            Found::Corrupt => recovering = true,
+            Found::Missing => {}
         }
-        let Ok(trace) = decoder.decode() else {
-            self.quarantine(&path);
-            return DiskLoad::Absent { quarantined: true };
-        };
-        Counters::bump(&self.counters.files_loaded);
-        self.counters.account_trace(&trace, bytes.len());
-        DiskLoad::Hit((decoder.source_hash(), Arc::new(trace)))
+        if stale {
+            Counters::bump(&self.counters.stale);
+        }
+        let lock = path.as_deref().and_then(|p| self.lock_record(p));
+        if lock.is_some() {
+            if let Found::Hit(hit) = open(path.as_deref()) {
+                return Ok(hit);
+            }
+        }
+        Err(Miss { path, _lock: lock, recovering })
     }
 
     /// Best-effort persistence: encoding feeds the compression stats
@@ -486,7 +516,7 @@ impl TraceStore {
     /// size-cap sweep.
     fn save_to_disk(&self, key: WorkloadId, source_hash: u64, trace: &RecordedTrace) {
         let bytes = codec::encode_with_hash(trace, source_hash);
-        self.counters.account_trace(trace, bytes.len());
+        self.counters.account_trace(trace, bytes.len() as u64);
         let Some(path) = self.file_path(key) else { return };
         let Some(dir) = self.cache_dir.as_ref() else { return };
         self.sweep_orphans();
@@ -638,8 +668,9 @@ impl TraceStore {
     ///
     /// `source_hash` is the FNV-1a64 of whatever produces the trace
     /// (kernel source text, raw log bytes, generator spec). Cached
-    /// copies — on disk *or* preloaded in memory — whose hash disagrees
-    /// are re-recorded, not replayed; pass `0` to skip verification.
+    /// copies — on disk *or* in memory from an earlier lookup under
+    /// another hash — whose hash disagrees are re-recorded, not
+    /// replayed; pass `0` to skip verification.
     ///
     /// # Errors
     ///
@@ -659,54 +690,37 @@ impl TraceStore {
         let slot = self.slot(key);
         let mut guard = slot.lock().expect("trace slot poisoned");
         Counters::bump(&self.counters.lookups);
-        let mut was_stale = false;
         if let Some((cached_hash, trace)) = guard.as_ref() {
             if Self::hash_current(source_hash, *cached_hash) {
                 Counters::bump(&self.counters.hits);
                 return Ok(Arc::clone(trace));
             }
-            // A stale preload (bulk `load()` pulled in an outdated file).
-            was_stale = true;
-            *guard = None;
         }
-        let mut needs_recovery = false;
-        match self.load_from_disk(key, source_hash) {
-            DiskLoad::Hit((hash, trace)) => {
+        // An outdated copy goes: the disk or the recorder replaces it.
+        let stale = guard.take().is_some();
+        let decode = |st: StreamingTrace| Ok((st.source_hash(), st.encoded_len(), st.decode()?));
+        let miss = match self.probe(key, source_hash, stale, decode) {
+            Ok((hash, encoded_len, trace)) => {
                 Counters::bump(&self.counters.disk_hits);
+                Counters::bump(&self.counters.files_loaded);
+                self.counters.account_trace(&trace, encoded_len);
+                let trace = Arc::new(trace);
                 *guard = Some((hash, Arc::clone(&trace)));
                 return Ok(trace);
             }
-            DiskLoad::Stale => was_stale = true,
-            DiskLoad::Absent { quarantined } => needs_recovery = quarantined,
-        }
-        if was_stale {
-            // One stale event per lookup, even when both the preloaded
-            // copy and its backing file were rejected.
-            Counters::bump(&self.counters.stale);
-        }
-        // Serialize cross-process recording of this key; a racer that
-        // waited here usually finds the winner's file on the re-check
-        // and skips its own production entirely.
-        let lock = self.file_path(key).and_then(|path| self.lock_record(&path));
-        if lock.is_some() {
-            if let DiskLoad::Hit((hash, trace)) = self.load_from_disk(key, source_hash) {
-                Counters::bump(&self.counters.disk_hits);
-                *guard = Some((hash, Arc::clone(&trace)));
-                return Ok(trace);
-            }
-        }
-        let trace = record()?;
+            Err(miss) => miss,
+        };
+        let trace = Arc::new(record()?);
         Counters::bump(&self.counters.records);
-        if needs_recovery {
+        if miss.recovering {
             Counters::bump(&self.counters.recovered);
         }
-        let trace = Arc::new(trace);
         *guard = Some((source_hash, Arc::clone(&trace)));
         // Account + persist outside the per-key lock: waiters queued on
         // this key proceed with the Arc immediately; the encode pass
         // only feeds the compression stats and the best-effort cache
         // file, so nothing downstream observes it. The record lock stays
-        // held across the save (it drops at the end of this scope).
+        // held across the save (it drops with `miss`).
         drop(guard);
         self.save_to_disk(key, source_hash, &trace);
         Ok(trace)
@@ -730,7 +744,7 @@ impl TraceStore {
     /// system temp dir ([`stream::scratch`]) and deletes itself when the
     /// handle drops, or at once if production or validation fails.
     ///
-    /// Staleness follows the same rule as `get_or_record`: a file whose
+    /// Staleness follows the same rule as `get_or_record`: a copy whose
     /// embedded hash disagrees with a nonzero `source_hash` is
     /// re-produced, not replayed.
     ///
@@ -752,89 +766,24 @@ impl TraceStore {
         let slot = self.slot(key);
         let guard = slot.lock().expect("trace slot poisoned");
         Counters::bump(&self.counters.lookups);
-        let mut was_stale = false;
-        let mut needs_recovery = false;
-
         let cached = guard
             .as_ref()
             .filter(|(h, _)| Self::hash_current(source_hash, *h))
             .map(|(h, t)| (*h, Arc::clone(t)));
-
-        if let Some(path) = self.file_path(key) {
-            self.sweep_orphans();
-            // Warm file: validate and stream straight from it. A corrupt
-            // or unreadable file is quarantined (same policy as
-            // `load_from_disk`); a hash mismatch is a stale miss.
-            if path.exists() {
-                match StreamingTrace::open_with(&path, self.io.clone()) {
-                    Ok(st) if Self::hash_current(source_hash, st.source_hash()) => {
-                        Counters::bump(&self.counters.disk_hits);
-                        Counters::bump(&self.counters.stream_opens);
-                        return Ok(st);
-                    }
-                    Ok(_) => was_stale = true,
-                    Err(StreamError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(_) => {
-                        self.quarantine(&path);
-                        needs_recovery = true;
-                    }
-                }
-            }
-            if let Some((hash, trace)) = cached {
-                // The events are in memory anyway: spill them once and
-                // stream from the file — still no production.
-                stream::write_encoded_with(&trace, hash, &path, &self.io)
-                    .map_err(|e| E::from(StreamError::Io(e)))?;
-                Counters::bump(&self.counters.hits);
+        let stale = guard.is_some() && cached.is_none();
+        let miss = match self.probe(key, source_hash, stale, Ok) {
+            Ok(st) => {
+                Counters::bump(&self.counters.disk_hits);
                 Counters::bump(&self.counters.stream_opens);
-                Counters::bump(&self.counters.files_saved);
-                if needs_recovery {
-                    Counters::bump(&self.counters.recovered);
-                }
-                drop(guard);
-                self.enforce_cache_cap(&path);
-                return StreamingTrace::open_with(&path, self.io.clone()).map_err(E::from);
+                return Ok(st);
             }
-            if was_stale {
-                Counters::bump(&self.counters.stale);
-            }
-            // Serialize cross-process production; a racer that waited
-            // here usually finds the winner's file on the re-check.
-            let lock = self.lock_record(&path);
-            if lock.is_some() {
-                if let Ok(st) = StreamingTrace::open_with(&path, self.io.clone()) {
-                    if Self::hash_current(source_hash, st.source_hash()) {
-                        Counters::bump(&self.counters.disk_hits);
-                        Counters::bump(&self.counters.stream_opens);
-                        return Ok(st);
-                    }
-                }
-            }
-            produce(&path)?;
-            Counters::bump(&self.counters.records);
-            Counters::bump(&self.counters.files_saved);
-            if needs_recovery {
-                Counters::bump(&self.counters.recovered);
-            }
-            drop(guard);
-            self.enforce_cache_cap(&path);
-            return match StreamingTrace::open_with(&path, self.io.clone()) {
-                Ok(st) => Ok(st),
-                Err(e) => {
-                    // The freshly produced file failed validation (torn
-                    // or fault-corrupted write): move it aside so the
-                    // next lookup re-produces instead of replaying it.
-                    self.quarantine(&path);
-                    Err(E::from(e))
-                }
-            };
-        }
-
-        // Memory-only store: the file is scratch, cleaned up on drop (and
-        // on failure).
-        let (st, ()) = stream::scratch(self.io.clone(), |path| -> Result<(), E> {
-            if let Some((hash, trace)) = cached {
-                stream::write_encoded_with(&trace, hash, path, &self.io)
+            Err(miss) => miss,
+        };
+        // Spill an in-memory copy if there is one (still no
+        // production), else run the producer.
+        let write = |path: &Path| -> Result<(), E> {
+            if let Some((hash, trace)) = &cached {
+                stream::write_encoded_with(trace, *hash, path, &self.io)
                     .map_err(|e| E::from(StreamError::Io(e)))?;
                 Counters::bump(&self.counters.hits);
                 Counters::bump(&self.counters.stream_opens);
@@ -843,8 +792,26 @@ impl TraceStore {
                 Counters::bump(&self.counters.records);
             }
             Ok(())
-        })?;
-        Ok(st)
+        };
+        let Some(path) = miss.path.as_deref() else {
+            // Memory-only store: the file is scratch, cleaned up on drop
+            // (and on failure).
+            return Ok(stream::scratch(self.io.clone(), write)?.0);
+        };
+        write(path)?;
+        Counters::bump(&self.counters.files_saved);
+        if miss.recovering {
+            Counters::bump(&self.counters.recovered);
+        }
+        drop(guard);
+        self.enforce_cache_cap(path);
+        StreamingTrace::open_with(path, self.io.clone()).map_err(|e| {
+            // The freshly written file failed validation (torn or
+            // fault-corrupted write): move it aside so the next lookup
+            // re-produces instead of replaying it.
+            self.quarantine(path);
+            E::from(e)
+        })
     }
 
     /// The trace for `key` if it is already in memory. Does not consult
@@ -859,91 +826,6 @@ impl TraceStore {
         let slot = self.slot(key);
         let guard = slot.lock().expect("trace slot poisoned");
         guard.as_ref().map(|(_, t)| Arc::clone(t))
-    }
-
-    /// Writes every in-memory trace to the cache dir, returning how many
-    /// files were written. Unlike the automatic on-record persistence
-    /// this surfaces I/O errors, so callers invoking it deliberately
-    /// (e.g. a `--save-cache` flag) see failures.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidInput` if the store has no cache dir; otherwise the first
-    /// I/O error encountered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of an internal lock panicked.
-    pub fn save(&self) -> io::Result<usize> {
-        let dir = self.cache_dir.as_ref().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "trace store has no cache dir")
-        })?;
-        fs::create_dir_all(dir)?;
-        self.sweep_orphans();
-        let entries: Vec<(WorkloadId, Cached)> = {
-            let slots = self.slots.lock().expect("trace store poisoned");
-            slots
-                .iter()
-                .filter_map(|(k, s)| {
-                    s.lock()
-                        .expect("trace slot poisoned")
-                        .as_ref()
-                        .map(|(h, t)| (*k, (*h, Arc::clone(t))))
-                })
-                .collect()
-        };
-        let mut written = 0;
-        let mut last_path = None;
-        for (key, (hash, trace)) in entries {
-            let path = dir.join(key.file_name());
-            self.io.write_atomic(&path, &codec::encode_with_hash(&trace, hash))?;
-            written += 1;
-            Counters::bump(&self.counters.files_saved);
-            last_path = Some(path);
-        }
-        if let Some(path) = last_path {
-            self.enforce_cache_cap(&path);
-        }
-        Ok(written)
-    }
-
-    /// Preloads every decodable `*.wmtr` file from the cache dir into
-    /// memory, returning how many loaded. Files that fail to decode are
-    /// skipped (corrupt caches must not break anything); keys already in
-    /// memory are left untouched. Preloads are *unverified* — a later
-    /// [`get_or_record`](Self::get_or_record) with a real source hash
-    /// still applies the staleness check before replaying one.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidInput` if the store has no cache dir; `NotFound`/other
-    /// I/O errors from reading the directory itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of an internal lock panicked.
-    pub fn load(&self) -> io::Result<usize> {
-        let dir = self.cache_dir.clone().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "trace store has no cache dir")
-        })?;
-        let mut loaded = 0;
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(key) = name.to_str().and_then(WorkloadId::from_file_name) else {
-                continue;
-            };
-            let slot = self.slot(key);
-            let mut guard = slot.lock().expect("trace slot poisoned");
-            if guard.is_some() {
-                continue;
-            }
-            if let DiskLoad::Hit(cached) = self.load_from_disk(key, 0) {
-                *guard = Some(cached);
-                loaded += 1;
-            }
-        }
-        Ok(loaded)
     }
 }
 
@@ -1215,46 +1097,22 @@ mod tests {
             .get_or_record(dct(1), 0xaaaa, || Ok::<_, ()>(tiny_trace(1)))
             .expect("records");
 
+        // An unverified (hash 0) lookup preloads the file into memory.
         let preloaded = TraceStore::with_cache_dir(&tmp.0);
-        assert_eq!(preloaded.load().expect("preloads"), 1);
-        // The preload is unverified; a verifying lookup with a different
-        // hash must reject it even though it sits in memory.
+        preloaded
+            .get_or_record(dct(1), 0, || Err::<RecordedTrace, _>("must not record"))
+            .expect("preloads");
+        // A verifying lookup with a different hash must reject the copy
+        // even though it sits in memory.
         let t = preloaded
             .get_or_record(dct(1), 0xcccc, || Ok::<_, ()>(tiny_trace(9)))
             .expect("re-records");
         assert_eq!(t.cycles, 9);
         let s = preloaded.stats();
         // Exactly one stale event for the lookup, even though both the
-        // preloaded copy and its backing file were rejected.
+        // in-memory copy and its backing file were rejected.
         assert_eq!(s.stale, 1, "{s:?}");
-        assert_eq!(s.records, 1);
-    }
-
-    #[test]
-    fn explicit_save_and_load() {
-        let tmp = TempDir::new("explicit");
-        let store = TraceStore::new();
-        assert!(store.save().is_err(), "no cache dir configured");
-
-        let saver = TraceStore::with_cache_dir(&tmp.0);
-        saver
-            .get_or_record(WorkloadId::kernel(Benchmark::Compress, 3), 0, || {
-                Ok::<_, ()>(tiny_trace(5))
-            })
-            .expect("records");
-        assert_eq!(saver.save().expect("saves"), 1);
-
-        let loader = TraceStore::with_cache_dir(&tmp.0);
-        assert_eq!(loader.load().expect("loads"), 1);
-        assert_eq!(
-            loader.get(WorkloadId::kernel(Benchmark::Compress, 3)).expect("in memory").cycles,
-            5
-        );
-        // A corrupt extra file is skipped, not fatal.
-        std::fs::write(tmp.0.join("dct-s1.wmtr"), b"garbage").expect("writes");
-        let skipper = TraceStore::with_cache_dir(&tmp.0);
-        assert_eq!(skipper.load().expect("loads"), 1);
-        assert!(skipper.get(dct(1)).is_none());
+        assert_eq!((s.records, s.disk_hits), (1, 1), "{s:?}");
     }
 
     #[test]
@@ -1473,6 +1331,108 @@ mod tests {
         assert_eq!(st.decode().expect("decodes"), tiny_trace(4));
         let s = healed.stats();
         assert_eq!((s.quarantined, s.records, s.recovered), (1, 1, 1), "{s:?}");
+    }
+
+    // `open_stream` counts through the miss path it shares with
+    // `get_or_record`: a stale in-memory copy, or a stale file it spills
+    // over, is a stale event, and a corrupt file is quarantined on the
+    // locked re-check and after a spill that fails validation.
+
+    #[test]
+    fn open_stream_counts_a_stale_in_memory_copy() {
+        let store = TraceStore::new();
+        store.get_or_record(dct(1), 0xaaaa, || Ok::<_, ()>(tiny_trace(1))).expect("records");
+        let st = store
+            .open_stream(dct(1), 0xbbbb, |p| produce_file(&tiny_trace(2), 0xbbbb, p))
+            .expect("re-produces");
+        assert_eq!(st.cycles(), 2, "the stale copy must not be spilled");
+        let s = store.stats();
+        assert_eq!((s.stale, s.records, s.hits), (1, 2, 0), "{s:?}");
+    }
+
+    #[test]
+    fn open_stream_counts_a_stale_file_it_spills_over() {
+        let tmp = TempDir::new("spillstale");
+        let store = TraceStore::with_cache_dir(&tmp.0);
+        store.get_or_record(dct(1), 0xaaaa, || Ok::<_, ()>(tiny_trace(1))).expect("records");
+        let path = tmp.0.join(dct(1).file_name());
+        std::fs::write(&path, codec::encode_with_hash(&tiny_trace(2), 0xbbbb)).expect("outdates");
+        let st = store
+            .open_stream(dct(1), 0xaaaa, |_| -> Result<(), StreamError> {
+                panic!("must not re-produce")
+            })
+            .expect("spills");
+        assert_eq!((st.cycles(), st.source_hash()), (1, 0xaaaa));
+        let s = store.stats();
+        assert_eq!((s.stale, s.hits, s.stream_opens, s.files_saved), (1, 1, 1, 2), "{s:?}");
+    }
+
+    #[test]
+    fn both_lookups_quarantine_a_corrupt_file_found_on_the_locked_re_check() {
+        for streaming in [false, true] {
+            let tmp = TempDir::new(if streaming { "recheck-stream" } else { "recheck" });
+            std::fs::create_dir_all(&tmp.0).expect("mkdir");
+            let path = tmp.0.join(dct(1).file_name());
+            let stale_file = codec::encode_with_hash(&tiny_trace(1), 0x22);
+            std::fs::write(&path, stale_file).expect("writes a stale file");
+            // A live writer (this process) holds the record lock.
+            std::fs::write(lock_path(&path), std::process::id().to_string()).expect("locks");
+            let store = TraceStore::with_cache_dir(&tmp.0);
+            let (cycles, s) = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    // Once the lookup has rejected the stale file, and so
+                    // waits on the lock, the writer leaves a torn file and
+                    // releases the lock.
+                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    while store.stats().stale == 0 {
+                        assert!(std::time::Instant::now() < deadline, "lookup never went stale");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    std::fs::write(&path, b"WMTRgarbage, a torn write").expect("tears");
+                    std::fs::remove_file(lock_path(&path)).expect("unlocks");
+                });
+                let cycles = if streaming {
+                    store
+                        .open_stream(dct(1), 0x11, |p| produce_file(&tiny_trace(4), 0x11, p))
+                        .expect("produces")
+                        .cycles()
+                } else {
+                    let record = || Ok::<_, ()>(tiny_trace(4));
+                    store.get_or_record(dct(1), 0x11, record).expect("records").cycles
+                };
+                (cycles, store.stats())
+            });
+            assert_eq!(cycles, 4);
+            assert_eq!((s.stale, s.quarantined, s.records, s.recovered), (1, 1, 1, 0), "{s:?}");
+            assert!(tmp.0.join(QUARANTINE_DIR).join(dct(1).file_name()).exists());
+        }
+    }
+
+    #[test]
+    fn open_stream_quarantines_a_spill_that_fails_validation() {
+        // A period-1 plan faults every operation; under some seeds the
+        // spill lands on disk corrupted, and every such spill must be
+        // quarantined like a produced file.
+        let mut corrupted = 0;
+        for seed in 0..64u64 {
+            let tmp = TempDir::new(&format!("spillq{seed}"));
+            let plan = crate::fault::FaultPlan::new(seed).with_period(1);
+            let store = TraceStore::with_cache_dir(&tmp.0).with_io(StoreIo::with_plan(plan));
+            store.get_or_record(dct(1), 0x11, || Ok::<_, ()>(tiny_trace(4))).expect("records");
+            let path = tmp.0.join(dct(1).file_name());
+            let _ = std::fs::remove_file(&path); // forces the spill
+            let before = store.stats().quarantined;
+            let opened = store.open_stream(dct(1), 0x11, |_| -> Result<(), StreamError> {
+                panic!("must spill, not re-produce")
+            });
+            if let Err(StreamError::Codec(e)) = opened {
+                corrupted += 1;
+                assert_eq!(store.stats().quarantined, before + 1, "seed {seed}: {e}");
+                assert!(tmp.0.join(QUARANTINE_DIR).join(dct(1).file_name()).exists());
+                assert!(!path.exists(), "seed {seed}: the corrupt spill stayed in place");
+            }
+        }
+        assert!(corrupted > 0, "no seed corrupted a spill");
     }
 
     #[test]

@@ -16,17 +16,17 @@
 //!   — byte for byte, checksum included — by splicing header, spooled
 //!   sections and trailer together in one streamed pass.
 //! * [`StreamingTrace`] is the read side: a validated handle to an
-//!   encoded file that replays events into any [`TraceSink`] through a
-//!   bounded window (refilling buffered reads, batched
-//!   [`TraceSink::events`] calls) without ever materializing the event
-//!   vector. Opening performs the same strictness as
-//!   [`Decoder::new`](crate::codec::Decoder::new): magic, version,
-//!   length arithmetic, and a full checksum pass over the file, so a
-//!   corrupt or truncated capture is an `Err` before a single event is
-//!   emitted. Replay takes `&self` and opens its own file handle per
-//!   call, so one handle serves many concurrent cursors — in the
-//!   simulator, one per replay chain, whose fan-out sink hands each
-//!   decoded batch to every front of the chain.
+//!   encoded file that replays events into any [`TraceSink`] through
+//!   the codec's one section decoder (a bounded window of buffered
+//!   reads, batched [`TraceSink::events`] calls) without ever
+//!   materializing the event vector. Opening runs the codec's one header
+//!   check — magic, version, length arithmetic, event counts — and a
+//!   full checksum pass over the file, so a corrupt or truncated capture
+//!   is an `Err` before a single event is emitted, and the same bytes
+//!   get the same verdict as [`codec::decode`]. Replay takes `&self` and
+//!   opens its own file handle per call, so one handle serves many
+//!   concurrent cursors — in the simulator, one per replay chain, whose
+//!   fan-out sink hands each decoded batch to every front of the chain.
 //!
 //! The memory contract, concretely: replay holds one 64 KiB read window
 //! plus one batch of decoded events (default 4096 × 24 B ≈ 96 KiB) per
@@ -40,20 +40,16 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use waymem_obs::metrics::Stopwatch;
 use waymem_obs::phase::Phase;
 
-use waymem_isa::{FetchKind, RecordedTrace, RecordingSink, TraceEvent, TraceSink};
+use waymem_isa::{FetchKind, RecordedTrace, TraceEvent, TraceSink};
 
 use crate::codec::{
-    self, CodecError, Section, FNV1A32_SEED, FORMAT_VERSION, HEADER_LEN, MAGIC, MAX_EVENT_WIRE,
-    REPLAY_CHUNK, TRAILER_LEN,
+    self, CodecError, Header, Section, FNV1A32_SEED, FORMAT_VERSION, HEADER_LEN, MAGIC,
+    MAX_EVENT_WIRE, REPLAY_CHUNK, TRAILER_LEN, WINDOW_BYTES,
 };
 use crate::fault::{read_full, FaultFile, StoreIo};
-
-/// Scratch-buffer size for both the encoder's section spools and the
-/// reader's refill window. Big enough that syscall overhead vanishes,
-/// small enough that a dozen concurrent cursors stay cache-friendly.
-const WINDOW_BYTES: usize = 64 * 1024;
 
 /// Why a streamed trace file could not be written, opened, or replayed.
 #[derive(Debug)]
@@ -199,8 +195,11 @@ pub struct StreamingEncoder {
 
 impl StreamingEncoder {
     /// Opens an encoder that will write the finished stream to `path`,
-    /// spooling sections into `<path>.fetch.tmp` / `<path>.data.tmp`
-    /// alongside it in the meantime.
+    /// spooling sections into `<path>.fetch.p<pid>-<n>.tmp` /
+    /// `<path>.data.p<pid>-<n>.tmp` alongside it in the meantime. The
+    /// spool names are unique per encoder (see [`StoreIo::temp_path`]),
+    /// so two encoders for one path never share a spool, and the store's
+    /// orphan sweep can tell a dead writer's spools by their pid.
     ///
     /// # Errors
     ///
@@ -222,13 +221,13 @@ impl StreamingEncoder {
                 fs::create_dir_all(parent)?;
             }
         }
-        let side = |suffix: &str| {
+        let spool = |section: &str| {
             let mut os = path.as_os_str().to_owned();
-            os.push(suffix);
-            PathBuf::from(os)
+            os.push(section);
+            StoreIo::temp_path(Path::new(&os))
         };
-        let fetch_path = side(".fetch.tmp");
-        let data_path = side(".data.tmp");
+        let fetch_path = spool(".fetch");
+        let data_path = spool(".data");
         let temps = TempGuard(vec![fetch_path.clone(), data_path.clone()]);
         Ok(StreamingEncoder {
             out_path: path.to_path_buf(),
@@ -292,23 +291,22 @@ impl StreamingEncoder {
         let (fetch_path, fetch_len, fetch_count) = fetch.seal()?;
         let (data_path, data_len, data_count) = data.seal()?;
 
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&0u16.to_le_bytes()); // flags (reserved)
-        header.extend_from_slice(&fetch_count.to_le_bytes());
-        header.extend_from_slice(&data_count.to_le_bytes());
-        header.extend_from_slice(&cycles.to_le_bytes());
-        header.extend_from_slice(&fetch_len.to_le_bytes());
-        header.extend_from_slice(&data_len.to_le_bytes());
-        header.extend_from_slice(&source_hash.to_le_bytes());
-        debug_assert_eq!(header.len(), HEADER_LEN);
+        let header = Header {
+            version: FORMAT_VERSION,
+            fetch_count,
+            data_count,
+            cycles,
+            fetch_len,
+            data_len,
+            source_hash,
+        };
+        let header_bytes = header.to_bytes();
 
         let final_tmp = StoreIo::temp_path(&out_path);
         let final_guard = TempGuard(vec![final_tmp.clone()]);
         let mut out = BufWriter::new(io.create(&final_tmp)?);
-        out.write_all(&header)?;
-        let mut checksum = codec::fnv1a32_update(FNV1A32_SEED, &header[MAGIC.len()..]);
+        out.write_all(&header_bytes)?;
+        let mut checksum = codec::fnv1a32_update(FNV1A32_SEED, &header_bytes[MAGIC.len()..]);
         let mut splice = |path: &Path| -> io::Result<()> {
             let mut src = io.open(path)?;
             let mut buf = vec![0u8; WINDOW_BYTES];
@@ -331,11 +329,10 @@ impl StreamingEncoder {
         drop(final_guard); // renamed away; nothing left to remove
         drop(temps); // removes the section spools
 
-        let bytes = (HEADER_LEN as u64) + fetch_len + data_len + (TRAILER_LEN as u64);
         Ok(StreamStats {
             fetch_events: fetch_count,
             data_events: data_count,
-            bytes,
+            bytes: header.encoded_len(),
         })
     }
 }
@@ -426,24 +423,18 @@ pub fn scratch<T, E: From<StreamError>>(
 #[derive(Debug)]
 pub struct StreamingTrace {
     path: PathBuf,
-    fetch_count: u64,
-    data_count: u64,
-    cycles: u64,
-    source_hash: u64,
-    version: u16,
-    fetch_offset: u64,
-    fetch_len: u64,
-    data_len: u64,
+    header: Header,
     batch: usize,
     delete_on_drop: bool,
     io: StoreIo,
 }
 
 impl StreamingTrace {
-    /// Opens and validates `path`: magic, version, length arithmetic,
-    /// and a full streamed checksum pass — the same strictness as
-    /// [`Decoder::new`](crate::codec::Decoder::new), so corruption or
-    /// truncation is an `Err` here, before any replay starts.
+    /// Opens and validates `path`: the codec's header check (magic,
+    /// version, length arithmetic, event counts) and a full streamed
+    /// checksum pass — so corruption or truncation is an `Err` here,
+    /// before any replay starts, and the same `CodecError` that
+    /// [`codec::decode`] reports for the same bytes.
     ///
     /// # Errors
     ///
@@ -456,7 +447,8 @@ impl StreamingTrace {
     /// [`open`](Self::open) with an explicit [`StoreIo`] seam: every
     /// read of the validation pass *and of later replays through this
     /// handle* goes through it, with transient errors retried (and
-    /// counted). Production callers use `open`.
+    /// counted). The validation pass is timed into the `store.io.read_ns`
+    /// histogram. Production callers use `open`.
     ///
     /// # Errors
     ///
@@ -464,30 +456,14 @@ impl StreamingTrace {
     pub fn open_with(path: &Path, io: StoreIo) -> Result<Self, StreamError> {
         let _phase = waymem_obs::phase::enter(Phase::Io);
         let _span = waymem_obs::span!("store.io.open");
+        let _read = Stopwatch::new(waymem_obs::histogram!("store.io.read_ns"));
         let mut file = io.open(path)?;
         let file_len = io.retry(|| file.seek(SeekFrom::End(0)))?;
         file.seek(SeekFrom::Start(0))?;
-        if file_len < (codec::HEADER_LEN_V1 + TRAILER_LEN) as u64 {
-            return Err(CodecError::Truncated.into());
-        }
-        let mut header_bytes = [0u8; HEADER_LEN];
-        let header_read = usize::try_from(file_len.min(HEADER_LEN as u64)).expect("bounded");
-        read_full(&mut file, &mut header_bytes[..header_read], &io)?;
-        let h = codec::parse_header(&header_bytes[..header_read])?;
-        if file_len < (h.header_len + TRAILER_LEN) as u64 {
-            return Err(CodecError::Truncated.into());
-        }
-        let expected = h.expected_total()?;
-        if expected != file_len {
-            return Err(CodecError::LengthMismatch { expected, found: file_len }.into());
-        }
-        if h.fetch_count > h.fetch_len || h.data_count > h.data_len {
-            return Err(CodecError::SectionMismatch {
-                declared: if h.fetch_count > h.fetch_len { h.fetch_count } else { h.data_count },
-                decoded: 0,
-            }
-            .into());
-        }
+        let mut head = [0u8; HEADER_LEN];
+        let head = &mut head[..usize::try_from(file_len.min(HEADER_LEN as u64)).expect("bounded")];
+        read_full(&mut file, head, &io)?;
+        let header = Header::read(head, file_len)?;
 
         // Full-file checksum pass (everything after the magic, up to the
         // trailer), streamed through a bounded buffer.
@@ -504,21 +480,11 @@ impl StreamingTrace {
         }
         let mut trailer = [0u8; TRAILER_LEN];
         read_full(&mut file, &mut trailer, &io)?;
-        let stored = u32::from_le_bytes(trailer);
-        if stored != checksum {
-            return Err(CodecError::BadChecksum { stored, computed: checksum }.into());
-        }
+        codec::check_trailer(trailer, checksum)?;
 
         Ok(StreamingTrace {
             path: path.to_path_buf(),
-            fetch_count: h.fetch_count,
-            data_count: h.data_count,
-            cycles: h.cycles,
-            source_hash: h.source_hash,
-            version: h.version,
-            fetch_offset: h.header_len as u64,
-            fetch_len: h.fetch_len,
-            data_len: h.data_len,
+            header,
             batch: REPLAY_CHUNK,
             delete_on_drop: false,
             io,
@@ -554,37 +520,37 @@ impl StreamingTrace {
     /// Instructions retired by the recorded run.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.header.cycles
     }
 
     /// The source hash embedded in the header (0 = unknown / v1).
     #[must_use]
     pub fn source_hash(&self) -> u64 {
-        self.source_hash
+        self.header.source_hash
     }
 
     /// The header's format version.
     #[must_use]
     pub fn version(&self) -> u16 {
-        self.version
+        self.header.version
     }
 
     /// Events in the fetch stream.
     #[must_use]
     pub fn fetch_count(&self) -> u64 {
-        self.fetch_count
+        self.header.fetch_count
     }
 
     /// Events in the data stream.
     #[must_use]
     pub fn data_count(&self) -> u64 {
-        self.data_count
+        self.header.data_count
     }
 
     /// Total events across both streams.
     #[must_use]
     pub fn len(&self) -> u64 {
-        self.fetch_count + self.data_count
+        self.fetch_count() + self.data_count()
     }
 
     /// `true` when the file holds no events.
@@ -593,83 +559,39 @@ impl StreamingTrace {
         self.len() == 0
     }
 
-    /// Streams one section into `sink` through a bounded read window and
-    /// batched [`TraceSink::events`] calls. Takes `&self` and opens its
-    /// own file handle, so concurrent replays (one cursor per replay
-    /// chain) do not contend. Returns the number of events replayed.
+    /// Bytes of the whole file (header, sections and trailer).
+    pub(crate) fn encoded_len(&self) -> u64 {
+        self.header.encoded_len()
+    }
+
+    /// Streams one section into `sink` through the codec's section
+    /// decoder: a bounded read window and batched [`TraceSink::events`]
+    /// calls. Takes `&self` and opens its own file handle, so concurrent
+    /// replays (one cursor per replay chain) do not contend. Returns the
+    /// number of events replayed.
     ///
     /// # Errors
     ///
     /// [`StreamError::Io`] on read failure, [`StreamError::Codec`] if the
     /// section's bytes are malformed (e.g. the file changed after
     /// [`open`](Self::open)); events already emitted before the error
-    /// stand, exactly like
-    /// [`Decoder::replay_section`](crate::codec::Decoder::replay_section).
+    /// stand.
     pub fn replay_section<S: TraceSink + ?Sized>(
         &self,
         section: Section,
         sink: &mut S,
     ) -> Result<u64, StreamError> {
-        let (offset, len, declared) = match section {
-            Section::Fetch => (self.fetch_offset, self.fetch_len, self.fetch_count),
-            Section::Data => (self.fetch_offset + self.fetch_len, self.data_len, self.data_count),
-        };
+        let (offset, len, declared) = self.header.section(section);
         let mut file = self.io.open(&self.path)?;
         file.seek(SeekFrom::Start(offset))?;
         let mut reader = file.take(len);
-
-        let mut window = vec![0u8; WINDOW_BYTES.max(MAX_EVENT_WIRE)];
-        let mut valid = 0usize; // bytes of section data in window[..valid]
-        let mut start = 0usize; // consumed prefix of window[..valid]
-        let mut exhausted = false; // reader hit EOF
-        let mut consumed = 0u64; // section bytes decoded so far
-        let mut decoded = 0u64;
-        let mut prev = 0u32;
-        let chunk_cap = self.batch.min(usize::try_from(declared).unwrap_or(self.batch)).max(1);
-        let mut chunk: Vec<TraceEvent> = Vec::with_capacity(chunk_cap);
-
-        loop {
-            if decoded == declared && consumed == len {
-                break; // clean finish: every declared event, every byte
-            }
-            // Compact the unconsumed tail to the front, then refill.
-            window.copy_within(start..valid, 0);
-            valid -= start;
-            while valid < window.len() && !exhausted {
-                let n = self.io.retry(|| reader.read(&mut window[valid..]))?;
-                if n == 0 {
-                    exhausted = true;
-                } else {
-                    valid += n;
-                }
-            }
-            if valid == 0 || decoded == declared {
-                // Out of bytes before the declared count, or bytes left
-                // over past the final event: corrupt counts.
-                return Err(CodecError::SectionMismatch { declared, decoded }.into());
-            }
-            let mut cur = codec::Cursor::new(&window[..valid]);
-            // Decode while a whole event is guaranteed to fit in the
-            // window (or the file is exhausted, in which case a
-            // mid-event shortage is a genuine Truncated error).
-            while decoded < declared
-                && !cur.done()
-                && (exhausted || cur.remaining() >= MAX_EVENT_WIRE)
-            {
-                chunk.push(codec::decode_event(&mut cur, &mut prev)?);
-                decoded += 1;
-                if chunk.len() == self.batch {
-                    deliver_batch(sink, &chunk);
-                    chunk.clear();
-                }
-            }
-            start = cur.pos();
-            consumed += start as u64;
-        }
-        if !chunk.is_empty() {
-            deliver_batch(sink, &chunk);
-        }
-        Ok(decoded)
+        codec::decode_section(
+            len,
+            declared,
+            self.batch,
+            |buf| Ok(self.io.retry(|| reader.read(buf))?),
+            |batch| deliver_batch(sink, batch),
+        )
     }
 
     /// Streams both sections (fetches, then loads/stores) into `sink`.
@@ -689,19 +611,7 @@ impl StreamingTrace {
     ///
     /// Propagates the first [`StreamError`] from either section.
     pub fn decode(&self) -> Result<RecordedTrace, StreamError> {
-        let mut fetch = RecordingSink {
-            events: Vec::with_capacity(RecordingSink::prealloc_cap(self.fetch_count)),
-        };
-        self.replay_section(Section::Fetch, &mut fetch)?;
-        let mut data = RecordingSink {
-            events: Vec::with_capacity(RecordingSink::prealloc_cap(self.data_count)),
-        };
-        self.replay_section(Section::Data, &mut data)?;
-        Ok(RecordedTrace {
-            fetch_events: fetch.events,
-            data_events: data.events,
-            cycles: self.cycles,
-        })
+        self.header.materialize(|section, sink| self.replay_section(section, sink))
     }
 }
 
@@ -805,9 +715,43 @@ mod tests {
         assert_eq!(stats.bytes, sliced.len() as u64);
         assert_eq!(stats.fetch_events, trace.fetch_events.len() as u64);
         assert_eq!(stats.data_events, trace.data_events.len() as u64);
-        // No temp spools left behind.
-        assert!(!dir.path("t.wmtr.fetch.tmp").exists());
-        assert!(!dir.path("t.wmtr.data.tmp").exists());
+        assert_no_temps(&dir);
+    }
+
+    /// No `*.tmp` left in the directory: spools and the assembled
+    /// temp are gone once an encoder finishes.
+    fn assert_no_temps(dir: &TempDir) {
+        let temps: Vec<_> = fs::read_dir(&dir.0)
+            .expect("read dir")
+            .flatten()
+            .map(|e| e.file_name())
+            .filter(|n| n.to_string_lossy().ends_with(crate::fault::TEMP_SUFFIX))
+            .collect();
+        assert!(temps.is_empty(), "temp files left behind: {temps:?}");
+    }
+
+    #[test]
+    fn two_encoders_for_one_path_both_finish() {
+        let dir = TempDir::new("two-encoders");
+        let trace = sample_trace();
+        let path = dir.path("t.wmtr");
+        let push = |enc: &mut StreamingEncoder, events: &[TraceEvent]| {
+            for &e in events {
+                enc.events(&[e]);
+            }
+        };
+        // A pushes its fetches, then B opens for the same path (a second
+        // process whose record lock wait timed out), then both push all.
+        let mut a = StreamingEncoder::create(&path).expect("create A");
+        push(&mut a, &trace.fetch_events);
+        let mut b = StreamingEncoder::create(&path).expect("create B");
+        push(&mut b, &trace.fetch_events);
+        push(&mut a, &trace.data_events);
+        push(&mut b, &trace.data_events);
+        a.finish(trace.cycles, 9).expect("A finishes");
+        b.finish(trace.cycles, 9).expect("B finishes");
+        assert_eq!(StreamingTrace::open(&path).expect("opens").decode().expect("decodes"), trace);
+        assert_no_temps(&dir);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Property-based tests for the trace codec: `encode → decode` is the
-//! identity on arbitrary event streams, streaming replay agrees with
-//! materializing, and malformed buffers (corrupt headers, truncations,
-//! bit flips) always come back as `Err` — never a panic, never silently
-//! wrong data.
+//! identity on arbitrary event streams, and malformed buffers (corrupt
+//! headers, truncations, bit flips) always come back as `Err` — never a
+//! panic, never silently wrong data.
 
 use proptest::prelude::*;
-use waymem_isa::{CountingSink, FetchKind, RecordedTrace, RecordingSink, TraceEvent, TraceSink};
-use waymem_trace::{codec, CodecError};
+use waymem_isa::{FetchKind, RecordedTrace, TraceEvent, TraceSink};
+use waymem_trace::{codec, CodecError, StreamError, StreamingTrace};
 
 fn fetch_kinds() -> impl Strategy<Value = FetchKind> {
     prop_oneof![
@@ -53,24 +52,6 @@ proptest! {
         let bytes = codec::encode(&trace);
         let decoded = codec::decode(&bytes).expect("valid encoding must decode");
         prop_assert_eq!(decoded, trace);
-    }
-
-    /// Streaming replay visits exactly the encoded events, in order,
-    /// through the batched sink entry point.
-    #[test]
-    fn streaming_replay_equals_materialized_decode(trace in traces()) {
-        let bytes = codec::encode(&trace);
-        let dec = codec::Decoder::new(&bytes).expect("valid");
-        let mut rec = RecordingSink::default();
-        let replayed = dec.replay(&mut rec).expect("replays");
-        prop_assert_eq!(replayed as usize, trace.len());
-        let mut interleaved = trace.fetch_events.clone();
-        interleaved.extend_from_slice(&trace.data_events);
-        prop_assert_eq!(rec.events, interleaved);
-
-        let mut counter = CountingSink::default();
-        dec.replay(&mut counter).expect("replays");
-        prop_assert_eq!(counter.fetches + counter.loads + counter.stores, trace.len() as u64);
     }
 
     /// Every strict prefix of a valid encoding is an error (truncated
@@ -182,13 +163,18 @@ fn corrupt_section_does_not_emit_phantom_events() {
     }
     let len = bytes.len();
     bytes[len - 4..].copy_from_slice(&hash.to_le_bytes());
-    // The decoder sees a self-consistent checksum but an impossible
-    // count; it must error without handing any event to the sink.
-    match codec::Decoder::new(&bytes) {
-        Err(_) => {}
-        Ok(dec) => {
-            let mut sink = PanicSink;
-            assert!(dec.replay(&mut sink).is_err());
-        }
+    // Both front doors see a self-consistent checksum but an impossible
+    // count; each must error without handing any event to a sink.
+    let err = codec::decode(&bytes).expect_err("the slice decoder rejects the count");
+    assert_eq!(err, CodecError::SectionMismatch { declared: 5, decoded: 0 });
+    let path = std::env::temp_dir()
+        .join(format!("waymem-phantom-{}.wmtr", std::process::id()));
+    std::fs::write(&path, &bytes).expect("write file");
+    let opened = StreamingTrace::open(&path);
+    let _ = std::fs::remove_file(&path);
+    match opened {
+        Err(StreamError::Codec(e)) => assert_eq!(e, err, "both doors give one verdict"),
+        Err(e) => panic!("unexpected I/O error: {e}"),
+        Ok(st) => assert!(st.replay(&mut PanicSink).is_err()),
     }
 }

@@ -220,3 +220,61 @@ fn open_validates_the_whole_file_up_front() {
     assert!(StreamingTrace::open(&path).is_err(), "deep corruption survived");
     let _ = std::fs::remove_file(&path);
 }
+
+/// The two front doors share one header check and one section decoder,
+/// so they give one verdict: for every truncation and every single-byte
+/// flip (masks `0x01` and `0x80`) of a trace with both sections,
+/// `codec::decode` on the bytes and `StreamingTrace::open` on the same
+/// bytes in a file return the same `CodecError`, or both succeed with
+/// the same trace.
+#[test]
+fn slice_and_file_front_doors_give_the_same_verdict() {
+    let trace = RecordedTrace {
+        fetch_events: (0..100u32)
+            .map(|k| TraceEvent::Fetch {
+                pc: 0x1000 + 8 * k,
+                kind: match k % 10 {
+                    3 => FetchKind::TakenBranch { base: 0x1000 + 8 * k - 8, disp: -(k as i32) },
+                    6 => FetchKind::LinkReturn { target: 0x2000 + k },
+                    9 => FetchKind::Indirect { base: 0x3000, disp: 4 * k as i32 },
+                    _ => FetchKind::Sequential,
+                },
+            })
+            .collect(),
+        data_events: (0..50u32)
+            .map(|k| {
+                if k % 4 == 0 {
+                    TraceEvent::store_at(0x8000 + 16 * k, 4)
+                } else {
+                    let disp = 4 * k as i32;
+                    TraceEvent::Load { base: 0x8000, disp, addr: 0x8000 + 4 * k, size: 4 }
+                }
+            })
+            .collect(),
+        cycles: 150,
+    };
+    let bytes = codec::encode_with_hash(&trace, 0x5eed);
+    let mut cases: Vec<Vec<u8>> = (0..bytes.len()).map(|len| bytes[..len].to_vec()).collect();
+    for at in 0..bytes.len() {
+        for mask in [0x01u8, 0x80] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= mask;
+            cases.push(flipped);
+        }
+    }
+    cases.push(bytes.clone()); // control: the pristine bytes
+
+    let path = scratch("verdict");
+    for case in &cases {
+        std::fs::write(&path, case).expect("write case");
+        let sliced = codec::decode(case);
+        let filed = match StreamingTrace::open(&path).and_then(|st| st.decode()) {
+            Ok(t) => Ok(t),
+            Err(StreamError::Codec(e)) => Err(e),
+            Err(StreamError::Io(e)) => panic!("unexpected I/O error: {e}"),
+        };
+        assert_eq!(sliced, filed, "the front doors disagree on a {}-byte case", case.len());
+    }
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(codec::decode(&bytes).expect("control decodes"), trace);
+}

@@ -10,21 +10,29 @@
 //! replayed in memory and replayed from a streamed `.wmtr` file — and
 //! both renders must match the file.
 //!
-//! Any change to a counter fails this test. A change that is meant to
-//! alter results regenerates the file explicitly:
+//! A second file, `mab_stats.txt`, pins every MAB scheme's own
+//! breakdown on the same inputs — row-only and column-only hits,
+//! replacements, invalidated pairs, wide bypasses — so a change that
+//! moves a saving can be explained down to the MAB.
+//!
+//! Any change to a counter fails these tests. A change that is meant to
+//! alter results regenerates both files explicitly:
 //!
 //! ```sh
 //! WAYMEM_BLESS_GOLDEN=1 cargo test --test golden_counters
 //! ```
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
+use waymem::core::MabStats;
 use waymem::ingest::synth::standard_suite;
 use waymem::prelude::*;
 use waymem::sim::presets::{full_dschemes, full_ischemes};
 use waymem::sim::SchemeResult;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/counters.txt");
+const MAB_GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/mab_stats.txt");
 
 /// Synthetic accesses per pattern: enough to wrap the small cache many
 /// times, small enough for a debug build to finish in seconds.
@@ -110,14 +118,85 @@ fn render(streaming: bool) -> String {
     out
 }
 
+fn mab_line(out: &mut String, prefix: &str, side: char, name: &str, stats: MabStats) {
+    let MabStats {
+        lookups,
+        hits,
+        wide_bypasses,
+        row_hits,
+        col_hits,
+        row_replacements,
+        col_replacements,
+        invalidated_pairs,
+    } = stats;
+    writeln!(
+        out,
+        "{prefix} {side} {} = {lookups} {hits} {wide_bypasses} {row_hits} {col_hits} \
+         {row_replacements} {col_replacements} {invalidated_pairs}",
+        name.replace(' ', "_")
+    )
+    .expect("write to String");
+}
+
+/// Renders the MAB breakdown of every MAB scheme, one line per
+/// (workload, geometry, side, scheme). Each scheme's front is rebuilt
+/// and fed the trace [`Experiment::prepare`] resolved; its counters must
+/// equal the engine's result for that scheme, so the breakdown explains
+/// exactly the counters `counters.txt` pins.
+fn render_mab() -> String {
+    let mut out = String::from(
+        "# <workload> <sets>x<ways>x<line> <D|I> <scheme> = lookups hits wide_bypasses \
+         row_hits col_hits row_replacements col_replacements invalidated_pairs\n",
+    );
+    for g in geometries() {
+        for exp in experiments() {
+            let prepared = exp
+                .geometry(g)
+                .dschemes(full_dschemes())
+                .ischemes(full_ischemes())
+                .prepare()
+                .expect("golden workload resolves");
+            let trace = Arc::clone(prepared.trace().expect("an in-memory resolve holds the trace"));
+            let result = prepared.run().expect("golden workload runs");
+            let prefix =
+                format!("{} {}x{}x{}", result.workload, g.sets(), g.ways(), g.line_bytes());
+            for (scheme, engine) in full_dschemes().into_iter().zip(&result.dcache) {
+                assert_eq!(scheme.name(), engine.name);
+                let mut front = scheme.build(g);
+                front.replay(&trace.data_events);
+                if let Some(stats) = front.mab_stats() {
+                    assert_eq!(front.stats(), engine.stats, "{prefix} D {}", engine.name);
+                    let cycles = front.extra_cycles();
+                    assert_eq!(cycles, engine.extra_cycles, "{prefix} D {}", engine.name);
+                    mab_line(&mut out, &prefix, 'D', &engine.name, stats);
+                }
+            }
+            for (scheme, engine) in full_ischemes().into_iter().zip(&result.icache) {
+                assert_eq!(scheme.name(), engine.name);
+                let mut front = scheme.build(g);
+                front.replay(&trace.fetch_events);
+                if let Some(stats) = front.mab_stats() {
+                    assert_eq!(front.stats(), engine.stats, "{prefix} I {}", engine.name);
+                    mab_line(&mut out, &prefix, 'I', &engine.name, stats);
+                }
+            }
+        }
+    }
+    out
+}
+
+fn blessing() -> bool {
+    std::env::var_os("WAYMEM_BLESS_GOLDEN").is_some()
+}
+
 #[test]
 fn every_scheme_matches_the_golden_counters() {
     let actual = render(false);
-    if std::env::var_os("WAYMEM_BLESS_GOLDEN").is_some() {
+    if blessing() {
         std::fs::write(GOLDEN, &actual).expect("write golden file");
         return;
     }
-    assert_matches_golden(&actual);
+    assert_matches_golden(GOLDEN, &actual);
 }
 
 /// The streamed replay — each section decoded once per replay chain and
@@ -125,11 +204,21 @@ fn every_scheme_matches_the_golden_counters() {
 /// never rewrites the file: the in-memory render is the one blessed.
 #[test]
 fn streamed_replay_matches_the_golden_counters() {
-    assert_matches_golden(&render(true));
+    assert_matches_golden(GOLDEN, &render(true));
 }
 
-fn assert_matches_golden(actual: &str) {
-    let expected = std::fs::read_to_string(GOLDEN).expect("golden file is committed");
+#[test]
+fn every_mab_scheme_matches_the_golden_breakdown() {
+    let actual = render_mab();
+    if blessing() {
+        std::fs::write(MAB_GOLDEN, &actual).expect("write golden file");
+        return;
+    }
+    assert_matches_golden(MAB_GOLDEN, &actual);
+}
+
+fn assert_matches_golden(golden: &str, actual: &str) {
+    let expected = std::fs::read_to_string(golden).expect("golden file is committed");
     let diffs: Vec<String> = expected
         .lines()
         .zip(actual.lines())
@@ -138,7 +227,7 @@ fn assert_matches_golden(actual: &str) {
         .collect();
     assert!(
         diffs.is_empty() && expected.lines().count() == actual.lines().count(),
-        "{} counter line(s) differ from {GOLDEN} ({} expected lines, {} actual):\n{}",
+        "{} counter line(s) differ from {golden} ({} expected lines, {} actual):\n{}",
         diffs.len(),
         expected.lines().count(),
         actual.lines().count(),
