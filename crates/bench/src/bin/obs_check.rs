@@ -5,11 +5,17 @@
 //! checks its schema v6 `phases` breakdown and embedded `metrics`
 //! snapshot (histogram percentiles monotone, phase totals non-negative).
 //! `--flight FILE` validates a crash flight-recorder dump instead of /
-//! as well as the span trace.
+//! as well as the span trace. `--results FILE` validates a result
+//! artifact (`BENCH_export.json` or `BENCH_ingest.json`): its schema tag,
+//! and in every `result_json` object `hits + misses == accesses` and
+//! `mab_hits <= mab_lookups` per scheme, and one shared `hits`, `misses`
+//! and `write_backs` per cache side, since every scheme of a side drives
+//! the same cache.
 //!
 //! ```text
 //! cargo run --release -p waymem-bench --bin obs_check -- spans.json [BENCH_headline.json]
 //! cargo run --release -p waymem-bench --bin obs_check -- --flight waymem-flight.json
+//! cargo run --release -p waymem-bench --bin obs_check -- --results BENCH_ingest.json
 //! ```
 //!
 //! Exits non-zero with a description of the first violation, so a CI
@@ -20,7 +26,7 @@ use std::process::ExitCode;
 
 use waymem_obs::chrome::validate_trace;
 use waymem_obs::flight::validate_dump;
-use waymem_obs::json::parse;
+use waymem_obs::json::{parse, Json};
 use waymem_obs::snapshot::validate_metrics;
 
 /// Span-name prefixes a headline run must have recorded: trace
@@ -105,44 +111,178 @@ fn check_flight(path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The `result_json` objects of a result artifact, by its schema.
+fn results_of(root: &Json) -> Result<Vec<&Json>, String> {
+    let schema = root.get("schema").and_then(Json::as_str).ok_or("missing schema")?;
+    let missing = |key: &str| format!("{schema}: missing {key} array");
+    match schema {
+        "waymem/export/v1" => {
+            let results = root.get("results").and_then(Json::as_arr);
+            Ok(results.ok_or_else(|| missing("results"))?.iter().collect())
+        }
+        "waymem/ingest/v2" => {
+            let workloads = root.get("workloads").and_then(Json::as_arr);
+            let workloads = workloads.ok_or_else(|| missing("workloads"))?;
+            workloads
+                .iter()
+                .map(|w| w.get("result").ok_or_else(|| format!("{schema}: a workload has no result")))
+                .collect()
+        }
+        other => Err(format!("schema is {other}, not a result artifact")),
+    }
+}
+
+/// Checks one `result_json` object: per scheme, `hits + misses ==
+/// accesses` and `mab_hits <= mab_lookups`; per cache side, one shared
+/// `hits`, `misses` and `write_backs`.
+fn check_result(result: &Json) -> Result<(), String> {
+    let workload = result.get("workload").and_then(Json::as_str).unwrap_or("?");
+    let schemes = result.get("schemes").and_then(Json::as_arr);
+    let schemes = schemes.ok_or_else(|| format!("{workload}: missing schemes array"))?;
+    let mut sides: Vec<(&str, [f64; 3])> = Vec::new();
+    for s in schemes {
+        let cache = s.get("cache").and_then(Json::as_str).unwrap_or("?");
+        let name = s.get("scheme").and_then(Json::as_str).unwrap_or("?");
+        let at = format!("{workload} {cache} {name}");
+        let field = |key: &str| {
+            let value = s.get(key).and_then(Json::as_num);
+            value.ok_or_else(|| format!("{at}: {key} missing or non-numeric"))
+        };
+        let (accesses, hits, misses) = (field("accesses")?, field("hits")?, field("misses")?);
+        if hits + misses != accesses {
+            return Err(format!("{at}: hits {hits} + misses {misses} != accesses {accesses}"));
+        }
+        let (mab_hits, mab_lookups) = (field("mab_hits")?, field("mab_lookups")?);
+        if mab_hits > mab_lookups {
+            return Err(format!("{at}: mab_hits {mab_hits} > mab_lookups {mab_lookups}"));
+        }
+        let outcome = [hits, misses, field("write_backs")?];
+        match sides.iter().find(|(side, _)| *side == cache) {
+            Some((_, shared)) if *shared != outcome => {
+                return Err(format!(
+                    "{at}: hits/misses/write_backs {outcome:?} differ from the side's {shared:?}"
+                ));
+            }
+            Some(_) => {}
+            None => sides.push((cache, outcome)),
+        }
+    }
+    Ok(())
+}
+
+fn check_results(path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let root = parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let results = results_of(&root).map_err(|e| format!("{path}: {e}"))?;
+    if results.is_empty() {
+        return Err(format!("{path}: no results"));
+    }
+    for result in &results {
+        check_result(result).map_err(|e| format!("{path}: {e}"))?;
+    }
+    println!(
+        "obs_check: {path}: {} results, counters consistent, one cache outcome per side — ok",
+        results.len()
+    );
+    Ok(())
+}
+
+const USAGE: &str = "usage: obs_check [SPANS_JSON [BENCH_HEADLINE_JSON]] [--flight DUMP_JSON] \
+                     [--results RESULT_JSON]";
+
 fn main() -> ExitCode {
     let mut positional: Vec<String> = Vec::new();
     let mut flights: Vec<String> = Vec::new();
+    let mut results: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--flight" => match args.next() {
-                Some(path) => flights.push(path),
-                None => {
-                    eprintln!("obs_check: --flight needs a path");
-                    return ExitCode::from(2);
-                }
-            },
+        let list = match arg.as_str() {
+            "--flight" => &mut flights,
+            "--results" => &mut results,
             flag if flag.starts_with('-') => {
-                eprintln!("usage: obs_check [SPANS_JSON [BENCH_HEADLINE_JSON]] [--flight DUMP_JSON]");
+                eprintln!("{USAGE}");
                 return ExitCode::from(2);
             }
-            path => positional.push(path.to_owned()),
+            path => {
+                positional.push(path.to_owned());
+                continue;
+            }
+        };
+        match args.next() {
+            Some(path) => list.push(path),
+            None => {
+                eprintln!("obs_check: {arg} needs a path");
+                return ExitCode::from(2);
+            }
         }
     }
     let (spans, headline) = match positional.as_slice() {
-        [] if !flights.is_empty() => (None, None),
+        [] if !flights.is_empty() || !results.is_empty() => (None, None),
         [spans] => (Some(spans.clone()), None),
         [spans, headline] => (Some(spans.clone()), Some(headline.clone())),
         _ => {
-            eprintln!("usage: obs_check [SPANS_JSON [BENCH_HEADLINE_JSON]] [--flight DUMP_JSON]");
+            eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
     };
     let outcome = spans
         .map_or(Ok(()), |path| check_spans(&path))
         .and_then(|()| headline.map_or(Ok(()), |path| check_headline(&path)))
-        .and_then(|()| flights.iter().try_for_each(|path| check_flight(path)));
+        .and_then(|()| flights.iter().try_for_each(|path| check_flight(path)))
+        .and_then(|()| results.iter().try_for_each(|path| check_results(path)));
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("obs_check: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scheme(cache: &str, name: &str, counts: [u64; 6]) -> String {
+        let [accesses, hits, misses, mab_hits, mab_lookups, write_backs] = counts;
+        format!(
+            "{{\"cache\":\"{cache}\",\"scheme\":\"{name}\",\"accesses\":{accesses},\
+             \"hits\":{hits},\"misses\":{misses},\"mab_hits\":{mab_hits},\
+             \"mab_lookups\":{mab_lookups},\"write_backs\":{write_backs}}}"
+        )
+    }
+
+    fn check(schemes: &[String]) -> Result<(), String> {
+        let text = format!("{{\"workload\":\"w\",\"schemes\":[{}]}}", schemes.join(","));
+        check_result(&parse(&text).expect("valid JSON"))
+    }
+
+    #[test]
+    fn consistent_result_passes() {
+        let d = scheme("dcache", "original", [10, 8, 2, 0, 0, 1]);
+        let d_memo = scheme("dcache", "way_memo", [10, 8, 2, 6, 10, 1]);
+        let i = scheme("icache", "original", [20, 19, 1, 0, 0, 0]);
+        assert_eq!(check(&[d, d_memo, i]), Ok(()));
+    }
+
+    #[test]
+    fn inconsistent_counters_are_rejected() {
+        let d = scheme("dcache", "original", [10, 8, 2, 0, 0, 1]);
+        for bad in [
+            scheme("dcache", "lost_access", [10, 8, 1, 0, 0, 1]),
+            scheme("dcache", "mab_overcount", [10, 8, 2, 11, 10, 1]),
+            scheme("dcache", "other_cache", [10, 8, 2, 0, 0, 2]),
+        ] {
+            assert!(check(&[d.clone(), bad.clone()]).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn only_result_artifacts_are_accepted() {
+        let headline = parse("{\"schema\":\"waymem/headline/v6\"}").expect("valid JSON");
+        assert!(results_of(&headline).is_err());
+        let ingest = parse("{\"schema\":\"waymem/ingest/v2\",\"workloads\":[{\"result\":{}}]}")
+            .expect("valid JSON");
+        assert_eq!(results_of(&ingest).map(|r| r.len()), Ok(1));
     }
 }

@@ -190,16 +190,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Invalidates the line containing `addr` (without write-back), returning
-    /// the way it occupied, if resident. Used by coherence-style tests.
-    pub fn invalidate(&mut self, addr: u32) -> Option<u32> {
-        let way = self.probe(addr)?;
-        let line = self.set(self.geom.index_of(addr)).start + way as usize;
-        self.tags[line] = INVALID;
-        self.dirty[line] = false;
-        Some(way)
-    }
-
     /// Writes back every dirty line and marks them clean, counting one
     /// line write on `mem` each. Returns the number of lines written back.
     pub fn flush(&mut self, mem: &mut MainMemory) -> u64 {
@@ -408,17 +398,5 @@ mod tests {
         assert_eq!(mem.block_reads(), cache.fills());
         assert_eq!(mem.block_writes(), cache.write_backs());
         assert_eq!(cache.flush(&mut mem), 0, "flush leaves every line clean");
-    }
-
-    #[test]
-    fn invalidate_removes_line_without_writeback() {
-        let (mut cache, mut mem) = small();
-        cache.access(0x00, AccessKind::Store, &mut mem);
-        let way = cache.invalidate(0x00);
-        assert!(way.is_some());
-        assert!(cache.probe(0x00).is_none());
-        assert_eq!(cache.resident_lines(), 0);
-        assert_eq!(cache.flush(&mut mem), 0, "invalidate drops the dirty line");
-        assert_eq!(mem.block_writes(), 0);
     }
 }

@@ -119,19 +119,6 @@ impl SetBuffer {
         self.lru.touch(slot);
     }
 
-    /// Updates the buffered tag of (`index`, `way`) if that set is buffered.
-    /// Called after a cache fill so the buffer tracks replacements.
-    pub fn update_way(&mut self, index: u32, way: u32, tag: Option<u32>) {
-        if let Some(slot) = self.slot_of(index) {
-            self.row(slot)[way as usize] = tag.unwrap_or(INVALID);
-        }
-    }
-
-    /// Drops every buffered set.
-    pub fn clear(&mut self) {
-        self.sets.fill(INVALID);
-    }
-
     /// Probes performed.
     #[must_use]
     pub fn lookups(&self) -> u64 {
@@ -142,12 +129,6 @@ impl SetBuffer {
     #[must_use]
     pub fn way_hits(&self) -> u64 {
         self.way_hits
-    }
-
-    /// Number of set slots.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.sets.len()
     }
 
     fn slot_of(&self, index: u32) -> Option<usize> {
@@ -196,25 +177,5 @@ mod tests {
             sb.lookup(g.line_addr(1, 0)),
             SetBufferLookup::WayKnown(0)
         );
-    }
-
-    #[test]
-    fn update_way_tracks_cache_fill() {
-        let (g, mut sb) = setup();
-        sb.refill(3, [Some(7), Some(8)]);
-        sb.update_way(3, 0, Some(9));
-        let addr = g.line_addr(9, 3);
-        assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(0));
-        // Unbuffered set updates are ignored silently.
-        sb.update_way(5, 0, Some(1));
-        assert_eq!(sb.lookup(g.line_addr(1, 5)), SetBufferLookup::SetMiss);
-    }
-
-    #[test]
-    fn clear_empties_buffer() {
-        let (_, mut sb) = setup();
-        sb.refill(0, [Some(1), None]);
-        sb.clear();
-        assert_eq!(sb.lookup(0), SetBufferLookup::SetMiss);
     }
 }

@@ -6,8 +6,14 @@ use serde::{Deserialize, Serialize};
 ///
 /// These are the quantities the paper's Figures 4 and 6 plot (tag accesses
 /// and way accesses per cache access) and that Eq. (1) converts into power.
-/// Front-ends increment them; nothing here is derived automatically, so the
-/// counters mean exactly what the front-end says they mean.
+/// A front-end counts each access, its lookup's tag and way activations
+/// and its hit as they happen. Misses, the one fill write per miss that
+/// `way_reads` includes, and write-backs it reads from its cache's
+/// [`fills`](crate::SetAssocCache::fills) and
+/// [`write_backs`](crate::SetAssocCache::write_backs), so they are exactly
+/// what the cache did; an access that skips or repeats the cache access
+/// breaks `hits + misses == accesses`, which
+/// [`is_consistent`](Self::is_consistent) checks.
 ///
 /// ```
 /// use waymem_cache::AccessStats;

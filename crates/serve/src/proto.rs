@@ -35,6 +35,13 @@ pub const VERSION: u16 = 1;
 /// responses carry one experiment's JSON (a few KiB), so anything
 /// larger is a framing error, not a big message.
 pub const MAX_FRAME: u32 = 1 << 20;
+/// The most ways a request's cache may have: the cache model keeps one
+/// byte of recency per way.
+const MAX_WAYS: u32 = 255;
+/// The most cache lines (sets × ways) a request's cache may have, 1,024
+/// times the paper's 1,024. Every front allocates state per line, and a
+/// failed allocation cannot be turned into an error reply.
+const MAX_LINES: u64 = 1 << 20;
 
 /// Which scheme front-ends a [`RunRequest`] replays.
 ///
@@ -140,6 +147,12 @@ impl RunRequest {
         let line_bytes = r.u32()?;
         let geometry = Geometry::new(sets, ways, line_bytes)
             .map_err(|_| ProtoError::Malformed("invalid geometry"))?;
+        if ways > MAX_WAYS {
+            return Err(ProtoError::Malformed("more than 255 ways"));
+        }
+        if u64::from(sets) * u64::from(ways) > MAX_LINES {
+            return Err(ProtoError::Malformed("more than 2^20 cache lines"));
+        }
         let technology = Technology {
             feature_nm: r.u32()?,
             vdd: f64::from_bits(r.u64()?),
@@ -622,6 +635,36 @@ mod tests {
         assert!(matches!(
             read_request(&mut padded.as_slice()),
             Err(ProtoError::Malformed("trailing bytes"))
+        ));
+    }
+
+    fn decode_geometry(sets: u32, ways: u32, line_bytes: u32) -> Result<Request, ProtoError> {
+        let geometry = Geometry::new(sets, ways, line_bytes).expect("a valid geometry");
+        let mut wire = Vec::new();
+        write_request(&mut wire, &Request::Run(RunRequest { geometry, ..sample_run() }))
+            .expect("encode");
+        read_request(&mut wire.as_slice())
+    }
+
+    #[test]
+    fn more_than_255_ways_is_malformed() {
+        assert!(decode_geometry(1, 128, 16).is_ok());
+        assert!(matches!(
+            decode_geometry(1, 256, 16),
+            Err(ProtoError::Malformed("more than 255 ways"))
+        ));
+    }
+
+    #[test]
+    fn more_than_2_20_cache_lines_is_malformed() {
+        assert!(decode_geometry(1 << 16, 16, 16).is_ok());
+        assert!(matches!(
+            decode_geometry(1 << 17, 16, 16),
+            Err(ProtoError::Malformed("more than 2^20 cache lines"))
+        ));
+        assert!(matches!(
+            decode_geometry(1 << 24, 16, 16),
+            Err(ProtoError::Malformed("more than 2^20 cache lines"))
         ));
     }
 

@@ -1,12 +1,11 @@
 //! D-cache front-ends (paper Figures 4–5 plus ablations).
 
-use waymem_cache::{
-    AccessKind, AccessOutcome, AccessStats, Geometry, LineBuffer, MainMemory, SetAssocCache,
-    SetBuffer, SetBufferLookup,
-};
-use waymem_core::{Mab, MabConfig, MabLookup, MabStats};
+use waymem_cache::{AccessKind, AccessStats, Geometry, LineBuffer, SetBuffer, SetBufferLookup};
+use waymem_core::MabStats;
 use waymem_hwmodel::{EnergyCounts, MabShape};
 use waymem_isa::{FetchKind, TraceEvent, TraceSink};
+
+use super::lookup::Lookup;
 
 /// A D-cache lookup scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +104,9 @@ impl DScheme {
     ///
     /// # Panics
     ///
-    /// Panics if a MAB scheme's entry counts are invalid (zero or > 64).
+    /// Panics if a MAB scheme's entry counts are invalid (zero or > 64),
+    /// or if a set buffer, line buffer or filter cache has zero entries
+    /// (or more than 64).
     #[must_use]
     pub fn build(self, geom: Geometry) -> DFront {
         let mab = match self {
@@ -121,9 +122,7 @@ impl DScheme {
                 tag_entries,
                 set_entries,
                 ..
-            } => Some(Mab::new(
-                MabConfig::new(geom, tag_entries, set_entries).expect("valid MAB config"),
-            )),
+            } => Some((tag_entries, set_entries)),
             _ => None,
         };
         let set_buffer = match self {
@@ -137,13 +136,10 @@ impl DScheme {
             DScheme::FilterCache { lines } => Some(LineBuffer::new(geom, lines)),
             _ => None,
         };
+        let audit = matches!(self, DScheme::WayMemoPaperLru { .. });
         DFront {
             scheme: self,
-            geom,
-            cache: SetAssocCache::new(geom),
-            mem: MainMemory::new(),
-            stats: AccessStats::new(),
-            mab,
+            core: Lookup::new(geom, mab, audit),
             set_buffer,
             line_buffer,
             extra_cycles: 0,
@@ -153,18 +149,14 @@ impl DScheme {
 
 /// A trace-driven D-cache model under one scheme.
 ///
-/// The front-end owns a private tag-only cache and a memory that only
-/// counts its line transfers: it tracks residency, LRU and dirty state
-/// driven purely by the address stream (the CPU's architectural data lives
-/// elsewhere), which is exactly what the energy accounting needs.
+/// The front-end owns a lookup core: a private tag-only cache driven
+/// purely by the address stream (the CPU's architectural data lives
+/// elsewhere), which tracks exactly the residency, LRU and dirty state
+/// the energy accounting needs, and the MAB when the scheme has one.
 #[derive(Debug)]
 pub struct DFront {
     scheme: DScheme,
-    geom: Geometry,
-    cache: SetAssocCache,
-    mem: MainMemory,
-    stats: AccessStats,
-    mab: Option<Mab>,
+    core: Lookup,
     set_buffer: Option<SetBuffer>,
     line_buffer: Option<LineBuffer>,
     extra_cycles: u64,
@@ -177,223 +169,88 @@ impl DFront {
         self.scheme
     }
 
-    /// Conventional lookup accounting + architectural access.
-    fn conventional(&mut self, is_store: bool, addr: u32) -> AccessOutcome {
-        let w = u64::from(self.geom.ways());
-        self.stats.tag_reads += w;
-        self.stats.way_reads += if is_store { 1 } else { w };
-        self.finish(is_store, addr)
-    }
-
-    /// Architectural access with hit/miss/fill accounting (no lookup cost).
-    fn finish(&mut self, is_store: bool, addr: u32) -> AccessOutcome {
+    /// Feeds one load/store into the model.
+    pub fn access(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
         let kind = if is_store {
             AccessKind::Store
         } else {
             AccessKind::Load
         };
-        let out = self.cache.access(addr, kind, &mut self.mem);
-        if out.hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            self.stats.way_reads += 1; // line-fill write
-            if out.evicted.is_some_and(|e| e.dirty) {
-                self.stats.write_backs += 1;
+        let core = &mut self.core;
+        core.stats.accesses += 1;
+        let out = match self.scheme {
+            DScheme::Original => core.conventional(kind, addr),
+            DScheme::WayMemo { .. } | DScheme::WayMemoPaperLru { .. } => {
+                core.mab_access(kind, addr, base, disp)
             }
-            // Any structure memoizing the victim's location is now stale.
-            // The PaperLru variant deliberately skips this to measure the
-            // paper's claim that LRU ordering makes it unnecessary.
-            let precise = !matches!(self.scheme, DScheme::WayMemoPaperLru { .. });
-            if precise {
-                if let Some(mab) = self.mab.as_mut() {
-                    mab.invalidate_location(out.index, out.way);
+            DScheme::SetBuffer { .. } => {
+                let sb = self.set_buffer.as_mut().expect("scheme has set buffer");
+                if let SetBufferLookup::WayKnown(way) = sb.lookup(addr) {
+                    core.known_way(kind, addr, way)
+                } else {
+                    let out = core.conventional(kind, addr);
+                    // Refresh the buffered copy of this set from the cache's tag row.
+                    let cache = &core.cache;
+                    let row = (0..core.geom.ways()).map(|w| cache.tag_at(out.index, w));
+                    sb.refill(out.index, row);
+                    out
                 }
-            }
-            if let Some(ev) = out.evicted {
-                if let Some(lb) = self.line_buffer.as_mut() {
-                    lb.invalidate_line(self.geom.line_addr(ev.tag, ev.index));
-                }
-            }
-        }
-        out
-    }
-
-    /// A known-way access (MAB / buffer / predictor hit): one way, no tags.
-    fn known_way(&mut self, is_store: bool, addr: u32, way: u32) {
-        debug_assert_eq!(
-            self.cache.probe(addr),
-            Some(way),
-            "known-way access must target a resident line ({})",
-            self.scheme.name()
-        );
-        self.stats.way_reads += 1;
-        let out = self.finish(is_store, addr);
-        debug_assert!(out.hit);
-    }
-
-    /// Feeds one load/store into the model.
-    pub fn access(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
-        self.stats.accesses += 1;
-        match self.scheme {
-            DScheme::Original => {
-                self.conventional(is_store, addr);
-            }
-            DScheme::SetBuffer { .. } => self.access_set_buffer(is_store, addr),
-            DScheme::WayMemo { .. } => self.access_way_memo(is_store, base, disp, addr),
-            DScheme::WayMemoPaperLru { .. } => {
-                self.access_way_memo_unchecked(is_store, base, disp, addr);
             }
             DScheme::FilterCache { .. } => {
+                let l0 = self.line_buffer.as_mut().expect("scheme has L0");
                 if is_store {
                     // Write-through past the L0; keep the L0 coherent.
-                    self.conventional(true, addr);
-                    self.line_buffer
-                        .as_mut()
-                        .expect("scheme has L0")
-                        .invalidate_line(addr);
-                    return;
-                }
-                let l0 = self.line_buffer.as_mut().expect("scheme has L0");
-                if l0.lookup(addr).is_some() {
+                    l0.invalidate_line(addr);
+                    core.conventional(kind, addr)
+                } else if let Some(way) = l0.lookup(addr) {
                     // Served entirely from the L0: buffer energy only.
                     // (L0 ⊆ L1 is maintained by eviction invalidation.)
-                    debug_assert!(self.cache.probe(addr).is_some());
-                    self.stats.buffer_hits += 1;
-                    self.stats.hits += 1;
-                    self.cache.access(addr, AccessKind::Load, &mut self.mem);
-                    return;
+                    debug_assert_eq!(core.cache.probe(addr), Some(way));
+                    core.access(kind, addr, 0, 0)
+                } else {
+                    // L0 miss: the extra cycle the paper's §2 criticizes.
+                    self.extra_cycles += 1;
+                    let out = core.conventional(kind, addr);
+                    l0.record(addr, out.way);
+                    out
                 }
-                // L0 miss: the extra cycle the paper's §2 criticizes.
-                self.extra_cycles += 1;
-                let out = self.conventional(false, addr);
-                self.line_buffer
-                    .as_mut()
-                    .expect("scheme has L0")
-                    .record(addr, out.way);
             }
             DScheme::WayMemoLineBuffer { .. } => {
-                if !is_store {
-                    let lb = self.line_buffer.as_mut().expect("scheme has line buffer");
-                    if let Some(way) = lb.lookup(addr) {
-                        // Served from the line buffer: no array activation.
-                        self.stats.buffer_hits += 1;
-                        debug_assert_eq!(self.cache.probe(addr), Some(way));
-                        self.stats.hits += 1;
-                        self.cache
-                            .access(addr, AccessKind::Load, &mut self.mem);
-                        return;
-                    }
-                }
-                self.access_way_memo(is_store, base, disp, addr);
-                // Memoize the line for subsequent loads.
-                if let Some(way) = self.cache.probe(addr) {
-                    self.line_buffer
-                        .as_mut()
-                        .expect("scheme has line buffer")
-                        .record(addr, way);
+                let lb = self.line_buffer.as_mut().expect("scheme has line buffer");
+                let buffered = if is_store { None } else { lb.lookup(addr) };
+                if let Some(way) = buffered {
+                    // Served from the line buffer: no array activation.
+                    debug_assert_eq!(core.cache.probe(addr), Some(way));
+                    core.access(kind, addr, 0, 0)
+                } else {
+                    let out = core.mab_access(kind, addr, base, disp);
+                    // Memoize the line for subsequent loads.
+                    lb.record(addr, out.way);
+                    out
                 }
             }
             DScheme::WayPredict => {
-                let index = self.geom.index_of(addr);
-                let predicted = self.cache.mru_way(index);
-                self.stats.tag_reads += 1;
-                self.stats.way_reads += 1;
-                if self.cache.probe(addr) == Some(predicted) {
-                    let out = self.finish(is_store, addr);
-                    debug_assert!(out.hit);
+                let predicted = core.cache.mru_way(core.geom.index_of(addr));
+                if core.cache.probe(addr) == Some(predicted) {
+                    // A correct guess reads one tag and one way.
+                    core.access(kind, addr, 1, 1)
                 } else {
-                    // Misprediction: re-access the remaining ways, one
-                    // cycle later.
-                    let w = u64::from(self.geom.ways());
-                    self.stats.tag_reads += w - 1;
-                    self.stats.way_reads += if is_store { 0 } else { w - 1 };
+                    // Misprediction: the remaining ways follow a cycle
+                    // later, which adds up to a conventional lookup.
                     self.extra_cycles += 1;
-                    self.finish(is_store, addr);
+                    core.conventional(kind, addr)
                 }
             }
             DScheme::TwoPhase => {
                 // Phase 1: all tags; phase 2: exactly one way. Always an
                 // extra cycle.
-                self.stats.tag_reads += u64::from(self.geom.ways());
-                self.stats.way_reads += 1;
                 self.extra_cycles += 1;
-                self.finish(is_store, addr);
+                core.access(kind, addr, u64::from(core.geom.ways()), 1)
             }
-        }
-    }
-
-    fn access_set_buffer(&mut self, is_store: bool, addr: u32) {
-        let sb = self.set_buffer.as_mut().expect("scheme has set buffer");
-        match sb.lookup(addr) {
-            SetBufferLookup::WayKnown(way) => {
-                self.stats.buffer_hits += 1;
-                self.known_way(is_store, addr, way);
-            }
-            SetBufferLookup::SetKnownTagMiss | SetBufferLookup::SetMiss => {
-                self.conventional(is_store, addr);
-                // Refresh the buffered copy of this set from the cache's tag row.
-                let index = self.geom.index_of(addr);
-                let cache = &self.cache;
-                self.set_buffer
-                    .as_mut()
-                    .expect("scheme has set buffer")
-                    .refill(index, (0..self.geom.ways()).map(|w| cache.tag_at(index, w)));
-            }
-        }
-    }
-
-    /// The MAB without invalidation: hits are audited against residency.
-    /// A hit on a stale location is counted as unsound (in hardware it
-    /// would have returned wrong data) and recovered conventionally.
-    fn access_way_memo_unchecked(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
-        let mab = self.mab.as_mut().expect("scheme has MAB");
-        match mab.lookup(base, disp) {
-            MabLookup::Hit { way, .. } => {
-                if self.cache.probe(addr) == Some(way) {
-                    self.stats.way_reads += 1;
-                    let out = self.finish(is_store, addr);
-                    debug_assert!(out.hit);
-                } else {
-                    // The §3.3 LRU argument failed here.
-                    self.stats.unsound_hits += 1;
-                    let out = self.conventional(is_store, addr);
-                    self.mab
-                        .as_mut()
-                        .expect("scheme has MAB")
-                        .record(base, disp, out.way);
-                }
-            }
-            MabLookup::Miss { .. } => {
-                let out = self.conventional(is_store, addr);
-                self.mab
-                    .as_mut()
-                    .expect("scheme has MAB")
-                    .record(base, disp, out.way);
-            }
-            MabLookup::Wide => {
-                self.conventional(is_store, addr);
-            }
-        }
-    }
-
-    fn access_way_memo(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
-        let mab = self.mab.as_mut().expect("scheme has MAB");
-        match mab.lookup(base, disp) {
-            MabLookup::Hit { way, set_index, .. } => {
-                debug_assert_eq!(set_index, self.geom.index_of(addr));
-                self.known_way(is_store, addr, way);
-            }
-            MabLookup::Miss { .. } => {
-                let out = self.conventional(is_store, addr);
-                self.mab
-                    .as_mut()
-                    .expect("scheme has MAB")
-                    .record(base, disp, out.way);
-            }
-            MabLookup::Wide => {
-                self.conventional(is_store, addr);
-            }
+        };
+        // A buffered copy of the line a fill displaced is now stale.
+        if let (Some(ev), Some(lb)) = (out.evicted, self.line_buffer.as_mut()) {
+            lb.invalidate_line(self.core.geom.line_addr(ev.tag, ev.index));
         }
     }
 
@@ -416,41 +273,26 @@ impl DFront {
         }
     }
 
-    /// Accounting so far. For MAB schemes the `mab_*` counters reflect the
-    /// MAB's own statistics.
+    /// Accounting so far. Buffer hits are the set and line buffers' own
+    /// counts; for MAB schemes the `mab_*` counters are the MAB's.
     #[must_use]
     pub fn stats(&self) -> AccessStats {
-        let mut s = self.stats;
-        if let Some(mab) = self.mab.as_ref() {
-            s.mab_lookups = mab.stats().lookups + mab.stats().wide_bypasses;
-            s.mab_hits = mab.stats().hits;
-        }
-        if let Some(sb) = self.set_buffer.as_ref() {
-            s.buffer_hits = sb.way_hits();
-        }
+        let mut s = self.core.stats();
+        s.buffer_hits = self.set_buffer.as_ref().map_or(0, SetBuffer::way_hits)
+            + self.line_buffer.as_ref().map_or(0, LineBuffer::hits);
         s
     }
 
     /// Raw MAB statistics (MAB schemes only).
     #[must_use]
     pub fn mab_stats(&self) -> Option<MabStats> {
-        self.mab.as_ref().map(Mab::stats)
+        self.core.mab_stats()
     }
 
     /// The MAB's hardware shape for area/power models (MAB schemes only).
     #[must_use]
     pub fn mab_shape(&self) -> Option<MabShape> {
-        self.mab.as_ref().map(|m| {
-            let cfg = m.config();
-            MabShape {
-                tag_entries: cfg.tag_entries() as u32,
-                set_entries: cfg.set_entries() as u32,
-                tag_entry_bits: cfg.tag_entry_bits(),
-                set_entry_bits: cfg.set_entry_bits(),
-                pair_bits: cfg.pair_bits(),
-                adder_bits: cfg.geometry().low_bits(),
-            }
-        })
+        self.core.mab_shape()
     }
 
     /// Cycles added by schemes with lookup penalties (way prediction,
@@ -465,25 +307,20 @@ impl DFront {
     /// instruction count (CPI 1).
     #[must_use]
     pub fn energy_counts(&self, cycles: u64) -> EnergyCounts {
+        let s = self.core.stats();
         let buffer_probes = self.set_buffer.as_ref().map_or(0, SetBuffer::lookups)
             + self.line_buffer.as_ref().map_or(0, LineBuffer::lookups);
         EnergyCounts {
-            way_reads: self.stats.way_reads,
-            tag_reads: self.stats.tag_reads,
+            way_reads: s.way_reads,
+            tag_reads: s.tag_reads,
             buffer_probes,
-            mab_lookups: if self.mab.is_some() {
-                self.stats.accesses
+            mab_lookups: if self.core.mab.is_some() {
+                s.accesses
             } else {
                 0
             },
             cycles,
         }
-    }
-
-    /// The modelled cache (tests inspect residency).
-    #[must_use]
-    pub fn cache(&self) -> &SetAssocCache {
-        &self.cache
     }
 }
 
@@ -600,10 +437,10 @@ mod tests {
             let disp = ((x & 0xff) as i32) - 128;
             let addr = base.wrapping_add(disp as u32);
             f.access(i % 3 == 0, base, disp, addr);
-            if let Some(mab) = f.mab.as_ref() {
+            if let Some(mab) = f.core.mab.as_ref() {
                 for (set, way, tag) in mab.claims() {
                     assert_eq!(
-                        f.cache.resident_way(tag, set),
+                        f.core.cache.resident_way(tag, set),
                         Some(way),
                         "stale MAB claim at iteration {i}"
                     );
@@ -715,7 +552,7 @@ mod tests {
     /// row recency is global while cache LRU is per set, so a row kept
     /// alive by an access to a *different* set can outlive its line.
     fn paper_lru_counterexample(f: &mut DFront) {
-        let g = f.cache().geometry();
+        let g = f.core.geom;
         let low = g.low_bits();
         let a = |tag: u32, set: u32| (tag << low) | (set << g.offset_bits());
         f.access(false, a(1, 0), 0, a(1, 0)); // T1 -> set0 way0

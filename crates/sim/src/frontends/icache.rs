@@ -9,12 +9,13 @@
 //! Figure 2 choosing between (PC, stride), (PC, branch offset) and the
 //! link-register value.
 
-use waymem_cache::{AccessKind, AccessStats, Geometry, MainMemory, SetAssocCache};
-use waymem_core::{Mab, MabConfig, MabLookup, MabStats};
+use waymem_cache::{AccessKind, AccessStats, Geometry};
+use waymem_core::MabStats;
 use waymem_hwmodel::{EnergyCounts, MabShape};
 use waymem_isa::{FetchKind, TraceEvent, TraceSink};
 
 use super::links::{Btb, LinkTable};
+use super::lookup::Lookup;
 
 /// Fetch packet size in bytes (two 4-byte syllables, per FR-V).
 pub const PACKET_BYTES: u32 = 8;
@@ -83,16 +84,15 @@ impl IScheme {
     ///
     /// # Panics
     ///
-    /// Panics if a MAB scheme's entry counts are invalid (zero or > 64).
+    /// Panics if a MAB scheme's entry counts are invalid (zero or > 64),
+    /// or if a BTB has zero entries (or more than 64).
     #[must_use]
     pub fn build(self, geom: Geometry) -> IFront {
         let mab = match self {
             IScheme::WayMemo {
                 tag_entries,
                 set_entries,
-            } => Some(Mab::new(
-                MabConfig::new(geom, tag_entries, set_entries).expect("valid MAB config"),
-            )),
+            } => Some((tag_entries, set_entries)),
             _ => None,
         };
         let links = match self {
@@ -105,11 +105,7 @@ impl IScheme {
         };
         IFront {
             scheme: self,
-            geom,
-            cache: SetAssocCache::new(geom),
-            mem: MainMemory::new(),
-            stats: AccessStats::new(),
-            mab,
+            core: Lookup::new(geom, mab, false),
             links,
             btb,
             link_bit_reads: 0,
@@ -123,11 +119,7 @@ impl IScheme {
 #[derive(Debug)]
 pub struct IFront {
     scheme: IScheme,
-    geom: Geometry,
-    cache: SetAssocCache,
-    mem: MainMemory,
-    stats: AccessStats,
-    mab: Option<Mab>,
+    core: Lookup,
     links: Option<LinkTable>,
     btb: Option<Btb>,
     /// Extra link-field reads performed alongside instruction reads
@@ -146,23 +138,11 @@ impl IFront {
         self.scheme
     }
 
+    /// A conventional fetch. A fill drops the links and BTB entries that
+    /// name the refilled location before the caller records a new one.
     fn conventional(&mut self, packet: u32) -> u32 {
-        let w = u64::from(self.geom.ways());
-        self.stats.tag_reads += w;
-        self.stats.way_reads += w;
-        self.finish(packet)
-    }
-
-    fn finish(&mut self, packet: u32) -> u32 {
-        let out = self.cache.access(packet, AccessKind::Load, &mut self.mem);
-        if out.hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-            self.stats.way_reads += 1; // fill write
-            if let Some(mab) = self.mab.as_mut() {
-                mab.invalidate_location(out.index, out.way);
-            }
+        let out = self.core.conventional(AccessKind::Load, packet);
+        if !out.hit {
             if let Some(links) = self.links.as_mut() {
                 links.invalidate_target(out.index, out.way);
             }
@@ -174,14 +154,7 @@ impl IFront {
     }
 
     fn known_way(&mut self, packet: u32, way: u32) -> u32 {
-        debug_assert_eq!(
-            self.cache.probe(packet),
-            Some(way),
-            "known-way fetch must target a resident line ({})",
-            self.scheme.name()
-        );
-        self.stats.way_reads += 1;
-        self.finish(packet)
+        self.core.known_way(AccessKind::Load, packet, way).way
     }
 
     /// Feeds one instruction fetch into the model.
@@ -191,66 +164,42 @@ impl IFront {
         if sequential && self.prev_packet == Some(packet) {
             return; // still streaming out of the fetched packet
         }
-        self.stats.accesses += 1;
-        let intra_line = sequential
-            && self
-                .prev_packet
-                .is_some_and(|p| self.geom.same_line(p, packet));
+        self.core.stats.accesses += 1;
+        if self.links.is_some() {
+            // The link fields ride along with every instruction read.
+            self.link_bit_reads += 1;
+        }
+        let geom = self.core.geom;
+        let intra_line = sequential && self.prev_packet.is_some_and(|p| geom.same_line(p, packet));
 
         let way = match self.scheme {
             IScheme::Original => self.conventional(packet),
-            IScheme::IntraLine => {
-                if intra_line {
-                    self.stats.intra_line_skips += 1;
-                    let way = self.current_way.expect("intra-line implies a previous fetch");
-                    self.known_way(packet, way)
-                } else {
-                    self.conventional(packet)
-                }
+            _ if intra_line => {
+                self.core.stats.intra_line_skips += 1;
+                let way = self.current_way.expect("intra-line follows a fetch");
+                self.known_way(packet, way)
             }
+            IScheme::IntraLine => self.conventional(packet),
             IScheme::WayMemo { .. } => {
-                if intra_line {
-                    self.stats.intra_line_skips += 1;
-                    let way = self.current_way.expect("intra-line implies a previous fetch");
-                    self.known_way(packet, way)
-                } else {
-                    let (base, disp) = match (kind, self.prev_packet) {
-                        // Inter-line sequential: PC + stride (Figure 2's
-                        // "+8" input).
-                        (FetchKind::Sequential, Some(prev)) => (prev, PACKET_BYTES as i32),
-                        // Very first fetch: no architectural base exists;
-                        // treat the packet address itself as the base.
-                        (FetchKind::Sequential, None) => (packet, 0),
-                        (FetchKind::TakenBranch { base, disp }, _) => (base, disp),
-                        (FetchKind::LinkReturn { target }, _) => (target, 0),
-                        (FetchKind::Indirect { base, disp }, _) => (base, disp),
-                    };
-                    self.mab_fetch(packet, base, disp)
-                }
+                let (base, disp) = match (kind, self.prev_packet) {
+                    // Inter-line sequential: PC + stride (Figure 2's
+                    // "+8" input).
+                    (FetchKind::Sequential, Some(prev)) => (prev, PACKET_BYTES as i32),
+                    // Very first fetch: no architectural base exists;
+                    // treat the packet address itself as the base.
+                    (FetchKind::Sequential, None) => (packet, 0),
+                    (FetchKind::TakenBranch { base, disp }, _) => (base, disp),
+                    (FetchKind::LinkReturn { target }, _) => (target, 0),
+                    (FetchKind::Indirect { base, disp }, _) => (base, disp),
+                };
+                self.core
+                    .mab_access(AccessKind::Load, packet, base, disp)
+                    .way
             }
-            IScheme::LinkMemo => {
-                // The link fields ride along with every instruction read.
-                self.link_bit_reads += 1;
-                if intra_line {
-                    self.stats.intra_line_skips += 1;
-                    let way = self.current_way.expect("intra-line implies a previous fetch");
-                    self.known_way(packet, way)
-                } else {
-                    self.link_fetch(packet, sequential)
-                }
-            }
-            IScheme::ExtendedBtb { .. } => {
-                if intra_line {
-                    self.stats.intra_line_skips += 1;
-                    let way = self.current_way.expect("intra-line implies a previous fetch");
-                    self.known_way(packet, way)
-                } else if sequential {
-                    // [12]'s weakness: inter-line sequential flow pays.
-                    self.conventional(packet)
-                } else {
-                    self.btb_fetch(packet)
-                }
-            }
+            IScheme::LinkMemo => self.link_fetch(packet, sequential),
+            // [12]'s weakness: inter-line sequential flow pays.
+            IScheme::ExtendedBtb { .. } if sequential => self.conventional(packet),
+            IScheme::ExtendedBtb { .. } => self.btb_fetch(packet),
         };
         self.current_way = Some(way);
         self.prev_packet = Some(packet);
@@ -260,13 +209,12 @@ impl IFront {
     /// packet the transfer came from; a full (source, target) match makes
     /// the target's way known.
     fn btb_fetch(&mut self, packet: u32) -> u32 {
-        let target_base = self.geom.line_base(packet);
+        let target_base = self.core.geom.line_base(packet);
         let Some(source) = self.prev_packet else {
             return self.conventional(packet);
         };
         let btb = self.btb.as_mut().expect("scheme has BTB");
         if let Some(way) = btb.probe(source, target_base) {
-            self.stats.buffer_hits += 1;
             return self.known_way(packet, way);
         }
         let way = self.conventional(packet);
@@ -281,10 +229,12 @@ impl IFront {
     /// sequential or branch link; on a valid link the way is known, else
     /// do a conventional lookup and install the link for next time.
     fn link_fetch(&mut self, packet: u32, sequential: bool) -> u32 {
-        let target_base = self.geom.line_base(packet);
-        let prev_loc = self.prev_packet.zip(self.current_way).map(|(p, w)| {
-            (self.geom.index_of(p), w)
-        });
+        let geom = self.core.geom;
+        let target_base = geom.line_base(packet);
+        let prev_loc = self
+            .prev_packet
+            .zip(self.current_way)
+            .map(|(p, w)| (geom.index_of(p), w));
         if let Some((set, from_way)) = prev_loc {
             let links = self.links.as_ref().expect("scheme has links");
             let linked = if sequential {
@@ -293,7 +243,7 @@ impl IFront {
                 links.branch_way(set, from_way, target_base)
             };
             if let Some(way) = linked {
-                self.stats.buffer_hits += 1;
+                self.core.stats.buffer_hits += 1;
                 return self.known_way(packet, way);
             }
         }
@@ -309,25 +259,6 @@ impl IFront {
         way
     }
 
-    fn mab_fetch(&mut self, packet: u32, base: u32, disp: i32) -> u32 {
-        let mab = self.mab.as_mut().expect("scheme has MAB");
-        match mab.lookup(base, disp) {
-            MabLookup::Hit { way, set_index, .. } => {
-                debug_assert_eq!(set_index, self.geom.index_of(packet));
-                self.known_way(packet, way)
-            }
-            MabLookup::Miss { .. } => {
-                let way = self.conventional(packet);
-                self.mab
-                    .as_mut()
-                    .expect("scheme has MAB")
-                    .record(base, disp, way);
-                way
-            }
-            MabLookup::Wide => self.conventional(packet),
-        }
-    }
-
     /// Replays a recorded trace slice into the model: fetch events are
     /// consumed in program order, loads and stores are skipped. Like
     /// [`DFront::replay`](crate::DFront::replay), the loop is monomorphic
@@ -340,37 +271,25 @@ impl IFront {
         }
     }
 
-    /// Accounting so far; MAB counters reflect the MAB's own statistics.
+    /// Accounting so far. BTB hits are the BTB's own count; MAB counters
+    /// are the MAB's.
     #[must_use]
     pub fn stats(&self) -> AccessStats {
-        let mut s = self.stats;
-        if let Some(mab) = self.mab.as_ref() {
-            s.mab_lookups = mab.stats().lookups + mab.stats().wide_bypasses;
-            s.mab_hits = mab.stats().hits;
-        }
+        let mut s = self.core.stats();
+        s.buffer_hits += self.btb.as_ref().map_or(0, Btb::hits);
         s
     }
 
     /// Raw MAB statistics (MAB schemes only).
     #[must_use]
     pub fn mab_stats(&self) -> Option<MabStats> {
-        self.mab.as_ref().map(Mab::stats)
+        self.core.mab_stats()
     }
 
     /// The MAB's hardware shape (MAB schemes only).
     #[must_use]
     pub fn mab_shape(&self) -> Option<MabShape> {
-        self.mab.as_ref().map(|m| {
-            let cfg = m.config();
-            MabShape {
-                tag_entries: cfg.tag_entries() as u32,
-                set_entries: cfg.set_entries() as u32,
-                tag_entry_bits: cfg.tag_entry_bits(),
-                set_entry_bits: cfg.set_entry_bits(),
-                pair_bits: cfg.pair_bits(),
-                adder_bits: cfg.geometry().low_bits(),
-            }
-        })
+        self.core.mab_shape()
     }
 
     /// Converts counters into hwmodel inputs (`cycles` = instructions).
@@ -382,20 +301,21 @@ impl IFront {
     /// probe per access for the link-valid muxing.
     #[must_use]
     pub fn energy_counts(&self, cycles: u64) -> EnergyCounts {
-        let way_reads = if matches!(self.scheme, IScheme::LinkMemo) {
-            let line_bits = u64::from(self.geom.line_bytes()) * 8;
-            let link_bits = u64::from(self.geom.line_bytes()) / 4 * 2;
-            self.stats.way_reads + self.stats.way_reads * link_bits / line_bits
+        let s = self.core.stats();
+        let way_reads = if self.links.is_some() {
+            let line_bits = u64::from(self.core.geom.line_bytes()) * 8;
+            let link_bits = u64::from(self.core.geom.line_bytes()) / 4 * 2;
+            s.way_reads + s.way_reads * link_bits / line_bits
         } else {
-            self.stats.way_reads
+            s.way_reads
         };
         EnergyCounts {
             way_reads,
-            tag_reads: self.stats.tag_reads,
+            tag_reads: s.tag_reads,
             buffer_probes: self.link_bit_reads + self.btb.as_ref().map_or(0, Btb::probes),
-            mab_lookups: if self.mab.is_some() {
+            mab_lookups: if self.core.mab.is_some() {
                 // The I-MAB is probed on every non-intra-line access.
-                self.stats.accesses - self.stats.intra_line_skips
+                s.accesses - s.intra_line_skips
             } else {
                 0
             },
@@ -408,19 +328,6 @@ impl IFront {
     #[must_use]
     pub fn link_invalidations(&self) -> Option<u64> {
         self.links.as_ref().map(LinkTable::invalidated)
-    }
-
-    /// `(probes, hits)` of the way-extended BTB (ExtendedBtb baseline
-    /// only).
-    #[must_use]
-    pub fn btb_probes_hits(&self) -> Option<(u64, u64)> {
-        self.btb.as_ref().map(|b| (b.probes(), b.hits()))
-    }
-
-    /// The modelled cache (tests inspect residency).
-    #[must_use]
-    pub fn cache(&self) -> &SetAssocCache {
-        &self.cache
     }
 }
 
@@ -611,9 +518,9 @@ mod tests {
                 },
             );
             prev = target;
-            if let Some(mab) = f.mab.as_ref() {
+            if let Some(mab) = f.core.mab.as_ref() {
                 for (set, way, tag) in mab.claims() {
-                    assert_eq!(f.cache.resident_way(tag, set), Some(way));
+                    assert_eq!(f.core.cache.resident_way(tag, set), Some(way));
                 }
             }
         }

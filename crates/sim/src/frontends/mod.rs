@@ -1,10 +1,13 @@
 //! Cache front-ends: one per lookup scheme. Each consumes the CPU's trace
-//! events against its own private cache state and accounts tag/way
-//! activations per the crate-level rules.
+//! events against its own private cache state. The crate-level
+//! accounting rules live once, in the lookup core every front owns (its
+//! cache, the MAB and the MAB path); a front adds only its own
+//! structures and picks the rule each access takes.
 
 mod dcache;
 mod icache;
 mod links;
+mod lookup;
 
 pub use dcache::{DFront, DScheme};
 pub use icache::{IFront, IScheme};

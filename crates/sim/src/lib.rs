@@ -73,6 +73,17 @@
 //!   reads + 1 way access;
 //! * every line fill adds 1 way write;
 //! * I-cache accesses happen per 8-byte fetch packet, not per instruction.
+//!
+//! These rules are written once, in the lookup core every front-end
+//! owns, together with the cache access behind them (a fill drops the
+//! MAB pairs naming the refilled location) and the MAB path (a hit is a
+//! known-way access, a miss a conventional lookup whose way is then
+//! recorded, a wide displacement a conventional lookup past the MAB). A
+//! front adds only its own structures and picks the rule each access
+//! takes. Misses, fill writes and write-backs are read from the front's
+//! cache rather than counted again; hits are counted per access, so
+//! [`AccessStats::is_consistent`](waymem_cache::AccessStats::is_consistent)
+//! still catches an access that skips or repeats the cache access.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

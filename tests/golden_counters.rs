@@ -10,6 +10,11 @@
 //! replayed in memory and replayed from a streamed `.wmtr` file — and
 //! both renders must match the file.
 //!
+//! Within each (input, geometry, side) group every scheme must report the
+//! same hits, misses and write-backs, since each scheme only puts a
+//! different lookup in front of the same cache; that is checked on every
+//! render, blessed or not.
+//!
 //! A second file, `mab_stats.txt`, pins every MAB scheme's own
 //! breakdown on the same inputs — row-only and column-only hits,
 //! replacements, invalidated pairs, wide bypasses — so a change that
@@ -82,6 +87,25 @@ fn counters_line(out: &mut String, prefix: &str, side: char, r: &SchemeResult) {
     .expect("write to String");
 }
 
+/// Every scheme of one side replays the same accesses through the same
+/// cache, so all must report that cache's hits, misses and write-backs: a
+/// scheme changes what a lookup costs, never what the cache does. Checked
+/// before any render is compared or blessed, so a change that breaks it
+/// cannot be re-blessed into the golden file.
+fn assert_one_cache_outcome(prefix: &str, side: char, results: &[SchemeResult]) {
+    let outcome = |r: &SchemeResult| (r.stats.hits, r.stats.misses, r.stats.write_backs);
+    let first = &results[0];
+    for r in results {
+        assert_eq!(
+            outcome(r),
+            outcome(first),
+            "{prefix} {side}: {} and {} disagree on (hits, misses, write_backs)",
+            r.name,
+            first.name
+        );
+    }
+}
+
 /// Renders every counter of every run, one line per (workload, geometry,
 /// side, scheme), replaying in memory or from a streamed `.wmtr` file.
 fn render(streaming: bool) -> String {
@@ -107,6 +131,8 @@ fn render(streaming: bool) -> String {
                 g.line_bytes()
             );
             writeln!(out, "{prefix} cycles = {}", result.cycles).expect("write to String");
+            assert_one_cache_outcome(&prefix, 'D', &result.dcache);
+            assert_one_cache_outcome(&prefix, 'I', &result.icache);
             for r in &result.dcache {
                 counters_line(&mut out, &prefix, 'D', r);
             }
