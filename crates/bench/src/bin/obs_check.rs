@@ -10,20 +10,24 @@
 //! and in every `result_json` object `hits + misses == accesses` and
 //! `mab_hits <= mab_lookups` per scheme, and one shared `hits`, `misses`
 //! and `write_backs` per cache side, since every scheme of a side drives
-//! the same cache.
+//! the same cache. It checks the rows of the paper artifact
+//! (`BENCH_paper.json`) as `check_paper` says.
 //!
 //! ```text
 //! cargo run --release -p waymem-bench --bin obs_check -- spans.json [BENCH_headline.json]
 //! cargo run --release -p waymem-bench --bin obs_check -- --flight waymem-flight.json
 //! cargo run --release -p waymem-bench --bin obs_check -- --results BENCH_ingest.json
+//! cargo run --release -p waymem-bench --bin obs_check -- --results BENCH_paper.json
 //! ```
 //!
 //! Exits non-zero with a description of the first violation, so a CI
 //! step is just the two commands: a `headline` run with `WAYMEM_SPANS`
 //! set, then this check over what it wrote.
 
+use std::collections::HashSet;
 use std::process::ExitCode;
 
+use waymem_bench::paper;
 use waymem_obs::chrome::validate_trace;
 use waymem_obs::flight::validate_dump;
 use waymem_obs::json::{parse, Json};
@@ -170,9 +174,42 @@ fn check_result(result: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks a paper artifact's rows, and returns how many it has: ids
+/// non-empty and unique, `ours` finite, and `paper` and `delta` both null,
+/// or both numbers with `delta = ours − paper` to four decimals.
+fn check_paper(root: &Json) -> Result<usize, String> {
+    let rows = root.get("rows").and_then(Json::as_arr).ok_or("missing rows array")?;
+    let mut ids = HashSet::new();
+    for row in rows {
+        let id = row.get("id").and_then(Json::as_str).filter(|id| !id.is_empty());
+        let id = id.ok_or("a row has no id")?;
+        let ours = row.get("ours").and_then(Json::as_num).filter(|v| v.is_finite());
+        let ours = ours.ok_or_else(|| format!("{id}: ours missing or not finite"))?;
+        let quoted = |key| match row.get(key) {
+            Some(Json::Null) => Ok(None),
+            v => v.and_then(Json::as_num).map(Some).ok_or(format!("{id}: {key} is no number")),
+        };
+        match (quoted("paper")?, quoted("delta")?) {
+            (None, None) => {}
+            (Some(paper), Some(delta)) if (delta - (ours - paper)).abs() <= 1e-4 => {}
+            (Some(_), Some(delta)) => return Err(format!("{id}: delta {delta} != ours - paper")),
+            _ => return Err(format!("{id}: paper and delta must be both null or both numbers")),
+        }
+        if !ids.insert(id) {
+            return Err(format!("{id}: duplicate id"));
+        }
+    }
+    Ok(rows.len())
+}
+
 fn check_results(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let root = parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    if root.get("schema").and_then(Json::as_str) == Some(paper::SCHEMA) {
+        let rows = check_paper(&root).map_err(|e| format!("{path}: {e}"))?;
+        println!("obs_check: {path}: {rows} paper rows, ids unique, deltas consistent — ok");
+        return Ok(());
+    }
     let results = results_of(&root).map_err(|e| format!("{path}: {e}"))?;
     if results.is_empty() {
         return Err(format!("{path}: no results"));
@@ -274,6 +311,32 @@ mod tests {
             scheme("dcache", "other_cache", [10, 8, 2, 0, 0, 2]),
         ] {
             assert!(check(&[d.clone(), bad.clone()]).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    fn paper(rows: &[&str]) -> Result<usize, String> {
+        let text = format!("{{\"schema\":\"waymem/paper/v1\",\"rows\":[{}]}}", rows.join(","));
+        check_paper(&parse(&text).expect("valid JSON"))
+    }
+
+    #[test]
+    fn consistent_paper_artifact_passes() {
+        let rows = [
+            r#"{"id":"a.x","ours":0.3333,"paper":0.5000,"delta":-0.1667}"#,
+            r#"{"id":"b.y","ours":2.0000,"paper":null,"delta":null}"#,
+        ];
+        assert_eq!(paper(&rows), Ok(2));
+    }
+
+    #[test]
+    fn inconsistent_paper_rows_are_rejected() {
+        let good = r#"{"id":"a.x","ours":1.0000,"paper":0.5000,"delta":0.5000}"#;
+        for bad in [
+            r#"{"id":"a.x","ours":2.0000,"paper":null,"delta":null}"#,
+            r#"{"id":"b.y","ours":1.0000,"paper":0.5000,"delta":0.4000}"#,
+            r#"{"id":"c.z","ours":1.0000,"paper":0.5000,"delta":null}"#,
+        ] {
+            assert!(paper(&[good, bad]).is_err(), "{bad} must be rejected");
         }
     }
 

@@ -1,15 +1,11 @@
 //! # waymem-bench — regeneration harness for every table and figure
 //!
-//! | binary     | regenerates                                        |
-//! |------------|----------------------------------------------------|
-//! | `paper`    | Tables 1–3, Figures 4–8 and the abstract's claims  |
-//! | `headline` | the abstract's savings, plus suite wall-clocks     |
-//! | `ablation` | way-predict / two-phase / line-buffer hybrid sweep |
-//! | `related_work` | Ma et al. link memoization \[11\] vs the MAB    |
-//! | `consistency` | §3.3 LRU-consistency audit (unsound-hit counts)    |
-//! | `assoc_sweep` | MAB payoff vs associativity (1–16 way) + scaled stress |
-//! | `export`   | full results as CSV + `BENCH_export.json`              |
-//! | `ingest`   | any external/synthetic trace through every scheme      |
+//! | binary     | regenerates                                                       |
+//! |------------|-------------------------------------------------------------------|
+//! | `paper`    | Tables 1–3, Figures 4–8, the abstract's claims and the `ext.*` rows |
+//! | `headline` | the abstract's savings, plus suite wall-clocks                    |
+//! | `export`   | full results as CSV + `BENCH_export.json`                         |
+//! | `ingest`   | any external/synthetic trace through every scheme                 |
 //!
 //! Run any of them with `cargo run --release -p waymem-bench --bin <name>`.
 //! Every binary drives the same [`Experiment`](waymem_sim::Experiment) /
@@ -34,8 +30,8 @@
 //! and holds the append-only run [`ledger`] the `BENCH_*.json` exports
 //! feed (`BENCH_LEDGER.jsonl`) and the perf-[`diff`] engine the
 //! `bench_diff` regression gate runs on. Every export is built with
-//! [`waymem_obs::json`]. The binaries wire their trace store from the
-//! environment with `TraceStore::from_env`.
+//! [`waymem_obs::json`]. `headline`, `export` and `ingest` take their
+//! trace store from the environment (`TraceStore::from_env`).
 
 pub mod diff;
 pub mod ledger;

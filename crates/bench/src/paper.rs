@@ -13,20 +13,21 @@
 //!
 //! [`Report::new`] turns one [`suite`] run into every row of Tables 1–3,
 //! Figures 4–8 and the abstract's claims, each as `{id, ours, paper,
-//! delta}`, together with the text tables the `paper` bin prints.
+//! delta}`, with the text tables the `paper` bin prints; [`run`] also
+//! appends the `ext.*` rows, which test the paper's design choices.
 //! [`Report::to_json`] renders the rows as the `waymem/paper/v1`
 //! artifact that `tests/golden/paper.json` pins byte for byte.
 
 use std::fmt::Write as _;
 
-use waymem_cache::AccessStats;
+use waymem_cache::{AccessStats, Geometry};
 use waymem_hwmodel::{
     cache_area_mm2, mab_area_mm2, mab_delay_ns, mab_power_mw, CacheShape, MabShape, Technology,
 };
 use waymem_obs::json::Json;
 use waymem_sim::{
     fig4_dschemes, fig6_ischemes, format_power_table, format_ratio_table, DScheme, FigureRow,
-    IScheme, SchemeResult, SimResult, Suite,
+    IScheme, RunError, SchemeResult, SimConfig, SimResult, Suite, TraceStore,
 };
 
 use crate::geometric_mean;
@@ -62,6 +63,36 @@ const PAPER_MAB_MW: [[(f64, f64); 4]; 2] = [
     [(2.34, 0.40), (3.07, 0.68), (4.56, 1.28), (7.93, 2.26)],
 ];
 
+/// The extensions' D-MAB sweep: `N_t` rows by the `N_s` of [`SET_ENTRIES`].
+const SWEEP_TAG_ENTRIES: [u32; 3] = [1, 2, 4];
+/// The D-cache alternatives §2 argues against, way prediction \[9\] and
+/// two-phase lookup \[8\], and the conclusion's MAB + line-buffer hybrid.
+const D_ALTERNATIVES: [DScheme; 3] = [
+    DScheme::WayPredict,
+    DScheme::TwoPhase,
+    DScheme::WayMemoLineBuffer { tag_entries: 2, set_entries: 8, line_entries: 2 },
+];
+/// The §3.3 audit: the paper's D-MAB trusting LRU order, with no
+/// invalidation on fills.
+const D_PAPER_LRU: DScheme = DScheme::WayMemoPaperLru { tag_entries: 2, set_entries: 8 };
+/// The I-cache schemes outside Figures 6–7: link memoization \[11\], the
+/// extended BTB \[12\], and the 4×16 point of the I-MAB sizing.
+const I_EXTENSIONS: [IScheme; 3] = [
+    IScheme::LinkMemo,
+    IScheme::ExtendedBtb { entries: 32 },
+    IScheme::WayMemo { tag_entries: 4, set_entries: 16 },
+];
+/// The I-MAB sizing, (`N_t`, `N_s`).
+const I_SIZES: [(u32, u32); 4] = [(2, 8), (2, 16), (2, 32), (4, 16)];
+/// The associativity and line-size sweep, one table per (capacity kB,
+/// line bytes, workload scale) over its numbers of ways.
+const ASSOC_TABLES: [(u32, u32, u32, &[u32]); 4] = [
+    (32, 32, 1, &[1, 2, 4, 8, 16]),
+    (32, 16, 1, &[1, 2, 4, 8, 16]),
+    (32, 64, 1, &[1, 2, 4, 8, 16]),
+    (64, 32, 2, &[8, 16]),
+];
+
 /// The D-cache schemes of Figures 4, 5 and 8.
 #[must_use]
 pub fn dschemes() -> Vec<DScheme> {
@@ -79,6 +110,20 @@ pub fn ischemes() -> Vec<IScheme> {
 /// a [`Report`] comes from.
 pub fn suite<'s>() -> Suite<'s> {
     Suite::kernels().dschemes(dschemes()).ischemes(ischemes())
+}
+
+/// Runs [`suite`] and the extension runs over one `store`, so each kernel
+/// is interpreted once per scale, and builds the whole report: the
+/// paper's rows ([`Report::new`]), then the `ext.*` rows.
+///
+/// # Errors
+///
+/// The first [`RunError`] of any run.
+pub fn run(store: &TraceStore) -> Result<(Vec<SimResult>, Report), RunError> {
+    let results = suite().store(store).run()?.into_results();
+    let mut report = Report::new(&results);
+    report.extensions(&results, store)?;
+    Ok((results, report))
 }
 
 /// The caches a saving compares, whose total powers add: a D scheme, an
@@ -141,20 +186,20 @@ pub struct Row {
     pub delta: Option<f64>,
 }
 
-/// Every row of the paper's tables, figures and claims, plus their text
-/// rendering.
+/// Every row of the paper's tables, figures and claims, and after [`run`]
+/// the `ext.*` rows, plus their text rendering.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
-    /// All rows, in table-then-figure order.
+    /// All rows, in table-then-figure order, the `ext.*` rows last.
     pub rows: Vec<Row>,
-    /// The text tables of Tables 1–3, Figures 4–8 and the abstract.
+    /// The text tables of Tables 1–3, Figures 4–8, the abstract and `ext.*`.
     pub text: String,
     /// The abstract's claims alone: one line of savings per kernel.
     pub claims: String,
 }
 
 impl Report {
-    /// Builds every row from `results`, a run of [`suite`].
+    /// Builds the paper's rows from `results`, a run of [`suite`].
     ///
     /// # Panics
     ///
@@ -316,24 +361,17 @@ impl Report {
         lookup: Lookup,
     ) {
         let id = figure.replace("Figure ", "fig");
+        let kernels: Vec<String> = results.iter().map(|r| r.workload.name()).collect();
         let quantities = [
             ("top", "tag accesses", "tags_per_access", AccessStats::tags_per_access as fn(&_) -> _),
             ("bottom", "ways accessed", "ways_per_access", AccessStats::ways_per_access),
         ];
         for (part, what, quantity, value) in quantities {
-            let mut rows = Vec::new();
-            for r in results {
-                let label = r.workload.name();
-                let mut values = Vec::new();
-                for name in schemes {
-                    let v = value(&find(r, lookup, name).stats);
-                    self.row(format!("{id}.{label}.{}.{quantity}", key(name)), v, None);
-                    values.push((name.clone(), v));
-                }
-                rows.push(FigureRow { label, values });
-            }
             let title = format!("{figure} ({part}): # {what} / {side}-cache access");
-            self.text.push_str(&format_ratio_table(&title, &rows));
+            let cell = |k: usize, j: usize| value(&find(&results[k], lookup, &schemes[j]).stats);
+            self.table(&title, &kernels, schemes, cell, |k, n| {
+                format!("{id}.{k}.{}.{quantity}", key(n))
+            });
         }
         self.text.push_str(if side == "D" {
             "expected shape: original ~2.0 tags; ours ~90% fewer tags; ways > 1 for ours (at \
@@ -494,6 +532,219 @@ impl Report {
         }
         self.text.push_str(&t);
     }
+
+    /// Prints `value(l, s)` for every label `l` and series `s` as one
+    /// table under `title`, and adds each as the row `id(label, series)`.
+    fn table(
+        &mut self,
+        title: &str,
+        labels: &[String],
+        series: &[String],
+        value: impl Fn(usize, usize) -> f64,
+        id: impl Fn(&str, &str) -> String,
+    ) {
+        let row = |(l, label): (usize, &String)| FigureRow {
+            label: label.clone(),
+            values: series.iter().enumerate().map(|(s, n)| (n.clone(), value(l, s))).collect(),
+        };
+        let rows: Vec<FigureRow> = labels.iter().enumerate().map(row).collect();
+        for (r, (name, v)) in rows.iter().flat_map(|r| r.values.iter().map(move |c| (r, c))) {
+            self.row(id(&r.label, name), *v, None);
+        }
+        self.text.push_str(&format_ratio_table(title, &rows));
+    }
+
+    /// The `ext.*` rows: the related-work schemes, the MAB sizing, the
+    /// associativity and line-size sweep and the §3.3 audit. Every run
+    /// shares `store` with `results`, the run of [`suite`], which also
+    /// supplies the original D-cache, the paper's MABs and \[4\].
+    fn extensions(&mut self, results: &[SimResult], store: &TraceStore) -> Result<(), RunError> {
+        self.text.push_str("\nExtensions: the choices the paper argues for, tested (ext.* rows)\n");
+        let sweep = SWEEP_TAG_ENTRIES.into_iter().flat_map(|t| SET_ENTRIES.map(|s| dmab(t, s)));
+        let dschemes = sweep.filter(|&s| s != D_OURS).chain(D_ALTERNATIVES).chain([D_PAPER_LRU]);
+        let ext = Suite::kernels().dschemes(dschemes).ischemes(I_EXTENSIONS).store(store).run()?;
+        let mut runs = ext.into_results();
+        for (run, paper) in runs.iter_mut().zip(results) {
+            run.dcache.extend_from_slice(&paper.dcache);
+            run.icache.extend_from_slice(&paper.icache);
+        }
+        let kernels: Vec<String> = runs.iter().map(|r| r.workload.name()).collect();
+        let (d, i): (Lookup, Lookup) = (SimResult::dcache_by_name, SimResult::icache_by_name);
+        let id = |side, q| move |k: &str, n: &str| format!("ext.{side}.{k}.{}.{q}", key(n));
+
+        let names = D_ALTERNATIVES.map(|s| s.name());
+        let alt = |k: usize, j: usize| find(&runs[k], d, &names[j]);
+        let title = "D-cache alternatives, total mW";
+        let mw = |k, j| alt(k, j).power.total_mw();
+        self.table(title, &kernels, &names, mw, id("dalt", "total_mw"));
+        let title = "D-cache alternatives, extra cycles";
+        let cycles = |k, j| alt(k, j).extra_cycles as f64;
+        self.table(title, &kernels, &names, cycles, id("dalt", "extra_cycles"));
+        let (n, ours) = (runs.len(), D_OURS.name());
+        let ours_mw = |k: usize| find(&runs[k], d, &ours).power.total_mw();
+        for (j, name) in names.iter().enumerate() {
+            let slower = (0..n).filter(|&k| alt(k, j).extra_cycles > 0).count();
+            let lower = (0..n).filter(|&k| alt(k, j).power.total_mw() < ours_mw(k)).count();
+            let _ = writeln!(
+                self.text,
+                "{name}: extra cycles on {slower}/{n} kernels, fewer mW than {ours} on {lower}/{n}"
+            );
+        }
+
+        let (nt, ns) =
+            (SWEEP_TAG_ENTRIES.map(|t| format!("{t}x")), SET_ENTRIES.map(|s| s.to_string()));
+        let ratio = |a: usize, b: usize| {
+            let scheme = dmab(SWEEP_TAG_ENTRIES[a], SET_ENTRIES[b]);
+            geometric_mean(&runs.iter().map(|r| d_ratio(scheme, r)).collect::<Vec<_>>())
+        };
+        let title = "D-MAB sweep (N_t x N_s), ours/original power, geometric mean";
+        self.table(title, &nt, &ns, ratio, |t, s| format!("ext.dmab.{t}{s}.power_ratio"));
+        let sweep = self.select("ext.dmab.", ".power_ratio");
+        let by_ratio = |a: &&(String, f64), b: &&(String, f64)| a.1.total_cmp(&b.1);
+        let (best, worst) = (sweep.iter().min_by(by_ratio), sweep.iter().max_by(by_ratio));
+        let ((best, lowest), (worst, highest)) = best.zip(worst).expect("sweep rows");
+        let paper = self.ours("ext.dmab.2x8.power_ratio");
+        let _ = writeln!(
+            self.text,
+            "lowest: {best} at {lowest:.3}; highest: {worst} at {highest:.3}; the paper's 2x8: \
+             {paper:.3}"
+        );
+
+        let names = I_EXTENSIONS.map(|s| s.name());
+        let scheme = |k: usize, j: usize| find(&runs[k], i, &names[j]);
+        let title = "I-cache, tags per access";
+        let tags = |k, j| scheme(k, j).stats.tags_per_access();
+        self.table(title, &kernels, &names, tags, id("icache", "tags_per_access"));
+        let title = "I-cache, total mW";
+        let mw = |k, j| scheme(k, j).power.total_mw();
+        self.table(title, &kernels, &names, mw, id("icache", "total_mw"));
+        let link = IScheme::LinkMemo;
+        let invalidations: Vec<f64> = runs
+            .iter()
+            .map(|r| {
+                let mut front = link.build(SimConfig::default().geometry);
+                front.replay(&store.get(r.workload).expect("a stored kernel").fetch_events);
+                front.link_invalidations().expect("a link scheme") as f64
+            })
+            .collect();
+        let reads = |k: usize| find(&runs[k], i, &link.name()).energy.buffer_probes as f64;
+        let cost = |k, q| [reads(k), invalidations[k]][q];
+        let (title, costs) =
+            (format!("{} costs", link.name()), ["link_bit_reads", "link_invalidations"]);
+        let link_id = |k: &str, q: &str| format!("ext.icache.{k}.{}.{q}", link.name());
+        self.table(&title, &kernels, &costs.map(String::from), cost, link_id);
+        let total = |q| self.select("ext.icache.", q).iter().map(|r| r.1).sum::<f64>();
+        let (reads, invalidated) = (total(".link_bit_reads"), total(".link_invalidations"));
+        let _ = writeln!(
+            self.text,
+            "{}: {reads} link-bit reads and {invalidated} link invalidations over the kernels",
+            link.name()
+        );
+
+        let total = |s| runs.iter().map(|r| power_mw((None, Some(s)), r)).sum::<f64>();
+        let intra_line = total(I_INTRA_LINE);
+        self.row(format!("ext.imab.{}.total_mw", I_INTRA_LINE.name()), intra_line, None);
+        let (tech, shapes) =
+            (SimConfig::default().technology, I_SIZES.map(|(t, s)| format!("{t}x{s}")));
+        let value = |q: usize, j: usize| {
+            let (t, s) = I_SIZES[j];
+            [total(imab(t, s)), mab_area_mm2(MabShape::frv(t, s), tech)][q]
+        };
+        let title = "I-MAB sizing, total mW summed over the kernels, and area";
+        let quantities = ["total_mw", "area_mm2"].map(String::from);
+        self.table(title, &quantities, &shapes, value, |q, shape| format!("ext.imab.{shape}.{q}"));
+        let paper = self.ours("ext.imab.2x16.total_mw");
+        let mw = |shape: &String| self.ours(&format!("ext.imab.{shape}.total_mw")) - paper;
+        let others: Vec<String> = shapes.iter().map(|s| format!("{s} {:+.2}", mw(s))).collect();
+        let _ = writeln!(
+            self.text,
+            "against the paper's 2x16 at {paper:.2} mW: {} mW ({} {intra_line:.2} mW)",
+            others.join(", "),
+            I_INTRA_LINE.name()
+        );
+
+        self.assoc_sweep(&kernels, store)?;
+        self.consistency(&runs, store)
+    }
+
+    /// Way memoization's D power against the original's at constant
+    /// capacity over the associativities and line sizes of
+    /// [`ASSOC_TABLES`]: a ratio per kernel and their geometric mean.
+    fn assoc_sweep(&mut self, kernels: &[String], store: &TraceStore) -> Result<(), RunError> {
+        let labels: Vec<String> = kernels.iter().cloned().chain(["geomean".into()]).collect();
+        let (mut falling, schemes) = (true, [D_ORIGINAL, D_OURS]);
+        for (kb, line, scale, ways) in ASSOC_TABLES {
+            let (mut columns, mut ratios) = (Vec::new(), Vec::new());
+            for &w in ways {
+                let geometry = Geometry::new(kb * 1024 / (w * line), w, line).expect("a geometry");
+                let cfg = SimConfig { geometry, scale, ..SimConfig::default() };
+                let runs = Suite::kernels().config(cfg).dschemes(schemes).store(store).run()?;
+                let mut column: Vec<f64> = runs.iter().map(|r| d_ratio(D_OURS, r)).collect();
+                column.push(geometric_mean(&column));
+                columns.push(format!("{kb}kB_{line}B_{w}way_s{scale}"));
+                ratios.push(column);
+            }
+            falling &= ratios.windows(2).all(|c| c[1].last() < c[0].last());
+            let title =
+                format!("D-cache ours/original power, {kb} kB, {line}-B lines, scale {scale}");
+            let ratio = |k, c: usize| ratios[c][k];
+            self.table(&title, &labels, &columns, ratio, |k, c| {
+                format!("ext.assoc.{c}.{k}.power_ratio")
+            });
+        }
+        let above = self.select("ext.assoc.", ".power_ratio").into_iter();
+        let above: Vec<String> = above
+            .filter(|(id, v)| *v > 1.0 && !id.ends_with("geomean"))
+            .map(|(id, _)| id)
+            .collect();
+        let _ = writeln!(
+            self.text,
+            "ours/original above 1.0, where way memoization costs power: {}; the geometric mean \
+             falls as the ways double in every table: {falling}",
+            if above.is_empty() { "none".to_owned() } else { above.join(", ") }
+        );
+        Ok(())
+    }
+
+    /// The §3.3 audit: MAB hits and unsound hits of the paper's D-MAB
+    /// without fill invalidation, per kernel at 32 kB and at 1 kB, and on
+    /// the interleaving [`DScheme::lru_counterexample`] builds.
+    fn consistency(&mut self, runs: &[SimResult], store: &TraceStore) -> Result<(), RunError> {
+        let kernels: Vec<String> = runs.iter().map(|r| r.workload.name()).collect();
+        let small = Geometry::new(16, 2, 32).expect("a valid geometry");
+        let small = Suite::kernels().geometry(small).dschemes([D_PAPER_LRU]).store(store).run()?;
+        let (name, quantities) =
+            (D_PAPER_LRU.name(), ["mab_hits", "unsound_hits"].map(String::from));
+        for (size, runs) in [("32kB", runs), ("1kB", &small[..])] {
+            let stats = |k: usize| find(&runs[k], SimResult::dcache_by_name, &name).stats;
+            let value = |k, q| [stats(k).mab_hits, stats(k).unsound_hits][q] as f64;
+            let title = format!("§3.3 audit at {size}, {name} without invalidation on fills");
+            self.table(&title, &kernels, &quantities, value, |k, q| {
+                format!("ext.consistency.{size}.{k}.{q}")
+            });
+        }
+        let unsound = self.select("ext.consistency.", ".unsound_hits");
+        let unsound: f64 = unsound.iter().map(|r| r.1).sum();
+        let g = Geometry::new(4, 2, 16).expect("a valid geometry");
+        let mut front = DScheme::WayMemoPaperLru { tag_entries: 2, set_entries: 4 }.build(g);
+        for addr in DScheme::lru_counterexample(g) {
+            front.access(false, addr, 0, addr);
+        }
+        let constructed = front.stats().unsound_hits as f64;
+        self.row("ext.consistency.counterexample.unsound_hits", constructed, None);
+        let _ = writeln!(
+            self.text,
+            "unsound hits: {unsound} on the kernels at 32 kB and 1 kB, {constructed} on \
+             DScheme::lru_counterexample; the fronts drop a filled line's MAB pairs instead"
+        );
+        Ok(())
+    }
+
+    /// Every row `<prefix><name><suffix>`, as `(name, ours)`.
+    fn select(&self, prefix: &str, suffix: &str) -> Vec<(String, f64)> {
+        let name = |id: &str| Some(id.strip_prefix(prefix)?.strip_suffix(suffix)?.to_owned());
+        self.rows.iter().filter_map(|r| Some((name(&r.id)?, r.ours))).collect()
+    }
 }
 
 /// One saving's figures: per kernel `(name, baseline mW, ours mW)`, the
@@ -536,6 +787,21 @@ type Lookup = for<'r> fn(&'r SimResult, &str) -> Option<&'r SchemeResult>;
 /// The result of the scheme `name`, on the side `lookup` searches.
 fn find<'r>(r: &'r SimResult, lookup: Lookup, name: &str) -> &'r SchemeResult {
     lookup(r, name).unwrap_or_else(|| panic!("{}: no scheme {name}", r.workload))
+}
+
+/// The D-cache power of `scheme` in `r` over the original D-cache's.
+fn d_ratio(scheme: DScheme, r: &SimResult) -> f64 {
+    power_mw((Some(scheme), None), r) / power_mw((Some(D_ORIGINAL), None), r)
+}
+
+/// The D-cache MAB of `N_t`×`N_s`.
+fn dmab(tag_entries: u32, set_entries: u32) -> DScheme {
+    DScheme::WayMemo { tag_entries: tag_entries as usize, set_entries: set_entries as usize }
+}
+
+/// The I-cache MAB of `N_t`×`N_s`.
+fn imab(tag_entries: u32, set_entries: u32) -> IScheme {
+    IScheme::WayMemo { tag_entries: tag_entries as usize, set_entries: set_entries as usize }
 }
 
 /// A scheme name as a row-id component: no spaces.

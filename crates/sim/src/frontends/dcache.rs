@@ -100,6 +100,19 @@ impl DScheme {
         }
     }
 
+    /// Five loads, each its own base (displacement 0), that break the
+    /// paper's §3.3 consistency argument on a 2-way cache of `geom`: MAB
+    /// row recency is global while cache LRU is per set, so a row kept
+    /// alive by an access to a *different* set can outlive its line.
+    /// Under [`DScheme::WayMemoPaperLru`] the last load is an unsound hit.
+    #[must_use]
+    pub fn lru_counterexample(geom: Geometry) -> [u32; 5] {
+        let a = |tag: u32, set: u32| (tag << geom.low_bits()) | (set << geom.offset_bits());
+        // T1 -> set0 way0; T2 -> set0 way1; T1 through set1 refreshes MAB
+        // row T1; T3 evicts T1 from set0 way0; the stale pair (T1, set0).
+        [a(1, 0), a(2, 0), a(1, 1), a(3, 0), a(1, 0)]
+    }
+
     /// Builds the front-end over a cache shaped by `geom`.
     ///
     /// # Panics
@@ -422,29 +435,50 @@ mod tests {
         assert!(f.stats().is_consistent());
     }
 
+    /// Feeds `accesses` to `f` and checks after every one that each MAB
+    /// pair names the way its line is resident in.
+    fn assert_claims_resident(
+        f: &mut DFront,
+        accesses: impl IntoIterator<Item = (bool, u32, i32, u32)>,
+        what: &str,
+    ) {
+        for (i, (is_store, base, disp, addr)) in accesses.into_iter().enumerate() {
+            f.access(is_store, base, disp, addr);
+            let mab = f.core.mab.as_ref().expect("MAB scheme");
+            for (set, way, tag) in mab.claims() {
+                let resident = f.core.cache.resident_way(tag, set);
+                assert_eq!(resident, Some(way), "{what}: stale MAB claim at access {i}");
+            }
+        }
+    }
+
     #[test]
     fn mab_claims_always_match_cache_residency() {
         let g = Geometry::new(16, 2, 16).unwrap();
-        let mut f = DScheme::WayMemo {
-            tag_entries: 2,
-            set_entries: 8,
-        }
-        .build(g);
+        let mut f = DScheme::paper_way_memo().build(g);
         let mut x: u32 = 0x1234_5678;
-        for i in 0..4000u32 {
+        let accesses = (0..4000u32).map(|i| {
             x = x.wrapping_mul(1664525).wrapping_add(1013904223);
             let base = (x >> 8) & 0xfff0;
             let disp = ((x & 0xff) as i32) - 128;
-            let addr = base.wrapping_add(disp as u32);
-            f.access(i % 3 == 0, base, disp, addr);
-            if let Some(mab) = f.core.mab.as_ref() {
-                for (set, way, tag) in mab.claims() {
-                    assert_eq!(
-                        f.core.cache.resident_way(tag, set),
-                        Some(way),
-                        "stale MAB claim at iteration {i}"
-                    );
-                }
+            (i % 3 == 0, base, disp, base.wrapping_add(disp as u32))
+        });
+        assert_claims_resident(&mut f, accesses, "random stream");
+    }
+
+    #[test]
+    fn mab_claims_match_cache_residency_on_every_kernel() {
+        for bench in waymem_workloads::Benchmark::ALL {
+            let trace = crate::record_trace(bench, &crate::SimConfig::default()).expect("records");
+            let accesses = trace.data_events.iter().filter_map(|&e| match e {
+                TraceEvent::Load { base, disp, addr, .. } => Some((false, base, disp, addr)),
+                TraceEvent::Store { base, disp, addr, .. } => Some((true, base, disp, addr)),
+                TraceEvent::Fetch { .. } => None,
+            });
+            for g in [geom(), Geometry::new(16, 2, 32).unwrap()] {
+                let mut f = DScheme::paper_way_memo().build(g);
+                assert_claims_resident(&mut f, accesses.clone(), &format!("{bench} on {g:?}"));
+                assert!(f.stats().mab_hits > 0, "{bench} on {g:?}: the MAB hits on real code");
             }
         }
     }
@@ -548,18 +582,10 @@ mod tests {
         assert_eq!(f.extra_cycles(), cycles + 1);
     }
 
-    /// The counterexample to the paper's §3.3 consistency argument: MAB
-    /// row recency is global while cache LRU is per set, so a row kept
-    /// alive by an access to a *different* set can outlive its line.
     fn paper_lru_counterexample(f: &mut DFront) {
-        let g = f.core.geom;
-        let low = g.low_bits();
-        let a = |tag: u32, set: u32| (tag << low) | (set << g.offset_bits());
-        f.access(false, a(1, 0), 0, a(1, 0)); // T1 -> set0 way0
-        f.access(false, a(2, 0), 0, a(2, 0)); // T2 -> set0 way1
-        f.access(false, a(1, 1), 0, a(1, 1)); // touches MAB row T1 via set1
-        f.access(false, a(3, 0), 0, a(3, 0)); // evicts T1 from set0 way0
-        f.access(false, a(1, 0), 0, a(1, 0)); // stale pair (T1, set0) -> way0
+        for addr in DScheme::lru_counterexample(f.core.geom) {
+            f.access(false, addr, 0, addr);
+        }
     }
 
     #[test]

@@ -43,7 +43,14 @@ pub fn format_ratio_table(title: &str, rows: &[FigureRow]) -> String {
         .unwrap_or(0)
         .max("benchmark".len());
     let series: Vec<&str> = rows[0].values.iter().map(|(n, _)| n.as_str()).collect();
-    let col_w: Vec<usize> = series.iter().map(|s| s.len().max(8)).collect();
+    // A column is as wide as its series name or its widest value, and at
+    // least 8, so counts as large as 18816.000 keep their rows aligned.
+    let col_w: Vec<usize> = (0..series.len())
+        .map(|j| {
+            let values = rows.iter().map(|r| format!("{:.3}", r.values[j].1).len());
+            values.fold(series[j].len().max(8), usize::max)
+        })
+        .collect();
     let _ = write!(out, "{:label_w$}", "benchmark");
     for (s, w) in series.iter().zip(&col_w) {
         let _ = write!(out, "  {s:>w$}");
@@ -107,12 +114,19 @@ mod tests {
                 label: "mpeg2enc".into(),
                 values: vec![("original".into(), 2.0), ("ours".into(), 0.15)],
             },
+            FigureRow {
+                label: "compress".into(),
+                values: vec![("original".into(), 18816.0), ("ours".into(), 0.0)],
+            },
         ];
         let t = format_ratio_table("Figure 4: tag accesses", &rows);
         assert!(t.contains("Figure 4"));
         assert!(t.contains("1.950"));
         assert!(t.contains("0.150"));
-        assert!(t.lines().count() == 4);
+        assert!(t.contains("18816.000"));
+        assert!(t.lines().count() == 5);
+        let widths: Vec<usize> = t.lines().skip(1).map(str::len).collect();
+        assert!(widths.windows(2).all(|w| w[0] == w[1]), "misaligned: {widths:?}\n{t}");
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The cross-config trace cache.
 //!
-//! Multi-config sweeps (`assoc_sweep`, `ablation`, line-size sweeps) run
-//! the same workloads under many cache geometries. The trace a workload
-//! produces depends only on its [`WorkloadId`] — never on the geometry or
-//! scheme being evaluated — so re-producing it per configuration is pure
-//! waste. [`TraceStore`] memoizes the production: the first lookup for a
-//! key runs the caller's recorder (CPU interpreter, log parser or
-//! synthetic generator), and every later lookup (from any thread) shares
-//! the same `Arc<RecordedTrace>`.
+//! Multi-config sweeps (the paper report's `ext.*` MAB, associativity and
+//! line-size sweeps) run the same workloads under many cache geometries
+//! and scheme sets. The trace a workload produces depends only on its
+//! [`WorkloadId`] — never on the geometry or scheme being evaluated — so
+//! re-producing it per configuration is pure waste. [`TraceStore`]
+//! memoizes the production: the first lookup for a key runs the caller's
+//! recorder (CPU interpreter, log parser or synthetic generator), and
+//! every later lookup (from any thread) shares the same
+//! `Arc<RecordedTrace>`.
 //!
 //! With a cache directory configured, recordings also persist to disk in
 //! the [`codec`](mod@crate::codec) wire format, so *separate process

@@ -2,8 +2,9 @@
 //! Figures 4–8, not absolute milliwatts): who wins, by roughly what
 //! factor, and that way memoization pays no cycles.
 //!
-//! One run of the paper's scheme set serves every test that needs only
-//! those schemes, including the byte-for-byte comparison of the
+//! One run of the paper's report — its scheme set and the `ext.*` runs
+//! over one trace store — serves every test that needs only those
+//! schemes, including the byte-for-byte comparison of the
 //! `waymem/paper/v1` artifact against `tests/golden/paper.json`. A change
 //! that is meant to alter the paper's numbers regenerates the file
 //! explicitly:
@@ -20,15 +21,11 @@ use waymem_bench::paper::{self, Report};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/paper.json");
 
-/// The seven kernels under the paper's scheme set, and the report built
-/// from them, computed once per test binary.
+/// The seven kernels under the paper's scheme set, and the whole report
+/// built from them and the extension runs, computed once per test binary.
 fn shared() -> &'static (Vec<SimResult>, Report) {
     static SHARED: OnceLock<(Vec<SimResult>, Report)> = OnceLock::new();
-    SHARED.get_or_init(|| {
-        let results = paper::suite().run().expect("suite runs").into_results();
-        let report = Report::new(&results);
-        (results, report)
-    })
+    SHARED.get_or_init(|| paper::run(&TraceStore::new()).expect("the report's runs succeed"))
 }
 
 /// A saving row of the shared report, as a fraction.
@@ -240,32 +237,25 @@ fn displacements_are_almost_always_narrow() {
 fn related_work_ordering_matches_section_2() {
     // The paper's §2 positions: [4] < original; ours handles both flows
     // that [12] (no inter-line sequential) and [14]-style buffers miss;
-    // [11] is competitive but pays link bits. Check the orderings on two
-    // contrasting benchmarks.
-    for &bench in &[Benchmark::Dct, Benchmark::Dhrystone] {
-        let r = run(
-            bench,
-            &[],
-            &[
-                IScheme::Original,
-                IScheme::IntraLine,
-                IScheme::LinkMemo,
-                IScheme::ExtendedBtb { entries: 32 },
-                IScheme::paper_way_memo(),
-            ],
-        );
-        let p: Vec<f64> = r.icache.iter().map(|s| s.power.total_mw()).collect();
-        let (orig, intra, link, btb, ours) = (p[0], p[1], p[2], p[3], p[4]);
+    // [11] is competitive but pays link bits. The report holds every
+    // I scheme's power on every kernel.
+    let at = |id: String| shared().1.ours(&id);
+    for r in &shared().0 {
+        let bench = r.workload;
+        let orig = at(format!("abstract.i_vs_original.{bench}.baseline_mw"));
+        let intra = at(format!("fig7.{bench}.intra_line[4].total_mw"));
+        let link = at(format!("ext.icache.{bench}.link_memo[11].total_mw"));
+        let btb = at(format!("ext.icache.{bench}.ext_btb[12]x32.total_mw"));
+        let ours = at(format!("fig7.{bench}.way_memo_2x16.total_mw"));
         assert!(intra < orig, "{bench}: [4] must beat original");
         assert!(btb < intra, "{bench}: [12] must beat [4]");
         assert!(link < intra, "{bench}: [11] must beat [4]");
         assert!(ours < btb, "{bench}: ours must beat [12]");
         assert!(ours <= link * 1.02, "{bench}: ours must match/beat [11]");
         // [12] leaves inter-line sequential tag reads on the table.
-        assert!(
-            r.icache[3].stats.tag_reads > r.icache[4].stats.tag_reads * 5,
-            "{bench}: [12]'s sequential-flow weakness"
-        );
+        let btb_tags = at(format!("ext.icache.{bench}.ext_btb[12]x32.tags_per_access"));
+        let ours_tags = at(format!("fig6.{bench}.way_memo_2x16.tags_per_access"));
+        assert!(btb_tags > ours_tags * 5.0, "{bench}: [12]'s sequential-flow weakness");
     }
 }
 

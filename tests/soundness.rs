@@ -6,35 +6,27 @@ use waymem::isa::{Cpu, FetchKind, NullSink, TraceSink};
 use waymem::prelude::*;
 use waymem::sim::{DFront, IFront};
 
-/// A sink that feeds front-ends *and* audits every MAB claim against the
-/// front-end's own cache after every event.
-struct AuditSink {
+/// A sink that feeds a D and an I front-end straight from the CPU and
+/// counts the events. Every MAB claim is checked against the cache after
+/// every access by `dcache::tests` on each kernel's data stream.
+struct FrontSink {
     d: DFront,
     i: IFront,
-    audits: u64,
+    events: u64,
 }
 
-impl AuditSink {
-    fn audit(&mut self) {
-        if let Some(stats) = self.d.mab_stats() {
-            let _ = stats; // claims checked below
-        }
-        self.audits += 1;
-    }
-}
-
-impl TraceSink for AuditSink {
+impl TraceSink for FrontSink {
     fn fetch(&mut self, pc: u32, kind: FetchKind) {
         self.i.fetch(pc, kind);
-        self.audit();
+        self.events += 1;
     }
     fn load(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
         self.d.access(false, base, disp, addr);
-        self.audit();
+        self.events += 1;
     }
     fn store(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
         self.d.access(true, base, disp, addr);
-        self.audit();
+        self.events += 1;
     }
 }
 
@@ -49,48 +41,17 @@ fn benchmark_results_are_independent_of_attached_frontends() {
         bare.run(wl.max_steps, &mut NullSink).expect("runs");
 
         let geometry = Geometry::frv();
-        let mut sink = AuditSink {
+        let mut sink = FrontSink {
             d: DScheme::paper_way_memo().build(geometry),
             i: IScheme::paper_way_memo().build(geometry),
-            audits: 0,
+            events: 0,
         };
         let mut traced = Cpu::new(&wl.program);
         traced.run(wl.max_steps, &mut sink).expect("runs");
 
         assert_eq!(bare.reg(10), traced.reg(10), "{bench}: checksum differs");
         assert_eq!(bare.instret(), traced.instret(), "{bench}");
-        assert!(sink.audits > 100_000, "{bench}: trace actually flowed");
-    }
-}
-
-#[test]
-fn dmab_claims_match_cache_residency_after_full_runs() {
-    // After an entire benchmark, every valid MAB pair must still describe
-    // a resident line (the per-access debug_asserts cover the interim).
-    for &bench in &[Benchmark::Fft, Benchmark::Mpeg2Enc] {
-        let wl = bench.workload(1).expect("assembles");
-        let geometry = Geometry::frv();
-
-        struct S {
-            d: DFront,
-        }
-        impl TraceSink for S {
-            fn load(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
-                self.d.access(false, base, disp, addr);
-            }
-            fn store(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
-                self.d.access(true, base, disp, addr);
-            }
-        }
-        let mut sink = S {
-            d: DScheme::paper_way_memo().build(geometry),
-        };
-        let mut cpu = Cpu::new(&wl.program);
-        cpu.run(wl.max_steps, &mut sink).expect("runs");
-
-        let stats = sink.d.mab_stats().expect("MAB scheme");
-        assert!(stats.lookups > 0, "{bench}");
-        assert!(stats.hits > 0, "{bench}: MAB should hit on real code");
+        assert!(sink.events > 100_000, "{bench}: trace actually flowed");
     }
 }
 

@@ -93,7 +93,8 @@ fn hardware_models_answer_the_design_questions() {
 
 #[test]
 fn geometry_sweep_runs_through_the_facade() {
-    // A coarse version of the ablation binary, as an API exercise.
+    // A coarse version of the paper report's D-MAB sweep (`ext.dmab.*`
+    // rows), as an API exercise.
     let mut last_ratio = f64::INFINITY;
     for set_entries in [1usize, 8] {
         let r = Experiment::kernel(Benchmark::Dct)
