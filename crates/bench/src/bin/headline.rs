@@ -7,14 +7,15 @@
 //! * total power against original + \[4\] (Fig. 8), average and best;
 //! * no performance penalty (zero extra cycles for way memoization).
 //!
-//! It also times the 7-benchmark suite under four engines — the serial
-//! per-event fanout ([`ExecPolicy::Serial`]), a cold pass through the
-//! shared [`waymem_sim::TraceStore`] (records or disk-loads each trace),
-//! a warm pass (pure in-memory store hits), and a bounded-memory
-//! streaming pass replaying each trace from its on-disk `.wmtr` file in
-//! batches — and writes the wall-clocks, the streaming events/sec, and
-//! the store's hit/miss/compression accounting to `BENCH_headline.json`,
-//! so the repository tracks its own performance trajectory.
+//! It also times three passes of the 7-benchmark suite through the one
+//! replay engine — a cold pass through the shared
+//! [`waymem_sim::TraceStore`] (records or disk-loads each trace), a warm
+//! pass (pure in-memory store hits), and a bounded-memory streaming pass
+//! replaying each trace from its on-disk `.wmtr` file in batches — and
+//! writes the wall-clocks, the streaming events/sec, and the store's
+//! hit/miss/compression accounting to `BENCH_headline.json` (schema
+//! `waymem/headline/v7`), so the repository tracks its own performance
+//! trajectory.
 //!
 //! Set `WAYMEM_TRACE_CACHE=<dir>` to persist recorded traces across
 //! invocations; a second run then reports `"records": 0` — the CI
@@ -26,7 +27,7 @@ use waymem_bench::paper::{self, Report};
 use waymem_bench::ledger;
 use waymem_obs::json::Json;
 use waymem_obs::phase;
-use waymem_sim::{ExecPolicy, Experiment, TraceStore};
+use waymem_sim::{Experiment, TraceStore};
 use waymem_workloads::Benchmark;
 
 fn main() {
@@ -35,13 +36,6 @@ fn main() {
     waymem_obs::init_from_env();
     let (dschemes, ischemes) = (paper::dschemes(), paper::ischemes());
     let store = TraceStore::from_env();
-
-    let serial_start = Instant::now();
-    let serial = paper::suite()
-        .policy(ExecPolicy::Serial)
-        .run()
-        .expect("serial suite runs");
-    let serial_s = serial_start.elapsed().as_secs_f64();
 
     // Cold pass: every lookup misses in memory (records, or loads from a
     // warm cache dir); warm pass: every lookup is an in-memory hit.
@@ -73,17 +67,13 @@ fn main() {
     let stream_s = stream_start.elapsed().as_secs_f64();
     let stream_eps = if stream_s > 0.0 { stream_events as f64 / stream_s } else { 0.0 };
 
-    // The engines must agree exactly (tests pin this; cheap re-check).
-    for (a, rest) in serial.iter().zip(results.iter().zip(warm.iter().zip(&streamed))) {
-        let (b, (c, s)) = rest;
-        assert_eq!(a.cycles, b.cycles, "{}: engines disagree", a.workload);
-        assert_eq!(a.cycles, c.cycles, "{}: warm replay disagrees", a.workload);
-        assert_eq!(a.cycles, s.cycles, "{}: streaming replay disagrees", a.workload);
-        for (x, y) in a.dcache.iter().zip(&b.dcache).chain(a.icache.iter().zip(&b.icache)) {
-            assert_eq!(x.stats, y.stats, "{}/{}: engines disagree", a.workload, x.name);
-        }
-        for (x, y) in a.dcache.iter().zip(&s.dcache).chain(a.icache.iter().zip(&s.icache)) {
-            assert_eq!(x.stats, y.stats, "{}/{}: streaming disagrees", a.workload, x.name);
+    // The passes must agree exactly (tests pin this; cheap re-check).
+    for (pass, other) in [("warm", &warm), ("streaming", &streamed)] {
+        for (a, b) in results.iter().zip(other) {
+            assert_eq!(a.cycles, b.cycles, "{}: {pass} replay disagrees", a.workload);
+            for (x, y) in a.dcache.iter().zip(&b.dcache).chain(a.icache.iter().zip(&b.icache)) {
+                assert_eq!(x.stats, y.stats, "{}/{}: {pass} disagrees", a.workload, x.name);
+            }
         }
     }
 
@@ -92,12 +82,9 @@ fn main() {
 
     let stats = store.stats();
     println!(
-        "\nsuite wall-clock: serial fanout {:.1} ms, store cold {:.1} ms ({:.2}x), store warm {:.1} ms ({:.2}x)",
-        serial_s * 1e3,
+        "\nsuite wall-clock: store cold {:.1} ms, store warm {:.1} ms",
         cold_s * 1e3,
-        serial_s / cold_s,
-        warm_s * 1e3,
-        serial_s / warm_s
+        warm_s * 1e3
     );
     println!(
         "streaming replay: {:.1} ms for {} events ({:.0} events/s, O(batch) resident)",
@@ -131,11 +118,8 @@ fn main() {
     // report carries at its root, `bench_diff` reads back from
     // `BENCH_LEDGER.jsonl` under `perf`.
     let mut perf = vec![
-        ("serial_fanout_seconds", Json::from(serial_s)),
         ("store_cold_seconds", Json::from(cold_s)),
         ("store_warm_seconds", Json::from(warm_s)),
-        ("cold_speedup", Json::from(serial_s / cold_s)),
-        ("warm_speedup", Json::from(serial_s / warm_s)),
         ("streaming_seconds", Json::from(stream_s)),
         ("streaming_events", Json::from(stream_events)),
         ("streaming_events_per_sec", Json::from(stream_eps)),
@@ -144,7 +128,7 @@ fn main() {
     ];
     perf.extend(report.headline().map(|(name, pct)| (name, Json::from(pct))));
     let mut report = vec![
-        ("schema", Json::from("waymem/headline/v6")),
+        ("schema", Json::from("waymem/headline/v7")),
         ("git_rev", Json::from(provenance.git_rev.clone())),
         ("host_threads", Json::from(host_threads as u64)),
         ("benchmarks", Json::from(results.len() as u64)),

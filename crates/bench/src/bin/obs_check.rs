@@ -2,7 +2,7 @@
 //! (written via `WAYMEM_SPANS=<path>`) as well-formed Chrome trace-event
 //! JSON with balanced `B`/`E` pairs and spans covering the record, store
 //! I/O, and replay phases — and, when a `BENCH_headline.json` is given,
-//! checks its schema v6 `phases` breakdown and embedded `metrics`
+//! checks its schema v7 `phases` breakdown and embedded `metrics`
 //! snapshot (histogram percentiles monotone, phase totals non-negative).
 //! `--flight FILE` validates a crash flight-recorder dump instead of /
 //! as well as the span trace. `--results FILE` validates a result
@@ -11,13 +11,15 @@
 //! `mab_hits <= mab_lookups` per scheme, and one shared `hits`, `misses`
 //! and `write_backs` per cache side, since every scheme of a side drives
 //! the same cache. It checks the rows of the paper artifact
-//! (`BENCH_paper.json`) as `check_paper` says.
+//! (`BENCH_paper.json`) as `check_paper` says, and a loadgen artifact
+//! (`BENCH_loadgen.json`) as `check_loadgen` says.
 //!
 //! ```text
 //! cargo run --release -p waymem-bench --bin obs_check -- spans.json [BENCH_headline.json]
 //! cargo run --release -p waymem-bench --bin obs_check -- --flight waymem-flight.json
 //! cargo run --release -p waymem-bench --bin obs_check -- --results BENCH_ingest.json
 //! cargo run --release -p waymem-bench --bin obs_check -- --results BENCH_paper.json
+//! cargo run --release -p waymem-bench --bin obs_check -- --results BENCH_loadgen.json
 //! ```
 //!
 //! Exits non-zero with a description of the first violation, so a CI
@@ -37,8 +39,12 @@ use waymem_obs::snapshot::validate_metrics;
 /// production, store disk I/O, and front-end replay.
 const REQUIRED_SPAN_PREFIXES: [&str; 3] = ["record", "store.io", "replay"];
 
-/// Keys the schema v6 `phases` object must carry.
+/// Keys the schema v7 `phases` object must carry.
 const REQUIRED_PHASES: [&str; 4] = ["resolve", "record", "io", "replay"];
+
+/// The schemas of the headline report and of the loadgen artifact.
+const HEADLINE_SCHEMA: &str = "waymem/headline/v7";
+const LOADGEN_SCHEMA: &str = "waymem/loadgen/v2";
 
 fn check_spans(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -67,8 +73,8 @@ fn check_headline(path: &str) -> Result<(), String> {
         .get("schema")
         .and_then(|v| v.as_str())
         .ok_or_else(|| format!("{path}: missing schema"))?;
-    if schema != "waymem/headline/v6" {
-        return Err(format!("{path}: schema is {schema}, expected waymem/headline/v6"));
+    if schema != HEADLINE_SCHEMA {
+        return Err(format!("{path}: schema is {schema}, expected {HEADLINE_SCHEMA}"));
     }
     let phases = root.get("phases").ok_or_else(|| format!("{path}: missing phases object"))?;
     for key in REQUIRED_PHASES {
@@ -96,7 +102,7 @@ fn check_headline(path: &str) -> Result<(), String> {
         root.get("metrics").ok_or_else(|| format!("{path}: missing metrics object"))?;
     validate_metrics(metrics).map_err(|e| format!("{path}: {e}"))?;
     println!(
-        "obs_check: {path}: schema v6, four-phase breakdown ({total:.3} s total), \
+        "obs_check: {path}: schema v7, four-phase breakdown ({total:.3} s total), \
          metrics snapshot consistent — ok"
     );
     Ok(())
@@ -202,12 +208,51 @@ fn check_paper(root: &Json) -> Result<usize, String> {
     Ok(rows.len())
 }
 
+/// Checks a loadgen artifact: every request sent is ok, refused or a
+/// transport error; at most the ok requests shared a dedup leader's run;
+/// p50 latency ≤ p99; and the daemon's embedded snapshot is consistent
+/// and counted at least the ok requests. Returns the ok request count.
+fn check_loadgen(root: &Json) -> Result<f64, String> {
+    let perf = root.get("perf").ok_or("missing perf object")?;
+    let count = |key: &str| {
+        perf.get(key).and_then(Json::as_num).ok_or_else(|| format!("perf.{key} missing"))
+    };
+    let (sent, ok) = (count("requests_sent")?, count("requests_ok")?);
+    let (refused, errors) = (count("requests_refused")?, count("transport_errors")?);
+    if sent != ok + refused + errors {
+        return Err(format!("sent {sent} != ok {ok} + refused {refused} + errors {errors}"));
+    }
+    let shared = count("dedup_shared")?;
+    if shared > ok {
+        return Err(format!("dedup_shared {shared} > requests_ok {ok}"));
+    }
+    let (p50, p99) = (count("latency_p50_us")?, count("latency_p99_us")?);
+    if p50 > p99 {
+        return Err(format!("latency_p50_us {p50} > latency_p99_us {p99}"));
+    }
+    let daemon = root.get("daemon").filter(|d| **d != Json::Null);
+    let daemon = daemon.ok_or("daemon is null: no snapshot of the daemon that served the run")?;
+    validate_metrics(daemon).map_err(|e| format!("daemon: {e}"))?;
+    let served = daemon.get("counters").and_then(|c| c.get("serve.requests"));
+    let served = served.and_then(Json::as_num).unwrap_or(0.0);
+    if served < ok {
+        return Err(format!("daemon counted {served} serve.requests, fewer than {ok} ok"));
+    }
+    Ok(ok)
+}
+
 fn check_results(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let root = parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if root.get("schema").and_then(Json::as_str) == Some(paper::SCHEMA) {
+    let schema = root.get("schema").and_then(Json::as_str);
+    if schema == Some(paper::SCHEMA) {
         let rows = check_paper(&root).map_err(|e| format!("{path}: {e}"))?;
         println!("obs_check: {path}: {rows} paper rows, ids unique, deltas consistent — ok");
+        return Ok(());
+    }
+    if schema == Some(LOADGEN_SCHEMA) {
+        let ok = check_loadgen(&root).map_err(|e| format!("{path}: {e}"))?;
+        println!("obs_check: {path}: {ok} ok requests accounted, daemon snapshot consistent — ok");
         return Ok(());
     }
     let results = results_of(&root).map_err(|e| format!("{path}: {e}"))?;
@@ -340,9 +385,47 @@ mod tests {
         }
     }
 
+    /// A consistent loadgen artifact, shaped like a local serve +
+    /// loadgen run of 200 requests from 2 clients.
+    fn loadgen_text() -> String {
+        format!(
+            "{{\"schema\":\"{LOADGEN_SCHEMA}\",\"perf\":{{\"requests_sent\":200,\
+             \"requests_ok\":190,\"requests_refused\":10,\"transport_errors\":0,\
+             \"dedup_shared\":20,\"latency_p50_us\":2123,\"latency_p99_us\":6418}},\
+             \"daemon\":{{\"counters\":{{\"serve.requests\":203}},\"gauges\":{{}},\
+             \"histograms\":{{}},\"phases\":{{}}}}}}"
+        )
+    }
+
+    fn loadgen(text: &str) -> Result<f64, String> {
+        check_loadgen(&parse(text).expect("valid JSON"))
+    }
+
+    #[test]
+    fn consistent_loadgen_artifact_passes() {
+        assert_eq!(loadgen(&loadgen_text()), Ok(190.0));
+    }
+
+    #[test]
+    fn inconsistent_loadgen_artifacts_are_rejected() {
+        let good = loadgen_text();
+        let daemon = good.find("\"daemon\"").expect("has a daemon");
+        for (bad, why) in [
+            (good.replace("\"requests_sent\":200", "\"requests_sent\":201"), "sent 201"),
+            (good.replace("\"latency_p50_us\":2123", "\"latency_p50_us\":7000"), "p50"),
+            (good.replace("\"dedup_shared\":20", "\"dedup_shared\":191"), "dedup_shared"),
+            (good.replace("\"serve.requests\":203", "\"serve.requests\":189"), "serve."),
+            (format!("{}\"daemon\":null}}", &good[..daemon]), "daemon is null"),
+        ] {
+            assert_ne!(bad, good, "the edit must change the artifact");
+            let err = loadgen(&bad).expect_err("an inconsistent artifact");
+            assert!(err.contains(why), "{bad}: {err}");
+        }
+    }
+
     #[test]
     fn only_result_artifacts_are_accepted() {
-        let headline = parse("{\"schema\":\"waymem/headline/v6\"}").expect("valid JSON");
+        let headline = parse("{\"schema\":\"waymem/headline/v7\"}").expect("valid JSON");
         assert!(results_of(&headline).is_err());
         let ingest = parse("{\"schema\":\"waymem/ingest/v2\",\"workloads\":[{\"result\":{}}]}")
             .expect("valid JSON");

@@ -23,9 +23,7 @@ use waymem_obs::json::Json;
 /// Metrics where bigger is better, read from the report root (headline)
 /// or its `perf` object (ledger records). `compression_ratio` also
 /// resolves through `trace_store.compression_ratio`.
-pub const HIGHER_BETTER: [&str; 6] = [
-    "warm_speedup",
-    "cold_speedup",
+pub const HIGHER_BETTER: [&str; 4] = [
     "streaming_events_per_sec",
     "events_per_sec",
     "compression_ratio",
@@ -39,7 +37,7 @@ pub const PHASE_ABS_FLOOR_SECONDS: f64 = 0.25;
 /// One metric's baseline-vs-current comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delta {
-    /// Metric name (`warm_speedup`, `phase.replay`, ...).
+    /// Metric name (`streaming_events_per_sec`, `phase.replay`, ...).
     pub metric: String,
     /// The baseline report's value.
     pub baseline: f64,
@@ -139,8 +137,7 @@ mod tests {
     use super::*;
     use waymem_obs::json::parse;
 
-    const REPORT: &str = r#"{"schema":"waymem/headline/v6","warm_speedup":40.0,
-        "cold_speedup":2.0,"streaming_events_per_sec":1e7,
+    const REPORT: &str = r#"{"schema":"waymem/headline/v7","streaming_events_per_sec":1e7,
         "trace_store":{"compression_ratio":3.5},"total_saving_fig8_avg_pct":30.0,
         "phases":{"resolve":0.01,"record":1.0,"io":0.3,"replay":2.0}}"#;
 
@@ -149,14 +146,14 @@ mod tests {
         let v = parse(REPORT).unwrap();
         let report = compare(&v, &v, 25.0).unwrap();
         assert!(report.regressions().is_empty(), "{:?}", report.regressions());
-        assert!(report.deltas.len() >= 8, "{:?}", report.deltas);
+        assert_eq!(report.deltas.len(), 7, "{:?}", report.deltas);
     }
 
     #[test]
     fn degraded_current_is_flagged() {
         let base = parse(REPORT).unwrap();
         let degraded = parse(
-            r#"{"warm_speedup":10.0,"cold_speedup":2.0,"streaming_events_per_sec":1e7,
+            r#"{"streaming_events_per_sec":2e6,
                "trace_store":{"compression_ratio":3.5},"total_saving_fig8_avg_pct":30.0,
                "phases":{"resolve":0.01,"record":1.0,"io":0.3,"replay":9.0}}"#,
         )
@@ -164,9 +161,9 @@ mod tests {
         let report = compare(&degraded, &base, 25.0).unwrap();
         let flagged: Vec<&str> =
             report.regressions().iter().map(|d| d.metric.as_str()).collect();
-        assert!(flagged.contains(&"warm_speedup"), "{flagged:?}");
+        assert!(flagged.contains(&"streaming_events_per_sec"), "{flagged:?}");
         assert!(flagged.contains(&"phase.replay"), "{flagged:?}");
-        assert!(!flagged.contains(&"cold_speedup"), "{flagged:?}");
+        assert!(!flagged.contains(&"compression_ratio"), "{flagged:?}");
     }
 
     #[test]
@@ -175,7 +172,7 @@ mod tests {
         // Better everywhere; phase "io" doubles but stays under the
         // absolute floor.
         let better = parse(
-            r#"{"warm_speedup":80.0,"cold_speedup":4.0,"streaming_events_per_sec":2e7,
+            r#"{"streaming_events_per_sec":2e7,
                "trace_store":{"compression_ratio":4.0},"total_saving_fig8_avg_pct":35.0,
                "phases":{"resolve":0.02,"record":1.0,"io":0.5,"replay":2.0}}"#,
         )
@@ -198,7 +195,7 @@ mod tests {
 
     #[test]
     fn disjoint_reports_are_an_error() {
-        let a = parse(r#"{"warm_speedup":40.0}"#).unwrap();
+        let a = parse(r#"{"streaming_events_per_sec":1e7}"#).unwrap();
         let b = parse(r#"{"events_per_sec":1e6}"#).unwrap();
         assert!(compare(&a, &b, 25.0).is_err());
     }

@@ -27,7 +27,7 @@
 //! ```json
 //! {"schema":"waymem/ledger/v1","bin":"headline","git_rev":"20cd372a1b2c",
 //!  "git_dirty":false,"unix_ts":1754650000,"host_threads":8,"runs_at_rev":1,
-//!  "perf":{"warm_speedup":41.2,"...":0},"metrics":{"counters":{},"...":{}}}
+//!  "perf":{"streaming_events_per_sec":4.1e6,"...":0},"metrics":{"counters":{},"...":{}}}
 //! ```
 
 use std::io;

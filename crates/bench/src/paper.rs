@@ -120,7 +120,7 @@ pub fn suite<'s>() -> Suite<'s> {
 ///
 /// The first [`RunError`] of any run.
 pub fn run(store: &TraceStore) -> Result<(Vec<SimResult>, Report), RunError> {
-    let results = suite().store(store).run()?.into_results();
+    let results = suite().store(store).run()?;
     let mut report = Report::new(&results);
     report.extensions(&results, store)?;
     Ok((results, report))
@@ -562,8 +562,8 @@ impl Report {
         self.text.push_str("\nExtensions: the choices the paper argues for, tested (ext.* rows)\n");
         let sweep = SWEEP_TAG_ENTRIES.into_iter().flat_map(|t| SET_ENTRIES.map(|s| dmab(t, s)));
         let dschemes = sweep.filter(|&s| s != D_OURS).chain(D_ALTERNATIVES).chain([D_PAPER_LRU]);
-        let ext = Suite::kernels().dschemes(dschemes).ischemes(I_EXTENSIONS).store(store).run()?;
-        let mut runs = ext.into_results();
+        let mut runs =
+            Suite::kernels().dschemes(dschemes).ischemes(I_EXTENSIONS).store(store).run()?;
         for (run, paper) in runs.iter_mut().zip(results) {
             run.dcache.extend_from_slice(&paper.dcache);
             run.icache.extend_from_slice(&paper.icache);

@@ -42,10 +42,9 @@ fn prov(rev: &str) -> Provenance {
     }
 }
 
-fn perf(warm_speedup: f64) -> Json {
+fn perf(streaming_events_per_sec: f64) -> Json {
     Json::object(vec![
-        ("warm_speedup", Json::from(warm_speedup)),
-        ("streaming_events_per_sec", Json::from(1.0e7)),
+        ("streaming_events_per_sec", Json::from(streaming_events_per_sec)),
         (
             "phases",
             Json::object(vec![
@@ -114,7 +113,10 @@ fn appends_dedup_per_code_state_and_stamp_provenance() {
     let deduped = &all[0];
     assert_eq!(deduped.get("runs_at_rev").and_then(Json::as_num), Some(2.0));
     assert_eq!(
-        deduped.get("perf").and_then(|p| p.get("warm_speedup")).and_then(Json::as_num),
+        deduped
+            .get("perf")
+            .and_then(|p| p.get("streaming_events_per_sec"))
+            .and_then(Json::as_num),
         Some(41.0)
     );
     assert_eq!(deduped.get("host_threads").and_then(Json::as_num), Some(8.0));
@@ -147,11 +149,11 @@ fn ledger_records_feed_the_regression_gate() {
     let report = diff::compare(&same, &baseline, 25.0).unwrap();
     assert!(report.regressions().is_empty(), "{:?}", report.regressions());
 
-    // A warm-speedup collapse past the tolerance is flagged.
+    // A streaming-throughput collapse past the tolerance is flagged.
     let degraded = parse(&format!(r#"{{"perf":{}}}"#, perf(10.0))).unwrap();
     let report = diff::compare(&degraded, &baseline, 25.0).unwrap();
     let flagged: Vec<&str> = report.regressions().iter().map(|d| d.metric.as_str()).collect();
-    assert_eq!(flagged, ["warm_speedup"]);
+    assert_eq!(flagged, ["streaming_events_per_sec"]);
 }
 
 #[test]

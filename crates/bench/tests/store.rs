@@ -84,8 +84,6 @@ fn warm_suite_is_bit_identical_to_cold() {
     let warm = suite(&cfg).store(&store).run().expect("warm");
     assert_same_results(&cold, &warm);
     assert_eq!(store.stats().records, Benchmark::ALL.len() as u64);
-    // The SuiteResult's snapshot mirrors the live store accounting.
-    assert_eq!(warm.store_stats.expect("store attached"), store.stats());
 }
 
 #[test]

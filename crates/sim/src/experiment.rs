@@ -17,12 +17,10 @@
 //!    [`TraceStore`], so the production step happens at most once per
 //!    store lifetime (zero times, with a warm persistent cache). A
 //!    production that fails does so before anything is sealed or cached;
-//! 3. **replay** the trace across every requested scheme front-end under
-//!    an [`ExecPolicy`] — scoped worker threads, a serial loop, or an
-//!    adaptive choice between them. All policies are bit-identical;
-//!    only wall-clock differs. A serial run with nothing to keep (no
-//!    store, no file) skips the trace: the producer feeds every front
-//!    per event through the serial fan-out.
+//! 3. **replay** the trace across every requested scheme front-end
+//!    through the one chained engine: the fronts run in chains, one
+//!    chain per host thread at most, and every front sees the identical
+//!    stream, so the thread count changes only wall-clock.
 //!
 //! ```
 //! use waymem_sim::{Experiment, DScheme, IScheme};
@@ -50,51 +48,13 @@ use waymem_cache::Geometry;
 use waymem_hwmodel::Technology;
 use waymem_ingest::LogFormat;
 use waymem_isa::RecordedTrace;
-use waymem_trace::{stream, StoreIo, StoreStats, StreamError, SynthSpec, TraceStore, WorkloadId};
+use waymem_trace::{stream, StoreIo, StreamError, SynthSpec, TraceStore, WorkloadId};
 use waymem_workloads::Benchmark;
 
-use crate::run::{replay, source_hash, Producer, RunError, SimConfig, SimResult, TraceSource};
+use crate::run::{
+    host_threads, join, replay, source_hash, Producer, RunError, SimConfig, SimResult, TraceSource,
+};
 use crate::{DScheme, IScheme};
-
-/// How replay work is scheduled across the host's cores.
-///
-/// Every policy produces bit-identical results (each front-end consumes
-/// the identical event stream in isolation; `tests/experiment.rs` pins
-/// the equivalence) — the policy only chooses how the work is laid onto
-/// threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecPolicy {
-    /// Parallel when it can pay for itself (more than one front-end and
-    /// more than one hardware thread), serial otherwise. The default.
-    #[default]
-    Auto,
-    /// Always fan out across scoped worker threads, at most one per
-    /// hardware thread.
-    Parallel,
-    /// Always run inline on the calling thread. A produced workload
-    /// (kernel, synthetic or log) run in memory without a store
-    /// additionally skips the trace: its producer feeds the front-ends
-    /// per event through the serial fan-out — the engine the parallel
-    /// replay is cross-validated against.
-    Serial,
-}
-
-impl ExecPolicy {
-    /// Whether replaying `fronts` front-ends under this policy fans out
-    /// across threads. `Auto` does when that can pay for itself: on a
-    /// single-core host the scoped workers would only interleave, so it
-    /// replays inline instead — the numbers are identical either way;
-    /// only wall-clock differs.
-    pub(crate) fn parallel(self, fronts: usize) -> bool {
-        match self {
-            ExecPolicy::Auto => {
-                fronts > 1 && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
-            }
-            ExecPolicy::Parallel => true,
-            ExecPolicy::Serial => false,
-        }
-    }
-}
 
 /// What an [`Experiment`] runs: the workload half of the builder.
 ///
@@ -208,7 +168,6 @@ pub struct Experiment<'s> {
     dschemes: Vec<DScheme>,
     ischemes: Vec<IScheme>,
     store: Option<&'s TraceStore>,
-    policy: ExecPolicy,
     streaming: bool,
 }
 
@@ -222,7 +181,6 @@ impl Experiment<'_> {
             dschemes: Vec::new(),
             ischemes: Vec::new(),
             store: None,
-            policy: ExecPolicy::Auto,
             streaming: false,
         }
     }
@@ -319,12 +277,6 @@ impl<'s> Experiment<'s> {
         self
     }
 
-    /// Sets the execution policy (default [`ExecPolicy::Auto`]).
-    pub fn policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Resolves the workload to an on-disk `.wmtr` file and replays it
     /// through a bounded window instead of materializing the event
     /// vector: resident memory is O(batch) regardless of trace length,
@@ -339,25 +291,18 @@ impl<'s> Experiment<'s> {
         self
     }
 
-    /// Runs the experiment: resolve → record-or-load → replay.
+    /// Runs the experiment: resolve → record-or-load → replay, that is
+    /// [`prepare`](Experiment::prepare) followed by [`Prepared::run`].
     ///
     /// # Errors
     ///
     /// [`RunError`] when the workload cannot be produced — a kernel that
     /// fails to assemble or halt, an unreadable, malformed or empty log,
-    /// or an external [`WorkloadId`] no store holds — or when a
+    /// or an external [`WorkloadId`] no store holds — when a
     /// [`streaming`](Experiment::streaming) run's trace file fails to
-    /// read back. Materialized replay itself is infallible.
+    /// read back, or as [`RunError::Worker`] when a front panics (a
+    /// scheme with an impossible shape, such as a zero-entry buffer).
     pub fn run(self) -> Result<SimResult, RunError> {
-        // A serial run with nothing to keep (no store, no file) skips the
-        // trace: the producer feeds every front per event through the
-        // serial fan-out (bit-identical; pinned by tests/experiment.rs).
-        let serial = !self.policy.parallel(self.dschemes.len() + self.ischemes.len());
-        if serial && self.store.is_none() && !self.streaming {
-            if let Origin::Produced(producer) = self.workload.origin(self.cfg.scale, false)? {
-                return producer.fan_out(&self.cfg, &self.dschemes, &self.ischemes);
-            }
-        }
         self.prepare()?.run()
     }
 
@@ -372,10 +317,10 @@ impl<'s> Experiment<'s> {
     pub fn prepare(self) -> Result<Prepared, RunError> {
         let _phase = waymem_obs::phase::enter(waymem_obs::phase::Phase::Resolve);
         let _span = waymem_obs::span!("resolve", workload = describe_workload(&self.workload));
-        let Experiment { workload, cfg, dschemes, ischemes, store, policy, streaming } = self;
+        let Experiment { workload, cfg, dschemes, ischemes, store, streaming } = self;
         let (id, source_hash, source, ingest_meta) =
             resolve(&workload, &cfg, store, streaming)?;
-        Ok(Prepared { id, source_hash, source, cfg, dschemes, ischemes, policy, ingest_meta })
+        Ok(Prepared { id, source_hash, source, cfg, dschemes, ischemes, ingest_meta })
     }
 }
 
@@ -478,7 +423,6 @@ pub struct Prepared {
     cfg: SimConfig,
     dschemes: Vec<DScheme>,
     ischemes: Vec<IScheme>,
-    policy: ExecPolicy,
     ingest_meta: Option<IngestMeta>,
 }
 
@@ -519,31 +463,24 @@ impl Prepared {
         self.ingest_meta
     }
 
-    /// Replays the resolved trace across every requested scheme under
-    /// the experiment's policy.
+    /// Replays the resolved trace across every requested scheme, with
+    /// as many replay chains as the host has threads.
     ///
     /// # Errors
     ///
     /// [`RunError::Stream`] when a streaming source's file fails to read
-    /// or decode mid-replay, [`RunError::Worker`] if a scheme-replay
-    /// worker panics; materialized replay is otherwise infallible.
+    /// or decode mid-replay, [`RunError::Worker`] carrying the panic's
+    /// message if a front panics; materialized replay is otherwise
+    /// infallible.
     pub fn run(self) -> Result<SimResult, RunError> {
-        catch_worker(|| {
-            replay(
-                self.id,
-                &self.source,
-                &self.cfg,
-                &self.dschemes,
-                &self.ischemes,
-                self.policy,
-            )
-        })
+        let (d, i) = (&self.dschemes, &self.ischemes);
+        catch_worker(|| replay(self.id, &self.source, &self.cfg, d, i, host_threads()))
     }
 }
 
 /// Multi-workload fan-out with shared configuration: the suite-level
 /// companion to [`Experiment`], fanning its workloads out across scoped
-/// worker threads under the same [`ExecPolicy`] knob.
+/// worker threads.
 ///
 /// ```no_run
 /// use waymem_sim::{presets, Suite};
@@ -564,9 +501,7 @@ pub struct Suite<'s> {
     dschemes: Vec<DScheme>,
     ischemes: Vec<IScheme>,
     store: Option<&'s TraceStore>,
-    policy: ExecPolicy,
     streaming: bool,
-    isolate_failures: bool,
 }
 
 impl Default for Suite<'_> {
@@ -585,9 +520,7 @@ impl Suite<'_> {
             dschemes: Vec::new(),
             ischemes: Vec::new(),
             store: None,
-            policy: ExecPolicy::Auto,
             streaming: false,
-            isolate_failures: false,
         }
     }
 
@@ -662,13 +595,6 @@ impl<'s> Suite<'s> {
         self
     }
 
-    /// Sets the execution policy for both fan-out levels: across
-    /// workloads, and across schemes within each workload.
-    pub fn policy(mut self, policy: ExecPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Resolves and replays every workload through on-disk `.wmtr`
     /// files instead of in-memory event vectors (see
     /// [`Experiment::streaming`]): per-workload resident memory stays
@@ -678,22 +604,11 @@ impl<'s> Suite<'s> {
         self
     }
 
-    /// Continue past per-workload failures instead of aborting the whole
-    /// suite on the first one: failed workloads are recorded in
-    /// [`SuiteResult::failures`] (after one serial retry when
-    /// [`RunError::is_retryable`] says the environment may have healed)
-    /// while every other workload still produces its result. Off by
-    /// default — a plain `run()` keeps the strict first-error contract.
-    pub fn isolate_failures(mut self, isolate: bool) -> Self {
-        self.isolate_failures = isolate;
-        self
-    }
-
     /// Runs every workload and collects the results in workload order.
     ///
-    /// Fan-out is bounded at both levels: at most
-    /// [`std::thread::available_parallelism`] workload workers, each
-    /// running the inner scheme replay under the same policy. Workers
+    /// On a host with more than one thread the workloads fan out over at
+    /// most [`std::thread::available_parallelism`] workload workers,
+    /// each replaying its workload through the chained engine. Workers
     /// are joined in workload order, so result order — and which error
     /// is reported — matches a serial loop exactly. A panicking workload
     /// is caught at the worker boundary and surfaces as
@@ -701,13 +616,9 @@ impl<'s> Suite<'s> {
     ///
     /// # Errors
     ///
-    /// The first [`RunError`] in workload order — unless
-    /// [`isolate_failures`](Suite::isolate_failures) is on, in which
-    /// case errors land in [`SuiteResult::failures`] and `run` itself
-    /// only reports them, it does not fail.
-    pub fn run(self) -> Result<SuiteResult, RunError> {
-        let Suite { workloads, cfg, dschemes, ischemes, store, policy, streaming, isolate_failures } =
-            self;
+    /// The first [`RunError`] in workload order.
+    pub fn run(self) -> Result<Vec<SimResult>, RunError> {
+        let Suite { workloads, cfg, dschemes, ischemes, store, streaming } = self;
         let run_one = |w: &WorkloadSpec| {
             let _span = waymem_obs::span!("suite.workload", workload = describe_workload(w));
             let exp = Experiment {
@@ -716,93 +627,35 @@ impl<'s> Suite<'s> {
                 dschemes: dschemes.clone(),
                 ischemes: ischemes.clone(),
                 store,
-                policy,
                 streaming,
             };
             catch_worker(|| exp.run())
         };
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let parallel = match policy {
-            ExecPolicy::Serial => false,
-            ExecPolicy::Parallel => true,
-            // On a single-core host the workers would only interleave;
-            // run the workloads inline instead (results are identical
-            // either way).
-            ExecPolicy::Auto => workers > 1,
-        };
-        let outcomes: Vec<Result<SimResult, RunError>> = if parallel && workloads.len() > 1 {
-            let chunk = workloads.len().div_ceil(workers).max(1);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = workloads
-                    .chunks(chunk)
-                    .map(|group| {
-                        (group.len(), scope.spawn(move || group.iter().map(run_one).collect::<Vec<_>>()))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|(len, handle)| {
-                        // `run_one` catches workload panics itself; this
-                        // guards the residual worker plumbing.
-                        handle.join().unwrap_or_else(|payload| {
-                            let message = panic_message(payload.as_ref());
-                            std::iter::repeat_with(|| {
-                                Err(RunError::Worker { message: message.clone() })
-                            })
-                            .take(len)
-                            .collect()
-                        })
-                    })
-                    .collect()
-            })
-        } else {
-            workloads.iter().map(run_one).collect()
-        };
-        let mut results = Vec::with_capacity(workloads.len());
-        let mut failures = Vec::new();
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(result) => results.push(result),
-                Err(error) if isolate_failures => {
-                    let retryable = error.is_retryable();
-                    // Transient failures get one serial retry: the store
-                    // may have healed (quarantine + re-record) since the
-                    // parallel attempt.
-                    let healed = retryable.then(|| run_one(&workloads[index]).ok()).flatten();
-                    match healed {
-                        Some(result) => results.push(result),
-                        None => {
-                            let workload = describe_workload(&workloads[index]);
-                            waymem_obs::warn!(
-                                "suite.workload_failed",
-                                workload = workload,
-                                error = error,
-                                retryable = retryable,
-                            );
-                            failures.push(SuiteFailure { index, workload, error, retryable });
-                        }
-                    }
-                }
-                Err(error) => return Err(error),
-            }
+        let workers = host_threads();
+        if workers < 2 || workloads.len() < 2 {
+            return workloads.iter().map(run_one).collect();
         }
-        Ok(SuiteResult {
-            results,
-            failures,
-            store_stats: store.map(TraceStore::stats),
+        let chunk = workloads.len().div_ceil(workers);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = workloads
+                .chunks(chunk)
+                .map(|group| scope.spawn(move || group.iter().map(run_one).collect::<Vec<_>>()))
+                .collect();
+            handles.into_iter().flat_map(join).collect()
         })
     }
 }
 
 /// Runs `f`, converting an escaping panic into a structured
-/// [`RunError::Worker`] — the boundary [`Suite::run`] wraps every
-/// workload in so one poisoned workload cannot take down its siblings.
+/// [`RunError::Worker`] that carries the panic's message — the boundary
+/// [`Prepared::run`] wraps its replay in, and [`Suite::run`] every
+/// workload, so one poisoned workload cannot take down its siblings.
 pub fn catch_worker<T>(f: impl FnOnce() -> Result<T, RunError>) -> Result<T, RunError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         let message = panic_message(payload.as_ref());
         // The worker died: record the incident and dump the flight
         // recorder's black box (no-op unless a dump path is configured)
-        // before the error is folded into the suite's failure list.
+        // before the error is returned.
         waymem_obs::flight::note("suite.worker_panic", &[("message", message.clone())]);
         waymem_obs::flight::dump_on_incident("suite.worker_panic");
         Err(RunError::Worker { message })
@@ -818,105 +671,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// A short display name for a workload, for failure reports.
+/// A short display name for a workload, for spans.
 fn describe_workload(w: &WorkloadSpec) -> String {
     match w {
         WorkloadSpec::Kernel(bench) => bench.to_string(),
         WorkloadSpec::Id(id) | WorkloadSpec::Recorded { id, .. } => id.to_string(),
         WorkloadSpec::Synthetic(spec) => WorkloadId::Synthetic(*spec).to_string(),
         WorkloadSpec::Log { path, .. } => path.display().to_string(),
-    }
-}
-
-/// One workload's failure in an isolating ([`Suite::isolate_failures`])
-/// suite run.
-#[derive(Debug, Clone)]
-pub struct SuiteFailure {
-    /// Index of the workload in the order it was added to the suite.
-    pub index: usize,
-    /// Short display name of the failed workload.
-    pub workload: String,
-    /// What went wrong.
-    pub error: RunError,
-    /// Whether [`RunError::is_retryable`] held — if so, the suite
-    /// already spent its one serial retry before recording the failure.
-    pub retryable: bool,
-}
-
-/// The outcome of a [`Suite`] run: per-workload results in workload
-/// order, plus a snapshot of the store's accounting when one was
-/// attached. Dereferences to `[SimResult]`, so indexing and iteration
-/// work like on the plain vector the legacy drivers returned.
-///
-/// Under [`Suite::isolate_failures`], `results` holds the workloads that
-/// succeeded (still in workload order, failed ones skipped) and
-/// [`failures`](Self::failures) records the rest; a strict run always
-/// has `failures.is_empty()`.
-#[derive(Debug, Clone)]
-pub struct SuiteResult {
-    /// One result per succeeded workload, in the order the workloads
-    /// were added.
-    pub results: Vec<SimResult>,
-    /// The workloads that failed, in workload order (always empty
-    /// without [`Suite::isolate_failures`] — a strict run aborts
-    /// instead).
-    pub failures: Vec<SuiteFailure>,
-    /// The attached store's statistics, snapshotted right after the run
-    /// (`None` when the suite ran store-less).
-    pub store_stats: Option<StoreStats>,
-}
-
-impl SuiteResult {
-    /// Consumes the result into the bare per-workload vector.
-    #[must_use]
-    pub fn into_results(self) -> Vec<SimResult> {
-        self.results
-    }
-
-    /// `true` when every workload produced a result.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// A one-line-per-failure human-readable report, or `None` when the
-    /// run was complete.
-    #[must_use]
-    pub fn failure_report(&self) -> Option<String> {
-        if self.failures.is_empty() {
-            return None;
-        }
-        let lines: Vec<String> = self
-            .failures
-            .iter()
-            .map(|f| format!("workload {} ({}): {}", f.index, f.workload, f.error))
-            .collect();
-        Some(lines.join("\n"))
-    }
-}
-
-impl std::ops::Deref for SuiteResult {
-    type Target = [SimResult];
-
-    fn deref(&self) -> &[SimResult] {
-        &self.results
-    }
-}
-
-impl IntoIterator for SuiteResult {
-    type Item = SimResult;
-    type IntoIter = std::vec::IntoIter<SimResult>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.results.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a SuiteResult {
-    type Item = &'a SimResult;
-    type IntoIter = std::slice::Iter<'a, SimResult>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.results.iter()
     }
 }

@@ -26,8 +26,8 @@
 //! [`Experiment`] is the one entry point for every workload × scheme ×
 //! store run — a built-in kernel, an ingested external log, a synthetic
 //! pattern, or a pre-recorded trace, with an optional shared
-//! [`TraceStore`] and an [`ExecPolicy`]; [`Suite`] fans a list of
-//! workloads out with shared settings.
+//! [`TraceStore`]; [`Suite`] fans a list of workloads out with shared
+//! settings.
 //!
 //! ```
 //! use waymem_sim::{Experiment, DScheme, IScheme};
@@ -51,18 +51,20 @@
 //! [`RecordedTrace`] — two flat `Vec<TraceEvent>` streams, fetches split
 //! from loads/stores at capture time (or into a `.wmtr` file, when
 //! streaming) — and then replays it through every requested front-end
-//! **concurrently** on [`std::thread::scope`] workers, at most one per
-//! hardware thread. Each worker runs one replay chain: the fronts of one
-//! section, fed from a single read of that section. Each worker owns its
-//! front-ends outright, so `DFront` and `IFront`
-//! are (and must remain) [`Send`]: they hold only owned cache, memory
-//! and buffer state, with no shared interior mutability — a compile-time
+//! in replay chains: the fronts of one section, fed from a single read
+//! of that section. There are at most as many chains as the host has
+//! threads (one per side at least), and on a multi-core host each runs
+//! **concurrently** on a [`std::thread::scope`] worker of its own. Each
+//! worker owns its front-ends outright, so `DFront` and `IFront` are
+//! (and must remain) [`Send`]: they hold only owned cache, memory and
+//! buffer state, with no shared interior mutability — a compile-time
 //! assertion in `frontends/mod.rs` enforces this. The trace itself is
 //! shared immutably (`&[TraceEvent]`), front-ends never observe each
-//! other, and workers are joined in scheme order, so results are
-//! bit-identical to a serial run — `tests/experiment.rs` pins
-//! [`ExecPolicy::Serial`] ≡ [`ExecPolicy::Parallel`] down to the last
-//! `f64` bit.
+//! other, and chains are joined in scheme order, so results do not
+//! depend on the thread count — the `run` module's tests pin 1, 2 and 4
+//! workers against each front replayed alone, down to the last `f64`
+//! bit. A front that panics surfaces as [`RunError::Worker`] carrying
+//! the panic's message, on any host.
 //!
 //! ## Accounting rules (uniform across schemes)
 //!
@@ -94,10 +96,7 @@ pub mod presets;
 mod report;
 pub mod run;
 
-pub use experiment::{
-    catch_worker, ExecPolicy, Experiment, IngestMeta, Prepared, Suite, SuiteFailure, SuiteResult,
-    WorkloadSpec,
-};
+pub use experiment::{catch_worker, Experiment, IngestMeta, Prepared, Suite, WorkloadSpec};
 pub use frontends::{DFront, DScheme, IFront, IScheme};
 pub use presets::{fig4_dschemes, fig6_ischemes, full_dschemes, full_ischemes};
 pub use report::{format_power_table, format_ratio_table, FigureRow};

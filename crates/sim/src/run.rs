@@ -5,19 +5,18 @@
 //! log — and it runs exactly once, pushing the full fetch/load/store
 //! stream into whichever sink is the destination: a [`RecordedTrace`]
 //! (two flat `Vec<TraceEvent>` streams split at capture time, fetches
-//! apart from loads/stores), a `.wmtr` file, or every front at once
-//! through the per-event serial fan-out. The recorded trace is then
-//! replayed through every requested scheme's front-end, under an
-//! [`ExecPolicy`]. One engine serves both [`TraceSource`]s: the fronts
-//! are laid out into chains, one per worker thread, each holding the
-//! fronts of one section, and each chain reads its section once through
+//! apart from loads/stores) or a `.wmtr` file. The trace is then
+//! replayed through every requested scheme's front-end by the one
+//! engine, which serves both [`TraceSource`]s: the fronts are laid out
+//! into chains, at most one per host thread, each holding the fronts of
+//! one section, and each chain reads its section once through
 //! [`TraceSource::replay_section`] while a fan-out sink hands every
 //! batch to each of its fronts. The batched [`TraceSink::events`] entry
 //! point dispatches to a monomorphic loop ([`DFront::replay`] /
 //! [`IFront::replay`]), so no per-event virtual dispatch survives on the
 //! hot path; power is composed via Eq. (1) once every chain joins. Every
-//! front-end sees the identical stream, so all policies, sources and the
-//! serial fan-out are bit-identical.
+//! front-end sees the identical stream, so every source, batch size and
+//! thread count gives bit-identical results.
 //!
 //! The composable front door to all of this is
 //! [`Experiment`](crate::Experiment) / [`Suite`](crate::Suite)
@@ -41,14 +40,14 @@ use waymem_cache::{AccessStats, Geometry};
 use waymem_hwmodel::{
     cache_energies, mab_power_mw, CacheShape, EnergyCounts, MabShape, PowerBreakdown, Technology,
 };
-use waymem_isa::{AsmError, Cpu, CpuError, FetchKind, RecordingSink, TraceEvent, TraceSink};
+use waymem_isa::{AsmError, Cpu, CpuError, RecordingSink, TraceEvent, TraceSink};
 use waymem_ingest::{hash_file, parse_into, synth, LogFormat};
 use waymem_trace::{
     fnv1a64, Section, StreamError, StreamingEncoder, StreamingTrace, SynthSpec, WorkloadId,
 };
 use waymem_workloads::Benchmark;
 
-use crate::{DFront, DScheme, ExecPolicy, IFront, IScheme, IngestMeta};
+use crate::{DFront, DScheme, IFront, IScheme, IngestMeta};
 
 /// Simulation configuration shared by all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -108,8 +107,8 @@ pub enum RunError {
         message: String,
     },
     /// A worker thread panicked mid-run. The panic is caught at the
-    /// suite boundary and converted into this structured error so one
-    /// bad workload cannot take down its siblings.
+    /// replay and suite boundaries and converted into this structured
+    /// error so one bad workload cannot take down its siblings.
     Worker {
         /// The panic payload, stringified.
         message: String,
@@ -270,10 +269,11 @@ pub fn result_json(result: &SimResult) -> Json {
     ])
 }
 
-/// The fan-out sink: hands every event, or every batch, to each front of
-/// one replay chain in turn, so a section read once feeds them all. Each
-/// batch's time is charged to the front that consumed it, so a front's
-/// busy time survives the shared read.
+/// The fan-out sink: hands every batch to each front of one replay chain
+/// in turn, so a section read once feeds them all. Each batch's time is
+/// charged to the front that consumed it, so a front's busy time
+/// survives the shared read. Only the batched entry point is fed: every
+/// [`TraceSource`] delivers whole batches.
 struct Fanout<F> {
     fronts: Vec<F>,
     busy_ns: Vec<u64>,
@@ -296,53 +296,12 @@ impl<F> Fanout<F> {
 }
 
 impl<F: TraceSink> TraceSink for Fanout<F> {
-    fn fetch(&mut self, pc: u32, kind: FetchKind) {
-        for f in &mut self.fronts {
-            f.fetch(pc, kind);
-        }
-    }
-
-    fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-        for f in &mut self.fronts {
-            f.load(base, disp, addr, size);
-        }
-    }
-
-    fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-        for f in &mut self.fronts {
-            f.store(base, disp, addr, size);
-        }
-    }
-
     fn events(&mut self, batch: &[TraceEvent]) {
         for (f, busy) in self.fronts.iter_mut().zip(&mut self.busy_ns) {
             let started = Instant::now();
             f.events(batch);
             *busy += elapsed_ns(started);
         }
-    }
-}
-
-/// The serial fan-out's sink: a producer's fetches fan out to the
-/// I-fronts and its loads and stores to the D-fronts, per event, as they
-/// happen. Kept (behind [`Producer::fan_out`]) as the reference the
-/// record/replay engine is cross-validated against.
-struct FanoutSink {
-    d: Fanout<DFront>,
-    i: Fanout<IFront>,
-}
-
-impl TraceSink for FanoutSink {
-    fn fetch(&mut self, pc: u32, kind: FetchKind) {
-        self.i.fetch(pc, kind);
-    }
-
-    fn load(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-        self.d.load(base, disp, addr, size);
-    }
-
-    fn store(&mut self, base: u32, disp: i32, addr: u32, size: u8) {
-        self.d.store(base, disp, addr, size);
     }
 }
 
@@ -464,9 +423,8 @@ impl From<StreamingTrace> for TraceSource {
 /// The one producer of each produced workload kind: the CPU interpreter
 /// for a kernel, the generator for a synthetic pattern, the parser for a
 /// log. Every destination is just the sink [`produce`](Self::produce)
-/// drives — a [`RecordedTrace`] in memory ([`record`](Self::record)), a
-/// [`StreamingEncoder`] on disk ([`encode`](Self::encode)), or every
-/// front at once through the serial fan-out ([`fan_out`](Self::fan_out)).
+/// drives — a [`RecordedTrace`] in memory ([`record`](Self::record)) or
+/// a [`StreamingEncoder`] on disk ([`encode`](Self::encode)).
 #[derive(Debug)]
 pub(crate) enum Producer {
     /// A built-in kernel at an explicit scale, run on the interpreter.
@@ -622,30 +580,6 @@ impl Producer {
         encoder.finish(produced.cycles, source_hash(produced.id))?;
         Ok(produced)
     }
-
-    /// Produces straight into every front, per event, with no trace in
-    /// between: the serial fan-out, kept as the cross-check of the
-    /// record/replay engine. Being replay, it runs under the Replay
-    /// phase, production included.
-    ///
-    /// # Errors
-    ///
-    /// As [`produce`](Self::produce).
-    pub(crate) fn fan_out(
-        &self,
-        cfg: &SimConfig,
-        dschemes: &[DScheme],
-        ischemes: &[IScheme],
-    ) -> Result<SimResult, RunError> {
-        let _phase = waymem_obs::phase::enter(Phase::Replay);
-        let _span = self.span("replay");
-        let mut sink = FanoutSink {
-            d: Fanout::new(dschemes.iter().map(|s| s.build(cfg.geometry)).collect()),
-            i: Fanout::new(ischemes.iter().map(|s| s.build(cfg.geometry)).collect()),
-        };
-        let produced = self.produce(&mut sink)?;
-        Ok(sim_result(produced.id, produced.cycles, cfg, &sink.d.fronts, &sink.i.fronts))
-    }
 }
 
 /// Executes `bench` once and records its full event stream.
@@ -799,18 +733,22 @@ fn replay_chain(
 }
 
 /// The replay engine: evaluates a trace source — in memory or a `.wmtr`
-/// file — across every requested scheme's front-end under `policy`.
+/// file — across every requested scheme's front-end, on up to `workers`
+/// threads.
 ///
 /// The fronts are laid out into chains by [`chain_layout`], each holding
 /// fronts of one section. A chain reads its section once through
 /// [`TraceSource::replay_section`] and hands every batch to each of its
 /// fronts: an in-memory section arrives as one whole-slice batch, a
-/// streamed one is decoded once per chain, not once per front. In
-/// parallel each chain runs on a scoped worker of its own; serially the
-/// chains run inline. Chains are joined in layout order, so results keep
-/// the order the schemes were given, and every front consumes the
-/// identical event sequence in isolation, so the numbers are
-/// bit-identical across policies, sources and batch sizes.
+/// streamed one is decoded once per chain, not once per front. With more
+/// than one worker and more than one chain, each chain runs on a scoped
+/// thread of its own; otherwise the chains run inline. Chains are joined
+/// in layout order, so results keep the order the schemes were given,
+/// and every front consumes the identical event sequence in isolation,
+/// so the numbers are bit-identical across worker counts, sources and
+/// batch sizes. A chain's panic is re-raised on the caller's thread with
+/// its own payload, so [`catch_worker`](crate::catch_worker) reports its
+/// message.
 ///
 /// # Errors
 ///
@@ -822,22 +760,20 @@ pub(crate) fn replay(
     cfg: &SimConfig,
     dschemes: &[DScheme],
     ischemes: &[IScheme],
-    policy: ExecPolicy,
+    workers: usize,
 ) -> Result<SimResult, RunError> {
     let _phase = waymem_obs::phase::enter(Phase::Replay);
     let _span = waymem_obs::span!("replay", workload = workload.name());
-    let parallel = policy.parallel(dschemes.len() + ischemes.len());
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let layout = chain_layout(dschemes.len(), ischemes.len(), if parallel { threads } else { 1 });
+    let layout = chain_layout(dschemes.len(), ischemes.len(), workers);
     let chain = |spec: &ChainSpec| replay_chain(source, spec, cfg.geometry, dschemes, ischemes);
-    let chains = if parallel {
+    let chains = if workers > 1 && layout.len() > 1 {
         std::thread::scope(|scope| {
             let handles: Vec<_> =
                 layout.iter().map(|spec| scope.spawn(move || chain(spec))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("replay chain worker panicked"))
-                .collect::<Result<Vec<_>, _>>()
+            // Join every chain before the first error ends the collect:
+            // a panic left for the scope to find would lose its message.
+            let joined: Vec<_> = handles.into_iter().map(join).collect();
+            joined.into_iter().collect::<Result<Vec<_>, _>>()
         })
     } else {
         layout.iter().map(chain).collect()
@@ -851,6 +787,18 @@ pub(crate) fn replay(
         }
     }
     Ok(sim_result(workload, source.cycles(), cfg, &dfronts, &ifronts))
+}
+
+/// The host's thread count: how many replay chains, and how many suite
+/// workers, run at once.
+pub(crate) fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Joins a scoped worker, re-raising its panic on the joining thread with
+/// the worker's own payload, so the panic's message survives the join.
+pub(crate) fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// The FNV-1a64 of the kernel's generated assembly source at `scale` —
@@ -896,6 +844,7 @@ pub(crate) fn source_hash(id: WorkloadId) -> u64 {
 mod tests {
     use super::*;
     use crate::Experiment;
+    use waymem_isa::FetchKind;
     use waymem_trace::TraceStore;
 
     /// `bench` under the paper's schemes, through the builder.
@@ -1062,21 +1011,6 @@ mod tests {
                 x.name
             );
         }
-    }
-
-    #[test]
-    fn parallel_replay_matches_legacy_fanout() {
-        // Exercise the record/replay engine explicitly (not through
-        // `Experiment::kernel`, which may pick the fanout path on
-        // single-core hosts) and pin it bit-identical to the serial fanout.
-        let cfg = SimConfig::default();
-        let (d, i) = paper_schemes();
-        let producer = Producer::Kernel { bench: Benchmark::Dct, scale: cfg.scale };
-        let (trace, _) = producer.record().expect("records");
-        let id = WorkloadId::kernel(Benchmark::Dct, cfg.scale);
-        let replayed = replay_recorded(id, &trace);
-        let fanout = producer.fan_out(&cfg, &d, &i).expect("fanout runs");
-        assert_results_identical(&replayed, &fanout);
     }
 
     #[test]
@@ -1270,10 +1204,19 @@ mod tests {
             let workload = WorkloadId::External { hash: 1 };
             sim_result(workload, source.cycles(), &cfg, &dfronts, &ifronts)
         };
+        // The engine itself, on a given number of worker threads.
+        let engine = |source: &TraceSource, workers: usize| {
+            let workload = WorkloadId::External { hash: 1 };
+            replay(workload, source, &cfg, &d, &i, workers).expect("replays")
+        };
         // The reference: each front alone, over its whole in-memory section.
-        let want = chains(&TraceSource::from(trace.clone()), 1);
+        let in_memory = TraceSource::from(trace.clone());
+        let want = chains(&in_memory, 1);
         assert!(want.dcache[0].stats.write_backs > 0, "no write-backs: vacuous");
         assert!(want.icache[0].stats.misses > 100, "no I-side misses: vacuous");
+        for workers in [1, 2, 4] {
+            assert_results_identical(&engine(&in_memory, workers), &want);
+        }
 
         let path = std::env::temp_dir()
             .join(format!("waymem-run-test-{}-chains.wmtr", std::process::id()));
@@ -1284,8 +1227,30 @@ mod tests {
             for len in [1, 2, 7] {
                 assert_results_identical(&chains(&source, len), &want);
             }
+            for workers in [1, 2, 4] {
+                assert_results_identical(&engine(&source, workers), &want);
+            }
         }
         std::fs::remove_file(&path).expect("removes the scratch trace");
+    }
+
+    #[test]
+    fn a_chain_panic_keeps_its_message_on_any_worker_count() {
+        // A zero-entry set buffer panics as its chain builds it. Inline
+        // (one worker) or on a thread of its own (two), the panic reaches
+        // the caller with its own payload.
+        let source = TraceSource::from(RecordedTrace::default());
+        let (d, i) = ([DScheme::Original, DScheme::SetBuffer { entries: 0 }], [IScheme::Original]);
+        for workers in [1, 2] {
+            let id = WorkloadId::External { hash: 1 };
+            let run = || replay(id, &source, &SimConfig::default(), &d, &i, workers);
+            match crate::catch_worker(run) {
+                Err(RunError::Worker { message }) => {
+                    assert!(message.contains("set buffer needs at least one entry"), "{message}");
+                }
+                other => panic!("{workers} workers: expected a Worker error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -75,8 +75,8 @@ pub mod prelude {
     pub use waymem_hwmodel::Technology;
     pub use waymem_ingest::{parse_path, Ingested, LogFormat};
     pub use waymem_sim::{
-        catch_worker, DScheme, ExecPolicy, Experiment, IScheme, RunError, SimConfig, SimResult,
-        Suite, SuiteFailure, SuiteResult, WorkloadSpec,
+        catch_worker, DScheme, Experiment, IScheme, RunError, SimConfig, SimResult, Suite,
+        WorkloadSpec,
     };
     pub use waymem_trace::{SynthPattern, SynthSpec, TraceStore, WorkloadId};
     pub use waymem_workloads::Benchmark;

@@ -18,23 +18,16 @@ fn paper_schemes() -> (Vec<DScheme>, Vec<IScheme>) {
     )
 }
 
-/// The kernel experiment all tests here drive, under a given policy.
-fn kernel_exp(bench: Benchmark, policy: ExecPolicy) -> Experiment<'static> {
+/// The kernel experiment all tests here drive.
+fn kernel_exp(bench: Benchmark) -> Experiment<'static> {
     let (d, i) = paper_schemes();
-    Experiment::kernel(bench).dschemes(d).ischemes(i).policy(policy)
+    Experiment::kernel(bench).dschemes(d).ischemes(i)
 }
 
-/// Replay of an explicit recorded trace under a given policy.
-fn replay_exp(
-    bench: Benchmark,
-    trace: Arc<RecordedTrace>,
-    policy: ExecPolicy,
-) -> Experiment<'static> {
+/// Replay of an explicit recorded trace.
+fn replay_exp(bench: Benchmark, trace: Arc<RecordedTrace>) -> Experiment<'static> {
     let (d, i) = paper_schemes();
-    Experiment::recorded(WorkloadId::kernel(bench, 1), trace)
-        .dschemes(d)
-        .ischemes(i)
-        .policy(policy)
+    Experiment::recorded(WorkloadId::kernel(bench, 1), trace).dschemes(d).ischemes(i)
 }
 
 fn power_bits(r: &SchemeResult) -> [u64; 4] {
@@ -69,31 +62,13 @@ fn assert_identical(a: &SimResult, b: &SimResult) {
 #[test]
 fn experiment_runs_are_bit_identical_across_runs() {
     for bench in [Benchmark::Dct, Benchmark::Fft] {
-        let first = kernel_exp(bench, ExecPolicy::Auto).run().expect("first run");
-        let second = kernel_exp(bench, ExecPolicy::Auto).run().expect("second run");
+        let first = kernel_exp(bench).run().expect("first run");
+        let second = kernel_exp(bench).run().expect("second run");
         assert_identical(&first, &second);
         // The runs must also do real work, or bit-identity is vacuous.
         assert!(first.cycles > 50_000, "{bench}: suspiciously small run");
         assert!(first.dcache[0].stats.accesses > 0);
         assert!(first.icache[0].stats.accesses > 0);
-    }
-}
-
-#[test]
-fn parallel_replay_is_bit_identical_to_serial_fanout() {
-    // The record-once/replay-in-parallel engine must reproduce the
-    // per-event fanout exactly: same trace, same per-front state
-    // evolution, same f64 bits out of Eq. (1). `ExecPolicy::Parallel`
-    // forces the replay engine even on single-core hosts;
-    // `ExecPolicy::Serial` on a store-less kernel is the fanout.
-    let cfg = SimConfig::default();
-    for bench in [Benchmark::Dct, Benchmark::Fft] {
-        let trace = waymem::sim::record_trace(bench, &cfg).expect("records");
-        let replayed = replay_exp(bench, Arc::new(trace), ExecPolicy::Parallel)
-            .run()
-            .expect("replays");
-        let fanout = kernel_exp(bench, ExecPolicy::Serial).run().expect("fanout");
-        assert_identical(&replayed, &fanout);
     }
 }
 
@@ -109,10 +84,10 @@ fn decoded_trace_replays_bit_identical_to_in_memory_trace() {
         let bytes = waymem::trace::encode(&trace);
         let decoded = waymem::trace::decode(&bytes).expect("decodes");
         assert_eq!(decoded, trace, "{bench}: decode must be the identity");
-        let in_memory = replay_exp(bench, Arc::new(trace), ExecPolicy::Auto)
+        let in_memory = replay_exp(bench, Arc::new(trace))
             .run()
             .expect("replays");
-        let from_disk = replay_exp(bench, Arc::new(decoded), ExecPolicy::Auto)
+        let from_disk = replay_exp(bench, Arc::new(decoded))
             .run()
             .expect("replays");
         assert_identical(&in_memory, &from_disk);
@@ -126,7 +101,7 @@ fn store_backed_run_is_bit_identical_to_direct_run() {
     let cfg = SimConfig::default();
     let store = TraceStore::new();
     let trace = waymem::sim::record_trace(Benchmark::Dct, &cfg).expect("records");
-    let direct = replay_exp(Benchmark::Dct, Arc::new(trace), ExecPolicy::Auto)
+    let direct = replay_exp(Benchmark::Dct, Arc::new(trace))
         .run()
         .expect("replays");
     let (d, i) = paper_schemes();
@@ -160,28 +135,13 @@ fn streaming_kernel_replay_is_bit_identical_to_materialized() {
     // be invisible in the results: every one of the seven kernels has
     // to produce the exact f64 bits of the materialized engine.
     for &bench in &Benchmark::ALL {
-        let materialized = kernel_exp(bench, ExecPolicy::Auto).run().expect("materialized");
-        let streamed = kernel_exp(bench, ExecPolicy::Auto)
+        let materialized = kernel_exp(bench).run().expect("materialized");
+        let streamed = kernel_exp(bench)
             .streaming(true)
             .run()
             .expect("streamed");
         assert_identical(&materialized, &streamed);
         assert!(materialized.cycles > 0, "{bench}: empty run is vacuous");
-    }
-}
-
-#[test]
-fn streaming_kernel_replay_is_bit_identical_under_both_policies() {
-    // The replay engine lays its chains out per policy (one per side
-    // serially, one per worker in parallel); streamed replay under both
-    // must agree with the materialized run, not just under Auto.
-    for policy in [ExecPolicy::Serial, ExecPolicy::Parallel] {
-        let materialized = kernel_exp(Benchmark::Dct, policy).run().expect("materialized");
-        let streamed = kernel_exp(Benchmark::Dct, policy)
-            .streaming(true)
-            .run()
-            .expect("streamed");
-        assert_identical(&materialized, &streamed);
     }
 }
 
@@ -229,12 +189,12 @@ fn streaming_store_backed_run_is_bit_identical_cold_and_warm() {
     // batches. Both streaming runs must reproduce the materialized one
     // exactly, and neither may re-record the workload.
     let store = TraceStore::new();
-    let seeded = kernel_exp(Benchmark::Fft, ExecPolicy::Auto)
+    let seeded = kernel_exp(Benchmark::Fft)
         .store(&store)
         .run()
         .expect("seeding run");
     let exp = || {
-        kernel_exp(Benchmark::Fft, ExecPolicy::Auto)
+        kernel_exp(Benchmark::Fft)
             .store(&store)
             .streaming(true)
     };
@@ -252,10 +212,10 @@ fn recorded_trace_replays_identically_twice() {
     // replays of one recorded trace yield identical AccessStats.
     let cfg = SimConfig::default();
     let trace = Arc::new(waymem::sim::record_trace(Benchmark::Dct, &cfg).expect("records"));
-    let first = replay_exp(Benchmark::Dct, trace.clone(), ExecPolicy::Auto)
+    let first = replay_exp(Benchmark::Dct, trace.clone())
         .run()
         .expect("replays");
-    let second = replay_exp(Benchmark::Dct, trace, ExecPolicy::Auto)
+    let second = replay_exp(Benchmark::Dct, trace)
         .run()
         .expect("replays");
     assert_identical(&first, &second);

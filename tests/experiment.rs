@@ -1,8 +1,8 @@
 //! The `Experiment` / `Suite` builder, end to end through the façade:
-//! policy equivalence (Serial ≡ Parallel ≡ Auto, bit-exact), every
-//! workload kind (kernel, recorded, synthetic, ingested log, bare id),
-//! store transparency, and a property test that no builder combination —
-//! however hostile — ever panics: every bad input is a structured
+//! every workload kind (kernel, recorded, synthetic, ingested log, bare
+//! id), store transparency, a suite equal to its lone experiments, and a
+//! property test that no builder combination — however hostile — ever
+//! panics: every bad input, a panicking front included, is a structured
 //! [`RunError`].
 
 use std::sync::Arc;
@@ -96,68 +96,6 @@ impl Drop for TempCacheDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-#[test]
-fn every_policy_is_bit_identical_for_kernels() {
-    let (d, i) = schemes();
-    let run = |policy| {
-        Experiment::kernel(Benchmark::Fft)
-            .dschemes(d.clone())
-            .ischemes(i.clone())
-            .policy(policy)
-            .run()
-            .expect("runs")
-    };
-    let auto = run(ExecPolicy::Auto);
-    let serial = run(ExecPolicy::Serial);
-    let parallel = run(ExecPolicy::Parallel);
-    assert_identical(&auto, &serial);
-    assert_identical(&auto, &parallel);
-}
-
-#[test]
-fn every_policy_is_bit_identical_for_synthetics() {
-    let (d, i) = schemes();
-    let spec = SynthSpec {
-        pattern: SynthPattern::ZipfHotSet { hot_lines: 64, alpha_centi: 130 },
-        accesses: 20_000,
-        seed: 5,
-    };
-    let run = |policy| {
-        Experiment::synthetic(spec)
-            .dschemes(d.clone())
-            .ischemes(i.clone())
-            .policy(policy)
-            .run()
-            .expect("runs")
-    };
-    let serial = run(ExecPolicy::Serial);
-    let parallel = run(ExecPolicy::Parallel);
-    assert_identical(&serial, &parallel);
-    assert!(serial.dcache[0].stats.accesses >= 20_000);
-}
-
-#[test]
-fn every_policy_is_bit_identical_for_ingested_logs() {
-    // The serial fan-out feeds logs too: the parser drives every front
-    // per event, and must match the parallel replay of the parsed trace
-    // under the full scheme sets.
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("crates/ingest/tests/fixtures/lackey_small.log");
-    let run = |policy| {
-        Experiment::ingest(&fixture)
-            .dschemes(waymem::sim::full_dschemes())
-            .ischemes(waymem::sim::full_ischemes())
-            .policy(policy)
-            .run()
-            .expect("runs")
-    };
-    let serial = run(ExecPolicy::Serial);
-    let parallel = run(ExecPolicy::Parallel);
-    assert_identical(&serial, &parallel);
-    assert_eq!((serial.dcache.len(), serial.icache.len()), (7, 7));
-    assert!(serial.dcache[0].stats.accesses > 0 && serial.icache[0].stats.accesses > 0);
 }
 
 #[test]
@@ -366,8 +304,7 @@ fn suite_mixes_workload_kinds_in_order() {
     assert_eq!(results[0].workload, WorkloadId::kernel(Benchmark::Dct, 1));
     assert_eq!(results[1].workload, WorkloadId::Synthetic(spec));
     assert!(matches!(results[2].workload, WorkloadId::External { .. }));
-    let stats = results.store_stats.expect("store attached");
-    assert_eq!(stats.records, 3, "one production per workload");
+    assert_eq!(store.stats().records, 3, "one production per workload");
 }
 
 #[test]
@@ -511,50 +448,46 @@ fn a_failed_empty_log_ingest_never_poisons_the_trace_cache() {
 }
 
 #[test]
-fn suite_isolates_failures_per_workload() {
-    // One poisoned workload (a log path that does not exist) in the
-    // middle of the batch. The strict default keeps the historical
-    // fail-fast contract; with isolation on, every healthy workload
-    // still produces its result and the failure comes back structured.
-    let suite = || {
-        Suite::new()
-            .workload(Benchmark::Dct)
-            .workload(std::path::PathBuf::from("/nonexistent/waymem-poisoned.csv"))
-            .workload(Benchmark::Fft)
-            .dschemes([DScheme::Original, DScheme::paper_way_memo()])
-    };
-
-    let strict = suite().run().expect_err("strict suite fails fast");
-    assert!(matches!(strict, RunError::Ingest { .. }), "{strict}");
-
-    for policy in [ExecPolicy::Serial, ExecPolicy::Parallel] {
-        let results = suite()
-            .policy(policy)
-            .isolate_failures(true)
-            .run()
-            .expect("isolated suite survives the poisoned workload");
-        assert_eq!(results.len(), 2, "both healthy workloads ran");
-        assert_eq!(results[0].workload, WorkloadId::kernel(Benchmark::Dct, 1));
-        assert_eq!(results[1].workload, WorkloadId::kernel(Benchmark::Fft, 1));
-        assert!(!results.is_complete());
-        assert_eq!(results.failures.len(), 1);
-        let failure = &results.failures[0];
-        assert_eq!(failure.index, 1);
-        assert!(matches!(failure.error, RunError::Ingest { .. }), "{}", failure.error);
-        assert!(failure.retryable, "ingest failures are retryable");
-        let report = results.failure_report().expect("failures reported");
-        assert!(report.contains("waymem-poisoned.csv"), "{report}");
-    }
-
-    // A fully healthy isolated suite reports completeness.
-    let healthy = Suite::new()
+fn suite_fails_with_the_first_failed_workloads_error() {
+    // Two poisoned workloads among healthy ones: a log path that does not
+    // exist, then an external id no store holds. Whether the workloads
+    // run inline or fan out over workers, the suite fails with the first
+    // failure in workload order, as a serial loop would.
+    let err = Suite::new()
         .workload(Benchmark::Dct)
-        .dschemes([DScheme::Original])
-        .isolate_failures(true)
+        .workload(std::path::PathBuf::from("/nonexistent/waymem-poisoned.csv"))
+        .workload(Benchmark::Fft)
+        .workload(WorkloadId::External { hash: 0xdead })
+        .dschemes([DScheme::Original, DScheme::paper_way_memo()])
         .run()
-        .expect("healthy suite");
-    assert!(healthy.is_complete());
-    assert!(healthy.failure_report().is_none());
+        .expect_err("the suite fails on the poisoned workloads");
+    match &err {
+        RunError::Ingest { path, .. } => assert!(path.ends_with("waymem-poisoned.csv"), "{err}"),
+        other => panic!("expected the log's Ingest error, got {other:?}"),
+    }
+    assert!(err.is_retryable(), "ingest failures are retryable");
+}
+
+#[test]
+fn a_panicking_front_is_a_worker_error_naming_the_panic() {
+    // A zero-entry set buffer panics as its front is built. Alone it is
+    // one replay chain, run inline; beside an I front it is one of two
+    // chains, run on threads when the host has more than one. Either way
+    // the run returns the panic's own message as a structured error.
+    let spec = SynthSpec { pattern: SynthPattern::Stream, accesses: 100, seed: 1 };
+    for ischemes in [vec![], vec![IScheme::Original]] {
+        let err = Experiment::synthetic(spec)
+            .dschemes([DScheme::SetBuffer { entries: 0 }])
+            .ischemes(ischemes)
+            .run()
+            .expect_err("a zero-entry set buffer cannot run");
+        match &err {
+            RunError::Worker { message } => {
+                assert!(message.contains("set buffer needs at least one entry"), "{message}");
+            }
+            other => panic!("expected Worker, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -572,21 +505,19 @@ fn catch_worker_converts_panics_into_structured_errors() {
 }
 
 #[test]
-fn suite_policies_are_bit_identical() {
+fn suite_results_equal_lone_experiments() {
+    // The suite fans its workloads out over workers; each result must be
+    // exactly what an experiment of that workload alone returns.
     let (d, i) = schemes();
-    let run = |policy| {
-        Suite::kernels()
-            .dschemes(d.clone())
-            .ischemes(i.clone())
-            .policy(policy)
-            .run()
-            .expect("suite runs")
-    };
-    let serial = run(ExecPolicy::Serial);
-    let parallel = run(ExecPolicy::Parallel);
-    assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(parallel.iter()) {
-        assert_identical(a, b);
+    let results = Suite::kernels()
+        .dschemes(d.clone())
+        .ischemes(i.clone())
+        .run()
+        .expect("suite runs");
+    assert_eq!(results.len(), Benchmark::ALL.len());
+    for (result, &bench) in results.iter().zip(&Benchmark::ALL) {
+        let lone = Experiment::kernel(bench).dschemes(d.clone()).ischemes(i.clone());
+        assert_identical(result, &lone.run().expect("runs"));
     }
 }
 
@@ -609,7 +540,7 @@ proptest! {
 
     /// Any combination the builder accepts either runs or returns a
     /// structured `RunError` — never a panic, whatever the workload,
-    /// scheme subset, geometry, policy or store choice.
+    /// scheme subset, geometry or store choice.
     #[test]
     fn random_builder_configurations_never_panic(
         wl_kind in 0u8..5,
@@ -619,7 +550,6 @@ proptest! {
         seed: u32,
         nd in 0usize..4,
         ni in 0usize..4,
-        policy_kind in 0u8..3,
         use_store in proptest::bool::ANY,
         streaming in proptest::bool::ANY,
         geom_kind in 0u8..3,
@@ -650,11 +580,6 @@ proptest! {
             3 => WorkloadSpec::from(Benchmark::Dct),
             _ => WorkloadSpec::from(log.0.clone()),
         };
-        let policy = match policy_kind {
-            0 => ExecPolicy::Auto,
-            1 => ExecPolicy::Serial,
-            _ => ExecPolicy::Parallel,
-        };
         let geometry = match geom_kind {
             0 => Geometry::frv(),
             1 => Geometry::new(16, 2, 32).expect("valid"),
@@ -665,7 +590,6 @@ proptest! {
             .geometry(geometry)
             .dschemes(waymem::sim::full_dschemes().into_iter().take(nd))
             .ischemes(waymem::sim::full_ischemes().into_iter().take(ni))
-            .policy(policy)
             .streaming(streaming);
         if use_store {
             exp = exp.store(&store);

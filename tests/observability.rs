@@ -48,9 +48,8 @@ fn parallel_suite_metrics_account_for_every_event() {
         .workloads(workloads.clone())
         .dschemes(dschemes.clone())
         .ischemes(ischemes.clone())
-        .policy(ExecPolicy::Parallel)
         .run()
-        .expect("parallel suite runs");
+        .expect("suite runs");
     assert_eq!(results.len(), workloads.len());
     assert_eq!(
         data_ctr.get() - data_before,

@@ -43,8 +43,6 @@ fn prelude_reexports_are_stable() {
     // The experiment builder.
     type _Experiment = prelude::Experiment<'static>;
     type _Suite = prelude::Suite<'static>;
-    type _SuiteResult = prelude::SuiteResult;
-    type _ExecPolicy = prelude::ExecPolicy;
     type _WorkloadSpec = prelude::WorkloadSpec;
     type _RunError = prelude::RunError;
 
@@ -56,7 +54,7 @@ fn prelude_reexports_are_stable() {
     #[allow(clippy::type_complexity)]
     let _run_suite: fn(
         prelude::Suite<'static>,
-    ) -> Result<prelude::SuiteResult, prelude::RunError> = prelude::Suite::run;
+    ) -> Result<Vec<prelude::SimResult>, prelude::RunError> = prelude::Suite::run;
 
     // The prelude types must be the same items as the per-crate exports,
     // not lookalikes (coercing a reference proves type identity).
