@@ -44,7 +44,7 @@ const REQUIRED_PHASES: [&str; 4] = ["resolve", "record", "io", "replay"];
 
 /// The schemas of the headline report and of the loadgen artifact.
 const HEADLINE_SCHEMA: &str = "waymem/headline/v7";
-const LOADGEN_SCHEMA: &str = "waymem/loadgen/v2";
+const LOADGEN_SCHEMA: &str = "waymem/loadgen/v3";
 
 fn check_spans(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -208,10 +208,11 @@ fn check_paper(root: &Json) -> Result<usize, String> {
     Ok(rows.len())
 }
 
-/// Checks a loadgen artifact: every request sent is ok, refused or a
-/// transport error; at most the ok requests shared a dedup leader's run;
-/// p50 latency ≤ p99; and the daemon's embedded snapshot is consistent
-/// and counted at least the ok requests. Returns the ok request count.
+/// Checks a loadgen artifact: every run request sent is ok, refused or a
+/// transport error; at most the pings sent were answered; at most the ok
+/// requests shared a dedup leader's run; p50 latency ≤ p99; and the
+/// daemon's embedded snapshot is consistent and counted at least the ok
+/// requests and answered pings. Returns the ok request count.
 fn check_loadgen(root: &Json) -> Result<f64, String> {
     let perf = root.get("perf").ok_or("missing perf object")?;
     let count = |key: &str| {
@@ -221,6 +222,10 @@ fn check_loadgen(root: &Json) -> Result<f64, String> {
     let (refused, errors) = (count("requests_refused")?, count("transport_errors")?);
     if sent != ok + refused + errors {
         return Err(format!("sent {sent} != ok {ok} + refused {refused} + errors {errors}"));
+    }
+    let (pings_sent, pings_ok) = (count("pings_sent")?, count("pings_ok")?);
+    if pings_ok > pings_sent {
+        return Err(format!("pings_ok {pings_ok} > pings_sent {pings_sent}"));
     }
     let shared = count("dedup_shared")?;
     if shared > ok {
@@ -235,8 +240,10 @@ fn check_loadgen(root: &Json) -> Result<f64, String> {
     validate_metrics(daemon).map_err(|e| format!("daemon: {e}"))?;
     let served = daemon.get("counters").and_then(|c| c.get("serve.requests"));
     let served = served.and_then(Json::as_num).unwrap_or(0.0);
-    if served < ok {
-        return Err(format!("daemon counted {served} serve.requests, fewer than {ok} ok"));
+    if served < ok + pings_ok {
+        return Err(format!(
+            "daemon counted {served} serve.requests, fewer than {ok} ok + {pings_ok} pings ok"
+        ));
     }
     Ok(ok)
 }
@@ -391,6 +398,7 @@ mod tests {
         format!(
             "{{\"schema\":\"{LOADGEN_SCHEMA}\",\"perf\":{{\"requests_sent\":200,\
              \"requests_ok\":190,\"requests_refused\":10,\"transport_errors\":0,\
+             \"pings_sent\":12,\"pings_ok\":12,\
              \"dedup_shared\":20,\"latency_p50_us\":2123,\"latency_p99_us\":6418}},\
              \"daemon\":{{\"counters\":{{\"serve.requests\":203}},\"gauges\":{{}},\
              \"histograms\":{{}},\"phases\":{{}}}}}}"
@@ -415,6 +423,10 @@ mod tests {
             (good.replace("\"latency_p50_us\":2123", "\"latency_p50_us\":7000"), "p50"),
             (good.replace("\"dedup_shared\":20", "\"dedup_shared\":191"), "dedup_shared"),
             (good.replace("\"serve.requests\":203", "\"serve.requests\":189"), "serve."),
+            (good.replace("\"pings_ok\":12", "\"pings_ok\":13"), "pings_ok 13 > pings_sent 12"),
+            (good.replace("\"pings_sent\":12,", ""), "perf.pings_sent missing"),
+            // Enough for the ok requests, not for the answered pings too.
+            (good.replace("\"serve.requests\":203", "\"serve.requests\":201"), "12 pings ok"),
             (format!("{}\"daemon\":null}}", &good[..daemon]), "daemon is null"),
         ] {
             assert_ne!(bad, good, "the edit must change the artifact");

@@ -64,6 +64,26 @@ fn suite_records_each_benchmark_exactly_once_across_configs() {
     assert_eq!(stats.lookups, 3 * n);
     assert_eq!(stats.hits, 2 * n, "later configs replay cached traces");
     assert_eq!(stats.disk_hits, 0, "no cache dir configured");
+    assert_eq!((stats.raw_bytes, stats.encoded_bytes), (0, 0), "memory-only: nothing encoded");
+
+    // A streaming run spills a recorded trace, which encodes it.
+    let (d, i) = schemes();
+    let dct = || {
+        Experiment::kernel(Benchmark::Dct).config(cfg).dschemes(d.clone()).ischemes(i.clone())
+    };
+    dct().store(&store).streaming(true).run().expect("streams");
+    let stats = store.stats();
+    assert_eq!(stats.records, n, "the spill reuses the recording");
+    assert!(stats.compression_ratio() > 1.0, "codec must beat raw events");
+
+    // So does saving a recording into a cache dir.
+    let dir = std::env::temp_dir().join(format!("waymem-store-codec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let saving = TraceStore::with_cache_dir(&dir);
+    dct().store(&saving).run().expect("records and saves");
+    let stats = saving.stats();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(stats.files_saved, 1);
     assert!(stats.compression_ratio() > 1.0, "codec must beat raw events");
 
     // A different scale is a different key: seven more recordings.

@@ -1,12 +1,24 @@
 use std::collections::HashMap;
 
+/// One 4 kB page of bytes.
+type Page = [u8; MainMemory::PAGE_BYTES];
+
 /// Flat, sparsely allocated 32-bit byte-addressable main memory.
 ///
-/// Holds the frv-lite CPU's architectural data. Pages of 4 kB are
-/// allocated on first touch; unwritten memory reads as zero, which keeps
-/// traces deterministic. The tag-only [`SetAssocCache`](crate::SetAssocCache)
-/// moves no bytes through it: it only counts the line transfers its fills
-/// and write-backs make ([`block_reads`](Self::block_reads),
+/// Holds the frv-lite CPU's architectural data. Unwritten memory reads as
+/// zero, which keeps traces deterministic; values are little-endian, no
+/// access needs alignment, and addresses wrap at the top of the space.
+///
+/// Storage is 4 kB pages, each allocated on its first write. The pages
+/// below 1 MiB, where the programs' text, data and stack live, sit in a
+/// direct-indexed table (itself allocated on the first write there); the
+/// rest sit in a map. A 16- or 32-bit access inside one page costs one
+/// page lookup; only an access that straddles two pages goes byte by
+/// byte. A new memory allocates nothing.
+///
+/// The tag-only [`SetAssocCache`](crate::SetAssocCache) moves no bytes
+/// through it: it only counts the line transfers its fills and
+/// write-backs make ([`block_reads`](Self::block_reads),
 /// [`block_writes`](Self::block_writes)).
 ///
 /// ```
@@ -20,7 +32,10 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
-    pages: HashMap<u32, Box<[u8; Self::PAGE_BYTES]>>,
+    /// Pages below [`LOW_PAGES`](Self::LOW_PAGES), indexed by page number.
+    low: Option<Box<[Option<Box<Page>>; Self::LOW_PAGES]>>,
+    /// Every other page, by page number.
+    high: HashMap<u32, Box<Page>>,
     reads: u64,
     writes: u64,
 }
@@ -28,6 +43,8 @@ pub struct MainMemory {
 impl MainMemory {
     const PAGE_BYTES: usize = 4096;
     const PAGE_SHIFT: u32 = 12;
+    /// Pages in the direct-indexed table: the first 1 MiB.
+    const LOW_PAGES: usize = 256;
 
     /// Creates an empty memory. All bytes read as zero until written.
     #[must_use]
@@ -35,53 +52,93 @@ impl MainMemory {
         Self::default()
     }
 
-    fn page_of(addr: u32) -> u32 {
-        addr >> Self::PAGE_SHIFT
-    }
-
     fn offset_of(addr: u32) -> usize {
         (addr as usize) & (Self::PAGE_BYTES - 1)
+    }
+
+    /// The page holding `addr`, if it was ever written.
+    fn page(&self, addr: u32) -> Option<&Page> {
+        let page = addr >> Self::PAGE_SHIFT;
+        if (page as usize) < Self::LOW_PAGES {
+            self.low.as_ref()?[page as usize].as_deref()
+        } else {
+            self.high.get(&page).map(|p| &**p)
+        }
+    }
+
+    /// The page holding `addr`, allocated zeroed if it was never written.
+    fn page_mut(&mut self, addr: u32) -> &mut Page {
+        let page = addr >> Self::PAGE_SHIFT;
+        let zeroed = || Box::new([0; Self::PAGE_BYTES]);
+        if (page as usize) < Self::LOW_PAGES {
+            let table = self.low.get_or_insert_with(|| Box::new([const { None }; Self::LOW_PAGES]));
+            table[page as usize].get_or_insert_with(zeroed)
+        } else {
+            self.high.entry(page).or_insert_with(zeroed)
+        }
+    }
+
+    /// Reads `N` bytes at `addr`: one page lookup when they share a page,
+    /// byte by byte (wrapping) when they straddle two.
+    fn read_bytes<const N: usize>(&self, addr: u32) -> [u8; N] {
+        let off = Self::offset_of(addr);
+        let mut out = [0; N];
+        if off + N <= Self::PAGE_BYTES {
+            if let Some(page) = self.page(addr) {
+                out.copy_from_slice(&page[off..off + N]);
+            }
+        } else {
+            for (i, b) in (0u32..).zip(&mut out) {
+                *b = self.read_u8(addr.wrapping_add(i));
+            }
+        }
+        out
+    }
+
+    /// Writes `bytes` at `addr`, the way [`read_bytes`](Self::read_bytes)
+    /// reads them.
+    fn write_bytes<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
+        let off = Self::offset_of(addr);
+        if off + N <= Self::PAGE_BYTES {
+            self.page_mut(addr)[off..off + N].copy_from_slice(&bytes);
+        } else {
+            for (i, b) in (0u32..).zip(bytes) {
+                self.write_u8(addr.wrapping_add(i), b);
+            }
+        }
     }
 
     /// Reads one byte.
     #[must_use]
     pub fn read_u8(&self, addr: u32) -> u8 {
-        self.pages
-            .get(&Self::page_of(addr))
-            .map_or(0, |p| p[Self::offset_of(addr)])
+        self.page(addr).map_or(0, |p| p[Self::offset_of(addr)])
     }
 
     /// Writes one byte, allocating the page if needed.
     pub fn write_u8(&mut self, addr: u32, value: u8) {
-        let page = self
-            .pages
-            .entry(Self::page_of(addr))
-            .or_insert_with(|| Box::new([0; Self::PAGE_BYTES]));
-        page[Self::offset_of(addr)] = value;
+        self.page_mut(addr)[Self::offset_of(addr)] = value;
     }
 
     /// Reads a little-endian 16-bit value (no alignment requirement).
     #[must_use]
     pub fn read_u16(&self, addr: u32) -> u16 {
-        u16::from(self.read_u8(addr)) | (u16::from(self.read_u8(addr.wrapping_add(1))) << 8)
+        u16::from_le_bytes(self.read_bytes(addr))
     }
 
     /// Writes a little-endian 16-bit value.
     pub fn write_u16(&mut self, addr: u32, value: u16) {
-        self.write_u8(addr, value as u8);
-        self.write_u8(addr.wrapping_add(1), (value >> 8) as u8);
+        self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian 32-bit value (no alignment requirement).
     #[must_use]
     pub fn read_u32(&self, addr: u32) -> u32 {
-        u32::from(self.read_u16(addr)) | (u32::from(self.read_u16(addr.wrapping_add(2))) << 16)
+        u32::from_le_bytes(self.read_bytes(addr))
     }
 
     /// Writes a little-endian 32-bit value.
     pub fn write_u32(&mut self, addr: u32, value: u32) {
-        self.write_u16(addr, value as u16);
-        self.write_u16(addr.wrapping_add(2), (value >> 16) as u16);
+        self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// Counts one line read transaction (a cache fill).
@@ -117,7 +174,8 @@ impl MainMemory {
     /// Number of 4 kB pages currently allocated.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        let low = self.low.as_ref().map_or(0, |t| t.iter().flatten().count());
+        low + self.high.len()
     }
 }
 

@@ -1,9 +1,10 @@
 //! Property-based tests for the cache substrate: equivalence with a naive
 //! LRU reference model, transparency to main memory, inclusion/LRU
-//! invariants and accounting consistency under random access streams.
+//! invariants and accounting consistency under random access streams, and
+//! main memory against a plain byte map.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use waymem_cache::{
     AccessKind, AccessOutcome, EvictedLine, Geometry, LruOrder, MainMemory, SetAssocCache,
 };
@@ -77,7 +78,66 @@ fn geometries() -> impl Strategy<Value = Geometry> {
     ]
 }
 
+/// A main-memory address biased toward the edges of its storage: page
+/// straddles below and above 1 MiB, the 1 MiB boundary between the page
+/// table and the map, and the top of the address space, where accesses
+/// wrap to 0.
+fn memory_addrs() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        any::<u32>(),
+        (0u32..256, 4093u32..4096).prop_map(|(page, off)| (page << 12) | off),
+        0x4_0ffdu32..=0x4_1003,
+        0xf_fffdu32..=0x10_0003,
+        0x8000_0ffdu32..=0x8000_1003,
+        0xffff_fffdu32..=0xffff_ffff,
+        0u32..=3,
+    ]
+}
+
 proptest! {
+    /// Main memory reads and writes like a plain byte map: unwritten bytes
+    /// read 0, values are little-endian at any alignment, and addresses
+    /// wrap. A page is resident exactly when a byte of it was written.
+    #[test]
+    fn memory_matches_a_byte_map(
+        ops in prop::collection::vec(
+            (memory_addrs(), 0u32..3, any::<u32>(), any::<bool>()),
+            1..300,
+        ),
+    ) {
+        let mut mem = MainMemory::new();
+        let mut model: HashMap<u32, u8> = HashMap::new();
+        for (addr, width, value, is_write) in ops {
+            let bytes = 1u32 << width;
+            if is_write {
+                match bytes {
+                    1 => mem.write_u8(addr, value as u8),
+                    2 => mem.write_u16(addr, value as u16),
+                    _ => mem.write_u32(addr, value),
+                }
+                for (i, b) in (0..bytes).zip(value.to_le_bytes()) {
+                    model.insert(addr.wrapping_add(i), b);
+                }
+            } else {
+                let want = (0..bytes).fold(0u32, |word, i| {
+                    let b = model.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
+                    word | (u32::from(b) << (8 * i))
+                });
+                let got = match bytes {
+                    1 => u32::from(mem.read_u8(addr)),
+                    2 => u32::from(mem.read_u16(addr)),
+                    _ => mem.read_u32(addr),
+                };
+                prop_assert_eq!(got, want, "{}-byte read at {:#010x}", bytes, addr);
+            }
+        }
+        for (&addr, &b) in &model {
+            prop_assert_eq!(mem.read_u8(addr), b, "byte at {:#010x}", addr);
+        }
+        let pages: HashSet<u32> = model.keys().map(|addr| addr >> 12).collect();
+        prop_assert_eq!(mem.resident_pages(), pages.len());
+    }
+
     /// The tag-only cache decides every access exactly as the naive
     /// recency-list model does: hit, way, evicted line and its dirty bit,
     /// the fill and write-back counts, and the final tags and recency.
@@ -97,6 +157,7 @@ proptest! {
         }
         prop_assert_eq!((cache.fills(), cache.write_backs()), (model.fills, model.write_backs));
         prop_assert_eq!((mem.block_reads(), mem.block_writes()), (model.fills, model.write_backs));
+        prop_assert_eq!(mem.resident_pages(), 0, "counting line transfers stores no byte");
         for (index, set) in (0u32..).zip(&model.sets) {
             prop_assert_eq!(cache.mru_way(index), set[0].0);
             prop_assert_eq!(cache.victim_way(index), set[set.len() - 1].0);

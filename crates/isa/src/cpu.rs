@@ -73,6 +73,11 @@ impl RunOutcome {
 /// writes; `div`/`rem` by zero follow the RISC-V convention (all-ones /
 /// dividend) instead of trapping, so workloads never fault on data.
 ///
+/// The text segment is decoded once, when the CPU is built, and a fetch
+/// from it takes the decoded instruction. A store that overlaps the text
+/// re-decodes the words it touched, so self-modifying code runs what
+/// memory holds; a fetch from anywhere else reads and decodes memory.
+///
 /// ```
 /// use waymem_isa::{assemble, Cpu, NullSink};
 ///
@@ -90,6 +95,11 @@ pub struct Cpu {
     regs: [u32; 32],
     pc: u32,
     mem: MainMemory,
+    /// Base address of the decoded text.
+    text_base: u32,
+    /// `text[i]` is [`Inst::decode`] of the word at `text_base + 4 * i`,
+    /// kept in step with memory by every store.
+    text: Vec<Option<Inst>>,
     instret: u64,
     halted: bool,
     next_fetch_kind: FetchKind,
@@ -102,12 +112,20 @@ impl Cpu {
     pub fn new(prog: &Program) -> Self {
         let mut mem = MainMemory::new();
         prog.load_into(&mut mem);
+        let text_base = prog.text_base();
+        // Decoded from memory, not `prog.text()`: a data image that
+        // overlaps the text was loaded over it.
+        let text = (0..prog.text().len())
+            .map(|i| Inst::decode(mem.read_u32(text_base.wrapping_add((i * 4) as u32))))
+            .collect();
         let mut regs = [0u32; 32];
         regs[Reg::SP.index()] = STACK_TOP;
         Self {
             regs,
             pc: prog.entry(),
             mem,
+            text_base,
+            text,
             instret: 0,
             halted: false,
             next_fetch_kind: FetchKind::Sequential,
@@ -159,9 +177,26 @@ impl Cpu {
         &self.mem
     }
 
-    /// Mutable access to the CPU's memory (test setup, I/O injection).
-    pub fn mem_mut(&mut self) -> &mut MainMemory {
-        &mut self.mem
+    /// The pre-decoded instruction at `pc`, when `pc` is a decodable
+    /// word of the text segment.
+    fn decoded(&self, pc: u32) -> Option<Inst> {
+        let off = pc.wrapping_sub(self.text_base);
+        if !off.is_multiple_of(4) {
+            return None;
+        }
+        self.text.get((off / 4) as usize).copied().flatten()
+    }
+
+    /// Re-decodes the text words that the `size` bytes stored at `addr`
+    /// overlap (at most two, and none for a store outside the text).
+    fn redecode(&mut self, addr: u32, size: u8) {
+        let first = addr.wrapping_sub(self.text_base);
+        let last = first.wrapping_add(u32::from(size) - 1);
+        for off in [first, last] {
+            if let Some(slot) = self.text.get_mut((off / 4) as usize) {
+                *slot = Inst::decode(self.mem.read_u32(self.text_base.wrapping_add(off & !3)));
+            }
+        }
     }
 
     fn rd(&self, r: Reg) -> u32 {
@@ -188,10 +223,15 @@ impl Cpu {
             return Ok(false);
         }
         let pc = self.pc;
-        let word = self.mem.read_u32(pc);
         let kind = self.next_fetch_kind;
         sink.fetch(pc, kind);
-        let inst = Inst::decode(word).ok_or(CpuError::IllegalInstruction { pc, word })?;
+        let inst = match self.decoded(pc) {
+            Some(inst) => inst,
+            None => {
+                let word = self.mem.read_u32(pc);
+                Inst::decode(word).ok_or(CpuError::IllegalInstruction { pc, word })?
+            }
+        };
 
         let mut next_pc = pc.wrapping_add(4);
         let mut next_kind = FetchKind::Sequential;
@@ -249,6 +289,7 @@ impl Cpu {
                     MemWidth::Half => self.mem.write_u16(addr, v as u16),
                     MemWidth::Word => self.mem.write_u32(addr, v),
                 }
+                self.redecode(addr, size);
             }
             Inst::Branch {
                 cond,
@@ -628,6 +669,154 @@ main:   la  t0, v
         let out = cpu.run(50, &mut NullSink).unwrap();
         assert_eq!(out, RunOutcome::StepLimit { steps: 50 });
         assert!(!out.halted());
+    }
+
+    fn reg(index: u8) -> Reg {
+        Reg::new(index).expect("in range")
+    }
+
+    /// `lui` + `ori`: loads any 32-bit `value` into `rd`.
+    fn li(rd: Reg, value: u32) -> [Inst; 2] {
+        [
+            Inst::Lui { rd, imm: (value >> 16) as u16 },
+            Inst::AluImm { op: AluImmOp::Ori, rd, rs1: rd, imm: value as u16 as i16 },
+        ]
+    }
+
+    fn addi_a0(imm: i16) -> Inst {
+        Inst::AluImm { op: AluImmOp::Addi, rd: reg(10), rs1: Reg::ZERO, imm }
+    }
+
+    /// A program that stores `value` (`width` wide) `offset` bytes into its
+    /// own text, then runs `addi a0, zero, 1` (word 5, offset 20) and
+    /// halts (word 6). Word 7, a second `halt`, is never reached.
+    fn self_patching(width: MemWidth, value: u32, offset: i16) -> Program {
+        let (t0, t1) = (reg(5), reg(6));
+        let mut insts = li(t0, value).to_vec();
+        insts.extend(li(t1, TEXT_BASE));
+        insts.push(Inst::Store { width, rs2: t0, rs1: t1, imm: offset });
+        insts.extend([addi_a0(1), Inst::Halt, Inst::Halt]);
+        Program::from_insts(&insts)
+    }
+
+    /// Every pre-decoded text entry equals a fresh decode of its word in
+    /// memory.
+    fn assert_text_matches_memory(cpu: &Cpu) {
+        for (i, inst) in cpu.text.iter().enumerate() {
+            let addr = cpu.text_base.wrapping_add((i * 4) as u32);
+            assert_eq!(*inst, Inst::decode(cpu.mem.read_u32(addr)), "text word at {addr:#010x}");
+        }
+    }
+
+    fn run_to_halt(prog: &Program) -> Cpu {
+        let mut cpu = Cpu::new(prog);
+        assert!(cpu.run(100, &mut NullSink).expect("runs").halted());
+        assert_text_matches_memory(&cpu);
+        cpu
+    }
+
+    #[test]
+    fn a_word_stored_over_a_later_instruction_is_what_runs() {
+        let cpu = run_to_halt(&self_patching(MemWidth::Word, addi_a0(42).encode(), 20));
+        assert_eq!(cpu.reg(10), 42);
+    }
+
+    #[test]
+    fn a_partial_store_into_a_text_word_re_decodes_it() {
+        // The immediate is the low half of the word, stored first
+        // (little-endian): `sh` or `sb` of 42 there turns `addi a0, zero,
+        // 1` into `addi a0, zero, 42`.
+        for width in [MemWidth::Half, MemWidth::Byte] {
+            let cpu = run_to_halt(&self_patching(width, 42, 20));
+            assert_eq!(cpu.reg(10), 42, "{width:?}");
+        }
+    }
+
+    #[test]
+    fn an_illegal_word_stored_into_the_text_faults_only_when_run() {
+        assert_eq!(Inst::decode(0xdead_beef), None);
+        // Over the unreached second `halt`: the program still halts.
+        let cpu = run_to_halt(&self_patching(MemWidth::Word, 0xdead_beef, 28));
+        assert_eq!(cpu.reg(10), 1);
+        assert_eq!(cpu.text[7], None);
+        // Over the `addi`: the fault names its pc and the stored word.
+        let mut cpu = Cpu::new(&self_patching(MemWidth::Word, 0xdead_beef, 20));
+        let err = cpu.run(100, &mut NullSink).expect_err("runs the illegal word");
+        assert_eq!(err, CpuError::IllegalInstruction { pc: TEXT_BASE + 20, word: 0xdead_beef });
+        assert_eq!(cpu.instret(), 5, "the five instructions before it retired");
+    }
+
+    #[test]
+    fn a_jump_into_data_runs_the_words_memory_holds() {
+        // The data segment holds `addi a0, zero, 7; halt`. The text
+        // overwrites the `addi` with `addi a0, zero, 9`, then jumps there.
+        let data = [addi_a0(7), Inst::Halt].iter().flat_map(|i| i.encode().to_le_bytes()).collect();
+        let (t0, t1) = (reg(5), reg(6));
+        let mut insts = li(t0, addi_a0(9).encode()).to_vec();
+        insts.extend(li(t1, DATA_BASE));
+        insts.push(Inst::Store { width: MemWidth::Word, rs2: t0, rs1: t1, imm: 0 });
+        insts.push(Inst::Jalr { rd: Reg::ZERO, rs1: t1, imm: 0 });
+        let text = insts.iter().map(|i| i.encode()).collect();
+        let prog =
+            Program::from_parts(TEXT_BASE, text, DATA_BASE, data, TEXT_BASE, Default::default());
+        let mut cpu = Cpu::new(&prog);
+        let mut sink = RecordingSink::default();
+        assert!(cpu.run(100, &mut sink).expect("runs").halted());
+        assert_eq!(cpu.reg(10), 9);
+        let pcs: Vec<u32> = sink
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Fetch { pc, .. } => Some(*pc),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pcs[6..], [DATA_BASE, DATA_BASE + 4]);
+    }
+
+    /// A text word for the random programs: any word, or a store or an
+    /// `addi` over registers 1–15, which point at words of the text.
+    fn random_text_word() -> impl proptest::strategy::Strategy<Value = u32> {
+        use proptest::prelude::*;
+        let widths = [MemWidth::Byte, MemWidth::Half, MemWidth::Word];
+        let width = (0usize..3).prop_map(move |w| widths[w]);
+        prop_oneof![
+            any::<u32>(),
+            (width, 1u8..16, 1u8..16, 0i16..64).prop_map(|(width, rs2, rs1, word)| {
+                Inst::Store { width, rs2: reg(rs2), rs1: reg(rs1), imm: word * 4 }.encode()
+            }),
+            (1u8..16, 1u8..16, -8i16..8).prop_map(|(rd, rs1, imm)| {
+                Inst::AluImm { op: AluImmOp::Addi, rd: reg(rd), rs1: reg(rs1), imm }.encode()
+            }),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Random programs that store into their own text: after every
+        /// step, the decoded text equals a decode of memory. A skewed
+        /// text base makes aligned stores straddle two text words.
+        #[test]
+        fn decoded_text_matches_memory_on_random_programs(
+            words in proptest::collection::vec(random_text_word(), 1..64),
+            offsets in proptest::collection::vec(0u32..256, 15),
+            skew in 0u32..4,
+        ) {
+            let base = TEXT_BASE + skew;
+            let prog =
+                Program::from_parts(base, words, DATA_BASE, vec![], base, Default::default());
+            let mut cpu = Cpu::new(&prog);
+            for (r, off) in (1..).zip(&offsets) {
+                cpu.set_reg(r, TEXT_BASE + (off & !3));
+            }
+            assert_text_matches_memory(&cpu);
+            for _ in 0..500 {
+                let running = cpu.step(&mut NullSink);
+                assert_text_matches_memory(&cpu);
+                if !matches!(running, Ok(true)) {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! 3. a **VLIW-style 8-byte fetch packet** (two 4-byte syllables), giving
 //!    the `+8` sequential stride of the paper's Figure 2.
 //!
-//! The interpreter executes against a flat [`waymem_cache::MainMemory`] and
-//! reports every instruction fetch and data access to a [`TraceSink`],
-//! carrying the *architectural ingredients* (base register value and
-//! displacement) rather than just the final address — exactly what a MAB
-//! sitting beside the address generator would see.
+//! The interpreter executes against a flat [`waymem_cache::MainMemory`]
+//! (4 kB pages, those below 1 MiB in a direct-indexed table) and reports
+//! every instruction fetch and data access to a [`TraceSink`], carrying
+//! the *architectural ingredients* (base register value and displacement)
+//! rather than just the final address — exactly what a MAB sitting beside
+//! the address generator would see. [`Cpu`] decodes the text segment once
+//! and keeps it in step with every store, so a fetch from the text
+//! decodes nothing.
 //!
 //! ```
 //! use waymem_isa::{assemble, Cpu, CountingSink};

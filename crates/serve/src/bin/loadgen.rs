@@ -10,8 +10,9 @@
 //! expensive cold workload at once, so all but one ride the leader's
 //! single-flight execution — the dedup path under maximum contention.
 //! Phase 2 is the steady-state hammer: a round-robin mix of synthetic
-//! workloads (warm after first touch) with pings interleaved. Results
-//! land in `BENCH_loadgen.json` (schema `waymem/loadgen/v2`) with the
+//! workloads (warm after first touch) with pings interleaved. Each run
+//! request is counted when it is sent, and pings apart from them. Results
+//! land in `BENCH_loadgen.json` (schema `waymem/loadgen/v3`) with the
 //! daemon's own `serve.*` snapshot embedded, and the run is appended to
 //! the ledger as bin `loadgen`, carrying that snapshot as its metrics.
 
@@ -107,16 +108,34 @@ fn mix(accesses: u32) -> Vec<RunRequest> {
         .collect()
 }
 
-/// Per-worker tallies, merged after the join.
+/// Per-worker tallies, merged after the join. Every run request sent is
+/// ok, refused or a transport error; pings are counted apart.
 #[derive(Default)]
 struct Tally {
     latencies_us: Vec<u64>,
+    sent: u64,
     ok: u64,
     shared: u64,
     refused: u64,
     transport_errors: u64,
+    pings_sent: u64,
+    pings_ok: u64,
 }
 
+impl Tally {
+    fn merge(&mut self, other: Tally) {
+        self.latencies_us.extend(other.latencies_us);
+        self.sent += other.sent;
+        self.ok += other.ok;
+        self.shared += other.shared;
+        self.refused += other.refused;
+        self.transport_errors += other.transport_errors;
+        self.pings_sent += other.pings_sent;
+        self.pings_ok += other.pings_ok;
+    }
+}
+
+/// One client's run: what it sent, and why it stopped early if it did.
 fn worker(
     opts: &Options,
     worker_idx: usize,
@@ -124,16 +143,21 @@ fn worker(
     barrier: &Barrier,
     convoy: &RunRequest,
     convoy_shared: &AtomicU64,
-) -> Result<Tally, String> {
-    let mut client = Client::connect(opts.addr.as_str())
-        .map_err(|e| format!("connect {}: {e}", opts.addr))?;
+) -> (Tally, Option<String>) {
+    let connected = Client::connect(opts.addr.as_str());
     let mut tally = Tally::default();
 
     // Phase 1: the cold convoy. Everyone fires the identical request
     // the instant the barrier drops; the daemon must collapse them into
-    // one execution.
+    // one execution. A client that could not connect still waits, so
+    // the others are released.
     barrier.wait();
+    let mut client = match connected {
+        Ok(client) => client,
+        Err(e) => return (tally, Some(format!("connect {}: {e}", opts.addr))),
+    };
     let started = Instant::now();
+    tally.sent += 1;
     match client.run(convoy.clone()) {
         Ok(reply) => {
             tally.ok += 1;
@@ -144,7 +168,10 @@ fn worker(
             }
         }
         Err(ClientError::Refused { .. }) => tally.refused += 1,
-        Err(e) => return Err(format!("convoy request: {e}")),
+        Err(e) => {
+            tally.transport_errors += 1;
+            return (tally, Some(format!("convoy request: {e}")));
+        }
     }
 
     // Phase 2: the steady-state hammer. Offset each worker into the mix
@@ -152,13 +179,13 @@ fn worker(
     let requests = mix(opts.accesses);
     for i in 0..per_client {
         if i % 16 == 15 {
-            if client.ping().is_err() {
-                tally.transport_errors += 1;
-            }
+            tally.pings_sent += 1;
+            tally.pings_ok += u64::from(client.ping().is_ok());
             continue;
         }
         let request = requests[(worker_idx * 5 + i) % requests.len()].clone();
         let started = Instant::now();
+        tally.sent += 1;
         match client.run(request) {
             Ok(reply) => {
                 tally.ok += 1;
@@ -169,7 +196,7 @@ fn worker(
             Err(_) => tally.transport_errors += 1,
         }
     }
-    Ok(tally)
+    (tally, None)
 }
 
 fn elapsed_us(started: Instant) -> u64 {
@@ -201,7 +228,7 @@ fn main() -> ExitCode {
     let barrier = Barrier::new(opts.clients);
     let convoy_shared = AtomicU64::new(0);
     let wall = Instant::now();
-    let tallies: Vec<Result<Tally, String>> = std::thread::scope(|scope| {
+    let tallies: Vec<(Tally, Option<String>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..opts.clients)
             .map(|idx| {
                 let (opts, barrier, convoy, convoy_shared) =
@@ -215,17 +242,9 @@ fn main() -> ExitCode {
 
     let mut merged = Tally::default();
     let mut worker_failures = Vec::new();
-    for tally in tallies {
-        match tally {
-            Ok(t) => {
-                merged.latencies_us.extend(t.latencies_us);
-                merged.ok += t.ok;
-                merged.shared += t.shared;
-                merged.refused += t.refused;
-                merged.transport_errors += t.transport_errors;
-            }
-            Err(e) => worker_failures.push(e),
-        }
+    for (tally, failure) in tallies {
+        merged.merge(tally);
+        worker_failures.extend(failure);
     }
     for failure in &worker_failures {
         eprintln!("loadgen: worker failed: {failure}");
@@ -254,17 +273,25 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "loadgen: {} ok, {} refused, {} transport errors, dedup_shared={}, \
-         p50={p50}us p99={p99}us, {throughput:.1} req/s over {wall_seconds:.2}s",
-        merged.ok, merged.refused, merged.transport_errors, merged.shared
+        "loadgen: {} sent: {} ok, {} refused, {} transport errors, dedup_shared={}, \
+         {}/{} pings ok, p50={p50}us p99={p99}us, {throughput:.1} req/s over {wall_seconds:.2}s",
+        merged.sent,
+        merged.ok,
+        merged.refused,
+        merged.transport_errors,
+        merged.shared,
+        merged.pings_ok,
+        merged.pings_sent
     );
     let _ = std::io::stdout().flush();
 
     let perf = Json::object(vec![
-        ("requests_sent", Json::from(merged.ok + merged.refused + merged.transport_errors)),
+        ("requests_sent", Json::from(merged.sent)),
         ("requests_ok", Json::from(merged.ok)),
         ("requests_refused", Json::from(merged.refused)),
         ("transport_errors", Json::from(merged.transport_errors)),
+        ("pings_sent", Json::from(merged.pings_sent)),
+        ("pings_ok", Json::from(merged.pings_ok)),
         ("dedup_shared", Json::from(merged.shared)),
         ("clients", Json::from(opts.clients as u64)),
         ("wall_seconds", Json::from(wall_seconds)),
@@ -273,7 +300,7 @@ fn main() -> ExitCode {
         ("latency_p99_us", Json::from(p99)),
     ]);
     let json = Json::object(vec![
-        ("schema", Json::from("waymem/loadgen/v2")),
+        ("schema", Json::from("waymem/loadgen/v3")),
         ("addr", Json::from(opts.addr.clone())),
         ("perf", perf.clone()),
         ("daemon", daemon_metrics.clone().unwrap_or(Json::Null)),

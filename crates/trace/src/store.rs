@@ -118,10 +118,15 @@ pub struct StoreStats {
     /// Cached copies rejected because their source hash disagreed with
     /// the caller's (stale kernel source / edited log / old v1 file).
     pub stale: u64,
-    /// In-memory footprint of every trace recorded or loaded, in bytes
-    /// (`events × size_of::<TraceEvent>()`).
+    /// In-memory footprint, in bytes (`events × size_of::<TraceEvent>()`),
+    /// of every trace the store encoded or decoded: one saved to the
+    /// cache dir, one loaded from it, or one spilled from memory by
+    /// [`TraceStore::open_stream`]. A memory-only store's recordings are
+    /// never encoded, so they count only once spilled.
     pub raw_bytes: u64,
-    /// Wire-format footprint of the same traces, in bytes.
+    /// Wire-format footprint of the same traces, in bytes. Counted
+    /// together with [`raw_bytes`](Self::raw_bytes), so their ratio is
+    /// [`compression_ratio`](Self::compression_ratio).
     pub encoded_bytes: u64,
     /// Cache files written (best-effort persistence).
     pub files_saved: u64,
@@ -510,16 +515,16 @@ impl TraceStore {
         Err(Miss { path, _lock: lock, recovering })
     }
 
-    /// Best-effort persistence: encoding feeds the compression stats
-    /// even when the write itself fails or no dir is configured. The
-    /// write is atomic (temp + fsync + rename), so racers and crashes
-    /// never observe a torn file. A successful write triggers the
-    /// size-cap sweep.
+    /// Best-effort persistence into the cache dir; a memory-only store
+    /// encodes nothing. The encoding feeds the compression stats even
+    /// when the write itself fails. The write is atomic (temp + fsync +
+    /// rename), so racers and crashes never observe a torn file. A
+    /// successful write triggers the size-cap sweep.
     fn save_to_disk(&self, key: WorkloadId, source_hash: u64, trace: &RecordedTrace) {
-        let bytes = codec::encode_with_hash(trace, source_hash);
-        self.counters.account_trace(trace, bytes.len() as u64);
         let Some(path) = self.file_path(key) else { return };
         let Some(dir) = self.cache_dir.as_ref() else { return };
+        let bytes = codec::encode_with_hash(trace, source_hash);
+        self.counters.account_trace(trace, bytes.len() as u64);
         self.sweep_orphans();
         if fs::create_dir_all(dir).is_ok() && self.io.write_atomic(&path, &bytes).is_ok() {
             Counters::bump(&self.counters.files_saved);
@@ -741,7 +746,8 @@ impl TraceStore {
     /// `stream_opens` event, `records` and `raw_bytes` untouched); if the
     /// key's trace happens to sit in this process's memory already, it is
     /// spilled to disk once and streamed from there (`hits` +
-    /// `stream_opens`). Without a cache dir the file lives under the
+    /// `stream_opens`, and the spill counted in `raw_bytes` and
+    /// `encoded_bytes`). Without a cache dir the file lives under the
     /// system temp dir ([`stream::scratch`]) and deletes itself when the
     /// handle drops, or at once if production or validation fails.
     ///
@@ -784,8 +790,9 @@ impl TraceStore {
         // production), else run the producer.
         let write = |path: &Path| -> Result<(), E> {
             if let Some((hash, trace)) = &cached {
-                stream::write_encoded_with(trace, *hash, path, &self.io)
+                let encoded_len = stream::write_encoded_with(trace, *hash, path, &self.io)
                     .map_err(|e| E::from(StreamError::Io(e)))?;
+                self.counters.account_trace(trace, encoded_len);
                 Counters::bump(&self.counters.hits);
                 Counters::bump(&self.counters.stream_opens);
             } else {
@@ -1515,13 +1522,36 @@ mod tests {
 
     #[test]
     fn compression_stats_accumulate() {
+        // Sequential fetches: the codec's deltas make them far smaller
+        // than the events in memory.
+        let fetch_events = (0..1000)
+            .map(|i| TraceEvent::Fetch { pc: 0x100 + 4 * i, kind: FetchKind::Sequential })
+            .collect();
+        let trace = RecordedTrace { fetch_events, ..tiny_trace(1000) };
+        let record = || Ok::<_, StreamError>(trace.clone());
+
+        // A memory-only store never encodes its recordings...
         let store = TraceStore::new();
-        store
-            .get_or_record(dct(1), 0, || Ok::<_, ()>(tiny_trace(1)))
-            .expect("records");
+        store.get_or_record(dct(1), 0x5, record).expect("records");
         let s = store.stats();
-        assert_eq!(s.raw_bytes, tiny_trace(1).raw_size_bytes());
-        assert!(s.encoded_bytes > 0);
-        assert!(s.compression_ratio() > 0.0);
+        assert_eq!((s.raw_bytes, s.encoded_bytes), (0, 0));
+        // ...until a streaming open spills one.
+        let spilled = store
+            .open_stream(dct(1), 0x5, |_| -> Result<(), StreamError> {
+                panic!("must not re-produce")
+            })
+            .expect("spills");
+        drop(spilled);
+        let s = store.stats();
+        assert_eq!(s.raw_bytes, trace.raw_size_bytes());
+        assert!(s.compression_ratio() > 1.0, "{s:?}");
+
+        // A store with a cache dir encodes the file it saves.
+        let tmp = TempDir::new("compression");
+        let saving = TraceStore::with_cache_dir(&tmp.0);
+        saving.get_or_record(dct(1), 0x5, record).expect("records");
+        let s = saving.stats();
+        assert_eq!((s.files_saved, s.raw_bytes), (1, trace.raw_size_bytes()));
+        assert!(s.compression_ratio() > 1.0, "{s:?}");
     }
 }
