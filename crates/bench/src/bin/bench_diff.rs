@@ -25,11 +25,15 @@
 //! ledger must not fail a fresh checkout), 1 = regression detected,
 //! 2 = bad usage or unreadable input.
 //!
-//! The deltas come from [`waymem_bench::diff`]: higher-better figures
-//! (warm/cold speedup, events/sec, compression ratio, total saving)
-//! fail when they fall below `baseline × (1 − tolerance)`; per-phase
-//! wall-clocks fail when they exceed `baseline × (1 + tolerance)` *and*
-//! grow past an absolute floor, so micro-phases can jitter freely.
+//! The deltas come from [`waymem_bench::diff`]: the four higher-better
+//! figures (streaming events/sec, events/sec, compression ratio and the
+//! Fig. 8 total saving) fail when they fall below
+//! `baseline × (1 − tolerance)`; the per-phase wall-clocks (`resolve`,
+//! `record`, `io`, `replay`) fail when they exceed
+//! `baseline × (1 + tolerance)` *and* grow past an absolute floor, so
+//! micro-phases can jitter freely. The pairwise `bench_ab` gate is the
+//! one that can see a 10–15% regression; this one compares against a
+//! committed absolute baseline.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -8,6 +8,15 @@
 //! goes through the MAB under the paper's scheme, with the input mux of
 //! Figure 2 choosing between (PC, stride), (PC, branch offset) and the
 //! link-register value.
+//!
+//! A further packet of the line the previous access used is never looked
+//! up. That line is resident and most recently used in its set, so the
+//! packet hits its way, and the hit changes no cache state: the LRU update
+//! of the MRU way is a no-op, a fetch sets no dirty bit, and with no fill
+//! no MAB pair, link or BTB entry is dropped. Only the scheme's fixed
+//! counters move, and [`IFront::replay`] charges a whole *line run* (a
+//! run's head, then the sequential fetches that stay in its line) in one
+//! step after the head.
 
 use waymem_cache::{AccessKind, AccessStats, Geometry};
 use waymem_core::MabStats;
@@ -157,29 +166,67 @@ impl IFront {
         self.core.known_way(AccessKind::Load, packet, way).way
     }
 
-    /// Feeds one instruction fetch into the model.
+    /// Charges `n` further packets of the line the previous access used:
+    /// each is a hit on the set's most recently used way that leaves the
+    /// cache unchanged, so only the scheme's fixed counters move. `original`
+    /// reads every tag and way; the other schemes read the way register's
+    /// way alone and count an intra-line skip; the link fields ride along
+    /// with every read. The MAB is not probed, which
+    /// [`energy_counts`](Self::energy_counts) reads from the skips.
+    fn mru_packets(&mut self, n: u64) {
+        let geom = self.core.geom;
+        debug_assert!(
+            self.prev_packet
+                .zip(self.current_way)
+                .is_some_and(|(p, w)| {
+                    self.core.cache.probe(p) == Some(w)
+                        && self.core.cache.mru_way(geom.index_of(p)) == w
+                }),
+            "a further packet must hit the most recently used way"
+        );
+        let s = &mut self.core.stats;
+        s.accesses += n;
+        s.hits += n;
+        if self.scheme == IScheme::Original {
+            let w = u64::from(geom.ways());
+            s.tag_reads += w * n;
+            s.way_reads += w * n;
+        } else {
+            s.way_reads += n;
+            s.intra_line_skips += n;
+        }
+        if self.links.is_some() {
+            self.link_bit_reads += n;
+        }
+    }
+
+    /// Feeds one instruction fetch into the model. A sequential fetch into
+    /// the packet just fetched costs nothing, and one into another packet
+    /// of the same line takes the further-packet rule that
+    /// [`replay`](Self::replay) charges per line run.
     pub fn fetch(&mut self, pc: u32, kind: FetchKind) {
         let packet = pc & !(PACKET_BYTES - 1);
         let sequential = matches!(kind, FetchKind::Sequential);
-        if sequential && self.prev_packet == Some(packet) {
-            return; // still streaming out of the fetched packet
+        if sequential {
+            match self.prev_packet {
+                // Still streaming out of the fetched packet.
+                Some(prev) if prev == packet => return,
+                Some(prev) if self.core.geom.same_line(prev, packet) => {
+                    self.mru_packets(1);
+                    self.prev_packet = Some(packet);
+                    return;
+                }
+                _ => {}
+            }
         }
         self.core.stats.accesses += 1;
         if self.links.is_some() {
             // The link fields ride along with every instruction read.
             self.link_bit_reads += 1;
         }
-        let geom = self.core.geom;
-        let intra_line = sequential && self.prev_packet.is_some_and(|p| geom.same_line(p, packet));
 
         let way = match self.scheme {
-            IScheme::Original => self.conventional(packet),
-            _ if intra_line => {
-                self.core.stats.intra_line_skips += 1;
-                let way = self.current_way.expect("intra-line follows a fetch");
-                self.known_way(packet, way)
-            }
-            IScheme::IntraLine => self.conventional(packet),
+            IScheme::Original | IScheme::IntraLine => self.conventional(packet),
             IScheme::WayMemo { .. } => {
                 let (base, disp) = match (kind, self.prev_packet) {
                     // Inter-line sequential: PC + stride (Figure 2's
@@ -263,10 +310,44 @@ impl IFront {
     /// consumed in program order, loads and stores are skipped. Like
     /// [`DFront::replay`](crate::DFront::replay), the loop is monomorphic
     /// for this front-end — the hot path of the record/replay engine.
+    ///
+    /// The slice is taken one line run at a time: the run's head goes
+    /// through [`fetch`](Self::fetch), and the sequential fetches that
+    /// follow it in the same line are counted, not looked up, with the
+    /// rule `fetch` applies to one of them. A branch, return or indirect
+    /// jump starts a new head even into the same line, and a run cut at
+    /// the slice's end resumes through `fetch` in the next slice, so any
+    /// split of a trace into slices gives the same counts.
     pub fn replay(&mut self, events: &[TraceEvent]) {
-        for &e in events {
-            if let TraceEvent::Fetch { pc, kind } = e {
-                self.fetch(pc, kind);
+        let mut rest = events;
+        while let Some((&head, tail)) = rest.split_first() {
+            rest = tail;
+            let TraceEvent::Fetch { pc, kind } = head else {
+                continue;
+            };
+            self.fetch(pc, kind);
+            let mut last = pc & !(PACKET_BYTES - 1);
+            let line = self.core.geom.line_base(last);
+            let mut packets = 0;
+            while let Some((
+                &TraceEvent::Fetch {
+                    pc,
+                    kind: FetchKind::Sequential,
+                },
+                tail,
+            )) = rest.split_first()
+            {
+                let packet = pc & !(PACKET_BYTES - 1);
+                if self.core.geom.line_base(packet) != line {
+                    break;
+                }
+                packets += u64::from(packet != last);
+                last = packet;
+                rest = tail;
+            }
+            if packets > 0 {
+                self.mru_packets(packets);
+                self.prev_packet = Some(last);
             }
         }
     }

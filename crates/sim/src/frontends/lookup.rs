@@ -76,8 +76,8 @@ impl Lookup {
         self.access(kind, addr, w, ways)
     }
 
-    /// A known-way access (a MAB, buffer, link or intra-line hit): no
-    /// tag, one way.
+    /// A known-way access (a MAB, set buffer, link or BTB hit): no tag,
+    /// one way.
     pub(super) fn known_way(&mut self, kind: AccessKind, addr: u32, way: u32) -> AccessOutcome {
         debug_assert_eq!(
             self.cache.probe(addr),
