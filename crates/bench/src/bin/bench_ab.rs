@@ -7,7 +7,8 @@
 //!
 //! --base REV        the revision to compare against (HEAD^1, say); it is
 //!                   checked out into a temporary `git worktree` under
-//!                   target/bench_ab/, removed afterwards
+//!                   target/bench_ab/, removed afterwards, and so is the
+//!                   working tree, changes and untracked files included
 //! --pairs N         alternating pairs per workload (default 10)
 //! --seconds S       run length of every run (default BENCHMARK.json's
 //!                   run_seconds)
@@ -15,14 +16,19 @@
 //!                   on both sides (default 1)
 //! ```
 //!
-//! Each side runs the benchmark's own command (`BENCHMARK.json`
-//! `command`, from the root of its tree, with `--workload`, `--seed`,
-//! `--seconds` and `--trace 0` appended), so the benchmark is driven only
-//! through its command line and each tree builds its own copy.
-//! `CARGO_TARGET_DIR` is cleared for the children, so the two builds
-//! never share a binary. Pair i runs seed `K + i` on both sides, base
-//! first in even pairs and change first in odd ones. Any run that does
-//! not end `"correct": true` with 0 failed stops the comparison (exit 2).
+//! Both sides are built alike: each is a detached worktree of the same
+//! shape under `target/bench_ab/` (`base-<pid>` and `work-<pid>`), the
+//! second holding a snapshot of the working tree (tracked changes and
+//! untracked files not ignored by `.gitignore`), so neither side builds
+//! in the checkout's own directory. Each side runs the benchmark's own
+//! command (`BENCHMARK.json` `command`, from the root of its tree, with
+//! `--workload`, `--seed`, `--seconds` and `--trace 0` appended), so the
+//! benchmark is driven only through its command line and each tree
+//! builds its own copy. `CARGO_TARGET_DIR` is cleared for the children,
+//! so the two builds never share a binary. Pair i runs seed `K + i` on
+//! both sides, base first in even pairs and change first in odd ones.
+//! Any run that does not end `"correct": true` with 0 failed stops the
+//! comparison (exit 2).
 //!
 //! For each metric it prints each side's median and quartiles, the
 //! median per-pair ratio (change / base) with its quartiles, the pairs
@@ -97,9 +103,15 @@ fn parse_args() -> Options {
 }
 
 fn git(dir: &Path, args: &[&str]) -> Result<String, String> {
+    git_with(dir, args, &[])
+}
+
+/// `git args` in `dir` with `env` set; returns its trimmed stdout.
+fn git_with(dir: &Path, args: &[&str], env: &[(&str, &Path)]) -> Result<String, String> {
     let out = Command::new("git")
         .args(args)
         .current_dir(dir)
+        .envs(env.iter().copied())
         .stderr(Stdio::inherit())
         .output()
         .map_err(|e| format!("cannot run git: {e}"))?;
@@ -109,19 +121,19 @@ fn git(dir: &Path, args: &[&str]) -> Result<String, String> {
     Ok(String::from_utf8_lossy(&out.stdout).trim().to_owned())
 }
 
-/// The base revision checked out in a detached worktree, removed (with
-/// its build) on drop.
+/// A revision checked out in a detached worktree named `<name>-<pid>`
+/// under `target/bench_ab/`, removed (with its build) on drop.
 struct Worktree {
     repo: PathBuf,
     dir: PathBuf,
 }
 
 impl Worktree {
-    fn add(repo: &Path, rev: &str) -> Result<Worktree, String> {
+    fn add(repo: &Path, name: &str, rev: &str) -> Result<Worktree, String> {
         let dir = repo
             .join("target")
             .join("bench_ab")
-            .join(format!("base-{}", std::process::id()));
+            .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.to_string_lossy().into_owned();
         git(
@@ -133,6 +145,28 @@ impl Worktree {
             dir,
         })
     }
+}
+
+/// A commit holding the working tree as it stands: `HEAD` plus every
+/// tracked change and every untracked file `.gitignore` does not exclude.
+/// It is staged in a scratch index, so the checkout's own index, refs
+/// and files are left alone; no ref names the commit.
+fn snapshot(repo: &Path) -> Result<String, String> {
+    let index = repo
+        .join("target")
+        .join("bench_ab")
+        .join(format!("index-{}", std::process::id()));
+    std::fs::create_dir_all(index.parent().expect("has a parent"))
+        .map_err(|e| format!("cannot create target/bench_ab: {e}"))?;
+    let env = [("GIT_INDEX_FILE", index.as_path())];
+    let tree = git_with(repo, &["read-tree", "HEAD"], &env)
+        .and_then(|_| git_with(repo, &["add", "-A", "."], &env))
+        .and_then(|_| git_with(repo, &["write-tree"], &env));
+    let _ = std::fs::remove_file(&index);
+    let tree = tree?;
+    let identity = ["-c", "user.name=bench_ab", "-c", "user.email=bench_ab@localhost"];
+    let commit = ["commit-tree", &tree, "-p", "HEAD", "-m", "bench_ab: the working tree"];
+    git(repo, &[&identity[..], &commit[..]].concat())
 }
 
 impl Drop for Worktree {
@@ -241,15 +275,16 @@ fn run(opts: &Options) -> Result<bool, String> {
             &format!("{}^{{commit}}", opts.base),
         ],
     )?;
-    let worktree = Worktree::add(&root, &base_rev)?;
+    let base_tree = Worktree::add(&root, "base", &base_rev)?;
+    let work_tree = Worktree::add(&root, "work", &snapshot(&root)?)?;
     let base = Side {
         label: "base",
-        root: &worktree.dir,
+        root: &base_tree.dir,
         command: &command,
     };
     let change = Side {
         label: "change",
-        root: &root,
+        root: &work_tree.dir,
         command: &command,
     };
     let last_seed = opts.first_seed + opts.pairs as u64 - 1;
@@ -321,7 +356,7 @@ fn run(opts: &Options) -> Result<bool, String> {
             );
         }
     }
-    drop(worktree);
+    drop((base_tree, work_tree));
     let pct = GATE_THRESHOLD * 100.0;
     if gate_failed.is_empty() {
         println!("bench_ab: gate held: no metric lost every pair by more than {pct}%");

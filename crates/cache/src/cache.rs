@@ -37,6 +37,9 @@ pub struct AccessOutcome {
     pub way: u32,
     /// Set index of the access.
     pub index: u32,
+    /// Whether the access hit the way its set had used most recently —
+    /// what an MRU way predictor guesses. Always `false` on a miss.
+    pub mru_hit: bool,
     /// Eviction information when a fill displaced a valid line.
     pub evicted: Option<EvictedLine>,
 }
@@ -186,6 +189,7 @@ impl SetAssocCache {
             hit,
             way,
             index,
+            mru_hit: found == Some(0),
             evicted,
         }
     }

@@ -31,8 +31,6 @@ pub struct LineBuffer {
     geom: Geometry,
     entries: Vec<Option<(u32, u32)>>, // (line base, way)
     lru: LruOrder,
-    lookups: u64,
-    hits: u64,
 }
 
 impl LineBuffer {
@@ -48,22 +46,18 @@ impl LineBuffer {
             geom,
             entries: vec![None; entries],
             lru: LruOrder::new(entries),
-            lookups: 0,
-            hits: 0,
         }
     }
 
     /// Probes the buffer for the line containing `addr`. On a hit returns
     /// the memoized way and refreshes recency.
     pub fn lookup(&mut self, addr: u32) -> Option<u32> {
-        self.lookups += 1;
         let base = self.geom.line_base(addr);
         let slot = self
             .entries
             .iter()
             .position(|e| matches!(e, Some((b, _)) if *b == base))?;
         self.lru.touch(slot);
-        self.hits += 1;
         self.entries[slot].map(|(_, w)| w)
     }
 
@@ -95,18 +89,6 @@ impl LineBuffer {
             }
         }
     }
-
-    /// Probes performed so far.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Probes that hit.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
 }
 
 #[cfg(test)]
@@ -123,8 +105,6 @@ mod tests {
         b.record(0x2000, 0);
         assert_eq!(b.lookup(0x201f), Some(0));
         assert_eq!(b.lookup(0x2020), None);
-        assert_eq!(b.hits(), 1);
-        assert_eq!(b.lookups(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cache::INVALID;
-use crate::{Geometry, LruOrder};
+use crate::LruOrder;
 
 /// Outcome of a [`SetBuffer`] probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,106 +29,58 @@ pub enum SetBufferLookup {
 /// "cannot exploit inter-cache-line access locality" — a stream touching a
 /// new set every access gets nothing.
 ///
-/// The buffered copies live in flat arrays sized once at construction, so
-/// a refill copies the cache's tag row in place and allocates nothing.
+/// This model keeps only which sets are buffered, in LRU order, not their
+/// tag rows. A buffered row always equals the cache's row: an access to a
+/// buffered set either matches a buffered tag, which changes no tag, or
+/// misses the buffer, and a buffer miss always refills the set's copy from
+/// the cache after the access. So the buffer names the way exactly when
+/// the set is buffered and the cache holds the line, and
+/// [`lookup`](Self::lookup) takes the cache's answer.
 ///
 /// ```
-/// use waymem_cache::{Geometry, SetBuffer, SetBufferLookup};
+/// use waymem_cache::{SetBuffer, SetBufferLookup};
 ///
-/// let g = Geometry::frv();
-/// let mut sb = SetBuffer::new(g, 1);
-/// let addr = 0x0001_2340;
-/// assert_eq!(sb.lookup(addr), SetBufferLookup::SetMiss);
-/// sb.refill(g.index_of(addr), [Some(g.tag_of(addr)), None]);
-/// assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(0));
+/// let mut sb = SetBuffer::new(1);
+/// assert_eq!(sb.lookup(7, Some(1)), SetBufferLookup::SetMiss);
+/// sb.refill(7);
+/// assert_eq!(sb.lookup(7, Some(1)), SetBufferLookup::WayKnown(1));
+/// assert_eq!(sb.lookup(7, None), SetBufferLookup::SetKnownTagMiss);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SetBuffer {
-    geom: Geometry,
     /// The set index buffered in each slot, [`INVALID`] for an empty slot.
     sets: Box<[u32]>,
-    /// Per slot, the tag of every way of its set ([`INVALID`] = invalid way).
-    tags: Box<[u32]>,
     lru: LruOrder,
-    lookups: u64,
-    way_hits: u64,
 }
 
 impl SetBuffer {
-    /// Creates a buffer tracking up to `entries` sets of a cache shaped by
-    /// `geom`.
+    /// Creates a buffer tracking up to `entries` sets.
     ///
     /// # Panics
     ///
     /// Panics if `entries` is zero.
     #[must_use]
-    pub fn new(geom: Geometry, entries: usize) -> Self {
+    pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "set buffer needs at least one entry");
-        Self {
-            geom,
-            sets: vec![INVALID; entries].into(),
-            tags: vec![INVALID; entries * geom.ways() as usize].into(),
-            lru: LruOrder::new(entries),
-            lookups: 0,
-            way_hits: 0,
-        }
+        Self { sets: vec![INVALID; entries].into(), lru: LruOrder::new(entries) }
     }
 
-    /// The buffered tags of `slot`, one per cache way.
-    fn row(&mut self, slot: usize) -> &mut [u32] {
-        let ways = self.geom.ways() as usize;
-        &mut self.tags[slot * ways..(slot + 1) * ways]
-    }
-
-    /// Probes the buffer for `addr`'s set and tag.
-    pub fn lookup(&mut self, addr: u32) -> SetBufferLookup {
-        self.lookups += 1;
-        let index = self.geom.index_of(addr);
-        let tag = self.geom.tag_of(addr);
+    /// Probes the buffer for set `index` on an access whose line the
+    /// cache holds in way `resident` (`None` when it does not).
+    pub fn lookup(&mut self, index: u32, resident: Option<u32>) -> SetBufferLookup {
         let Some(slot) = self.slot_of(index) else {
             return SetBufferLookup::SetMiss;
         };
         self.lru.touch(slot);
-        match self.row(slot).iter().position(|&t| t == tag) {
-            Some(way) => {
-                self.way_hits += 1;
-                SetBufferLookup::WayKnown(way as u32)
-            }
-            None => SetBufferLookup::SetKnownTagMiss,
-        }
+        resident.map_or(SetBufferLookup::SetKnownTagMiss, SetBufferLookup::WayKnown)
     }
 
-    /// Installs (or refreshes) the buffered copy of set `index` with the
-    /// cache's current per-way tags (`None` for an invalid way), replacing
-    /// the LRU slot if the set was not buffered.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `tags` yields exactly one tag per cache way.
-    pub fn refill(&mut self, index: u32, tags: impl IntoIterator<Item = Option<u32>>) {
+    /// Installs (or refreshes) the buffered copy of set `index` after a
+    /// buffer miss, replacing the LRU slot if the set was not buffered.
+    pub fn refill(&mut self, index: u32) {
         let slot = self.slot_of(index).unwrap_or_else(|| self.lru.victim());
         self.sets[slot] = index;
-        let mut tags = tags.into_iter();
-        for t in self.row(slot) {
-            *t = tags
-                .next()
-                .expect("one tag per cache way")
-                .unwrap_or(INVALID);
-        }
-        assert!(tags.next().is_none(), "one tag per cache way");
         self.lru.touch(slot);
-    }
-
-    /// Probes performed.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Probes resolved with [`SetBufferLookup::WayKnown`].
-    #[must_use]
-    pub fn way_hits(&self) -> u64 {
-        self.way_hits
     }
 
     fn slot_of(&self, index: u32) -> Option<usize> {
@@ -140,42 +92,29 @@ impl SetBuffer {
 mod tests {
     use super::*;
 
-    fn setup() -> (Geometry, SetBuffer) {
-        let g = Geometry::new(16, 2, 16).unwrap();
-        (g, SetBuffer::new(g, 2))
-    }
-
     #[test]
     fn miss_then_refill_then_way_hit() {
-        let (g, mut sb) = setup();
-        let addr = 0x1230;
-        assert_eq!(sb.lookup(addr), SetBufferLookup::SetMiss);
-        sb.refill(g.index_of(addr), [None, Some(g.tag_of(addr))]);
-        assert_eq!(sb.lookup(addr), SetBufferLookup::WayKnown(1));
-        assert_eq!(sb.way_hits(), 1);
+        let mut sb = SetBuffer::new(2);
+        assert_eq!(sb.lookup(3, Some(1)), SetBufferLookup::SetMiss);
+        sb.refill(3);
+        assert_eq!(sb.lookup(3, Some(1)), SetBufferLookup::WayKnown(1));
     }
 
     #[test]
     fn same_set_different_tag_is_tag_miss() {
-        let (g, mut sb) = setup();
-        let a = 0x0030; // set from bits [7:4]
-        let b = a + g.sets() * g.line_bytes(); // same index, different tag
-        assert_eq!(g.index_of(a), g.index_of(b));
-        sb.refill(g.index_of(a), [Some(g.tag_of(a)), None]);
-        assert_eq!(sb.lookup(b), SetBufferLookup::SetKnownTagMiss);
+        let mut sb = SetBuffer::new(2);
+        sb.refill(3);
+        assert_eq!(sb.lookup(3, None), SetBufferLookup::SetKnownTagMiss);
     }
 
     #[test]
     fn lru_replacement_of_sets() {
-        let (g, mut sb) = setup();
-        sb.refill(0, [Some(1), None]);
-        sb.refill(1, [Some(1), None]);
-        let _ = sb.lookup(g.line_addr(1, 0)); // touch set 0
-        sb.refill(2, [Some(1), None]); // evicts set 1
-        assert_eq!(sb.lookup(g.line_addr(1, 1)), SetBufferLookup::SetMiss);
-        assert_eq!(
-            sb.lookup(g.line_addr(1, 0)),
-            SetBufferLookup::WayKnown(0)
-        );
+        let mut sb = SetBuffer::new(2);
+        sb.refill(0);
+        sb.refill(1);
+        let _ = sb.lookup(0, Some(0)); // touch set 0
+        sb.refill(2); // evicts set 1
+        assert_eq!(sb.lookup(1, Some(0)), SetBufferLookup::SetMiss);
+        assert_eq!(sb.lookup(0, Some(0)), SetBufferLookup::WayKnown(0));
     }
 }

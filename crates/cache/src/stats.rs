@@ -7,12 +7,11 @@ use serde::{Deserialize, Serialize};
 /// These are the quantities the paper's Figures 4 and 6 plot (tag accesses
 /// and way accesses per cache access) and that Eq. (1) converts into power.
 /// A front-end counts each access, its lookup's tag and way activations
-/// and its hit as they happen. Misses, the one fill write per miss that
-/// `way_reads` includes, and write-backs it reads from its cache's
-/// [`fills`](crate::SetAssocCache::fills) and
-/// [`write_backs`](crate::SetAssocCache::write_backs), so they are exactly
-/// what the cache did; an access that skips or repeats the cache access
-/// breaks `hits + misses == accesses`, which
+/// and its hit, miss (with the one fill write per miss that `way_reads`
+/// includes) and write-back from the outcome of the one cache access
+/// behind it ([`AccessOutcome`](crate::AccessOutcome)), so they are
+/// exactly what the cache did; an access that skips or repeats its
+/// outcome breaks `hits + misses == accesses`, which
 /// [`is_consistent`](Self::is_consistent) checks.
 ///
 /// ```

@@ -63,6 +63,7 @@ impl RefCache {
             hit: found.is_some(),
             way,
             index,
+            mru_hit: found == Some(0),
             evicted,
         }
     }

@@ -1,11 +1,21 @@
 //! D-cache front-ends (paper Figures 4–5 plus ablations).
+//!
+//! The chain's cache pass turns each load or store into one outcome, and
+//! each D scheme applies its rule to it: which tags and ways the access
+//! activates, and what its own set buffer, line buffer or MAB learns. A
+//! scheme reads the cache only through the outcome: hit, way and set, the
+//! line a fill displaced and its dirty bit, and whether a hit was on the
+//! set's most recently used way.
 
-use waymem_cache::{AccessKind, AccessStats, Geometry, LineBuffer, SetBuffer, SetBufferLookup};
+use waymem_cache::{
+    AccessKind, AccessOutcome, AccessStats, Geometry, LineBuffer, MainMemory, SetAssocCache,
+    SetBuffer, SetBufferLookup,
+};
 use waymem_core::MabStats;
 use waymem_hwmodel::{EnergyCounts, MabShape};
-use waymem_isa::{FetchKind, TraceEvent, TraceSink};
+use waymem_isa::{TraceEvent, TraceSink};
 
-use super::lookup::Lookup;
+use super::lookup::{Chain, Front, Lookup, WINDOW};
 
 /// A D-cache lookup scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +123,8 @@ impl DScheme {
         [a(1, 0), a(2, 0), a(1, 1), a(3, 0), a(1, 0)]
     }
 
-    /// Builds the front-end over a cache shaped by `geom`.
+    /// Builds the front-end over a cache shaped by `geom`: a replay chain
+    /// of one.
     ///
     /// # Panics
     ///
@@ -122,190 +133,222 @@ impl DScheme {
     /// (or more than 64).
     #[must_use]
     pub fn build(self, geom: Geometry) -> DFront {
-        let mab = match self {
-            DScheme::WayMemo {
-                tag_entries,
-                set_entries,
+        DFront(Chain::new(geom, vec![self.rule(geom)]))
+    }
+
+    /// The scheme's rule, with its own structures, for a chain over a
+    /// cache shaped by `geom`.
+    pub(crate) fn rule(self, geom: Geometry) -> DRule {
+        let (mab, set_buffer, line_buffer) = match self {
+            DScheme::WayMemo { tag_entries, set_entries }
+            | DScheme::WayMemoPaperLru { tag_entries, set_entries } => {
+                (Some((tag_entries, set_entries)), None, None)
             }
-            | DScheme::WayMemoPaperLru {
-                tag_entries,
-                set_entries,
+            DScheme::WayMemoLineBuffer { tag_entries, set_entries, line_entries } => {
+                (Some((tag_entries, set_entries)), None, Some(LineBuffer::new(geom, line_entries)))
             }
-            | DScheme::WayMemoLineBuffer {
-                tag_entries,
-                set_entries,
-                ..
-            } => Some((tag_entries, set_entries)),
-            _ => None,
-        };
-        let set_buffer = match self {
-            DScheme::SetBuffer { entries } => Some(SetBuffer::new(geom, entries)),
-            _ => None,
-        };
-        let line_buffer = match self {
-            DScheme::WayMemoLineBuffer { line_entries, .. } => {
-                Some(LineBuffer::new(geom, line_entries))
-            }
-            DScheme::FilterCache { lines } => Some(LineBuffer::new(geom, lines)),
-            _ => None,
+            DScheme::SetBuffer { entries } => (None, Some(SetBuffer::new(entries)), None),
+            DScheme::FilterCache { lines } => (None, None, Some(LineBuffer::new(geom, lines))),
+            DScheme::Original | DScheme::WayPredict | DScheme::TwoPhase => (None, None, None),
         };
         let audit = matches!(self, DScheme::WayMemoPaperLru { .. });
-        DFront {
-            scheme: self,
-            core: Lookup::new(geom, mab, audit),
-            set_buffer,
-            line_buffer,
-            extra_cycles: 0,
+        let core = Lookup::new(geom, mab, audit);
+        DRule { scheme: self, core, set_buffer, line_buffer, extra_cycles: 0 }
+    }
+}
+
+/// One load or store as the chain's cache saw it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DAccess {
+    kind: AccessKind,
+    base: u32,
+    disp: i32,
+    addr: u32,
+    out: AccessOutcome,
+}
+
+/// One D scheme's rule and the structures it keeps beside the chain's
+/// cache: its lookup core, and its set buffer, line buffer or L0.
+#[derive(Debug)]
+pub(crate) struct DRule {
+    pub(crate) scheme: DScheme,
+    pub(crate) core: Lookup,
+    set_buffer: Option<SetBuffer>,
+    line_buffer: Option<LineBuffer>,
+    pub(crate) extra_cycles: u64,
+}
+
+impl Front for DRule {
+    type Outcome = DAccess;
+    type Carry = ();
+
+    /// One outcome per load or store; fetches are skipped.
+    fn outcomes(
+        cache: &mut SetAssocCache,
+        mem: &mut MainMemory,
+        (): &mut (),
+        events: &[TraceEvent],
+        window: &mut Vec<DAccess>,
+    ) -> usize {
+        for (i, &e) in events.iter().enumerate() {
+            let (kind, base, disp, addr) = match e {
+                TraceEvent::Load { base, disp, addr, .. } => (AccessKind::Load, base, disp, addr),
+                TraceEvent::Store { base, disp, addr, .. } => (AccessKind::Store, base, disp, addr),
+                TraceEvent::Fetch { .. } => continue,
+            };
+            if window.len() == WINDOW {
+                return i;
+            }
+            let out = cache.access(addr, kind, mem);
+            window.push(DAccess { kind, base, disp, addr, out });
+        }
+        events.len()
+    }
+
+    fn apply(&mut self, window: &[DAccess]) {
+        for a in window {
+            self.access(a);
         }
     }
 }
 
-/// A trace-driven D-cache model under one scheme.
-///
-/// The front-end owns a lookup core: a private tag-only cache driven
-/// purely by the address stream (the CPU's architectural data lives
-/// elsewhere), which tracks exactly the residency, LRU and dirty state
-/// the energy accounting needs, and the MAB when the scheme has one.
-#[derive(Debug)]
-pub struct DFront {
-    scheme: DScheme,
-    core: Lookup,
-    set_buffer: Option<SetBuffer>,
-    line_buffer: Option<LineBuffer>,
-    extra_cycles: u64,
-}
-
-impl DFront {
-    /// The scheme this front-end models.
-    #[must_use]
-    pub fn scheme(&self) -> DScheme {
-        self.scheme
-    }
-
-    /// Feeds one load/store into the model.
-    pub fn access(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
-        let kind = if is_store {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
+impl DRule {
+    /// Applies the scheme to one access.
+    fn access(&mut self, a: &DAccess) {
+        let (kind, out) = (a.kind, &a.out);
         let core = &mut self.core;
         core.stats.accesses += 1;
-        let out = match self.scheme {
-            DScheme::Original => core.conventional(kind, addr),
+        match self.scheme {
+            DScheme::Original => core.conventional(kind, out),
             DScheme::WayMemo { .. } | DScheme::WayMemoPaperLru { .. } => {
-                core.mab_access(kind, addr, base, disp)
+                core.mab_access(kind, out, a.base, a.disp);
             }
             DScheme::SetBuffer { .. } => {
                 let sb = self.set_buffer.as_mut().expect("scheme has set buffer");
-                if let SetBufferLookup::WayKnown(way) = sb.lookup(addr) {
-                    core.known_way(kind, addr, way)
+                core.buffer_probes += 1;
+                let resident = out.hit.then_some(out.way);
+                if let SetBufferLookup::WayKnown(way) = sb.lookup(out.index, resident) {
+                    core.stats.buffer_hits += 1;
+                    core.known_way(out, way);
                 } else {
-                    let out = core.conventional(kind, addr);
+                    core.conventional(kind, out);
                     // Refresh the buffered copy of this set from the cache's tag row.
-                    let cache = &core.cache;
-                    let row = (0..core.geom.ways()).map(|w| cache.tag_at(out.index, w));
-                    sb.refill(out.index, row);
-                    out
+                    sb.refill(out.index);
                 }
             }
             DScheme::FilterCache { .. } => {
                 let l0 = self.line_buffer.as_mut().expect("scheme has L0");
-                if is_store {
+                core.buffer_probes += u64::from(kind == AccessKind::Load);
+                if kind == AccessKind::Store {
                     // Write-through past the L0; keep the L0 coherent.
-                    l0.invalidate_line(addr);
-                    core.conventional(kind, addr)
-                } else if let Some(way) = l0.lookup(addr) {
+                    l0.invalidate_line(a.addr);
+                    core.conventional(kind, out);
+                } else if let Some(way) = l0.lookup(a.addr) {
                     // Served entirely from the L0: buffer energy only.
                     // (L0 ⊆ L1 is maintained by eviction invalidation.)
-                    debug_assert_eq!(core.cache.probe(addr), Some(way));
-                    core.access(kind, addr, 0, 0)
+                    debug_assert!(out.hit && out.way == way);
+                    core.stats.buffer_hits += 1;
+                    core.access(out, 0, 0);
                 } else {
                     // L0 miss: the extra cycle the paper's §2 criticizes.
                     self.extra_cycles += 1;
-                    let out = core.conventional(kind, addr);
-                    l0.record(addr, out.way);
-                    out
+                    core.conventional(kind, out);
+                    l0.record(a.addr, out.way);
                 }
             }
             DScheme::WayMemoLineBuffer { .. } => {
                 let lb = self.line_buffer.as_mut().expect("scheme has line buffer");
-                let buffered = if is_store { None } else { lb.lookup(addr) };
+                core.buffer_probes += u64::from(kind == AccessKind::Load);
+                let buffered = if kind == AccessKind::Store { None } else { lb.lookup(a.addr) };
                 if let Some(way) = buffered {
                     // Served from the line buffer: no array activation.
-                    debug_assert_eq!(core.cache.probe(addr), Some(way));
-                    core.access(kind, addr, 0, 0)
+                    debug_assert!(out.hit && out.way == way);
+                    core.stats.buffer_hits += 1;
+                    core.access(out, 0, 0);
                 } else {
-                    let out = core.mab_access(kind, addr, base, disp);
+                    core.mab_access(kind, out, a.base, a.disp);
                     // Memoize the line for subsequent loads.
-                    lb.record(addr, out.way);
-                    out
+                    lb.record(a.addr, out.way);
                 }
             }
             DScheme::WayPredict => {
-                let predicted = core.cache.mru_way(core.geom.index_of(addr));
-                if core.cache.probe(addr) == Some(predicted) {
+                if out.mru_hit {
                     // A correct guess reads one tag and one way.
-                    core.access(kind, addr, 1, 1)
+                    core.access(out, 1, 1);
                 } else {
                     // Misprediction: the remaining ways follow a cycle
                     // later, which adds up to a conventional lookup.
                     self.extra_cycles += 1;
-                    core.conventional(kind, addr)
+                    core.conventional(kind, out);
                 }
             }
             DScheme::TwoPhase => {
                 // Phase 1: all tags; phase 2: exactly one way. Always an
                 // extra cycle.
                 self.extra_cycles += 1;
-                core.access(kind, addr, u64::from(core.geom.ways()), 1)
+                core.access(out, u64::from(core.geom.ways()), 1);
             }
-        };
+        }
         // A buffered copy of the line a fill displaced is now stale.
         if let (Some(ev), Some(lb)) = (out.evicted, self.line_buffer.as_mut()) {
             lb.invalidate_line(self.core.geom.line_addr(ev.tag, ev.index));
         }
     }
+}
 
-    /// Replays a recorded trace slice into the model: loads and stores are
-    /// consumed in program order, fetch events are skipped. The loop is
-    /// monomorphic for this front-end, so a replay pays no per-event
-    /// virtual dispatch — this is the hot path of the record-once /
-    /// replay-in-parallel engine behind [`crate::Experiment::run`].
-    pub fn replay(&mut self, events: &[TraceEvent]) {
-        for &e in events {
-            match e {
-                TraceEvent::Load {
-                    base, disp, addr, ..
-                } => self.access(false, base, disp, addr),
-                TraceEvent::Store {
-                    base, disp, addr, ..
-                } => self.access(true, base, disp, addr),
-                TraceEvent::Fetch { .. } => {}
-            }
-        }
+/// A trace-driven D-cache model under one scheme: a replay chain of one.
+/// Its cache is driven purely by the address stream (the CPU's
+/// architectural data lives elsewhere) and tracks exactly the residency,
+/// LRU and dirty state the energy accounting needs.
+#[derive(Debug)]
+pub struct DFront(Chain<DRule>);
+
+impl DFront {
+    fn rule(&self) -> &DRule {
+        &self.0.fronts[0]
     }
 
-    /// Accounting so far. Buffer hits are the set and line buffers' own
-    /// counts; for MAB schemes the `mab_*` counters are the MAB's.
+    /// The scheme this front-end models.
+    #[must_use]
+    pub fn scheme(&self) -> DScheme {
+        self.rule().scheme
+    }
+
+    /// Feeds one load/store into the model.
+    pub fn access(&mut self, is_store: bool, base: u32, disp: i32, addr: u32) {
+        let size = 4;
+        self.replay(&[if is_store {
+            TraceEvent::Store { base, disp, addr, size }
+        } else {
+            TraceEvent::Load { base, disp, addr, size }
+        }]);
+    }
+
+    /// Replays a recorded trace slice into the model: loads and stores are
+    /// consumed in program order, fetch events are skipped. This is the
+    /// engine's own chain code — the cache pass of each window, then the
+    /// scheme's rule — that [`crate::Experiment::run`] drives.
+    pub fn replay(&mut self, events: &[TraceEvent]) {
+        self.0.replay(events);
+    }
+
+    /// Accounting so far. Buffer hits are set-buffer, line-buffer and L0
+    /// hits; for MAB schemes the `mab_*` counters are the MAB's.
     #[must_use]
     pub fn stats(&self) -> AccessStats {
-        let mut s = self.core.stats();
-        s.buffer_hits = self.set_buffer.as_ref().map_or(0, SetBuffer::way_hits)
-            + self.line_buffer.as_ref().map_or(0, LineBuffer::hits);
-        s
+        self.rule().core.stats()
     }
 
     /// Raw MAB statistics (MAB schemes only).
     #[must_use]
     pub fn mab_stats(&self) -> Option<MabStats> {
-        self.core.mab_stats()
+        self.rule().core.mab_stats()
     }
 
     /// The MAB's hardware shape for area/power models (MAB schemes only).
     #[must_use]
     pub fn mab_shape(&self) -> Option<MabShape> {
-        self.core.mab_shape()
+        self.rule().core.mab_shape()
     }
 
     /// Cycles added by schemes with lookup penalties (way prediction,
@@ -313,37 +356,21 @@ impl DFront {
     /// penalty" claim is that this is zero for way memoization.
     #[must_use]
     pub fn extra_cycles(&self) -> u64 {
-        self.extra_cycles
+        self.rule().extra_cycles
     }
 
     /// Converts the counters into hwmodel inputs. `cycles` is the run's
     /// instruction count (CPI 1).
     #[must_use]
     pub fn energy_counts(&self, cycles: u64) -> EnergyCounts {
-        let s = self.core.stats();
-        let buffer_probes = self.set_buffer.as_ref().map_or(0, SetBuffer::lookups)
-            + self.line_buffer.as_ref().map_or(0, LineBuffer::lookups);
-        EnergyCounts {
-            way_reads: s.way_reads,
-            tag_reads: s.tag_reads,
-            buffer_probes,
-            mab_lookups: if self.core.mab.is_some() {
-                s.accesses
-            } else {
-                0
-            },
-            cycles,
-        }
+        self.rule().core.energy_counts(cycles)
     }
 }
 
 /// A D-front is itself a [`TraceSink`]: loads/stores feed the model,
 /// fetches are ignored, and the batched [`TraceSink::events`] entry point
-/// dispatches to the monomorphic [`DFront::replay`] loop — the path the
-/// record/replay engine drives.
+/// is [`DFront::replay`] — the path the record/replay engine drives.
 impl TraceSink for DFront {
-    fn fetch(&mut self, _pc: u32, _kind: FetchKind) {}
-
     fn load(&mut self, base: u32, disp: i32, addr: u32, _size: u8) {
         self.access(false, base, disp, addr);
     }
@@ -444,9 +471,9 @@ mod tests {
     ) {
         for (i, (is_store, base, disp, addr)) in accesses.into_iter().enumerate() {
             f.access(is_store, base, disp, addr);
-            let mab = f.core.mab.as_ref().expect("MAB scheme");
+            let mab = f.rule().core.mab.as_ref().expect("MAB scheme");
             for (set, way, tag) in mab.claims() {
-                let resident = f.core.cache.resident_way(tag, set);
+                let resident = f.0.cache.resident_way(tag, set);
                 assert_eq!(resident, Some(way), "{what}: stale MAB claim at access {i}");
             }
         }
@@ -583,7 +610,7 @@ mod tests {
     }
 
     fn paper_lru_counterexample(f: &mut DFront) {
-        for addr in DScheme::lru_counterexample(f.core.geom) {
+        for addr in DScheme::lru_counterexample(f.0.cache.geometry()) {
             f.access(false, addr, 0, addr);
         }
     }

@@ -13,18 +13,21 @@
 //! up. That line is resident and most recently used in its set, so the
 //! packet hits its way, and the hit changes no cache state: the LRU update
 //! of the MRU way is a no-op, a fetch sets no dirty bit, and with no fill
-//! no MAB pair, link or BTB entry is dropped. Only the scheme's fixed
-//! counters move, and [`IFront::replay`] charges a whole *line run* (a
-//! run's head, then the sequential fetches that stay in its line) in one
-//! step after the head.
+//! no MAB pair, link or BTB entry is dropped. So the chain's cache pass
+//! looks up only a *line run*'s head (a fetch that is not sequential
+//! within the previous fetch's line), once for every scheme, and hands
+//! each scheme the run: the head's outcome, the packet fetched before it
+//! and its way, and the count of the further packets that followed. Each
+//! scheme applies its rule to the head, and only its fixed counters move
+//! for the further packets.
 
-use waymem_cache::{AccessKind, AccessStats, Geometry};
+use waymem_cache::{AccessKind, AccessOutcome, AccessStats, Geometry, MainMemory, SetAssocCache};
 use waymem_core::MabStats;
 use waymem_hwmodel::{EnergyCounts, MabShape};
 use waymem_isa::{FetchKind, TraceEvent, TraceSink};
 
 use super::links::{Btb, LinkTable};
-use super::lookup::Lookup;
+use super::lookup::{Chain, Front, Lookup, WINDOW};
 
 /// Fetch packet size in bytes (two 4-byte syllables, per FR-V).
 pub const PACKET_BYTES: u32 = 8;
@@ -89,7 +92,8 @@ impl IScheme {
         }
     }
 
-    /// Builds the front-end over a cache shaped by `geom`.
+    /// Builds the front-end over a cache shaped by `geom`: a replay chain
+    /// of one.
     ///
     /// # Panics
     ///
@@ -97,60 +101,151 @@ impl IScheme {
     /// or if a BTB has zero entries (or more than 64).
     #[must_use]
     pub fn build(self, geom: Geometry) -> IFront {
+        IFront(Chain::new(geom, vec![self.rule(geom)]))
+    }
+
+    /// The scheme's rule, with its own structures, for a chain over a
+    /// cache shaped by `geom`.
+    pub(crate) fn rule(self, geom: Geometry) -> IRule {
         let mab = match self {
-            IScheme::WayMemo {
-                tag_entries,
-                set_entries,
-            } => Some((tag_entries, set_entries)),
+            IScheme::WayMemo { tag_entries, set_entries } => Some((tag_entries, set_entries)),
             _ => None,
         };
-        let links = match self {
-            IScheme::LinkMemo => Some(LinkTable::new(geom)),
-            _ => None,
-        };
-        let btb = match self {
-            IScheme::ExtendedBtb { entries } => Some(Btb::new(geom, entries)),
-            _ => None,
-        };
-        IFront {
+        let mut core = Lookup::new(geom, mab, false);
+        core.wide_rows = self == IScheme::LinkMemo;
+        IRule {
             scheme: self,
-            core: Lookup::new(geom, mab, false),
-            links,
-            btb,
-            link_bit_reads: 0,
-            prev_packet: None,
-            current_way: None,
+            core,
+            links: (self == IScheme::LinkMemo).then(|| LinkTable::new(geom)),
+            btb: match self {
+                IScheme::ExtendedBtb { entries } => Some(Btb::new(geom, entries)),
+                _ => None,
+            },
         }
     }
 }
 
-/// A trace-driven I-cache model under one scheme.
-#[derive(Debug)]
-pub struct IFront {
-    scheme: IScheme,
-    core: Lookup,
-    links: Option<LinkTable>,
-    btb: Option<Btb>,
-    /// Extra link-field reads performed alongside instruction reads
-    /// (LinkMemo only) — the "two extra bits per instruction" cost.
-    link_bit_reads: u64,
-    prev_packet: Option<u32>,
-    /// The way holding the most recently fetched packet (the "way
-    /// register" that intra-line flow reuses).
-    current_way: Option<u32>,
+/// A line run's head as the chain's cache saw it, with the packet fetched
+/// before it and the way that packet was in.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    packet: u32,
+    kind: FetchKind,
+    prev: Option<(u32, u32)>,
+    out: AccessOutcome,
 }
 
-impl IFront {
-    /// The scheme this front-end models.
-    #[must_use]
-    pub fn scheme(&self) -> IScheme {
-        self.scheme
+/// One line run: its head, unless the run began in an earlier batch, and
+/// the further packets of its line fetched after it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    head: Option<Head>,
+    further: u64,
+}
+
+/// One I scheme's rule and the structures it keeps beside the chain's
+/// cache: its lookup core, and its links or BTB.
+#[derive(Debug)]
+pub(crate) struct IRule {
+    pub(crate) scheme: IScheme,
+    pub(crate) core: Lookup,
+    links: Option<LinkTable>,
+    btb: Option<Btb>,
+}
+
+impl Front for IRule {
+    type Outcome = Run;
+    /// The packet fetched last and the way it is in.
+    type Carry = Option<(u32, u32)>;
+
+    /// Looks up each line run's head and counts the further packets that
+    /// follow it. A sequential fetch into the packet just fetched adds
+    /// nothing; a branch, return or indirect jump starts a new head even
+    /// into the same line. A window ends only before a head, so a run's
+    /// further packets stay with it; a run cut at a batch's end goes on
+    /// in the next batch as a run without a head.
+    fn outcomes(
+        cache: &mut SetAssocCache,
+        mem: &mut MainMemory,
+        last: &mut Option<(u32, u32)>,
+        events: &[TraceEvent],
+        window: &mut Vec<Run>,
+    ) -> usize {
+        let geom = cache.geometry();
+        for (i, &e) in events.iter().enumerate() {
+            let TraceEvent::Fetch { pc, kind } = e else {
+                continue;
+            };
+            let packet = pc & !(PACKET_BYTES - 1);
+            if let Some((prev, way)) = *last {
+                if kind == FetchKind::Sequential && geom.same_line(prev, packet) {
+                    if prev != packet {
+                        debug_assert_eq!(cache.probe(packet), Some(way));
+                        debug_assert_eq!(cache.mru_way(geom.index_of(packet)), way);
+                        match window.last_mut() {
+                            Some(run) => run.further += 1,
+                            None => window.push(Run { head: None, further: 1 }),
+                        }
+                        *last = Some((packet, way));
+                    }
+                    continue;
+                }
+            }
+            if window.len() == WINDOW {
+                return i;
+            }
+            let out = cache.access(packet, AccessKind::Load, mem);
+            window.push(Run { head: Some(Head { packet, kind, prev: *last, out }), further: 0 });
+            *last = Some((packet, out.way));
+        }
+        events.len()
+    }
+
+    fn apply(&mut self, window: &[Run]) {
+        for run in window {
+            if let Some(head) = &run.head {
+                self.head(head);
+            }
+            self.further_packets(run.further);
+        }
+    }
+}
+
+impl IRule {
+    /// Applies the scheme to a run's head.
+    fn head(&mut self, h: &Head) {
+        self.core.stats.accesses += 1;
+        // The link fields ride along with every instruction read: the
+        // "two extra bits per instruction" cost.
+        self.core.buffer_probes += u64::from(self.links.is_some());
+        let sequential = h.kind == FetchKind::Sequential;
+        match self.scheme {
+            IScheme::Original | IScheme::IntraLine => self.conventional(&h.out),
+            IScheme::WayMemo { .. } => {
+                let (base, disp) = match (h.kind, h.prev) {
+                    // Inter-line sequential: PC + stride (Figure 2's
+                    // "+8" input).
+                    (FetchKind::Sequential, Some((prev, _))) => (prev, PACKET_BYTES as i32),
+                    // Very first fetch: no architectural base exists;
+                    // treat the packet address itself as the base.
+                    (FetchKind::Sequential, None) => (h.packet, 0),
+                    (FetchKind::TakenBranch { base, disp }, _) => (base, disp),
+                    (FetchKind::LinkReturn { target }, _) => (target, 0),
+                    (FetchKind::Indirect { base, disp }, _) => (base, disp),
+                };
+                self.core.mab_access(AccessKind::Load, &h.out, base, disp);
+            }
+            IScheme::LinkMemo => self.link_fetch(h, sequential),
+            // [12]'s weakness: inter-line sequential flow pays.
+            IScheme::ExtendedBtb { .. } if sequential => self.conventional(&h.out),
+            IScheme::ExtendedBtb { .. } => self.btb_fetch(h),
+        }
     }
 
     /// A conventional fetch. A fill drops the links and BTB entries that
     /// name the refilled location before the caller records a new one.
-    fn conventional(&mut self, packet: u32) -> u32 {
-        let out = self.core.conventional(AccessKind::Load, packet);
+    fn conventional(&mut self, out: &AccessOutcome) {
+        self.core.conventional(AccessKind::Load, out);
         if !out.hit {
             if let Some(links) = self.links.as_mut() {
                 links.invalidate_target(out.index, out.way);
@@ -159,11 +254,6 @@ impl IFront {
                 btb.invalidate_target(out.index, out.way);
             }
         }
-        out.way
-    }
-
-    fn known_way(&mut self, packet: u32, way: u32) -> u32 {
-        self.core.known_way(AccessKind::Load, packet, way).way
     }
 
     /// Charges `n` further packets of the line the previous access used:
@@ -172,116 +262,48 @@ impl IFront {
     /// reads every tag and way; the other schemes read the way register's
     /// way alone and count an intra-line skip; the link fields ride along
     /// with every read. The MAB is not probed, which
-    /// [`energy_counts`](Self::energy_counts) reads from the skips.
-    fn mru_packets(&mut self, n: u64) {
-        let geom = self.core.geom;
-        debug_assert!(
-            self.prev_packet
-                .zip(self.current_way)
-                .is_some_and(|(p, w)| {
-                    self.core.cache.probe(p) == Some(w)
-                        && self.core.cache.mru_way(geom.index_of(p)) == w
-                }),
-            "a further packet must hit the most recently used way"
-        );
+    /// [`Lookup::energy_counts`] reads from the skips.
+    fn further_packets(&mut self, n: u64) {
         let s = &mut self.core.stats;
         s.accesses += n;
         s.hits += n;
         if self.scheme == IScheme::Original {
-            let w = u64::from(geom.ways());
+            let w = u64::from(self.core.geom.ways());
             s.tag_reads += w * n;
             s.way_reads += w * n;
         } else {
             s.way_reads += n;
             s.intra_line_skips += n;
         }
-        if self.links.is_some() {
-            self.link_bit_reads += n;
-        }
-    }
-
-    /// Feeds one instruction fetch into the model. A sequential fetch into
-    /// the packet just fetched costs nothing, and one into another packet
-    /// of the same line takes the further-packet rule that
-    /// [`replay`](Self::replay) charges per line run.
-    pub fn fetch(&mut self, pc: u32, kind: FetchKind) {
-        let packet = pc & !(PACKET_BYTES - 1);
-        let sequential = matches!(kind, FetchKind::Sequential);
-        if sequential {
-            match self.prev_packet {
-                // Still streaming out of the fetched packet.
-                Some(prev) if prev == packet => return,
-                Some(prev) if self.core.geom.same_line(prev, packet) => {
-                    self.mru_packets(1);
-                    self.prev_packet = Some(packet);
-                    return;
-                }
-                _ => {}
-            }
-        }
-        self.core.stats.accesses += 1;
-        if self.links.is_some() {
-            // The link fields ride along with every instruction read.
-            self.link_bit_reads += 1;
-        }
-
-        let way = match self.scheme {
-            IScheme::Original | IScheme::IntraLine => self.conventional(packet),
-            IScheme::WayMemo { .. } => {
-                let (base, disp) = match (kind, self.prev_packet) {
-                    // Inter-line sequential: PC + stride (Figure 2's
-                    // "+8" input).
-                    (FetchKind::Sequential, Some(prev)) => (prev, PACKET_BYTES as i32),
-                    // Very first fetch: no architectural base exists;
-                    // treat the packet address itself as the base.
-                    (FetchKind::Sequential, None) => (packet, 0),
-                    (FetchKind::TakenBranch { base, disp }, _) => (base, disp),
-                    (FetchKind::LinkReturn { target }, _) => (target, 0),
-                    (FetchKind::Indirect { base, disp }, _) => (base, disp),
-                };
-                self.core
-                    .mab_access(AccessKind::Load, packet, base, disp)
-                    .way
-            }
-            IScheme::LinkMemo => self.link_fetch(packet, sequential),
-            // [12]'s weakness: inter-line sequential flow pays.
-            IScheme::ExtendedBtb { .. } if sequential => self.conventional(packet),
-            IScheme::ExtendedBtb { .. } => self.btb_fetch(packet),
-        };
-        self.current_way = Some(way);
-        self.prev_packet = Some(packet);
+        self.core.buffer_probes += if self.links.is_some() { n } else { 0 };
     }
 
     /// Way-extended-BTB fetch (Inoue et al. \[12\]): key the BTB by the
     /// packet the transfer came from; a full (source, target) match makes
     /// the target's way known.
-    fn btb_fetch(&mut self, packet: u32) -> u32 {
-        let target_base = self.core.geom.line_base(packet);
-        let Some(source) = self.prev_packet else {
-            return self.conventional(packet);
+    fn btb_fetch(&mut self, h: &Head) {
+        let target_base = self.core.geom.line_base(h.packet);
+        let Some((source, _)) = h.prev else {
+            return self.conventional(&h.out);
         };
         let btb = self.btb.as_mut().expect("scheme has BTB");
+        self.core.buffer_probes += 1;
         if let Some(way) = btb.probe(source, target_base) {
-            return self.known_way(packet, way);
+            self.core.stats.buffer_hits += 1;
+            return self.core.known_way(&h.out, way);
         }
-        let way = self.conventional(packet);
-        self.btb
-            .as_mut()
-            .expect("scheme has BTB")
-            .record(source, target_base, way);
-        way
+        self.conventional(&h.out);
+        let btb = self.btb.as_mut().expect("scheme has BTB");
+        btb.record(source, target_base, h.out.way);
     }
 
     /// Link-based fetch (Ma et al. \[11\]): consult the previous line's
     /// sequential or branch link; on a valid link the way is known, else
     /// do a conventional lookup and install the link for next time.
-    fn link_fetch(&mut self, packet: u32, sequential: bool) -> u32 {
+    fn link_fetch(&mut self, h: &Head, sequential: bool) {
         let geom = self.core.geom;
-        let target_base = geom.line_base(packet);
-        let prev_loc = self
-            .prev_packet
-            .zip(self.current_way)
-            .map(|(p, w)| (geom.index_of(p), w));
+        let target_base = geom.line_base(h.packet);
+        let prev_loc = h.prev.map(|(p, w)| (geom.index_of(p), w));
         if let Some((set, from_way)) = prev_loc {
             let links = self.links.as_ref().expect("scheme has links");
             let linked = if sequential {
@@ -291,86 +313,70 @@ impl IFront {
             };
             if let Some(way) = linked {
                 self.core.stats.buffer_hits += 1;
-                return self.known_way(packet, way);
+                return self.core.known_way(&h.out, way);
             }
         }
-        let way = self.conventional(packet);
+        self.conventional(&h.out);
         if let Some((set, from_way)) = prev_loc {
             let links = self.links.as_mut().expect("scheme has links");
             if sequential {
-                links.set_seq(set, from_way, target_base, way);
+                links.set_seq(set, from_way, target_base, h.out.way);
             } else {
-                links.set_branch(set, from_way, target_base, way);
+                links.set_branch(set, from_way, target_base, h.out.way);
             }
         }
-        way
+    }
+}
+
+/// A trace-driven I-cache model under one scheme: a replay chain of one.
+#[derive(Debug)]
+pub struct IFront(Chain<IRule>);
+
+impl IFront {
+    fn rule(&self) -> &IRule {
+        &self.0.fronts[0]
+    }
+
+    /// The scheme this front-end models.
+    #[must_use]
+    pub fn scheme(&self) -> IScheme {
+        self.rule().scheme
+    }
+
+    /// Feeds one instruction fetch into the model. A sequential fetch into
+    /// the packet just fetched costs nothing, and one into another packet
+    /// of the same line takes the further-packet rule.
+    pub fn fetch(&mut self, pc: u32, kind: FetchKind) {
+        self.replay(&[TraceEvent::Fetch { pc, kind }]);
     }
 
     /// Replays a recorded trace slice into the model: fetch events are
     /// consumed in program order, loads and stores are skipped. Like
-    /// [`DFront::replay`](crate::DFront::replay), the loop is monomorphic
-    /// for this front-end — the hot path of the record/replay engine.
-    ///
-    /// The slice is taken one line run at a time: the run's head goes
-    /// through [`fetch`](Self::fetch), and the sequential fetches that
-    /// follow it in the same line are counted, not looked up, with the
-    /// rule `fetch` applies to one of them. A branch, return or indirect
-    /// jump starts a new head even into the same line, and a run cut at
-    /// the slice's end resumes through `fetch` in the next slice, so any
-    /// split of a trace into slices gives the same counts.
+    /// [`DFront::replay`](crate::DFront::replay), it runs through the
+    /// engine's own chain code: the cache pass looks up each line run's
+    /// head, and the scheme charges the run. Any split of a trace into
+    /// slices gives the same counts.
     pub fn replay(&mut self, events: &[TraceEvent]) {
-        let mut rest = events;
-        while let Some((&head, tail)) = rest.split_first() {
-            rest = tail;
-            let TraceEvent::Fetch { pc, kind } = head else {
-                continue;
-            };
-            self.fetch(pc, kind);
-            let mut last = pc & !(PACKET_BYTES - 1);
-            let line = self.core.geom.line_base(last);
-            let mut packets = 0;
-            while let Some((
-                &TraceEvent::Fetch {
-                    pc,
-                    kind: FetchKind::Sequential,
-                },
-                tail,
-            )) = rest.split_first()
-            {
-                let packet = pc & !(PACKET_BYTES - 1);
-                if self.core.geom.line_base(packet) != line {
-                    break;
-                }
-                packets += u64::from(packet != last);
-                last = packet;
-                rest = tail;
-            }
-            if packets > 0 {
-                self.mru_packets(packets);
-                self.prev_packet = Some(last);
-            }
-        }
+        self.0.replay(events);
     }
 
-    /// Accounting so far. BTB hits are the BTB's own count; MAB counters
+    /// Accounting so far. Buffer hits are link and BTB hits; MAB counters
     /// are the MAB's.
     #[must_use]
     pub fn stats(&self) -> AccessStats {
-        let mut s = self.core.stats();
-        s.buffer_hits += self.btb.as_ref().map_or(0, Btb::hits);
-        s
+        self.rule().core.stats()
     }
 
     /// Raw MAB statistics (MAB schemes only).
     #[must_use]
     pub fn mab_stats(&self) -> Option<MabStats> {
-        self.core.mab_stats()
+        self.rule().core.mab_stats()
     }
 
     /// The MAB's hardware shape (MAB schemes only).
     #[must_use]
     pub fn mab_shape(&self) -> Option<MabShape> {
-        self.core.mab_shape()
+        self.rule().core.mab_shape()
     }
 
     /// Converts counters into hwmodel inputs (`cycles` = instructions).
@@ -382,40 +388,21 @@ impl IFront {
     /// probe per access for the link-valid muxing.
     #[must_use]
     pub fn energy_counts(&self, cycles: u64) -> EnergyCounts {
-        let s = self.core.stats();
-        let way_reads = if self.links.is_some() {
-            let line_bits = u64::from(self.core.geom.line_bytes()) * 8;
-            let link_bits = u64::from(self.core.geom.line_bytes()) / 4 * 2;
-            s.way_reads + s.way_reads * link_bits / line_bits
-        } else {
-            s.way_reads
-        };
-        EnergyCounts {
-            way_reads,
-            tag_reads: s.tag_reads,
-            buffer_probes: self.link_bit_reads + self.btb.as_ref().map_or(0, Btb::probes),
-            mab_lookups: if self.core.mab.is_some() {
-                // The I-MAB is probed on every non-intra-line access.
-                s.accesses - s.intra_line_skips
-            } else {
-                0
-            },
-            cycles,
-        }
+        self.rule().core.energy_counts(cycles)
     }
 
     /// Replacement-time link invalidations performed so far (LinkMemo
     /// baseline only) — the bookkeeping cost the MAB avoids.
     #[must_use]
     pub fn link_invalidations(&self) -> Option<u64> {
-        self.links.as_ref().map(LinkTable::invalidated)
+        self.rule().links.as_ref().map(LinkTable::invalidated)
     }
 }
 
 /// An I-front is itself a [`TraceSink`]: fetches feed the model, data
 /// events are ignored, and the batched [`TraceSink::events`] entry point
-/// dispatches to the monomorphic [`IFront::replay`] loop — the path the
-/// record/replay engine drives.
+/// dispatches to [`IFront::replay`] — the path the record/replay engine
+/// drives.
 impl TraceSink for IFront {
     fn fetch(&mut self, pc: u32, kind: FetchKind) {
         IFront::fetch(self, pc, kind);
@@ -599,9 +586,9 @@ mod tests {
                 },
             );
             prev = target;
-            if let Some(mab) = f.core.mab.as_ref() {
+            if let Some(mab) = f.rule().core.mab.as_ref() {
                 for (set, way, tag) in mab.claims() {
-                    assert_eq!(f.core.cache.resident_way(tag, set), Some(way));
+                    assert_eq!(f.0.cache.resident_way(tag, set), Some(way));
                 }
             }
         }

@@ -114,8 +114,6 @@ pub struct Btb {
     geom: Geometry,
     entries: Vec<Option<BtbEntry>>,
     lru: waymem_cache::LruOrder,
-    probes: u64,
-    hits: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,20 +135,16 @@ impl Btb {
             geom,
             entries: vec![None; entries],
             lru: waymem_cache::LruOrder::new(entries),
-            probes: 0,
-            hits: 0,
         }
     }
 
     /// Probes for a transfer from `source` to the line at `target_base`;
     /// returns the memoized way on a full match and refreshes recency.
     pub fn probe(&mut self, source: u32, target_base: u32) -> Option<u32> {
-        self.probes += 1;
         let slot = self.entries.iter().position(|e| {
             matches!(e, Some(en) if en.source == source && en.target_base == target_base)
         })?;
         self.lru.touch(slot);
-        self.hits += 1;
         self.entries[slot].map(|e| e.way)
     }
 
@@ -181,18 +175,6 @@ impl Btb {
             }
         }
     }
-
-    /// Probes performed so far.
-    #[must_use]
-    pub fn probes(&self) -> u64 {
-        self.probes
-    }
-
-    /// Probes that matched.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
 }
 
 #[cfg(test)]
@@ -213,8 +195,6 @@ mod tests {
         assert_eq!(b.probe(0x100, 0x240), None, "target changed");
         b.invalidate_target(g.index_of(0x200), 1);
         assert_eq!(b.probe(0x100, 0x200), None);
-        assert_eq!(b.probes(), 4);
-        assert_eq!(b.hits(), 1);
     }
 
     #[test]

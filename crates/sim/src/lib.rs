@@ -2,10 +2,11 @@
 //!
 //! This crate wires everything together: the frv-lite CPU
 //! ([`waymem_isa`]) emits fetch and load/store events; a set of **cache
-//! front-ends** — one per lookup scheme — consume the same event stream in
-//! parallel and account how many tag arrays and data ways each scheme
-//! activates; [`waymem_hwmodel`] then turns the counts into the power
-//! numbers of the paper's Figures 5, 7 and 8 via Eq. (1).
+//! front-ends** — one per lookup scheme — read the outcomes of one shared
+//! cache per event section, in parallel chains, and account how many tag
+//! arrays and data ways each scheme activates; [`waymem_hwmodel`] then
+//! turns the counts into the power numbers of the paper's Figures 5, 7
+//! and 8 via Eq. (1).
 //!
 //! ## Schemes
 //!

@@ -6,17 +6,21 @@
 //! stream into whichever sink is the destination: a [`RecordedTrace`]
 //! (two flat `Vec<TraceEvent>` streams split at capture time, fetches
 //! apart from loads/stores) or a `.wmtr` file. The trace is then
-//! replayed through every requested scheme's front-end by the one
-//! engine, which serves both [`TraceSource`]s: the fronts are laid out
-//! into chains, at most one per host thread, each holding the fronts of
-//! one section, and each chain reads its section once through
-//! [`TraceSource::replay_section`] while a fan-out sink hands every
-//! batch to each of its fronts. The batched [`TraceSink::events`] entry
-//! point dispatches to a monomorphic loop ([`DFront::replay`] /
-//! [`IFront::replay`]), so no per-event virtual dispatch survives on the
-//! hot path; power is composed via Eq. (1) once every chain joins. Every
-//! front-end sees the identical stream, so every source, batch size and
-//! thread count gives bit-identical results.
+//! replayed through every requested scheme by the one engine, which
+//! serves both [`TraceSource`]s: the schemes are laid out into chains, at
+//! most one per host thread, each holding the schemes of one section.
+//! Each chain reads its section once through
+//! [`TraceSource::replay_section`] and owns the one cache of that
+//! section: it runs each window of a batch through the cache once, into
+//! a bounded outcome buffer (on the fetch side one outcome per line run),
+//! and then hands the window to each of its schemes in turn, which apply
+//! only their own rule to each outcome. The loops are monomorphic, so no
+//! per-event virtual dispatch survives on the hot path; power is
+//! composed via Eq. (1) once every chain joins. Every scheme sees the
+//! identical outcomes, so every source, batch size and thread count
+//! gives bit-identical results, and a front replayed alone
+//! ([`crate::DFront::replay`], [`crate::IFront::replay`]) is a chain of
+//! one running the same code.
 //!
 //! The composable front door to all of this is
 //! [`Experiment`](crate::Experiment) / [`Suite`](crate::Suite)
@@ -30,7 +34,6 @@ use std::io::BufReader;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 use waymem_obs::json::Json;
 use waymem_obs::phase::Phase;
@@ -38,16 +41,18 @@ use waymem_obs::span::SpanGuard;
 
 use waymem_cache::{AccessStats, Geometry};
 use waymem_hwmodel::{
-    cache_energies, mab_power_mw, CacheShape, EnergyCounts, MabShape, PowerBreakdown, Technology,
+    cache_energies, mab_power_mw, CacheShape, EnergyCounts, PowerBreakdown, Technology,
 };
-use waymem_isa::{AsmError, Cpu, CpuError, RecordingSink, TraceEvent, TraceSink};
+use waymem_isa::{AsmError, Cpu, CpuError, RecordingSink, TraceSink};
 use waymem_ingest::{hash_file, parse_into, synth, LogFormat};
 use waymem_trace::{
     fnv1a64, Section, StreamError, StreamingEncoder, StreamingTrace, SynthSpec, WorkloadId,
 };
 use waymem_workloads::Benchmark;
 
-use crate::{DFront, DScheme, IFront, IScheme, IngestMeta};
+use crate::frontends::lookup::{Chain, Front, Lookup};
+use crate::frontends::{DRule, IRule};
+use crate::{DScheme, IScheme, IngestMeta};
 
 /// Simulation configuration shared by all experiments.
 #[derive(Debug, Clone, Copy)]
@@ -267,42 +272,6 @@ pub fn result_json(result: &SimResult) -> Json {
         ("cycles", Json::from(result.cycles)),
         ("schemes", Json::Array(schemes.collect())),
     ])
-}
-
-/// The fan-out sink: hands every batch to each front of one replay chain
-/// in turn, so a section read once feeds them all. Each batch's time is
-/// charged to the front that consumed it, so a front's busy time
-/// survives the shared read. Only the batched entry point is fed: every
-/// [`TraceSource`] delivers whole batches.
-struct Fanout<F> {
-    fronts: Vec<F>,
-    busy_ns: Vec<u64>,
-}
-
-impl<F> Fanout<F> {
-    fn new(fronts: Vec<F>) -> Self {
-        let busy_ns = vec![0; fronts.len()];
-        Fanout { fronts, busy_ns }
-    }
-
-    /// Hands the fronts back, publishing one `replay.front_ns`
-    /// observation per front: its busy time, summed over its batches.
-    fn finish(self) -> Vec<F> {
-        for ns in self.busy_ns {
-            waymem_obs::histogram!("replay.front_ns").record(ns);
-        }
-        self.fronts
-    }
-}
-
-impl<F: TraceSink> TraceSink for Fanout<F> {
-    fn events(&mut self, batch: &[TraceEvent]) {
-        for (f, busy) in self.fronts.iter_mut().zip(&mut self.busy_ns) {
-            let started = Instant::now();
-            f.events(batch);
-            *busy += elapsed_ns(started);
-        }
-    }
 }
 
 pub use waymem_isa::RecordedTrace;
@@ -605,49 +574,26 @@ fn sim_result(
     workload: WorkloadId,
     cycles: u64,
     cfg: &SimConfig,
-    dfronts: &[DFront],
-    ifronts: &[IFront],
+    dfronts: &[DRule],
+    ifronts: &[IRule],
 ) -> SimResult {
-    let g = cfg.geometry;
-    let energies = cache_energies(
-        CacheShape {
-            sets: g.sets(),
-            ways: g.ways(),
-            line_bytes: g.line_bytes(),
-            tag_bits: g.tag_bits(),
-        },
-        cfg.technology,
-    );
-    let row = |name, stats, energy, mab: Option<MabShape>, extra_cycles| {
-        let mab = mab.map(|s| mab_power_mw(s, cfg.technology));
-        SchemeResult {
-            name,
-            stats,
-            energy,
-            power: PowerBreakdown::from_counts(energy, energies, mab, cfg.technology),
-            extra_cycles,
-        }
+    let (g, tech) = (cfg.geometry, cfg.technology);
+    let shape = CacheShape {
+        sets: g.sets(),
+        ways: g.ways(),
+        line_bytes: g.line_bytes(),
+        tag_bits: g.tag_bits(),
     };
-    SimResult {
-        workload,
-        cycles,
-        dcache: dfronts
-            .iter()
-            .map(|f| {
-                let energy = f.energy_counts(cycles);
-                row(f.scheme().name(), f.stats(), energy, f.mab_shape(), f.extra_cycles())
-            })
-            .collect(),
-        icache: ifronts
-            .iter()
-            .map(|f| row(f.scheme().name(), f.stats(), f.energy_counts(cycles), f.mab_shape(), 0))
-            .collect(),
-    }
-}
-
-/// Elapsed nanoseconds since `started`, saturated to `u64::MAX`.
-fn elapsed_ns(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    let energies = cache_energies(shape, tech);
+    let row = |name, core: &Lookup, extra_cycles| {
+        let (stats, energy) = (core.stats(), core.energy_counts(cycles));
+        let mab = core.mab_shape().map(|s| mab_power_mw(s, tech));
+        let power = PowerBreakdown::from_counts(energy, energies, mab, tech);
+        SchemeResult { name, stats, energy, power, extra_cycles }
+    };
+    let dcache = dfronts.iter().map(|f| row(f.scheme.name(), &f.core, f.extra_cycles));
+    let icache = ifronts.iter().map(|f| row(f.scheme.name(), &f.core, 0));
+    SimResult { workload, cycles, dcache: dcache.collect(), icache: icache.collect() }
 }
 
 /// One replay chain: a contiguous run of one side's schemes, replayed on
@@ -684,26 +630,27 @@ fn chain_layout(d: usize, i: usize, workers: usize) -> Vec<ChainSpec> {
         .collect()
 }
 
-/// A replayed chain's fronts, by side.
-enum Chain {
-    Data(Vec<DFront>),
-    Fetch(Vec<IFront>),
+/// A replayed chain's schemes, by side.
+enum Replayed {
+    Data(Vec<DRule>),
+    Fetch(Vec<IRule>),
 }
 
-/// Replays one chain: builds its fronts, reads its section once from
-/// `source`, and fans every batch out to them through a [`Fanout`].
-/// Publishes the chain's instruments: a `replay.chain` span naming the
-/// section and the schemes, the section's `replay.data_events` or
-/// `replay.fetch_events` counter (events × fronts, as if each front had
-/// read the section alone), and one `replay.front_ns` observation per
-/// front.
+/// Replays one chain: builds its schemes' rules, reads its section once
+/// from `source` through a [`Chain`] that owns the section's one cache,
+/// and publishes the chain's instruments: a `replay.chain` span naming
+/// the section and the schemes, the section's `replay.data_events` or
+/// `replay.fetch_events` counter (events × schemes, as if each had read
+/// the section alone), one `replay.cache_ns` observation (the cache pass,
+/// summed over the chain's windows) and one `replay.front_ns` observation
+/// per scheme.
 fn replay_chain(
     source: &TraceSource,
     spec: &ChainSpec,
     geometry: Geometry,
     dschemes: &[DScheme],
     ischemes: &[IScheme],
-) -> Result<Chain, StreamError> {
+) -> Result<Replayed, StreamError> {
     let range = spec.schemes.clone();
     let _span = waymem_obs::span!(
         "replay.chain",
@@ -716,39 +663,52 @@ fn replay_chain(
     );
     Ok(match spec.section {
         Section::Data => {
-            let mut chain =
-                Fanout::new(dschemes[range].iter().map(|s| s.build(geometry)).collect());
-            let events = source.replay_section(Section::Data, &mut chain)?;
-            waymem_obs::counter!("replay.data_events").add(events * chain.fronts.len() as u64);
-            Chain::Data(chain.finish())
+            let rules = dschemes[range].iter().map(|s| s.rule(geometry)).collect();
+            Replayed::Data(run_chain(source, spec.section, Chain::new(geometry, rules))?)
         }
         Section::Fetch => {
-            let mut chain =
-                Fanout::new(ischemes[range].iter().map(|s| s.build(geometry)).collect());
-            let events = source.replay_section(Section::Fetch, &mut chain)?;
-            waymem_obs::counter!("replay.fetch_events").add(events * chain.fronts.len() as u64);
-            Chain::Fetch(chain.finish())
+            let rules = ischemes[range].iter().map(|s| s.rule(geometry)).collect();
+            Replayed::Fetch(run_chain(source, spec.section, Chain::new(geometry, rules))?)
         }
     })
+}
+
+/// Reads `section` of `source` through `chain`, publishes its counter and
+/// times, and returns its rules.
+fn run_chain<F: Front>(
+    source: &TraceSource,
+    section: Section,
+    mut chain: Chain<F>,
+) -> Result<Vec<F>, StreamError> {
+    let events = source.replay_section(section, &mut chain)? * chain.fronts.len() as u64;
+    match section {
+        Section::Data => waymem_obs::counter!("replay.data_events").add(events),
+        Section::Fetch => waymem_obs::counter!("replay.fetch_events").add(events),
+    }
+    waymem_obs::histogram!("replay.cache_ns").record(chain.cache_ns);
+    for ns in chain.front_ns {
+        waymem_obs::histogram!("replay.front_ns").record(ns);
+    }
+    Ok(chain.fronts)
 }
 
 /// The replay engine: evaluates a trace source — in memory or a `.wmtr`
 /// file — across every requested scheme's front-end, on up to `workers`
 /// threads.
 ///
-/// The fronts are laid out into chains by [`chain_layout`], each holding
-/// fronts of one section. A chain reads its section once through
-/// [`TraceSource::replay_section`] and hands every batch to each of its
-/// fronts: an in-memory section arrives as one whole-slice batch, a
-/// streamed one is decoded once per chain, not once per front. With more
-/// than one worker and more than one chain, each chain runs on a scoped
-/// thread of its own; otherwise the chains run inline. Chains are joined
-/// in layout order, so results keep the order the schemes were given,
-/// and every front consumes the identical event sequence in isolation,
-/// so the numbers are bit-identical across worker counts, sources and
-/// batch sizes. A chain's panic is re-raised on the caller's thread with
-/// its own payload, so [`catch_worker`](crate::catch_worker) reports its
-/// message.
+/// The schemes are laid out into chains by [`chain_layout`], each holding
+/// schemes of one section. A chain reads its section once through
+/// [`TraceSource::replay_section`] (an in-memory section arrives as one
+/// whole-slice batch, a streamed one is decoded once per chain), runs
+/// each window of a batch through its one cache, and hands the window's
+/// outcomes to each of its schemes. With more than one worker and more
+/// than one chain, each chain runs on a scoped thread of its own;
+/// otherwise the chains run inline. Chains are joined in layout order, so
+/// results keep the order the schemes were given, and every scheme
+/// applies its rule to the identical outcomes, so the numbers are
+/// bit-identical across worker counts, sources and batch sizes. A
+/// chain's panic is re-raised on the caller's thread with its own
+/// payload, so [`catch_worker`](crate::catch_worker) reports its message.
 ///
 /// # Errors
 ///
@@ -782,8 +742,8 @@ pub(crate) fn replay(
     let mut ifronts = Vec::with_capacity(ischemes.len());
     for c in chains {
         match c {
-            Chain::Data(fronts) => dfronts.extend(fronts),
-            Chain::Fetch(fronts) => ifronts.extend(fronts),
+            Replayed::Data(rules) => dfronts.extend(rules),
+            Replayed::Fetch(rules) => ifronts.extend(rules),
         }
     }
     Ok(sim_result(workload, source.cycles(), cfg, &dfronts, &ifronts))
@@ -843,8 +803,9 @@ pub(crate) fn source_hash(id: WorkloadId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontends::lookup::WINDOW;
     use crate::Experiment;
-    use waymem_isa::FetchKind;
+    use waymem_isa::{FetchKind, TraceEvent};
     use waymem_trace::TraceStore;
 
     /// `bench` under the paper's schemes, through the builder.
@@ -1179,8 +1140,16 @@ mod tests {
         use waymem_ingest::synth::generate;
         use waymem_trace::{SynthPattern, SynthSpec};
         let synth = |pattern| generate(SynthSpec { pattern, accesses: 2_000, seed: 3 });
+        // A window's worth of line-run heads, jumps to lines of their own,
+        // the last of which runs on into the next packet of its 16-B line:
+        // the first window's edge falls inside that run.
+        let jump = |pc: u32| TraceEvent::Fetch { pc, kind: FetchKind::Indirect { base: pc, disp: 0 } };
+        let mut fetch_events: Vec<_> = (0..WINDOW as u32).map(|k| jump(0x4_0000 + 48 * k)).collect();
+        let last = 0x4_0000 + 48 * (WINDOW as u32 - 1);
+        fetch_events.push(TraceEvent::Fetch { pc: last + 8, kind: FetchKind::Sequential });
+        fetch_events.extend(synth(SynthPattern::MultiLoop { loops: 64, period: 4 }).fetch_events);
         let trace = RecordedTrace {
-            fetch_events: synth(SynthPattern::MultiLoop { loops: 64, period: 4 }).fetch_events,
+            fetch_events,
             data_events: synth(SynthPattern::RwChase { nodes: 4096 }).data_events,
             cycles: 12_345,
         };
@@ -1196,8 +1165,8 @@ mod tests {
                 for start in (0..n).step_by(len) {
                     let spec = ChainSpec { section, schemes: start..(start + len).min(n) };
                     match replay_chain(source, &spec, cfg.geometry, &d, &i).expect("replays") {
-                        Chain::Data(f) => dfronts.extend(f),
-                        Chain::Fetch(f) => ifronts.extend(f),
+                        Replayed::Data(f) => dfronts.extend(f),
+                        Replayed::Fetch(f) => ifronts.extend(f),
                     }
                 }
             }

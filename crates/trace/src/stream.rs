@@ -25,8 +25,9 @@
 //!   is an `Err` before a single event is emitted, and the same bytes
 //!   get the same verdict as [`codec::decode`]. Replay takes `&self` and
 //!   opens its own file handle per call, so one handle serves many
-//!   concurrent cursors — in the simulator, one per replay chain, whose
-//!   fan-out sink hands each decoded batch to every front of the chain.
+//!   concurrent cursors — in the simulator, one per replay chain, which
+//!   runs each decoded batch through its one cache and hands the
+//!   outcomes to every front of the chain.
 //!
 //! The memory contract, concretely: replay holds one 64 KiB read window
 //! plus one batch of decoded events (default 4096 × 24 B ≈ 96 KiB) per

@@ -2,8 +2,9 @@
 //! [`Suite`] run must account for every replayed trace event exactly —
 //! the per-worker `replay.*` counters sum to the number of events the
 //! front-ends actually consumed, the `replay.front_ns` histogram holds
-//! one observation per front, and the armed span tracer emits a valid,
-//! balanced Chrome trace for the whole run.
+//! one observation per front and `replay.cache_ns` one per replay chain,
+//! and the armed span tracer emits a valid, balanced Chrome trace for
+//! the whole run.
 //!
 //! The obs instruments are process-global, so this binary holds exactly
 //! one `#[test]`: deltas stay attributable to the one run it performs.
@@ -40,9 +41,11 @@ fn parallel_suite_metrics_account_for_every_event() {
     let data_ctr = obs::counter!("replay.data_events");
     let fetch_ctr = obs::counter!("replay.fetch_events");
     let front_hist = obs::histogram!("replay.front_ns");
+    let cache_hist = obs::histogram!("replay.cache_ns");
     let data_before = data_ctr.get();
     let fetch_before = fetch_ctr.get();
     let fronts_before = front_hist.count();
+    let chains_before = cache_hist.count();
 
     let results = Suite::new()
         .workloads(workloads.clone())
@@ -70,6 +73,12 @@ fn parallel_suite_metrics_account_for_every_event() {
     let snap = front_hist.snapshot();
     assert_eq!(snap.count, snap.buckets.iter().sum::<u64>());
     assert_eq!(snap.count, front_hist.count());
+    // One `replay.cache_ns` observation per replay chain (its one cache
+    // pass, summed over its windows): at least a D and an I chain per
+    // workload, at most one chain per front.
+    let chains = cache_hist.count() - chains_before;
+    let per_side = workloads.len() as u64 * 2;
+    assert!((per_side..=fronts).contains(&chains), "{chains} chains for {fronts} fronts");
 
     // The captured spans round-trip as balanced Chrome trace JSON and
     // cover the record and replay phases of the run above.
@@ -88,5 +97,15 @@ fn parallel_suite_metrics_account_for_every_event() {
             summary.names
         );
     }
+    // Each chain enters one `replay.chain` span and records one cache pass.
+    use obs::json::Json;
+    let root = obs::json::parse(&text).expect("span file parses");
+    let spans = root.get("traceEvents").and_then(Json::as_arr).expect("events");
+    let is = |e: &Json, key: &str, value: &str| e.get(key).and_then(Json::as_str) == Some(value);
+    let chain_spans = spans
+        .iter()
+        .filter(|e| is(e, "name", "replay.chain") && is(e, "ph", "B"))
+        .count() as u64;
+    assert_eq!(chain_spans, chains, "one replay.cache_ns observation per replay.chain span");
     std::fs::remove_file(&path).ok();
 }
