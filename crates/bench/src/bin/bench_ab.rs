@@ -275,6 +275,8 @@ fn run(opts: &Options) -> Result<bool, String> {
             &format!("{}^{{commit}}", opts.base),
         ],
     )?;
+    // Stamps every workload's ledger record alike.
+    let prov = ledger::Provenance::detect();
     let base_tree = Worktree::add(&root, "base", &base_rev)?;
     let work_tree = Worktree::add(&root, "work", &snapshot(&root)?)?;
     let base = Side {
@@ -348,7 +350,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         );
         let bin = format!("perfbench:{workload}");
         let metrics = waymem_obs::snapshot::take().to_json();
-        if let Some(outcome) = ledger::append_from_env(&bin, Json::Object(perf), metrics) {
+        if let Some(outcome) = ledger::append_from_env(&bin, Json::Object(perf), metrics, &prov) {
             eprintln!(
                 "ledger: {} — {} records",
                 outcome.path.display(),

@@ -1,14 +1,15 @@
 //! Exports the full evaluation as CSV plus machine-readable JSON: one
-//! CSV row per (benchmark, cache, scheme) with tag/way/hit counters and
-//! the Eq. (1) power decomposition — the raw data behind every figure,
-//! ready for a plotting tool — and one [`result_json`] object per
-//! benchmark in `BENCH_export.json` (schema `waymem/export/v1`). With a
-//! directory argument, writes `results.csv` and `BENCH_export.json`
-//! there; without one, prints the CSV to stdout and drops
-//! `BENCH_export.json` in the current directory so the machine-readable
-//! export is always produced.
+//! [`result_json`] object per benchmark in `BENCH_export.json` (schema
+//! `waymem/export/v1`), and one CSV row per (benchmark, cache, scheme)
+//! holding the benchmark, its cycles and every field of that scheme's
+//! result object — counters, per-access ratios, lookup-penalty cycles
+//! and the Eq. (1) power decomposition, the raw data behind every
+//! figure, ready for a plotting tool. The `cache` column reads `dcache`
+//! or `icache`, as in the JSON. With a directory argument, writes
+//! `results.csv` and `BENCH_export.json` there; without one, prints the
+//! CSV to stdout and drops `BENCH_export.json` in the current directory
+//! so the machine-readable export is always produced.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
 use waymem_bench::{full_dschemes, full_ischemes};
@@ -27,40 +28,24 @@ fn main() {
         .run()
         .expect("suite runs");
 
-    let mut csv = String::from(
-        "benchmark,cache,scheme,cycles,accesses,tag_reads,way_reads,hits,misses,\
-         mab_lookups,mab_hits,intra_line_skips,buffer_hits,extra_cycles,\
-         data_mw,tag_mw,mab_mw,buffer_mw,total_mw\n",
-    );
-    for r in &results {
-        for (side, schemes) in [("D", &r.dcache), ("I", &r.icache)] {
-            for s in schemes.iter() {
-                let st = &s.stats;
-                let p = &s.power;
-                let _ = writeln!(
-                    csv,
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:.4},{:.4},{:.4},{:.4},{:.4}",
-                    r.workload.name(),
-                    side,
-                    s.name,
-                    r.cycles,
-                    st.accesses,
-                    st.tag_reads,
-                    st.way_reads,
-                    st.hits,
-                    st.misses,
-                    st.mab_lookups,
-                    st.mab_hits,
-                    st.intra_line_skips,
-                    st.buffer_hits,
-                    s.extra_cycles,
-                    p.data_mw,
-                    p.tag_mw,
-                    p.mab_mw,
-                    p.buffer_mw,
-                    p.total_mw(),
-                );
+    let results: Vec<Json> = results.iter().map(result_json).collect();
+    // One CSV row per scheme object of the result JSON — the benchmark,
+    // its cycles, then the object's fields — so the CSV carries exactly
+    // what `BENCH_export.json` does.
+    let mut csv = String::new();
+    for result in &results {
+        let field = |key: &str| result.get(key).expect("result_json writes every key");
+        let head = [field("workload"), field("cycles")];
+        for scheme in field("schemes").as_arr().unwrap_or_default() {
+            let Json::Object(fields) = scheme else { continue };
+            if csv.is_empty() {
+                let keys = fields.iter().map(|(key, _)| key.as_str());
+                csv = ["benchmark", "cycles"].into_iter().chain(keys).collect::<Vec<_>>().join(",");
+                csv.push('\n');
             }
+            let values = head.into_iter().chain(fields.iter().map(|(_, value)| value));
+            csv += &values.map(cell).collect::<Vec<_>>().join(",");
+            csv.push('\n');
         }
     }
     let json = Json::object(vec![
@@ -72,7 +57,7 @@ fn main() {
         ])),
         ("scale", Json::from(cfg.scale)),
         ("trace_store", store.stats().to_json()),
-        ("results", Json::Array(results.iter().map(result_json).collect())),
+        ("results", Json::Array(results)),
     ]);
 
     let json_dir = out_dir.clone().unwrap_or_else(|| ".".to_owned());
@@ -89,4 +74,10 @@ fn main() {
         }
         None => print!("{csv}"),
     }
+}
+
+/// A CSV cell: a string bare (no scheme or benchmark name holds a
+/// comma), a number as the JSON renders it.
+fn cell(value: &Json) -> String {
+    value.as_str().map_or_else(|| value.to_string(), str::to_owned)
 }

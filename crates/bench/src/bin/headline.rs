@@ -14,8 +14,9 @@
 //! replaying each trace from its on-disk `.wmtr` file in batches — and
 //! writes the wall-clocks, the streaming events/sec, and the store's
 //! hit/miss/compression accounting to `BENCH_headline.json` (schema
-//! `waymem/headline/v7`), so the repository tracks its own performance
-//! trajectory.
+//! `waymem/headline/v7`, not tracked), and appends them to the run
+//! ledger (`waymem_bench::ledger`), so the repository tracks its own
+//! performance trajectory.
 //!
 //! Set `WAYMEM_TRACE_CACHE=<dir>` to persist recorded traces across
 //! invocations; a second run then reports `"records": 0` — the CI
@@ -112,11 +113,11 @@ fn main() {
             .join(", ")
     );
 
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let provenance = ledger::Provenance::detect();
+    // One provenance stamps the report, the ledger record and the line
+    // printed about it.
+    let prov = ledger::Provenance::detect();
     // The perf figures double as this run's ledger record: what the
-    // report carries at its root, `bench_diff` reads back from
-    // `BENCH_LEDGER.jsonl` under `perf`.
+    // report carries at its root, the record carries under `perf`.
     let mut perf = vec![
         ("store_cold_seconds", Json::from(cold_s)),
         ("store_warm_seconds", Json::from(warm_s)),
@@ -129,8 +130,8 @@ fn main() {
     perf.extend(report.headline().map(|(name, pct)| (name, Json::from(pct))));
     let mut report = vec![
         ("schema", Json::from("waymem/headline/v7")),
-        ("git_rev", Json::from(provenance.git_rev.clone())),
-        ("host_threads", Json::from(host_threads as u64)),
+        ("git_rev", Json::from(prov.git_rev.clone())),
+        ("host_threads", Json::from(prov.host_threads)),
         ("benchmarks", Json::from(results.len() as u64)),
         ("dschemes", Json::from(dschemes.len() as u64)),
         ("ischemes", Json::from(ischemes.len() as u64)),
@@ -145,14 +146,14 @@ fn main() {
 
     // Append this run to the durable trajectory (WAYMEM_LEDGER=off to
     // skip; see waymem_bench::ledger for the dedup/rotation policy).
-    if let Some(outcome) = ledger::append_from_env("headline", Json::object(perf), metrics) {
+    if let Some(outcome) = ledger::append_from_env("headline", Json::object(perf), metrics, &prov) {
         eprintln!(
             "ledger: {} — {} records (run {} at rev {}{})",
             outcome.path.display(),
             outcome.records,
             outcome.runs_at_rev,
-            provenance.git_rev,
-            if provenance.git_dirty { ", dirty" } else { "" }
+            prov.git_rev,
+            if prov.git_dirty { ", dirty" } else { "" }
         );
     }
 

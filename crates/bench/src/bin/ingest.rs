@@ -365,7 +365,8 @@ fn main() -> ExitCode {
         ("trace_store", store.stats().to_json()),
         ("phases", waymem_obs::phase::to_json(&waymem_obs::phase::snapshot())),
     ];
-    if let Some(outcome) = ledger::append_from_env("ingest", Json::object(perf), metrics) {
+    let prov = ledger::Provenance::detect();
+    if let Some(outcome) = ledger::append_from_env("ingest", Json::object(perf), metrics, &prov) {
         eprintln!(
             "ledger: {} — {} records (run {})",
             outcome.path.display(),

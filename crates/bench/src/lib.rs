@@ -28,15 +28,13 @@
 //! re-exports the scheme presets ([`fig4_dschemes`] / [`fig6_ischemes`] /
 //! [`full_dschemes`] / [`full_ischemes`], defined in `waymem_sim::presets`),
 //! and holds the append-only run [`ledger`] the `BENCH_*.json` exports
-//! feed (`BENCH_LEDGER.jsonl`), the perf-[`diff`] engine the
-//! `bench_diff` regression gate runs on, and the pairwise statistics
-//! ([`ab`]) of the `bench_ab` gate, which runs the benchmark at a base
+//! feed (`BENCH_LEDGER.jsonl`) and the pairwise statistics ([`ab`]) of
+//! the `bench_ab` regression gate, which runs the benchmark at a base
 //! revision and at the working tree in alternating pairs. Every export is built with
 //! [`waymem_obs::json`]. `headline`, `export` and `ingest` take their
 //! trace store from the environment (`TraceStore::from_env`).
 
 pub mod ab;
-pub mod diff;
 pub mod ledger;
 pub mod paper;
 

@@ -7,6 +7,11 @@
 use waymem_sim::{DScheme, Experiment, IScheme, SimConfig, SimResult, Suite, TraceStore};
 use waymem_workloads::Benchmark;
 
+/// DCT's recorded trace in bytes, as events in memory and encoded as
+/// `.wmtr`: the codec's compression (7.21×) pinned exactly. A spill and
+/// a saved file encode it alike.
+const DCT_CODEC_BYTES: (u64, u64) = (5_028_740, 697_313);
+
 fn schemes() -> (Vec<DScheme>, Vec<IScheme>) {
     (
         vec![DScheme::Original, DScheme::paper_way_memo()],
@@ -74,7 +79,7 @@ fn suite_records_each_benchmark_exactly_once_across_configs() {
     dct().store(&store).streaming(true).run().expect("streams");
     let stats = store.stats();
     assert_eq!(stats.records, n, "the spill reuses the recording");
-    assert!(stats.compression_ratio() > 1.0, "codec must beat raw events");
+    assert_eq!((stats.raw_bytes, stats.encoded_bytes), DCT_CODEC_BYTES, "DCT spill");
 
     // So does saving a recording into a cache dir.
     let dir = std::env::temp_dir().join(format!("waymem-store-codec-{}", std::process::id()));
@@ -84,7 +89,7 @@ fn suite_records_each_benchmark_exactly_once_across_configs() {
     let stats = saving.stats();
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(stats.files_saved, 1);
-    assert!(stats.compression_ratio() > 1.0, "codec must beat raw events");
+    assert_eq!((stats.raw_bytes, stats.encoded_bytes), DCT_CODEC_BYTES, "saved DCT file");
 
     // A different scale is a different key: seven more recordings.
     let scaled = SimConfig { scale: 2, ..cfg };

@@ -280,38 +280,23 @@ pub struct RecordingSink {
 }
 
 impl RecordingSink {
-    /// Upper bound on the capacity pre-allocated from a step budget, in
-    /// events. Beyond this the `Vec` grows geometrically as usual; the
-    /// cap only bounds the blind up-front allocation (~24 B/event, so
-    /// ~12 MB at the cap). Step *budgets* are routinely 100× more
-    /// generous than actual runs, so sizing must never trust them fully.
+    /// Upper bound on the capacity pre-allocated from an estimate (a
+    /// kernel's step budget, a section's event count), in events.
+    /// Beyond this the `Vec` grows geometrically as usual; the cap only
+    /// bounds the blind up-front allocation (~24 B/event, so ~12 MB at
+    /// the cap). Step *budgets* are routinely 100× more generous than
+    /// actual runs, so sizing must never trust them fully.
     pub const MAX_PREALLOC_EVENTS: usize = 1 << 19;
 
     /// Clamps an event-count estimate to a sane pre-allocation:
     /// [`MAX_PREALLOC_EVENTS`](Self::MAX_PREALLOC_EVENTS) at most, on
-    /// overflow too. Shared by [`with_step_budget`](Self::with_step_budget)
-    /// and the streamed trace decoder so the clamp logic cannot drift
-    /// between them.
+    /// overflow too. The streamed trace decoder sizes each section's
+    /// buffer with it.
     #[must_use]
     pub fn prealloc_cap(estimated_events: u64) -> usize {
         usize::try_from(estimated_events)
             .unwrap_or(Self::MAX_PREALLOC_EVENTS)
             .min(Self::MAX_PREALLOC_EVENTS)
-    }
-
-    /// A sink sized for a run of at most `max_steps` instructions.
-    ///
-    /// Every retired instruction emits one fetch plus at most one
-    /// load/store, so `2 * max_steps` bounds the stream; the typical mix
-    /// is nearer 1.3 events per instruction. The pre-allocation uses the
-    /// hard bound but clamps it via [`prealloc_cap`](Self::prealloc_cap),
-    /// so a generous step budget (workloads commonly halt far below it)
-    /// does not translate into a huge idle allocation.
-    #[must_use]
-    pub fn with_step_budget(max_steps: u64) -> Self {
-        Self {
-            events: Vec::with_capacity(Self::prealloc_cap(max_steps.saturating_mul(2))),
-        }
     }
 }
 
@@ -447,10 +432,7 @@ mod tests {
 
     #[test]
     fn step_budget_preallocation_is_capped() {
-        let small = RecordingSink::with_step_budget(100);
-        assert!(small.events.capacity() >= 200);
-        let huge = RecordingSink::with_step_budget(u64::MAX);
-        assert!(huge.events.capacity() <= RecordingSink::MAX_PREALLOC_EVENTS);
-        assert!(huge.events.is_empty());
+        assert_eq!(RecordingSink::prealloc_cap(200), 200);
+        assert_eq!(RecordingSink::prealloc_cap(u64::MAX), RecordingSink::MAX_PREALLOC_EVENTS);
     }
 }

@@ -318,7 +318,8 @@ fn main() -> ExitCode {
 
     match daemon_metrics {
         Some(metrics) => {
-            if let Some(outcome) = ledger::append_from_env("loadgen", perf, metrics) {
+            let prov = ledger::Provenance::detect();
+            if let Some(outcome) = ledger::append_from_env("loadgen", perf, metrics, &prov) {
                 eprintln!(
                     "ledger: {} — {} records (run {})",
                     outcome.path.display(),

@@ -7,11 +7,13 @@
 //! ```text
 //! usage: waymem-serve [--addr HOST:PORT]
 //!
-//! env:   WAYMEM_SERVE_ADDR        listen address (default 127.0.0.1:7914)
-//!        WAYMEM_SERVE_WORKERS     worker threads (default min(cores, 4))
-//!        WAYMEM_SERVE_QUEUE       admission queue depth (default 64)
-//!        WAYMEM_SERVE_TIMEOUT_MS  per-request budget (default 60000)
-//!        WAYMEM_TRACE_DIR         persistent store directory (default in-memory)
+//! env:   WAYMEM_SERVE_ADDR             listen address (default 127.0.0.1:7914)
+//!        WAYMEM_SERVE_WORKERS          worker threads (default min(cores, 4))
+//!        WAYMEM_SERVE_QUEUE            admission queue depth (default 64)
+//!        WAYMEM_SERVE_TIMEOUT_MS       per-request budget (default 60000)
+//!        WAYMEM_TRACE_CACHE            persistent store directory (default in-memory)
+//!        WAYMEM_TRACE_CACHE_MAX_BYTES  byte cap on that directory (default none)
+//!        WAYMEM_FAULT_PLAN             store fault plan, SEED[:PERIOD] (default off)
 //! ```
 //!
 //! The bound address is announced on stdout as `listening on ADDR` —

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The phase breakdown: exclusive wall-clock per engine phase —
     // the same numbers `headline` exports as `phases` in
-    // BENCH_headline.json (schema v6).
+    // BENCH_headline.json (schema v7).
     println!("\nengine phases (exclusive wall-clock):");
     for (name, seconds) in obs::phase::snapshot() {
         println!("  {name:<10} {:.1} ms", seconds * 1e3);
