@@ -14,19 +14,21 @@ use std::path::Path;
 
 use waymem_bench::{full_dschemes, full_ischemes};
 use waymem_obs::json::Json;
-use waymem_sim::{result_json, SimConfig, Suite, TraceStore};
+use waymem_sim::{result_json, Experiment, SimConfig, TraceStore};
+use waymem_workloads::Benchmark;
 
 fn main() {
     let out_dir = std::env::args().nth(1);
     let cfg = SimConfig::default();
     let store = TraceStore::from_env();
-    let results = Suite::kernels()
-        .config(cfg)
-        .dschemes(full_dschemes())
-        .ischemes(full_ischemes())
-        .store(&store)
-        .run()
-        .expect("suite runs");
+    let results = Experiment::run_all(Benchmark::ALL.map(|bench| {
+        Experiment::kernel(bench)
+            .config(cfg)
+            .dschemes(full_dschemes())
+            .ischemes(full_ischemes())
+            .store(&store)
+    }))
+    .expect("suite runs");
 
     let results: Vec<Json> = results.iter().map(result_json).collect();
     // One CSV row per scheme object of the result JSON — the benchmark,

@@ -41,10 +41,10 @@ fn main() {
     // Cold pass: every lookup misses in memory (records, or loads from a
     // warm cache dir); warm pass: every lookup is an in-memory hit.
     let cold_start = Instant::now();
-    let results = paper::suite().store(&store).run().expect("suite runs");
+    let results = paper::suite(&store).expect("suite runs");
     let cold_s = cold_start.elapsed().as_secs_f64();
     let warm_start = Instant::now();
-    let warm = paper::suite().store(&store).run().expect("suite runs");
+    let warm = paper::suite(&store).expect("suite runs");
     let warm_s = warm_start.elapsed().as_secs_f64();
 
     // Streaming pass: each kernel's trace replays from its on-disk

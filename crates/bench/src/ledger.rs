@@ -17,7 +17,7 @@
 //!   the tail record (bumping its `runs_at_rev` count) rather than
 //!   stacking near-identical lines, so one line ≈ one code state;
 //! * **rotation** — the file is trimmed to the newest
-//!   [`DEFAULT_MAX_RECORDS`] lines (override with `WAYMEM_LEDGER_MAX`).
+//!   [`DEFAULT_MAX_RECORDS`] lines.
 //!
 //! Writes go through a temp file + rename, so a run killed mid-append
 //! leaves the previous ledger intact — the same crash discipline as the
@@ -43,7 +43,7 @@ pub const SCHEMA: &str = "waymem/ledger/v1";
 /// Where records land when `WAYMEM_LEDGER` names no path.
 pub const DEFAULT_PATH: &str = "BENCH_LEDGER.jsonl";
 
-/// Records kept after rotation (override with `WAYMEM_LEDGER_MAX`).
+/// Records kept after rotation.
 pub const DEFAULT_MAX_RECORDS: usize = 512;
 
 /// Where a run happened: the provenance stamp on every record.
@@ -200,7 +200,7 @@ fn ledger_path_from_env() -> Option<PathBuf> {
 /// their `BENCH_*.json`, with the snapshot of the process that did the
 /// work as `metrics` and the run's one [detected](Provenance::detect)
 /// `prov`: path from `WAYMEM_LEDGER` (default [`DEFAULT_PATH`]; `off` /
-/// `0` / `none` disables), rotation cap from `WAYMEM_LEDGER_MAX`.
+/// `0` / `none` disables), rotating at [`DEFAULT_MAX_RECORDS`].
 /// Returns `None` when disabled; a failed write warns and returns
 /// `None` rather than failing the run that produced the results.
 pub fn append_from_env(
@@ -210,11 +210,7 @@ pub fn append_from_env(
     prov: &Provenance,
 ) -> Option<LedgerOutcome> {
     let path = ledger_path_from_env()?;
-    let max_records = std::env::var("WAYMEM_LEDGER_MAX")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_MAX_RECORDS);
-    match append_to(&path, bin, perf, metrics, prov, max_records) {
+    match append_to(&path, bin, perf, metrics, prov, DEFAULT_MAX_RECORDS) {
         Ok(outcome) => Some(outcome),
         Err(e) => {
             waymem_obs::warn!("ledger.append_failed", path = path.display(), error = e);

@@ -8,15 +8,15 @@
 //! | `ingest`   | any external/synthetic trace through every scheme                 |
 //!
 //! Run any of them with `cargo run --release -p waymem-bench --bin <name>`.
-//! Every binary drives the same [`Experiment`](waymem_sim::Experiment) /
-//! [`Suite`](waymem_sim::Suite) builder the library users get — e.g. the
-//! evaluation behind `paper`:
+//! Every binary drives the same [`Experiment`](waymem_sim::Experiment)
+//! builder the library users get — e.g. the evaluation behind `paper`:
 //!
 //! ```no_run
 //! use waymem_bench::paper::{self, Report};
+//! use waymem_sim::TraceStore;
 //!
 //! # fn main() -> Result<(), waymem_sim::RunError> {
-//! let results = paper::suite().run()?;
+//! let results = paper::suite(&TraceStore::new())?;
 //! let report = Report::new(&results);
 //! println!("Fig. 8 average saving: {:.1}%", report.ours("fig8.saving_avg_pct"));
 //! # Ok(())

@@ -26,9 +26,10 @@ use waymem_hwmodel::{
 };
 use waymem_obs::json::Json;
 use waymem_sim::{
-    fig4_dschemes, fig6_ischemes, format_power_table, format_ratio_table, DScheme, FigureRow,
-    IScheme, RunError, SchemeResult, SimConfig, SimResult, Suite, TraceStore,
+    fig4_dschemes, fig6_ischemes, format_power_table, format_ratio_table, DScheme, Experiment,
+    FigureRow, IScheme, RunError, SchemeResult, SimConfig, SimResult, TraceStore,
 };
+use waymem_workloads::Benchmark;
 
 use crate::geometric_mean;
 
@@ -106,10 +107,23 @@ pub fn ischemes() -> Vec<IScheme> {
     std::iter::once(I_ORIGINAL).chain(fig6_ischemes()).collect()
 }
 
-/// The seven kernels under the paper's scheme set: the run every row of
-/// a [`Report`] comes from.
-pub fn suite<'s>() -> Suite<'s> {
-    Suite::kernels().dschemes(dschemes()).ischemes(ischemes())
+/// Runs the seven kernels under the paper's scheme set over `store`:
+/// the run every row of a [`Report`] comes from.
+///
+/// # Errors
+///
+/// The first [`RunError`] in [`Benchmark::ALL`] order.
+pub fn suite(store: &TraceStore) -> Result<Vec<SimResult>, RunError> {
+    run_kernels(store, |exp| exp.dschemes(dschemes()).ischemes(ischemes()))
+}
+
+/// Runs the seven kernels, in [`Benchmark::ALL`] order, over `store`,
+/// each experiment set up by `setup`.
+fn run_kernels<'s>(
+    store: &'s TraceStore,
+    setup: impl Fn(Experiment<'s>) -> Experiment<'s>,
+) -> Result<Vec<SimResult>, RunError> {
+    Experiment::run_all(Benchmark::ALL.map(|bench| setup(Experiment::kernel(bench).store(store))))
 }
 
 /// Runs [`suite`] and the extension runs over one `store`, so each kernel
@@ -120,7 +134,7 @@ pub fn suite<'s>() -> Suite<'s> {
 ///
 /// The first [`RunError`] of any run.
 pub fn run(store: &TraceStore) -> Result<(Vec<SimResult>, Report), RunError> {
-    let results = suite().store(store).run()?;
+    let results = suite(store)?;
     let mut report = Report::new(&results);
     report.extensions(&results, store)?;
     Ok((results, report))
@@ -561,9 +575,10 @@ impl Report {
     fn extensions(&mut self, results: &[SimResult], store: &TraceStore) -> Result<(), RunError> {
         self.text.push_str("\nExtensions: the choices the paper argues for, tested (ext.* rows)\n");
         let sweep = SWEEP_TAG_ENTRIES.into_iter().flat_map(|t| SET_ENTRIES.map(|s| dmab(t, s)));
-        let dschemes = sweep.filter(|&s| s != D_OURS).chain(D_ALTERNATIVES).chain([D_PAPER_LRU]);
+        let dschemes: Vec<DScheme> =
+            sweep.filter(|&s| s != D_OURS).chain(D_ALTERNATIVES).chain([D_PAPER_LRU]).collect();
         let mut runs =
-            Suite::kernels().dschemes(dschemes).ischemes(I_EXTENSIONS).store(store).run()?;
+            run_kernels(store, |exp| exp.dschemes(dschemes.clone()).ischemes(I_EXTENSIONS))?;
         for (run, paper) in runs.iter_mut().zip(results) {
             run.dcache.extend_from_slice(&paper.dcache);
             run.icache.extend_from_slice(&paper.icache);
@@ -678,7 +693,7 @@ impl Report {
             for &w in ways {
                 let geometry = Geometry::new(kb * 1024 / (w * line), w, line).expect("a geometry");
                 let cfg = SimConfig { geometry, scale, ..SimConfig::default() };
-                let runs = Suite::kernels().config(cfg).dschemes(schemes).store(store).run()?;
+                let runs = run_kernels(store, |exp| exp.config(cfg).dschemes(schemes))?;
                 let mut column: Vec<f64> = runs.iter().map(|r| d_ratio(D_OURS, r)).collect();
                 column.push(geometric_mean(&column));
                 columns.push(format!("{kb}kB_{line}B_{w}way_s{scale}"));
@@ -712,7 +727,7 @@ impl Report {
     fn consistency(&mut self, runs: &[SimResult], store: &TraceStore) -> Result<(), RunError> {
         let kernels: Vec<String> = runs.iter().map(|r| r.workload.name()).collect();
         let small = Geometry::new(16, 2, 32).expect("a valid geometry");
-        let small = Suite::kernels().geometry(small).dschemes([D_PAPER_LRU]).store(store).run()?;
+        let small = run_kernels(store, |exp| exp.geometry(small).dschemes([D_PAPER_LRU]))?;
         let (name, quantities) =
             (D_PAPER_LRU.name(), ["mab_hits", "unsound_hits"].map(String::from));
         for (size, runs) in [("32kB", runs), ("1kB", &small[..])] {

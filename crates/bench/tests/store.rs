@@ -1,10 +1,10 @@
-//! Suite-level guarantees of the shared trace store: one recording per
-//! `(benchmark, scale)` per process regardless of how many
+//! Guarantees of the shared trace store over the seven kernels: one
+//! recording per `(benchmark, scale)` per process regardless of how many
 //! configurations replay it, results identical to the store-less
 //! drivers, and persistence carrying traces across store instances the
 //! way separate bench-bin invocations do.
 
-use waymem_sim::{DScheme, Experiment, IScheme, SimConfig, SimResult, Suite, TraceStore};
+use waymem_sim::{DScheme, Experiment, IScheme, RunError, SimConfig, SimResult, TraceStore};
 use waymem_workloads::Benchmark;
 
 /// DCT's recorded trace in bytes, as events in memory and encoded as
@@ -19,11 +19,17 @@ fn schemes() -> (Vec<DScheme>, Vec<IScheme>) {
     )
 }
 
-/// The kernel suite under the shared schemes at `cfg`, ready for an
-/// optional `.store(..)`.
-fn suite(cfg: &SimConfig) -> Suite<'static> {
+/// Runs the seven kernels under the shared schemes at `cfg`, over
+/// `store` when one is given.
+fn suite(cfg: &SimConfig, store: Option<&TraceStore>) -> Result<Vec<SimResult>, RunError> {
     let (d, i) = schemes();
-    Suite::kernels().config(*cfg).dschemes(d).ischemes(i)
+    Experiment::run_all(Benchmark::ALL.map(|bench| {
+        let exp = Experiment::kernel(bench).config(*cfg).dschemes(d.clone()).ischemes(i.clone());
+        match store {
+            Some(store) => exp.store(store),
+            None => exp,
+        }
+    }))
 }
 
 fn assert_same_results(a: &[SimResult], b: &[SimResult]) {
@@ -51,17 +57,17 @@ fn suite_records_each_benchmark_exactly_once_across_configs() {
     let cfg = SimConfig::default();
 
     // Three suite passes over different geometries — the sweep pattern.
-    let first = suite(&cfg).store(&store).run().expect("suite runs");
+    let first = suite(&cfg, Some(&store)).expect("suite runs");
     let wide = SimConfig {
         geometry: waymem_cache::Geometry::new(128, 8, 32).expect("valid"),
         ..cfg
     };
-    let _ = suite(&wide).store(&store).run().expect("suite runs");
+    let _ = suite(&wide, Some(&store)).expect("suite runs");
     let long_lines = SimConfig {
         geometry: waymem_cache::Geometry::new(256, 2, 64).expect("valid"),
         ..cfg
     };
-    let _ = suite(&long_lines).store(&store).run().expect("suite runs");
+    let _ = suite(&long_lines, Some(&store)).expect("suite runs");
 
     let stats = store.stats();
     let n = Benchmark::ALL.len() as u64;
@@ -93,11 +99,11 @@ fn suite_records_each_benchmark_exactly_once_across_configs() {
 
     // A different scale is a different key: seven more recordings.
     let scaled = SimConfig { scale: 2, ..cfg };
-    let _ = suite(&scaled).store(&store).run().expect("suite runs");
+    let _ = suite(&scaled, Some(&store)).expect("suite runs");
     assert_eq!(store.stats().records, 2 * n);
 
     // And the store-backed results match the store-less driver exactly.
-    let plain = suite(&cfg).run().expect("suite runs");
+    let plain = suite(&cfg, None).expect("suite runs");
     assert_same_results(&first, &plain);
 }
 
@@ -105,8 +111,8 @@ fn suite_records_each_benchmark_exactly_once_across_configs() {
 fn warm_suite_is_bit_identical_to_cold() {
     let store = TraceStore::new();
     let cfg = SimConfig::default();
-    let cold = suite(&cfg).store(&store).run().expect("cold");
-    let warm = suite(&cfg).store(&store).run().expect("warm");
+    let cold = suite(&cfg, Some(&store)).expect("cold");
+    let warm = suite(&cfg, Some(&store)).expect("warm");
     assert_same_results(&cold, &warm);
     assert_eq!(store.stats().records, Benchmark::ALL.len() as u64);
 }

@@ -36,12 +36,10 @@
 //! # }
 //! ```
 //!
-//! [`Suite`] is the multi-workload companion: the same knobs, shared
-//! across a list of workloads that fan out over worker threads (the
-//! seven paper kernels via [`Suite::kernels`], or any mix of kernels,
-//! logs and synthetics via [`Suite::workload`]).
+//! [`Experiment::run_all`] runs a list of experiments, each with its own
+//! settings, fanning them out over worker threads.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use waymem_cache::Geometry;
@@ -58,8 +56,8 @@ use crate::{DScheme, IScheme};
 
 /// What an [`Experiment`] runs: the workload half of the builder.
 ///
-/// Usually constructed through the [`Experiment`] constructors (or the
-/// `From` impls when feeding a [`Suite`]), not spelled out directly.
+/// Usually constructed through the [`Experiment`] constructors, not
+/// spelled out directly; [`Experiment::new`] takes one as is.
 #[derive(Debug, Clone)]
 pub enum WorkloadSpec {
     /// One of the seven built-in paper kernels, at the experiment's
@@ -89,36 +87,6 @@ pub enum WorkloadSpec {
         /// ([`LogFormat::for_path`]).
         format: Option<LogFormat>,
     },
-}
-
-impl From<Benchmark> for WorkloadSpec {
-    fn from(bench: Benchmark) -> Self {
-        WorkloadSpec::Kernel(bench)
-    }
-}
-
-impl From<WorkloadId> for WorkloadSpec {
-    fn from(id: WorkloadId) -> Self {
-        WorkloadSpec::Id(id)
-    }
-}
-
-impl From<SynthSpec> for WorkloadSpec {
-    fn from(spec: SynthSpec) -> Self {
-        WorkloadSpec::Synthetic(spec)
-    }
-}
-
-impl From<&Path> for WorkloadSpec {
-    fn from(path: &Path) -> Self {
-        WorkloadSpec::Log { path: path.to_path_buf(), format: None }
-    }
-}
-
-impl From<PathBuf> for WorkloadSpec {
-    fn from(path: PathBuf) -> Self {
-        WorkloadSpec::Log { path, format: None }
-    }
 }
 
 /// Where a workload's trace comes from.
@@ -159,7 +127,7 @@ impl WorkloadSpec {
 /// trace and ingestion metadata before replaying).
 ///
 /// See the [module docs](self) for the pipeline and an example; see
-/// [`Suite`] for multi-workload fan-out.
+/// [`run_all`](Experiment::run_all) for running a list of experiments.
 #[derive(Debug)]
 #[must_use = "an Experiment does nothing until .run() / .prepare()"]
 pub struct Experiment<'s> {
@@ -174,9 +142,9 @@ pub struct Experiment<'s> {
 impl Experiment<'_> {
     /// An experiment over any workload spec (usually via the typed
     /// constructors below).
-    pub fn new(workload: impl Into<WorkloadSpec>) -> Self {
+    pub fn new(workload: WorkloadSpec) -> Self {
         Experiment {
-            workload: workload.into(),
+            workload,
             cfg: SimConfig::default(),
             dschemes: Vec::new(),
             ischemes: Vec::new(),
@@ -321,6 +289,62 @@ impl<'s> Experiment<'s> {
         let (id, source_hash, source, ingest_meta) =
             resolve(&workload, &cfg, store, streaming)?;
         Ok(Prepared { id, source_hash, source, cfg, dschemes, ischemes, ingest_meta })
+    }
+
+    /// Runs every experiment, each with its own settings, and collects
+    /// the results in the given order.
+    ///
+    /// On a host with more than one thread the experiments fan out over
+    /// at most [`std::thread::available_parallelism`] workers, each
+    /// running a contiguous share of the list. Workers are joined in list
+    /// order, so result order — and which error is reported — matches a
+    /// serial loop exactly. A panicking experiment is caught at the
+    /// worker boundary and surfaces as [`RunError::Worker`], never as an
+    /// abort of the whole list.
+    ///
+    /// ```
+    /// use waymem_sim::{DScheme, Experiment, SynthPattern, SynthSpec};
+    /// use waymem_workloads::Benchmark;
+    ///
+    /// # fn main() -> Result<(), waymem_sim::RunError> {
+    /// let spec = SynthSpec { pattern: SynthPattern::Stream, accesses: 1_000, seed: 1 };
+    /// let results = Experiment::run_all([
+    ///     Experiment::kernel(Benchmark::Dct).dschemes([DScheme::Original]),
+    ///     Experiment::synthetic(spec).dschemes([DScheme::Original, DScheme::paper_way_memo()]),
+    /// ])?;
+    /// assert_eq!(results[1].dcache.len(), 2);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The first [`RunError`] in list order.
+    pub fn run_all(
+        experiments: impl IntoIterator<Item = Self>,
+    ) -> Result<Vec<SimResult>, RunError> {
+        let run_one = |exp: Self| {
+            let workload = &exp.workload;
+            let _span = waymem_obs::span!("suite.workload", workload = describe_workload(workload));
+            catch_worker(|| exp.run())
+        };
+        let experiments: Vec<Self> = experiments.into_iter().collect();
+        let workers = host_threads();
+        if workers < 2 || experiments.len() < 2 {
+            return experiments.into_iter().map(run_one).collect();
+        }
+        let chunk = experiments.len().div_ceil(workers);
+        let groups = experiments.len().div_ceil(chunk);
+        let mut experiments = experiments.into_iter();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..groups)
+                .map(|_| {
+                    let group: Vec<Self> = experiments.by_ref().take(chunk).collect();
+                    scope.spawn(move || group.into_iter().map(run_one).collect::<Vec<_>>())
+                })
+                .collect();
+            handles.into_iter().flat_map(join).collect()
+        })
     }
 }
 
@@ -478,178 +502,11 @@ impl Prepared {
     }
 }
 
-/// Multi-workload fan-out with shared configuration: the suite-level
-/// companion to [`Experiment`], fanning its workloads out across scoped
-/// worker threads.
-///
-/// ```no_run
-/// use waymem_sim::{presets, Suite};
-///
-/// # fn main() -> Result<(), waymem_sim::RunError> {
-/// let results = Suite::kernels() // the paper's seven benchmarks
-///     .dschemes(presets::fig4_dschemes())
-///     .run()?;
-/// assert_eq!(results.len(), 7);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-#[must_use = "a Suite does nothing until .run()"]
-pub struct Suite<'s> {
-    workloads: Vec<WorkloadSpec>,
-    cfg: SimConfig,
-    dschemes: Vec<DScheme>,
-    ischemes: Vec<IScheme>,
-    store: Option<&'s TraceStore>,
-    streaming: bool,
-}
-
-impl Default for Suite<'_> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Suite<'_> {
-    /// An empty suite; add workloads with [`workload`](Suite::workload)
-    /// / [`workloads`](Suite::workloads).
-    pub fn new() -> Self {
-        Suite {
-            workloads: Vec::new(),
-            cfg: SimConfig::default(),
-            dschemes: Vec::new(),
-            ischemes: Vec::new(),
-            store: None,
-            streaming: false,
-        }
-    }
-
-    /// The paper's evaluation suite: all seven benchmark kernels, in
-    /// [`Benchmark::ALL`] order.
-    pub fn kernels() -> Self {
-        Self::new().workloads(Benchmark::ALL)
-    }
-}
-
-impl<'s> Suite<'s> {
-    /// Appends one workload (anything an [`Experiment`] accepts:
-    /// a [`Benchmark`], [`SynthSpec`], [`WorkloadId`], log path, or a
-    /// full [`WorkloadSpec`]).
-    pub fn workload(mut self, workload: impl Into<WorkloadSpec>) -> Self {
-        self.workloads.push(workload.into());
-        self
-    }
-
-    /// Appends many workloads at once.
-    pub fn workloads<W: Into<WorkloadSpec>>(
-        mut self,
-        workloads: impl IntoIterator<Item = W>,
-    ) -> Self {
-        self.workloads.extend(workloads.into_iter().map(Into::into));
-        self
-    }
-
-    /// Replaces the whole simulation configuration at once.
-    pub fn config(mut self, cfg: SimConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Sets the cache geometry for both I- and D-caches.
-    pub fn geometry(mut self, geometry: Geometry) -> Self {
-        self.cfg.geometry = geometry;
-        self
-    }
-
-    /// Sets the workload scale factor (kernel workloads only; a bare
-    /// [`WorkloadId::Kernel`] workload's own scale wins, as on
-    /// [`Experiment::scale`]).
-    pub fn scale(mut self, scale: u32) -> Self {
-        self.cfg.scale = scale;
-        self
-    }
-
-    /// Sets the technology / operating point for the power models.
-    pub fn technology(mut self, technology: Technology) -> Self {
-        self.cfg.technology = technology;
-        self
-    }
-
-    /// Sets the D-cache schemes, replacing any previous set.
-    pub fn dschemes(mut self, schemes: impl IntoIterator<Item = DScheme>) -> Self {
-        self.dschemes = schemes.into_iter().collect();
-        self
-    }
-
-    /// Sets the I-cache schemes, replacing any previous set.
-    pub fn ischemes(mut self, schemes: impl IntoIterator<Item = IScheme>) -> Self {
-        self.ischemes = schemes.into_iter().collect();
-        self
-    }
-
-    /// Threads a shared [`TraceStore`] through every workload of the
-    /// suite (and, with an outer loop over geometries, through a whole
-    /// sweep).
-    pub fn store(mut self, store: &'s TraceStore) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Resolves and replays every workload through on-disk `.wmtr`
-    /// files instead of in-memory event vectors (see
-    /// [`Experiment::streaming`]): per-workload resident memory stays
-    /// O(batch) regardless of trace length.
-    pub fn streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Runs every workload and collects the results in workload order.
-    ///
-    /// On a host with more than one thread the workloads fan out over at
-    /// most [`std::thread::available_parallelism`] workload workers,
-    /// each replaying its workload through the chained engine. Workers
-    /// are joined in workload order, so result order — and which error
-    /// is reported — matches a serial loop exactly. A panicking workload
-    /// is caught at the worker boundary and surfaces as
-    /// [`RunError::Worker`], never as a suite-wide abort.
-    ///
-    /// # Errors
-    ///
-    /// The first [`RunError`] in workload order.
-    pub fn run(self) -> Result<Vec<SimResult>, RunError> {
-        let Suite { workloads, cfg, dschemes, ischemes, store, streaming } = self;
-        let run_one = |w: &WorkloadSpec| {
-            let _span = waymem_obs::span!("suite.workload", workload = describe_workload(w));
-            let exp = Experiment {
-                workload: w.clone(),
-                cfg,
-                dschemes: dschemes.clone(),
-                ischemes: ischemes.clone(),
-                store,
-                streaming,
-            };
-            catch_worker(|| exp.run())
-        };
-        let workers = host_threads();
-        if workers < 2 || workloads.len() < 2 {
-            return workloads.iter().map(run_one).collect();
-        }
-        let chunk = workloads.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = workloads
-                .chunks(chunk)
-                .map(|group| scope.spawn(move || group.iter().map(run_one).collect::<Vec<_>>()))
-                .collect();
-            handles.into_iter().flat_map(join).collect()
-        })
-    }
-}
-
 /// Runs `f`, converting an escaping panic into a structured
 /// [`RunError::Worker`] that carries the panic's message — the boundary
-/// [`Prepared::run`] wraps its replay in, and [`Suite::run`] every
-/// workload, so one poisoned workload cannot take down its siblings.
+/// [`Prepared::run`] wraps its replay in, and [`Experiment::run_all`]
+/// every experiment, so one poisoned workload cannot take down its
+/// siblings.
 pub fn catch_worker<T>(f: impl FnOnce() -> Result<T, RunError>) -> Result<T, RunError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
         let message = panic_message(payload.as_ref());

@@ -16,8 +16,10 @@ pub use icache::{IFront, IScheme};
 pub(crate) use icache::IRule;
 
 // The record/replay engine hands each chain to its own worker thread, so
-// its rules and the public fronts must stay `Send` (each owns its cache,
-// memory and buffer state outright — no shared interior mutability).
+// its rules and the public fronts must stay `Send` (a chain, and so a
+// public front, which is a chain of one, owns its cache and memory, and
+// each rule its counters, MAB and buffer state, outright — no shared
+// interior mutability).
 // This assertion turns an accidental `Rc`/`RefCell` regression into a
 // compile error at the definition site instead of a confusing one in
 // `run.rs`.

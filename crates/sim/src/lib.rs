@@ -27,8 +27,8 @@
 //! [`Experiment`] is the one entry point for every workload × scheme ×
 //! store run — a built-in kernel, an ingested external log, a synthetic
 //! pattern, or a pre-recorded trace, with an optional shared
-//! [`TraceStore`]; [`Suite`] fans a list of workloads out with shared
-//! settings.
+//! [`TraceStore`]; [`Experiment::run_all`] runs a list of experiments,
+//! each with its own settings, across worker threads.
 //!
 //! ```
 //! use waymem_sim::{Experiment, DScheme, IScheme};
@@ -56,9 +56,10 @@
 //! of that section. There are at most as many chains as the host has
 //! threads (one per side at least), and on a multi-core host each runs
 //! **concurrently** on a [`std::thread::scope`] worker of its own. Each
-//! worker owns its front-ends outright, so `DFront` and `IFront` are
-//! (and must remain) [`Send`]: they hold only owned cache, memory and
-//! buffer state, with no shared interior mutability — a compile-time
+//! worker owns its chain outright — the chain's cache and memory, and
+//! its fronts' counters, MAB and buffer state — so the chains, and
+//! `DFront` and `IFront` (each a chain of one), are (and must remain)
+//! [`Send`], with no shared interior mutability — a compile-time
 //! assertion in `frontends/mod.rs` enforces this. The trace itself is
 //! shared immutably (`&[TraceEvent]`), front-ends never observe each
 //! other, and chains are joined in scheme order, so results do not
@@ -78,15 +79,18 @@
 //! * I-cache accesses happen per 8-byte fetch packet, not per instruction.
 //!
 //! These rules are written once, in the lookup core every front-end
-//! owns, together with the cache access behind them (a fill drops the
-//! MAB pairs naming the refilled location) and the MAB path (a hit is a
-//! known-way access, a miss a conventional lookup whose way is then
-//! recorded, a wide displacement a conventional lookup past the MAB). A
-//! front adds only its own structures and picks the rule each access
-//! takes. Misses, fill writes and write-backs are read from the front's
-//! cache rather than counted again; hits are counted per access, so
+//! owns, together with what a cache outcome adds to them (a miss adds
+//! its fill's way write, a write-back when the displaced line was dirty,
+//! and drops the MAB pairs naming the refilled location) and the MAB
+//! path (a hit is a known-way access, a miss a conventional lookup whose
+//! way is then recorded, a wide displacement a conventional lookup past
+//! the MAB). The cache itself belongs to the replay chain, which runs
+//! each access through it once and hands the outcome to every front of
+//! its side. A front adds only its own structures and picks the rule
+//! each access takes. Hits and misses are counted per outcome and
+//! accesses per event, so
 //! [`AccessStats::is_consistent`](waymem_cache::AccessStats::is_consistent)
-//! still catches an access that skips or repeats the cache access.
+//! still catches an access that skips or repeats its outcome.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -97,7 +101,7 @@ pub mod presets;
 mod report;
 pub mod run;
 
-pub use experiment::{catch_worker, Experiment, IngestMeta, Prepared, Suite, WorkloadSpec};
+pub use experiment::{catch_worker, Experiment, IngestMeta, Prepared, WorkloadSpec};
 pub use frontends::{DFront, DScheme, IFront, IScheme};
 pub use presets::{fig4_dschemes, fig6_ischemes, full_dschemes, full_ischemes};
 pub use report::{format_power_table, format_ratio_table, FigureRow};

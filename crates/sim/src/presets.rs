@@ -1,10 +1,7 @@
 //! Named scheme-set presets: the combinations the paper's figures (and
 //! the full design-space exports) evaluate, ready to hand to
 //! [`Experiment::dschemes`](crate::Experiment::dschemes) /
-//! [`ischemes`](crate::Experiment::ischemes) or their [`Suite`]
-//! counterparts.
-//!
-//! [`Suite`]: crate::Suite
+//! [`ischemes`](crate::Experiment::ischemes).
 
 use crate::{DScheme, IScheme};
 

@@ -23,9 +23,9 @@
 //! one running the same code.
 //!
 //! The composable front door to all of this is
-//! [`Experiment`](crate::Experiment) / [`Suite`](crate::Suite)
-//! (`experiment` module); this module keeps the engine itself — the
-//! producers, the result types and [`record_trace`].
+//! [`Experiment`](crate::Experiment) (`experiment` module); this module
+//! keeps the engine itself — the producers, the result types and
+//! [`record_trace`].
 
 use std::error::Error;
 use std::fmt;
@@ -112,8 +112,10 @@ pub enum RunError {
         message: String,
     },
     /// A worker thread panicked mid-run. The panic is caught at the
-    /// replay and suite boundaries and converted into this structured
-    /// error so one bad workload cannot take down its siblings.
+    /// boundaries of a replay and of each experiment of
+    /// [`Experiment::run_all`](crate::Experiment::run_all) and converted
+    /// into this structured error so one bad workload cannot take down
+    /// its siblings.
     Worker {
         /// The panic payload, stringified.
         message: String,
@@ -749,8 +751,9 @@ pub(crate) fn replay(
     Ok(sim_result(workload, source.cycles(), cfg, &dfronts, &ifronts))
 }
 
-/// The host's thread count: how many replay chains, and how many suite
-/// workers, run at once.
+/// The host's thread count: how many replay chains, and how many
+/// [`Experiment::run_all`](crate::Experiment::run_all) workers, run at
+/// once.
 pub(crate) fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

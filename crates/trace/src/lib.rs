@@ -38,8 +38,8 @@
 //!   (optionally) persists recordings under a size-capped cache
 //!   directory so repeated process invocations skip production entirely.
 //!
-//! `waymem-sim`'s `Experiment::store` and `Suite::store` thread one store
-//! through whole sweeps; the bench bins create one per process.
+//! `waymem-sim`'s `Experiment::store` threads one store through every
+//! experiment of a sweep; the bench bins create one per process.
 //!
 //! ```
 //! use waymem_trace::{codec, TraceStore, WorkloadId};

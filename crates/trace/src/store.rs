@@ -307,7 +307,7 @@ struct Miss {
 /// One key's slot. The per-key mutex serializes *production* of that key
 /// only: two threads racing on the same workload produce it once (the
 /// loser blocks, then hits), while different keys record concurrently —
-/// exactly what `Suite`'s benchmark fan-out needs.
+/// exactly what `Experiment::run_all`'s fan-out over the kernels needs.
 type Slot = Arc<Mutex<Option<Cached>>>;
 
 /// A thread-safe, keyed cache of recorded traces with optional on-disk

@@ -1,5 +1,5 @@
-//! Observability walkthrough: arm the span tracer, run a store-backed
-//! suite, then read back everything the obs layer collected — the
+//! Observability walkthrough: arm the span tracer, run the seven
+//! kernels over one store, then read back everything the obs layer collected — the
 //! metrics registry (counters, gauges, latency histograms), the
 //! exclusive per-phase wall-clock breakdown, and the Chrome trace-event
 //! profile (open it at <https://ui.perfetto.dev>).
@@ -21,15 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         obs::span::arm(std::env::temp_dir().join("observe_run_spans.json"));
     }
 
-    // Any instrumented work will do; a store-backed suite exercises
+    // Any instrumented work will do; store-backed kernel runs exercise
     // every phase — resolve, record, store I/O, and parallel replay.
     let dir = std::env::temp_dir().join("observe_run_cache");
     let store = TraceStore::with_cache_dir(&dir);
-    let results = Suite::kernels()
-        .dschemes([DScheme::Original, DScheme::paper_way_memo()])
-        .ischemes([IScheme::Original, IScheme::paper_way_memo()])
-        .store(&store)
-        .run()?;
+    let results = Experiment::run_all(Benchmark::ALL.map(|bench| {
+        Experiment::kernel(bench)
+            .dschemes([DScheme::Original, DScheme::paper_way_memo()])
+            .ischemes([IScheme::Original, IScheme::paper_way_memo()])
+            .store(&store)
+    }))?;
     println!("ran {} workloads\n", results.len());
 
     // 1. The metrics registry: every counter, gauge, and histogram any

@@ -18,8 +18,8 @@
 //!   parsers and synthetic access-pattern generators, so *any* memory
 //!   trace runs through every lookup scheme;
 //! * [`sim`] — cache front-ends for every scheme and the composable
-//!   [`Experiment`](sim::Experiment) / [`Suite`](sim::Suite) builder
-//!   behind every run (Figures 4–8 included);
+//!   [`Experiment`](sim::Experiment) builder behind every run (Figures
+//!   4–8 included);
 //! * [`obs`] — the observability layer: a lock-free metrics registry,
 //!   RAII span tracing with Perfetto-compatible Chrome-trace export
 //!   (`WAYMEM_SPANS=<path>`), leveled structured logging
@@ -75,8 +75,7 @@ pub mod prelude {
     pub use waymem_hwmodel::Technology;
     pub use waymem_ingest::{parse_path, Ingested, LogFormat};
     pub use waymem_sim::{
-        catch_worker, DScheme, Experiment, IScheme, RunError, SimConfig, SimResult, Suite,
-        WorkloadSpec,
+        catch_worker, DScheme, Experiment, IScheme, RunError, SimConfig, SimResult, WorkloadSpec,
     };
     pub use waymem_trace::{SynthPattern, SynthSpec, TraceStore, WorkloadId};
     pub use waymem_workloads::Benchmark;

@@ -1,9 +1,9 @@
-//! The `Experiment` / `Suite` builder, end to end through the façade:
-//! every workload kind (kernel, recorded, synthetic, ingested log, bare
-//! id), store transparency, a suite equal to its lone experiments, and a
-//! property test that no builder combination — however hostile — ever
-//! panics: every bad input, a panicking front included, is a structured
-//! [`RunError`].
+//! The `Experiment` builder, end to end through the façade: every
+//! workload kind (kernel, recorded, synthetic, ingested log, bare id),
+//! store transparency, a list run through `Experiment::run_all` equal to
+//! its lone experiments, and a property test that no builder combination
+//! — however hostile — ever panics: every bad input, a panicking front
+//! included, is a structured [`RunError`].
 
 use std::sync::Arc;
 
@@ -292,13 +292,13 @@ fn suite_mixes_workload_kinds_in_order() {
         seed: 1,
     };
     let log = TempLog::csv("suite");
-    let results = Suite::new()
-        .workload(Benchmark::Dct)
-        .workload(spec)
-        .workload(log.0.clone())
-        .dschemes([DScheme::Original, DScheme::paper_way_memo()])
-        .store(&store)
-        .run()
+    let schemes = [DScheme::Original, DScheme::paper_way_memo()];
+    let experiments = [
+        Experiment::kernel(Benchmark::Dct),
+        Experiment::synthetic(spec),
+        Experiment::ingest(&log.0),
+    ];
+    let results = Experiment::run_all(experiments.map(|exp| exp.dschemes(schemes).store(&store)))
         .expect("mixed suite runs");
     assert_eq!(results.len(), 3);
     assert_eq!(results[0].workload, WorkloadId::kernel(Benchmark::Dct, 1));
@@ -309,26 +309,30 @@ fn suite_mixes_workload_kinds_in_order() {
 
 #[test]
 fn streaming_suite_matches_materialized_suite_across_workload_kinds() {
-    // `Suite::streaming(true)` must thread the flag into every
-    // per-workload experiment: a mixed suite (kernel + synthetic +
-    // ingested log) replayed from on-disk `.wmtr` files in bounded
-    // batches reproduces the materialized suite bit for bit.
+    // A mixed list (kernel + synthetic + ingested log) whose every
+    // experiment streams, replayed through `run_all` from on-disk
+    // `.wmtr` files in bounded batches, reproduces the materialized list
+    // bit for bit.
     let spec = SynthSpec {
         pattern: SynthPattern::Strided { stride: 64 },
         accesses: 5_000,
         seed: 1,
     };
     let log = TempLog::csv("stream-suite");
-    let suite = || {
-        Suite::new()
-            .workload(Benchmark::Dct)
-            .workload(spec)
-            .workload(log.0.clone())
-            .dschemes([DScheme::Original, DScheme::paper_way_memo()])
-            .ischemes([IScheme::Original, IScheme::paper_way_memo()])
+    let suite = |streaming| {
+        let experiments = [
+            Experiment::kernel(Benchmark::Dct),
+            Experiment::synthetic(spec),
+            Experiment::ingest(&log.0),
+        ];
+        Experiment::run_all(experiments.map(|exp| {
+            exp.dschemes([DScheme::Original, DScheme::paper_way_memo()])
+                .ischemes([IScheme::Original, IScheme::paper_way_memo()])
+                .streaming(streaming)
+        }))
     };
-    let materialized = suite().run().expect("materialized suite");
-    let streamed = suite().streaming(true).run().expect("streaming suite");
+    let materialized = suite(false).expect("materialized suite");
+    let streamed = suite(true).expect("streaming suite");
     assert_eq!(materialized.len(), streamed.len());
     for (a, b) in materialized.iter().zip(streamed.iter()) {
         assert_identical(a, b);
@@ -450,17 +454,19 @@ fn a_failed_empty_log_ingest_never_poisons_the_trace_cache() {
 #[test]
 fn suite_fails_with_the_first_failed_workloads_error() {
     // Two poisoned workloads among healthy ones: a log path that does not
-    // exist, then an external id no store holds. Whether the workloads
-    // run inline or fan out over workers, the suite fails with the first
-    // failure in workload order, as a serial loop would.
-    let err = Suite::new()
-        .workload(Benchmark::Dct)
-        .workload(std::path::PathBuf::from("/nonexistent/waymem-poisoned.csv"))
-        .workload(Benchmark::Fft)
-        .workload(WorkloadId::External { hash: 0xdead })
-        .dschemes([DScheme::Original, DScheme::paper_way_memo()])
-        .run()
-        .expect_err("the suite fails on the poisoned workloads");
+    // exist, then an external id no store holds. Whether the experiments
+    // run inline or fan out over workers, `run_all` fails with the first
+    // failure in list order, as a serial loop would.
+    let err = Experiment::run_all(
+        [
+            Experiment::kernel(Benchmark::Dct),
+            Experiment::ingest("/nonexistent/waymem-poisoned.csv"),
+            Experiment::kernel(Benchmark::Fft),
+            Experiment::workload(WorkloadId::External { hash: 0xdead }),
+        ]
+        .map(|exp| exp.dschemes([DScheme::Original, DScheme::paper_way_memo()])),
+    )
+    .expect_err("the suite fails on the poisoned workloads");
     match &err {
         RunError::Ingest { path, .. } => assert!(path.ends_with("waymem-poisoned.csv"), "{err}"),
         other => panic!("expected the log's Ingest error, got {other:?}"),
@@ -506,18 +512,67 @@ fn catch_worker_converts_panics_into_structured_errors() {
 
 #[test]
 fn suite_results_equal_lone_experiments() {
-    // The suite fans its workloads out over workers; each result must be
-    // exactly what an experiment of that workload alone returns.
+    // `run_all` fans the kernels out over workers; each result must be
+    // exactly what an experiment of that kernel alone returns.
     let (d, i) = schemes();
-    let results = Suite::kernels()
-        .dschemes(d.clone())
-        .ischemes(i.clone())
-        .run()
-        .expect("suite runs");
+    let kernel = |bench| Experiment::kernel(bench).dschemes(d.clone()).ischemes(i.clone());
+    let results = Experiment::run_all(Benchmark::ALL.map(kernel)).expect("suite runs");
     assert_eq!(results.len(), Benchmark::ALL.len());
     for (result, &bench) in results.iter().zip(&Benchmark::ALL) {
-        let lone = Experiment::kernel(bench).dschemes(d.clone()).ischemes(i.clone());
-        assert_identical(result, &lone.run().expect("runs"));
+        assert_identical(result, &kernel(bench).run().expect("runs"));
+    }
+}
+
+#[test]
+fn run_all_runs_experiments_that_differ_as_each_runs_alone() {
+    // Each experiment of the list keeps its own geometry, scheme set and
+    // streaming flag: a kernel, a synthetic and a log that differ in all
+    // three come back in list order, each bit-identical to its lone run.
+    let spec =
+        SynthSpec { pattern: SynthPattern::Strided { stride: 64 }, accesses: 5_000, seed: 1 };
+    let log = TempLog::csv("differ");
+    let experiments = || {
+        [
+            Experiment::kernel(Benchmark::Dct)
+                .geometry(Geometry::new(16, 2, 32).expect("valid"))
+                .dschemes([DScheme::Original, DScheme::paper_way_memo()])
+                .ischemes([IScheme::IntraLine]),
+            Experiment::synthetic(spec)
+                .dschemes([DScheme::SetBuffer { entries: 1 }])
+                .streaming(true),
+            Experiment::ingest(&log.0)
+                .geometry(Geometry::new(128, 8, 16).expect("valid"))
+                .ischemes([IScheme::Original, IScheme::paper_way_memo(), IScheme::LinkMemo]),
+        ]
+    };
+    let results = Experiment::run_all(experiments()).expect("the list runs");
+    assert_eq!(results.len(), 3);
+    let shapes: Vec<_> = results.iter().map(|r| (r.dcache.len(), r.icache.len())).collect();
+    assert_eq!(shapes, [(2, 1), (1, 0), (0, 3)], "each experiment keeps its own schemes");
+    assert_eq!(results[0].workload, WorkloadId::kernel(Benchmark::Dct, 1));
+    assert_eq!(results[1].workload, WorkloadId::Synthetic(spec));
+    for (result, lone) in results.iter().zip(experiments()) {
+        assert_identical(result, &lone.run().expect("runs alone"));
+    }
+}
+
+#[test]
+fn run_all_returns_the_panicking_experiments_worker_error() {
+    // The middle one of three experiments builds a zero-entry set buffer,
+    // which panics. Whether the list runs inline or over workers, the
+    // panic comes back as that experiment's structured error.
+    let spec = SynthSpec { pattern: SynthPattern::Stream, accesses: 100, seed: 1 };
+    let err = Experiment::run_all([
+        Experiment::synthetic(spec).dschemes([DScheme::Original]),
+        Experiment::synthetic(spec).dschemes([DScheme::SetBuffer { entries: 0 }]),
+        Experiment::kernel(Benchmark::Dct).dschemes([DScheme::Original]),
+    ])
+    .expect_err("a zero-entry set buffer cannot run");
+    match &err {
+        RunError::Worker { message } => {
+            assert!(message.contains("set buffer needs at least one entry"), "{message}");
+        }
+        other => panic!("expected Worker, got {other:?}"),
     }
 }
 
@@ -571,14 +626,14 @@ proptest! {
             if seed.is_multiple_of(2) { "load,0x10,4\n" } else { "??garbage??\n\u{fffd},,,9\n" },
         );
         let workload = match wl_kind {
-            0 => WorkloadSpec::from(spec),
+            0 => WorkloadSpec::Synthetic(spec),
             1 => WorkloadSpec::Recorded {
                 id: WorkloadId::External { hash: u64::from(seed) },
                 trace: Arc::new(tiny_trace(accesses)),
             },
-            2 => WorkloadSpec::from(WorkloadId::External { hash: u64::from(param) }),
-            3 => WorkloadSpec::from(Benchmark::Dct),
-            _ => WorkloadSpec::from(log.0.clone()),
+            2 => WorkloadSpec::Id(WorkloadId::External { hash: u64::from(param) }),
+            3 => WorkloadSpec::Kernel(Benchmark::Dct),
+            _ => WorkloadSpec::Log { path: log.0.clone(), format: None },
         };
         let geometry = match geom_kind {
             0 => Geometry::frv(),

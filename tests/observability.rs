@@ -1,10 +1,10 @@
 //! Concurrency consistency of the observability layer: a parallel
-//! [`Suite`] run must account for every replayed trace event exactly —
-//! the per-worker `replay.*` counters sum to the number of events the
-//! front-ends actually consumed, the `replay.front_ns` histogram holds
-//! one observation per front and `replay.cache_ns` one per replay chain,
-//! and the armed span tracer emits a valid, balanced Chrome trace for
-//! the whole run.
+//! [`Experiment::run_all`] run must account for every replayed trace
+//! event exactly — the per-worker `replay.*` counters sum to the number
+//! of events the front-ends actually consumed, the `replay.front_ns`
+//! histogram holds one observation per front and `replay.cache_ns` one
+//! per replay chain, and the armed span tracer emits a valid, balanced
+//! Chrome trace for the whole run.
 //!
 //! The obs instruments are process-global, so this binary holds exactly
 //! one `#[test]`: deltas stay attributable to the one run it performs.
@@ -25,7 +25,7 @@ fn parallel_suite_metrics_account_for_every_event() {
     let workloads: Vec<Benchmark> = Benchmark::ALL.iter().copied().take(3).collect();
 
     // The kernels are deterministic: recording them up front yields the
-    // exact event counts the suite's own (re-)recordings will replay.
+    // exact event counts the run's own (re-)recordings will replay.
     // Every front-end consumes its workload's full stream independently,
     // so the worker counters must sum to events × fronts-per-side.
     let cfg = SimConfig::default();
@@ -47,12 +47,10 @@ fn parallel_suite_metrics_account_for_every_event() {
     let fronts_before = front_hist.count();
     let chains_before = cache_hist.count();
 
-    let results = Suite::new()
-        .workloads(workloads.clone())
-        .dschemes(dschemes.clone())
-        .ischemes(ischemes.clone())
-        .run()
-        .expect("suite runs");
+    let results = Experiment::run_all(workloads.iter().map(|&bench| {
+        Experiment::kernel(bench).dschemes(dschemes.clone()).ischemes(ischemes.clone())
+    }))
+    .expect("suite runs");
     assert_eq!(results.len(), workloads.len());
     assert_eq!(
         data_ctr.get() - data_before,

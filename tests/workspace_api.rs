@@ -42,7 +42,6 @@ fn prelude_reexports_are_stable() {
     type _Ingested = prelude::Ingested;
     // The experiment builder.
     type _Experiment = prelude::Experiment<'static>;
-    type _Suite = prelude::Suite<'static>;
     type _WorkloadSpec = prelude::WorkloadSpec;
     type _RunError = prelude::RunError;
 
@@ -52,9 +51,9 @@ fn prelude_reexports_are_stable() {
         prelude::Experiment<'static>,
     ) -> Result<prelude::SimResult, prelude::RunError> = prelude::Experiment::run;
     #[allow(clippy::type_complexity)]
-    let _run_suite: fn(
-        prelude::Suite<'static>,
-    ) -> Result<Vec<prelude::SimResult>, prelude::RunError> = prelude::Suite::run;
+    let _run_all: fn(
+        Vec<prelude::Experiment<'static>>,
+    ) -> Result<Vec<prelude::SimResult>, prelude::RunError> = prelude::Experiment::run_all;
 
     // The prelude types must be the same items as the per-crate exports,
     // not lookalikes (coercing a reference proves type identity).
