@@ -13,6 +13,10 @@
 //! * `addr` — `0x`-prefixed hex or bare decimal;
 //! * `size` — optional decimal byte count, default 4.
 //!
+//! Fields may be padded with ASCII whitespace (tab, LF, VT, FF, CR and
+//! space). The parser reads bytes, so a comment may hold text in any
+//! encoding.
+//!
 //! Example:
 //!
 //! ```text
@@ -29,44 +33,35 @@ use std::io::BufRead;
 
 use waymem_isa::TraceSink;
 
-use crate::{drive, IngestError, IngestStats, Ingested, LogFormat, Op, ParseErrorKind};
+use crate::{
+    drive, parse_u64, token, trim, IngestError, IngestStats, Ingested, LogFormat, Op,
+    ParseErrorKind,
+};
 
-fn parse_op(token: &str) -> Result<Op, ParseErrorKind> {
+fn parse_op(field: &[u8]) -> Result<Op, ParseErrorKind> {
     // Case-insensitive, accepting both single letters and words.
-    let t = token.trim();
-    if t.eq_ignore_ascii_case("i") || t.eq_ignore_ascii_case("f") || t.eq_ignore_ascii_case("fetch")
-    {
+    let t = trim(field);
+    let is = |name: &[u8]| t.eq_ignore_ascii_case(name);
+    if is(b"i") || is(b"f") || is(b"fetch") {
         Ok(Op::Instr)
-    } else if t.eq_ignore_ascii_case("l")
-        || t.eq_ignore_ascii_case("r")
-        || t.eq_ignore_ascii_case("load")
-        || t.eq_ignore_ascii_case("read")
-    {
+    } else if is(b"l") || is(b"r") || is(b"load") || is(b"read") {
         Ok(Op::Load)
-    } else if t.eq_ignore_ascii_case("s")
-        || t.eq_ignore_ascii_case("w")
-        || t.eq_ignore_ascii_case("store")
-        || t.eq_ignore_ascii_case("write")
-    {
+    } else if is(b"s") || is(b"w") || is(b"store") || is(b"write") {
         Ok(Op::Store)
-    } else if t.eq_ignore_ascii_case("m") || t.eq_ignore_ascii_case("modify") {
+    } else if is(b"m") || is(b"modify") {
         Ok(Op::Modify)
     } else {
-        Err(ParseErrorKind::UnknownRecord(t.chars().take(16).collect()))
+        Err(ParseErrorKind::UnknownRecord(token(t)))
     }
 }
 
-fn parse_addr(token: &str) -> Result<u64, ParseErrorKind> {
-    let t = token.trim();
-    let bad = || ParseErrorKind::BadAddress(t.chars().take(16).collect());
-    if t.is_empty() {
-        return Err(bad());
-    }
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).map_err(|_| bad())
-    } else {
-        t.parse().map_err(|_| bad())
-    }
+fn parse_addr(field: &[u8]) -> Result<u64, ParseErrorKind> {
+    let t = trim(field);
+    let value = match t.strip_prefix(b"0x").or_else(|| t.strip_prefix(b"0X")) {
+        Some(hex) => parse_u64(hex, 16),
+        None => parse_u64(t, 10),
+    };
+    value.ok_or_else(|| ParseErrorKind::BadAddress(token(t)))
 }
 
 /// Parses the CSV trace format from `reader`, streaming line-by-line.
@@ -90,19 +85,18 @@ pub fn parse_into<R: BufRead, S: TraceSink>(
     sink: S,
 ) -> Result<(IngestStats, S), IngestError> {
     drive(reader, sink, |line, builder| {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        let trimmed = trim(line);
+        if trimmed.is_empty() || trimmed.starts_with(b"#") {
             return Ok(false);
         }
-        let mut fields = trimmed.splitn(3, ',');
+        let mut fields = trimmed.splitn(3, |&b| b == b',');
         let op = parse_op(fields.next().expect("splitn yields at least one field"))?;
         let addr = parse_addr(fields.next().ok_or(ParseErrorKind::MissingAddress)?)?;
         let size = match fields.next() {
             None => 4,
-            Some(tok) => {
-                let t = tok.trim();
-                t.parse()
-                    .map_err(|_| ParseErrorKind::BadSize(t.chars().take(16).collect()))?
+            Some(field) => {
+                let t = trim(field);
+                parse_u64(t, 10).ok_or_else(|| ParseErrorKind::BadSize(token(t)))?
             }
         };
         builder.push(op, addr, size);
@@ -119,51 +113,6 @@ mod tests {
 
     fn parse_str(s: &str) -> Result<Ingested, IngestError> {
         parse(Cursor::new(s.to_owned()))
-    }
-
-    /// A reader whose `read_line` fails with `Interrupted` before every
-    /// line (see the sibling test in `lackey.rs`): the pump's retry must
-    /// absorb the transient without miscounting or misparsing.
-    struct InterruptingReader {
-        inner: Cursor<String>,
-        interrupt_next: bool,
-    }
-
-    impl std::io::Read for InterruptingReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.inner.read(buf)
-        }
-    }
-
-    impl BufRead for InterruptingReader {
-        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-            self.inner.fill_buf()
-        }
-
-        fn consume(&mut self, amt: usize) {
-            self.inner.consume(amt);
-        }
-
-        fn read_line(&mut self, buf: &mut String) -> std::io::Result<usize> {
-            self.interrupt_next = !self.interrupt_next;
-            if self.interrupt_next {
-                return Err(std::io::Error::new(std::io::ErrorKind::Interrupted, "EINTR"));
-            }
-            self.inner.read_line(buf)
-        }
-    }
-
-    #[test]
-    fn transient_interrupts_are_retried_not_errors() {
-        let sample = "fetch,0x1000,4\nload,0x20008\nstore,131084,8\n";
-        let interrupted = parse(InterruptingReader {
-            inner: Cursor::new(sample.to_owned()),
-            interrupt_next: false,
-        })
-        .expect("EINTR must be absorbed, not surfaced");
-        let plain = parse_str(sample).expect("parses");
-        assert_eq!(interrupted.trace, plain.trace);
-        assert_eq!(interrupted.lines, plain.lines);
     }
 
     #[test]

@@ -17,50 +17,51 @@
 //! ```
 //!
 //! (Instruction lines start in column 0, memory lines are indented — the
-//! parser accepts either indentation.) Valgrind interleaves its own
-//! chatter into the same stream: `==pid==` / `--pid--` banner lines and
-//! blanks are *skipped*, not errors, so a raw `--log-file` capture parses
-//! without preprocessing. Anything else is a structured
-//! [`ParseError`](crate::ParseError) with its line number — a garbled
-//! access line never silently drops an access.
+//! parser accepts either indentation.) Fields are separated and padded
+//! by ASCII whitespace: tab, LF, VT, FF, CR and space. Valgrind
+//! interleaves its own chatter into the same stream: `==pid==` /
+//! `--pid--` banner lines and blanks are *skipped*, not errors, so a raw
+//! `--log-file` capture parses without preprocessing. The parser reads
+//! bytes, so a banner that echoes a command line in another encoding
+//! (`==42== Command: ./caf\xE9`) is skipped like any other. Anything
+//! else is a structured [`ParseError`](crate::ParseError) with its line
+//! number — a garbled access line never silently drops an access.
 
 use std::io::BufRead;
 
 use waymem_isa::TraceSink;
 
-use crate::{drive, IngestError, IngestStats, Ingested, LogFormat, Op, ParseErrorKind};
+use crate::{
+    drive, is_space, parse_u64, token, trim, IngestError, IngestStats, Ingested, LogFormat, Op,
+    ParseErrorKind,
+};
 
-/// Parses one access line already known not to be a banner/blank.
-/// Returns the op, address and size.
-fn parse_access(line: &str) -> Result<(Op, u64, u64), ParseErrorKind> {
-    let trimmed = line.trim_start();
-    let mut chars = trimmed.chars();
-    let letter = chars.next().expect("caller skips blank lines");
+/// Parses one trimmed access line already known not to be a
+/// banner/blank. Returns the op, address and size.
+fn parse_access(line: &[u8]) -> Result<(Op, u64, u64), ParseErrorKind> {
+    let (&letter, rest) = line.split_first().expect("caller skips blank lines");
     let op = match letter {
-        'I' => Op::Instr,
-        'L' => Op::Load,
-        'S' => Op::Store,
-        'M' => Op::Modify,
-        other => {
-            // Report the whole first token, not just its first char —
+        b'I' => Op::Instr,
+        b'L' => Op::Load,
+        b'S' => Op::Store,
+        b'M' => Op::Modify,
+        _ => {
+            // Report the whole first token, not just its first byte —
             // "Instruction" vs "I" garbling reads very differently.
-            let token: String = trimmed.split_whitespace().next().unwrap_or_default().chars().take(16).collect();
-            let _ = other;
-            return Err(ParseErrorKind::UnknownRecord(token));
+            let first = line.split(|&b| is_space(b)).next().unwrap_or_default();
+            return Err(ParseErrorKind::UnknownRecord(token(first)));
         }
     };
-    let rest = chars.as_str().trim_start();
+    let rest = trim(rest);
     if rest.is_empty() {
         return Err(ParseErrorKind::MissingAddress);
     }
-    let (addr_part, size_part) = rest.split_once(',').ok_or(ParseErrorKind::MissingSize)?;
-    let addr_part = addr_part.trim();
-    let addr = u64::from_str_radix(addr_part, 16)
-        .map_err(|_| ParseErrorKind::BadAddress(addr_part.chars().take(16).collect()))?;
-    let size_part = size_part.trim();
-    let size: u64 = size_part
-        .parse()
-        .map_err(|_| ParseErrorKind::BadSize(size_part.chars().take(16).collect()))?;
+    let comma = rest.iter().position(|&b| b == b',').ok_or(ParseErrorKind::MissingSize)?;
+    let addr_part = trim(&rest[..comma]);
+    let addr =
+        parse_u64(addr_part, 16).ok_or_else(|| ParseErrorKind::BadAddress(token(addr_part)))?;
+    let size_part = trim(&rest[comma + 1..]);
+    let size = parse_u64(size_part, 10).ok_or_else(|| ParseErrorKind::BadSize(token(size_part)))?;
     Ok((op, addr, size))
 }
 
@@ -87,11 +88,11 @@ pub fn parse_into<R: BufRead, S: TraceSink>(
     sink: S,
 ) -> Result<(IngestStats, S), IngestError> {
     drive(reader, sink, |line, builder| {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with("==") || trimmed.starts_with("--") {
+        let trimmed = trim(line);
+        if trimmed.is_empty() || trimmed.starts_with(b"==") || trimmed.starts_with(b"--") {
             return Ok(false); // valgrind banner / blank: skipped
         }
-        let (op, addr, size) = parse_access(line)?;
+        let (op, addr, size) = parse_access(trimmed)?;
         builder.push(op, addr, size);
         Ok(true)
     })
@@ -106,51 +107,6 @@ mod tests {
 
     fn parse_str(s: &str) -> Result<Ingested, IngestError> {
         parse(Cursor::new(s.to_owned()))
-    }
-
-    /// A reader whose `read_line` fails with `Interrupted` before every
-    /// line — the transient `EINTR` shape the shared line pump must
-    /// retry in place rather than surface as a malformed-input error.
-    struct InterruptingReader {
-        inner: Cursor<String>,
-        interrupt_next: bool,
-    }
-
-    impl std::io::Read for InterruptingReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.inner.read(buf)
-        }
-    }
-
-    impl BufRead for InterruptingReader {
-        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-            self.inner.fill_buf()
-        }
-
-        fn consume(&mut self, amt: usize) {
-            self.inner.consume(amt);
-        }
-
-        fn read_line(&mut self, buf: &mut String) -> std::io::Result<usize> {
-            self.interrupt_next = !self.interrupt_next;
-            if self.interrupt_next {
-                return Err(std::io::Error::new(std::io::ErrorKind::Interrupted, "EINTR"));
-            }
-            self.inner.read_line(buf)
-        }
-    }
-
-    #[test]
-    fn transient_interrupts_are_retried_not_errors() {
-        let sample = "I  0023C790,2\n L 0025747C,4\n S BE80199C,4\n";
-        let interrupted = parse(InterruptingReader {
-            inner: Cursor::new(sample.to_owned()),
-            interrupt_next: false,
-        })
-        .expect("EINTR must be absorbed, not surfaced");
-        let plain = parse_str(sample).expect("parses");
-        assert_eq!(interrupted.trace, plain.trace);
-        assert_eq!(interrupted.lines, plain.lines);
     }
 
     #[test]
@@ -179,6 +135,24 @@ mod tests {
         .expect("parses");
         assert_eq!(ing.trace.fetch_events.len(), 1);
         assert_eq!((ing.lines, ing.skipped), (4, 3));
+    }
+
+    #[test]
+    fn non_utf8_bytes_skip_with_their_banner_and_name_their_access_line() {
+        // Valgrind echoes the command line into its banner, so a Latin-1
+        // file name puts a byte that is not UTF-8 into the log.
+        let log = b"==42== Command: ./caf\xE9\nI  1000,4\n";
+        let ing = parse(Cursor::new(log)).expect("the banner is skipped, not an I/O error");
+        assert_eq!(ing.trace.fetch_events.len(), 1);
+        assert_eq!((ing.lines, ing.skipped), (2, 1));
+        let hash = waymem_trace::fnv1a64_update(waymem_trace::FNV1A64_SEED, log);
+        assert_eq!(ing.source_hash, hash, "the raw bytes are hashed as they are");
+        match parse(Cursor::new(b"I  1000,4\nI  10\xE900,4\n")) {
+            Err(IngestError::Parse(ParseError { line, kind })) => {
+                assert_eq!((line, kind), (2, ParseErrorKind::BadAddress("10\u{FFFD}00".into())));
+            }
+            other => panic!("expected a parse error on line 2, got {other:?}"),
+        }
     }
 
     #[test]

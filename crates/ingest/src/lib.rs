@@ -26,9 +26,16 @@
 //! (`waymem_sim::result_json`).
 //!
 //! Parsing never panics: every malformed line is a structured
-//! [`ParseError`] carrying its 1-based line number and a reason, and the
-//! parsers read line-by-line so memory stays bounded by the *output*
-//! trace, never by the input text.
+//! [`ParseError`] carrying its 1-based line number and a reason. Both
+//! grammars run on one byte-level line pump: it borrows the reader's
+//! buffer, folds every raw byte into the content hash, and hands each
+//! line to the grammar as bytes, with no `String`, UTF-8 check or copy
+//! (a line that straddles two reads is joined once). Fields are
+//! separated by ASCII whitespace, and a byte that is not UTF-8 is
+//! skipped with the banner or comment line that holds it; in an access
+//! line it is a malformed field. Memory stays bounded by the reader's
+//! buffer plus the longest line, and by the *output* trace, never by
+//! the input text.
 //!
 //! ```
 //! use std::io::Cursor;
@@ -273,18 +280,6 @@ impl<S: TraceSink> TraceBuilder<S> {
         }
     }
 
-    /// Folds one raw input line (newline included) into the content hash
-    /// and returns its 1-based line number.
-    pub(crate) fn start_line(&mut self, raw: &str) -> u64 {
-        self.hash = fnv1a64_update(self.hash, raw.as_bytes());
-        self.lines += 1;
-        self.lines
-    }
-
-    pub(crate) fn skip_line(&mut self) {
-        self.skipped += 1;
-    }
-
     pub(crate) fn push(&mut self, op: Op, addr: u64, size: u64) {
         // The simulated machine is 32-bit; 64-bit capture addresses keep
         // their cache-relevant low bits. Sizes only matter as metadata.
@@ -361,8 +356,8 @@ pub fn parse<R: BufRead>(format: LogFormat, reader: R) -> Result<Ingested, Inges
 
 /// Parses a whole log in `format` from `reader`, emitting every event
 /// into `sink` instead of materializing a trace — resident memory is
-/// bounded by the line buffer and whatever the sink holds. Returns the
-/// stream's provenance/shape plus the sink.
+/// bounded by the reader's buffer plus the longest line, and whatever
+/// the sink holds. Returns the stream's provenance/shape plus the sink.
 ///
 /// # Errors
 ///
@@ -437,35 +432,93 @@ fn retry_interrupted<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> 
     }
 }
 
-/// The shared line-pump both format modules drive: reads `reader` line
-/// by line, hashes every raw byte, and hands each line to `parse_line`,
-/// which either consumes it (pushing events into the builder, which
-/// forwards them to `sink`), skips it, or rejects it with a
-/// [`ParseErrorKind`].
+/// The shared line pump both format modules drive. It borrows
+/// `reader`'s buffer through [`BufRead::fill_buf`], folds every raw byte
+/// (newlines included) into the content hash, splits the bytes at `\n`,
+/// and hands each line, stripped of its trailing `\n`/`\r` bytes, to
+/// `parse_line`, which either consumes it (pushing events into the
+/// builder, which forwards them to `sink`), skips it, or rejects it with
+/// a [`ParseErrorKind`]. A line is copied only when it straddles two
+/// fills, into `carry`, so memory stays bounded by the reader's buffer
+/// plus the longest line.
 ///
-/// Transient read errors are retried in place — `read_line` appends to
-/// `raw`, so whatever partial line an interrupted call left behind is
-/// completed by the retry, not discarded.
+/// Only the first `fill_buf` of a round can do I/O, so only it retries
+/// transient errors; the second borrows the bytes it buffered.
 pub(crate) fn drive<R: BufRead, S: TraceSink>(
     mut reader: R,
     sink: S,
-    mut parse_line: impl FnMut(&str, &mut TraceBuilder<S>) -> Result<bool, ParseErrorKind>,
+    mut parse_line: impl FnMut(&[u8], &mut TraceBuilder<S>) -> Result<bool, ParseErrorKind>,
 ) -> Result<(IngestStats, S), IngestError> {
     let mut builder = TraceBuilder::new(sink);
-    let mut raw = String::new();
-    loop {
-        raw.clear();
-        if retry_interrupted(|| reader.read_line(&mut raw))? == 0 {
-            return Ok(builder.finish());
+    let mut take = |mut line: &[u8], builder: &mut TraceBuilder<S>| {
+        builder.lines += 1;
+        while let [rest @ .., b'\n' | b'\r'] = line {
+            line = rest;
         }
-        let line_no = builder.start_line(&raw);
-        let line = raw.trim_end_matches(['\n', '\r']);
-        match parse_line(line, &mut builder) {
-            Ok(true) => {}
-            Ok(false) => builder.skip_line(),
-            Err(kind) => return Err(ParseError { line: line_no, kind }.into()),
+        match parse_line(line, builder) {
+            Ok(true) => Ok(()),
+            Ok(false) => {
+                builder.skipped += 1;
+                Ok(())
+            }
+            Err(kind) => Err(ParseError { line: builder.lines, kind }),
         }
+    };
+    let mut carry = Vec::new();
+    while retry_interrupted(|| reader.fill_buf().map(<[u8]>::len))? > 0 {
+        let buf = reader.fill_buf()?;
+        builder.hash = fnv1a64_update(builder.hash, buf);
+        for piece in buf.split_inclusive(|&b| b == b'\n') {
+            if piece.last() != Some(&b'\n') {
+                carry.extend_from_slice(piece);
+            } else if carry.is_empty() {
+                take(piece, &mut builder)?;
+            } else {
+                carry.extend_from_slice(piece);
+                take(&carry, &mut builder)?;
+                carry.clear();
+            }
+        }
+        let consumed = buf.len();
+        reader.consume(consumed);
     }
+    if !carry.is_empty() {
+        take(&carry, &mut builder)?;
+    }
+    Ok(builder.finish())
+}
+
+/// The ASCII members of `char::is_whitespace` (tab, LF, VT, FF, CR and
+/// space): what separates and pads fields in both grammars. Unlike
+/// `u8::is_ascii_whitespace`, it counts VT.
+pub(crate) fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// `bytes` without its leading and trailing [`is_space`] bytes.
+pub(crate) fn trim(bytes: &[u8]) -> &[u8] {
+    let start = bytes.iter().position(|&b| !is_space(b)).unwrap_or(bytes.len());
+    let end = bytes.iter().rposition(|&b| !is_space(b)).map_or(start, |i| i + 1);
+    &bytes[start..end]
+}
+
+/// Reads what `u64::from_str_radix` reads: an optional `+`, then one or
+/// more digits of `radix`. `None` for anything else, or on overflow.
+pub(crate) fn parse_u64(bytes: &[u8], radix: u32) -> Option<u64> {
+    let digits = bytes.strip_prefix(b"+").unwrap_or(bytes);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |value, &b| {
+        let digit = char::from(b).to_digit(radix)?;
+        value.checked_mul(radix.into())?.checked_add(digit.into())
+    })
+}
+
+/// A bad token as an error reports it: its first 16 bytes, with any
+/// invalid UTF-8 replaced.
+pub(crate) fn token(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(&bytes[..bytes.len().min(16)]).into_owned()
 }
 
 #[cfg(test)]
