@@ -1231,7 +1231,7 @@ mod tests {
         assert_eq!(h1, kernel_source_hash(Benchmark::Dct, 1));
         assert_ne!(h1, kernel_source_hash(Benchmark::Dct, 2));
         assert_ne!(h1, kernel_source_hash(Benchmark::Fft, 1));
-        assert_ne!(h1, 0, "hash 0 means 'unverified' and must not collide");
+        assert_ne!(h1, 0, "0 is the hash a plain `codec::encode` writes; no kernel may share it");
     }
 
     #[test]

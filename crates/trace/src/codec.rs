@@ -41,13 +41,13 @@
 //! end−4   4     FNV-1a32 checksum of bytes [4, end−4)
 //! ```
 //!
-//! Version 1 (PR 3) is the same layout without the source-hash field
-//! (sections start at offset 48). V1 buffers still **decode** — existing
-//! cache files stay readable — but the encoder only writes v2: the source
-//! hash is what lets the [`TraceStore`](crate::TraceStore) tell a *stale*
-//! cache file (same key, changed kernel source / changed input log) from
-//! a current one, closing the staleness hole corruption checksums cannot
-//! see.
+//! The reader accepts the one version the writer writes: any other
+//! version, the hashless version 1 included, is
+//! [`CodecError::UnsupportedVersion`]. The source hash is what lets the
+//! [`TraceStore`](crate::TraceStore) tell a *stale* cache file (same
+//! key, changed kernel source / changed input log) from a current one,
+//! closing the staleness hole corruption checksums cannot see; the store
+//! treats a file of another version as stale too.
 //!
 //! Every event starts with a one-byte tag (`0..=3` the four
 //! [`FetchKind`]s, `4` load, `5` store) followed by its varint fields.
@@ -60,20 +60,11 @@ use waymem_isa::{FetchKind, RecordedTrace, RecordingSink, TraceEvent, TraceSink}
 /// The four magic bytes every `.wmtr` buffer starts with.
 pub const MAGIC: [u8; 4] = *b"WMTR";
 
-/// The format version this build encodes. Decoding accepts this and
-/// [`FORMAT_VERSION_V1`].
+/// The one format version this build encodes and decodes.
 pub const FORMAT_VERSION: u16 = 2;
 
-/// The PR 3 format version: no source-hash field. Decoded read-only —
-/// the encoder never writes it.
-pub const FORMAT_VERSION_V1: u16 = 1;
-
-/// Fixed header length of the current format, in bytes (the payload
-/// starts here).
+/// Fixed header length, in bytes (the payload starts here).
 pub const HEADER_LEN: usize = 56;
-
-/// Header length of a version-1 buffer (no source-hash field).
-pub const HEADER_LEN_V1: usize = 48;
 
 /// Trailing checksum length in bytes.
 pub(crate) const TRAILER_LEN: usize = 4;
@@ -109,8 +100,7 @@ pub enum CodecError {
     Truncated,
     /// The first four bytes are not [`MAGIC`].
     BadMagic([u8; 4]),
-    /// The header's version is neither [`FORMAT_VERSION`] nor
-    /// [`FORMAT_VERSION_V1`].
+    /// The header's version is not [`FORMAT_VERSION`].
     UnsupportedVersion(u16),
     /// The buffer length disagrees with the header's section lengths.
     LengthMismatch {
@@ -146,10 +136,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "trace buffer truncated"),
             CodecError::BadMagic(m) => write!(f, "bad magic {m:02x?} (expected \"WMTR\")"),
             CodecError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported trace format version {v} (expected {FORMAT_VERSION_V1} or {FORMAT_VERSION})"
-                )
+                write!(f, "unsupported trace format version {v} (expected {FORMAT_VERSION})")
             }
             CodecError::LengthMismatch { expected, found } => {
                 write!(f, "buffer length {found} disagrees with header (expected {expected})")
@@ -469,7 +456,6 @@ pub fn encode_into_with_hash(trace: &RecordedTrace, source_hash: u64, out: &mut 
     let fetch_len = (out.len() - start - HEADER_LEN) as u64;
     encode_section(out, &trace.data_events);
     let header = Header {
-        version: FORMAT_VERSION,
         fetch_count: trace.fetch_events.len() as u64,
         data_count: trace.data_events.len() as u64,
         cycles: trace.cycles,
@@ -489,7 +475,6 @@ pub fn encode_into_with_hash(trace: &RecordedTrace, source_hash: u64, out: &mut 
 /// validate identically.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Header {
-    pub(crate) version: u16,
     pub(crate) fetch_count: u64,
     pub(crate) data_count: u64,
     pub(crate) cycles: u64,
@@ -500,8 +485,7 @@ pub(crate) struct Header {
 
 impl Header {
     /// Byte offsets of the six `u64` fields, in wire order: fetch and
-    /// data counts, cycles, fetch and data section lengths, source hash
-    /// (v2 only).
+    /// data counts, cycles, fetch and data section lengths, source hash.
     const FIELDS: [usize; 6] = [8, 16, 24, 32, 40, 48];
 
     /// The v2 wire form of this header.
@@ -532,9 +516,7 @@ impl Header {
     /// otherwise size an allocation). The trailer checksum is the
     /// caller's to check, since it needs the rest of the data.
     pub(crate) fn read(bytes: &[u8], total: u64) -> Result<Header, CodecError> {
-        // The version field sits inside the smaller v1 header, so this
-        // minimum suffices to read it for either format.
-        if total < (HEADER_LEN_V1 + TRAILER_LEN) as u64 || bytes.len() < HEADER_LEN_V1 {
+        if total < (HEADER_LEN + TRAILER_LEN) as u64 || bytes.len() < HEADER_LEN {
             return Err(CodecError::Truncated);
         }
         let magic: [u8; 4] = bytes[..4].try_into().expect("4-byte slice");
@@ -542,24 +524,14 @@ impl Header {
             return Err(CodecError::BadMagic(magic));
         }
         let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2-byte slice"));
-        let header_len = match version {
-            FORMAT_VERSION => HEADER_LEN,
-            FORMAT_VERSION_V1 => HEADER_LEN_V1,
-            v => return Err(CodecError::UnsupportedVersion(v)),
-        };
-        if total < (header_len + TRAILER_LEN) as u64 || bytes.len() < header_len {
-            return Err(CodecError::Truncated);
+        if version != FORMAT_VERSION {
+            return Err(CodecError::UnsupportedVersion(version));
         }
-        // A v1 header ends before the source hash, which reads as 0 (none).
-        let [fetch_count, data_count, cycles, fetch_len, data_len, source_hash] =
-            Self::FIELDS.map(|at| {
-                bytes[..header_len]
-                    .get(at..at + 8)
-                    .map_or(0, |field| u64::from_le_bytes(field.try_into().expect("8-byte slice")))
-            });
+        let [fetch_count, data_count, cycles, fetch_len, data_len, source_hash] = Self::FIELDS
+            .map(|at| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice")));
         let expected = fetch_len
             .checked_add(data_len)
-            .and_then(|n| n.checked_add((header_len + TRAILER_LEN) as u64))
+            .and_then(|n| n.checked_add((HEADER_LEN + TRAILER_LEN) as u64))
             .ok_or(CodecError::Truncated)?;
         if expected != total {
             return Err(CodecError::LengthMismatch { expected, found: total });
@@ -569,26 +541,18 @@ impl Header {
                 return Err(CodecError::SectionMismatch { declared, decoded: 0 });
             }
         }
-        Ok(Header { version, fetch_count, data_count, cycles, fetch_len, data_len, source_hash })
-    }
-
-    fn header_len(&self) -> usize {
-        if self.version == FORMAT_VERSION_V1 {
-            HEADER_LEN_V1
-        } else {
-            HEADER_LEN
-        }
+        Ok(Header { fetch_count, data_count, cycles, fetch_len, data_len, source_hash })
     }
 
     /// Bytes of the whole encoded trace: header, both sections, trailer.
     pub(crate) fn encoded_len(&self) -> u64 {
-        (self.header_len() + TRAILER_LEN) as u64 + self.fetch_len + self.data_len
+        (HEADER_LEN + TRAILER_LEN) as u64 + self.fetch_len + self.data_len
     }
 
     /// Where `section` sits: its byte offset and length, and the number
     /// of events it declares.
     pub(crate) fn section(&self, section: Section) -> (u64, u64, u64) {
-        let start = self.header_len() as u64;
+        let start = HEADER_LEN as u64;
         match section {
             Section::Fetch => (start, self.fetch_len, self.fetch_count),
             Section::Data => (start + self.fetch_len, self.data_len, self.data_count),
@@ -624,8 +588,7 @@ pub enum Section {
     Data,
 }
 
-/// Decodes an encoded buffer back into a [`RecordedTrace`]. Both the
-/// current format and the v1 format (no source hash) are accepted.
+/// Decodes an encoded buffer back into a [`RecordedTrace`].
 ///
 /// # Errors
 ///
@@ -722,19 +685,6 @@ mod tests {
         assert_eq!(decode(&buf[2..]).expect("decodes"), trace);
     }
 
-    /// Builds a version-1 buffer (the v2 header without its
-    /// source-hash field) so the read-only v1 decode path stays pinned
-    /// without keeping old binaries around.
-    fn encode_v1(trace: &RecordedTrace) -> Vec<u8> {
-        let v2 = encode(trace);
-        let mut out = v2[..HEADER_LEN_V1].to_vec();
-        out[4..6].copy_from_slice(&FORMAT_VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&v2[HEADER_LEN..v2.len() - TRAILER_LEN]);
-        let checksum = fnv1a32_update(FNV1A32_SEED, &out[MAGIC.len()..]);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
     fn header(bytes: &[u8]) -> Header {
         Header::read(bytes, bytes.len() as u64).expect("valid header")
     }
@@ -743,9 +693,7 @@ mod tests {
     fn source_hash_round_trips() {
         let trace = sample_trace();
         let bytes = encode_with_hash(&trace, 0xdead_beef_cafe_f00d);
-        let h = header(&bytes);
-        assert_eq!(h.version, FORMAT_VERSION);
-        assert_eq!(h.source_hash, 0xdead_beef_cafe_f00d);
+        assert_eq!(header(&bytes).source_hash, 0xdead_beef_cafe_f00d);
         assert_eq!(decode(&bytes).expect("decodes"), trace);
         // The plain encoder writes hash 0 ("unknown").
         assert_eq!(header(&encode(&trace)).source_hash, 0);
@@ -763,20 +711,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_buffers_still_decode() {
-        let trace = sample_trace();
-        let bytes = encode_v1(&trace);
-        let h = header(&bytes);
-        assert_eq!(h.version, FORMAT_VERSION_V1);
-        assert_eq!(h.source_hash, 0, "v1 predates the hash field");
-        assert_eq!(decode(&bytes).expect("decodes"), trace);
-        // Truncations and bit flips of a v1 buffer error like v2's.
-        for len in 0..bytes.len() {
-            assert!(decode(&bytes[..len]).is_err(), "v1 prefix of {len} decoded");
-        }
-        let mut corrupt = bytes.clone();
-        corrupt[HEADER_LEN_V1] ^= 0x01;
-        assert!(decode(&corrupt).is_err());
+    fn v2_wire_bytes_are_pinned() {
+        // Pinned from an earlier build: the writer's bytes must not move,
+        // so every v2 file already on disk stays a hit.
+        let bytes = encode_with_hash(&sample_trace(), 0xfeed);
+        assert_eq!(bytes.len(), 100);
+        assert_eq!(crate::workload::fnv1a64(&bytes), 0xaa27_f57b_c129_4476);
+    }
+
+    #[test]
+    fn sealed_v1_buffers_are_an_unsupported_version() {
+        // The v1 layout: the v2 header without its source-hash field,
+        // the same sections, and a valid checksum.
+        let v2 = encode(&sample_trace());
+        let mut v1 = v2[..48].to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&v2[HEADER_LEN..v2.len() - TRAILER_LEN]);
+        let checksum = fnv1a32_update(FNV1A32_SEED, &v1[MAGIC.len()..]);
+        v1.extend_from_slice(&checksum.to_le_bytes());
+        let err = decode(&v1).expect_err("v1 is not read");
+        assert_eq!(err, CodecError::UnsupportedVersion(1));
+        assert!(err.to_string().ends_with("(expected 2)"), "{err}");
     }
 
     #[test]

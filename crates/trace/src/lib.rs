@@ -34,7 +34,7 @@
 //! * [`store`] — [`TraceStore`], a thread-safe cache keyed by
 //!   [`WorkloadId`]: records on first miss, hands out shared
 //!   `Arc` traces thereafter, counts hits/misses/bytes, detects *stale*
-//!   cache files via the source hash the `.wmtr` v2 header embeds, and
+//!   cache files via the source hash the `.wmtr` header embeds, and
 //!   (optionally) persists recordings under a size-capped cache
 //!   directory so repeated process invocations skip production entirely.
 //!
@@ -42,7 +42,7 @@
 //! experiment of a sweep; the bench bins create one per process.
 //!
 //! ```
-//! use waymem_trace::{codec, TraceStore, WorkloadId};
+//! use waymem_trace::{codec, fnv1a64, TraceStore, WorkloadId};
 //! use waymem_isa::{FetchKind, RecordedTrace, TraceEvent};
 //! use waymem_workloads::Benchmark;
 //!
@@ -56,11 +56,12 @@
 //! let bytes = codec::encode(&trace);
 //! assert_eq!(codec::decode(&bytes).unwrap(), trace);
 //!
-//! // …and the store records each workload once.
+//! // …and the store records each workload once per source hash.
 //! let store = TraceStore::new();
 //! let id = WorkloadId::kernel(Benchmark::Dct, 1);
+//! let source_hash = fnv1a64(b"the kernel's source");
 //! for _ in 0..3 {
-//!     store.get_or_record(id, 0, || Ok::<_, ()>(trace.clone())).unwrap();
+//!     store.get_or_record(id, source_hash, || Ok::<_, ()>(trace.clone())).unwrap();
 //! }
 //! assert_eq!(store.stats().records, 1);
 //! assert_eq!(store.stats().hits, 2);

@@ -19,13 +19,15 @@
 //!
 //! Every lookup carries the workload's *source hash* (FNV-1a64 of the
 //! kernel assembly source, raw log bytes or generator spec). Cache files
-//! embed it in the `.wmtr` v2 header; a file whose hash disagrees with
-//! the caller's — the kernel generator changed, the input log was edited
-//! in place — is treated as a **stale miss** and re-recorded instead of
-//! silently replayed. Passing hash `0` means "unverified": any cached
-//! copy is accepted. Legacy v1 files carry no hash, so a caller that
-//! *does* verify re-records them once and upgrades the file to v2 in
-//! passing.
+//! embed it in the `.wmtr` header. A cached copy, in memory or on disk,
+//! serves only a lookup with exactly its hash (0 is an ordinary hash);
+//! any other copy — the kernel generator changed, the input log was
+//! edited in place — is a **stale miss**, re-recorded instead of
+//! silently replayed. So is a file of another format version: it stays
+//! in place and the re-record overwrites it. The version is read as
+//! written, so a bit flip in a current file's version field is stale,
+//! not corrupt: never replayed and overwritten, but not kept in
+//! quarantine as evidence.
 //!
 //! Both lookups ([`TraceStore::get_or_record`] and
 //! [`TraceStore::open_stream`]) read a cache file the same way: they
@@ -42,8 +44,8 @@
 //! old file behind. An optional byte cap (see
 //! [`TraceStore::with_cache_limit`] and the `WAYMEM_TRACE_CACHE_MAX_BYTES`
 //! environment variable via [`TraceStore::cache_cap_from_env`]) evicts
-//! oldest-mtime `.wmtr` files after each save, logging each eviction to
-//! stderr.
+//! oldest-mtime `.wmtr` files, quarantined ones included, after each
+//! save, logging each eviction to stderr.
 //!
 //! ## Crash safety and self-healing
 //!
@@ -64,7 +66,7 @@ use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
@@ -72,7 +74,7 @@ use waymem_isa::RecordedTrace;
 use waymem_obs::json::Json;
 use waymem_obs::metrics::Stopwatch;
 
-use crate::codec;
+use crate::codec::{self, CodecError};
 use crate::fault::{self, StoreIo};
 use crate::stream::{self, StreamError, StreamingTrace};
 use crate::workload::WorkloadId;
@@ -116,7 +118,8 @@ pub struct StoreStats {
     /// Lookups that had to run the recorder (cold misses).
     pub records: u64,
     /// Cached copies rejected because their source hash disagreed with
-    /// the caller's (stale kernel source / edited log / old v1 file).
+    /// the caller's (stale kernel source / edited log), or because the
+    /// file is of another format version.
     pub stale: u64,
     /// In-memory footprint, in bytes (`events × size_of::<TraceEvent>()`),
     /// of every trace the store encoded or decoded: one saved to the
@@ -197,95 +200,39 @@ impl StoreStats {
         ])
     }
 
-    /// Mirrors the snapshot into the global metrics registry as
-    /// `store.*` gauges, so anything holding the registry — an exporter,
-    /// a service endpoint — sees store state without threading
-    /// `StoreStats` through its plumbing. [`TraceStore::stats`] calls
-    /// this on every snapshot.
-    #[allow(clippy::cast_precision_loss)]
+    /// Mirrors the snapshot into the global metrics registry as one
+    /// `store.<key>` gauge per field of [`to_json`](Self::to_json), so
+    /// anything holding the registry — an exporter, a service endpoint —
+    /// sees store state without threading `StoreStats` through its
+    /// plumbing. [`TraceStore::stats`] calls this on every snapshot.
     pub fn publish(&self) {
-        let set = |name: &str, v: u64| waymem_obs::registry().gauge(name).set(v as f64);
-        set("store.lookups", self.lookups);
-        set("store.hits", self.hits);
-        set("store.disk_hits", self.disk_hits);
-        set("store.stream_opens", self.stream_opens);
-        set("store.records", self.records);
-        set("store.stale", self.stale);
-        set("store.raw_bytes", self.raw_bytes);
-        set("store.encoded_bytes", self.encoded_bytes);
-        set("store.files_saved", self.files_saved);
-        set("store.files_loaded", self.files_loaded);
-        set("store.files_evicted", self.files_evicted);
-        set("store.bytes_evicted", self.bytes_evicted);
-        set("store.quarantined", self.quarantined);
-        set("store.recovered", self.recovered);
-        set("store.io_retries", self.io_retries);
-        waymem_obs::registry().gauge("store.hit_rate").set(self.hit_rate());
-    }
-}
-
-/// The store's live counters. Atomics so the hot accessors take no lock.
-#[derive(Debug, Default)]
-struct Counters {
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    disk_hits: AtomicU64,
-    stream_opens: AtomicU64,
-    records: AtomicU64,
-    stale: AtomicU64,
-    raw_bytes: AtomicU64,
-    encoded_bytes: AtomicU64,
-    files_saved: AtomicU64,
-    files_loaded: AtomicU64,
-    files_evicted: AtomicU64,
-    bytes_evicted: AtomicU64,
-    quarantined: AtomicU64,
-    recovered: AtomicU64,
-}
-
-impl Counters {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn account_trace(&self, trace: &RecordedTrace, encoded_len: u64) {
-        self.raw_bytes.fetch_add(trace.raw_size_bytes(), Ordering::Relaxed);
-        self.encoded_bytes.fetch_add(encoded_len, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> StoreStats {
-        StoreStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            stream_opens: self.stream_opens.load(Ordering::Relaxed),
-            records: self.records.load(Ordering::Relaxed),
-            stale: self.stale.load(Ordering::Relaxed),
-            raw_bytes: self.raw_bytes.load(Ordering::Relaxed),
-            encoded_bytes: self.encoded_bytes.load(Ordering::Relaxed),
-            files_saved: self.files_saved.load(Ordering::Relaxed),
-            files_loaded: self.files_loaded.load(Ordering::Relaxed),
-            files_evicted: self.files_evicted.load(Ordering::Relaxed),
-            bytes_evicted: self.bytes_evicted.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            recovered: self.recovered.load(Ordering::Relaxed),
-            // Lives on the I/O seam, not here; `TraceStore::stats` fills it.
-            io_retries: 0,
+        if let Json::Object(fields) = self.to_json() {
+            for (key, value) in fields {
+                if let Some(v) = value.as_num() {
+                    waymem_obs::registry().gauge(&format!("store.{key}")).set(v);
+                }
+            }
         }
+    }
+
+    /// Counts one trace the store encoded or decoded.
+    fn account(&mut self, trace: &RecordedTrace, encoded_len: u64) {
+        self.raw_bytes += trace.raw_size_bytes();
+        self.encoded_bytes += encoded_len;
     }
 }
 
 /// What one key's slot holds once filled: the trace plus the source hash
-/// it was produced from (0 = unverified), so in-memory hits can apply the
-/// same staleness rule as disk loads.
+/// it was produced from, so in-memory hits apply the same staleness rule
+/// as disk loads.
 type Cached = (u64, Arc<RecordedTrace>);
 
 /// What one open of a key's cache file found.
 enum Found<T> {
     /// A current file, served.
     Hit(T),
-    /// A valid file whose source hash is outdated (left in place — the
-    /// re-record overwrites it).
+    /// A valid file whose source hash is outdated, or a file of another
+    /// format version (left in place — the re-record overwrites it).
     Stale,
     /// No file.
     Missing,
@@ -318,7 +265,7 @@ pub struct TraceStore {
     slots: Mutex<HashMap<WorkloadId, Slot>>,
     cache_dir: Option<PathBuf>,
     max_cache_bytes: Option<u64>,
-    counters: Counters,
+    stats: Mutex<StoreStats>,
     io: StoreIo,
     swept: AtomicBool,
 }
@@ -344,9 +291,9 @@ impl TraceStore {
     }
 
     /// Caps the cache dir at `max_bytes` (None = unbounded): after each
-    /// save, oldest-mtime `.wmtr` files are evicted until the directory
-    /// fits, each eviction logged to stderr. The cap is best-effort
-    /// advisory hygiene — it never fails a lookup.
+    /// save, oldest-mtime `.wmtr` files, [`QUARANTINE_DIR`] included, are
+    /// evicted until the directory fits, each eviction logged to stderr.
+    /// The cap is best-effort advisory hygiene — it never fails a lookup.
     #[must_use]
     pub fn with_cache_limit(mut self, max_bytes: Option<u64>) -> Self {
         self.max_cache_bytes = max_bytes;
@@ -434,10 +381,17 @@ impl TraceStore {
     /// A snapshot of the store's statistics.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        let mut stats = self.counters.snapshot();
-        stats.io_retries = self.io.retries();
+        let stats = StoreStats {
+            io_retries: self.io.retries(),
+            ..*self.stats.lock().expect("store stats poisoned")
+        };
         stats.publish();
         stats
+    }
+
+    /// Applies `change` to the store's counts.
+    fn count(&self, change: impl FnOnce(&mut StoreStats)) {
+        change(&mut self.stats.lock().expect("store stats poisoned"));
     }
 
     fn slot(&self, key: WorkloadId) -> Slot {
@@ -449,15 +403,6 @@ impl TraceStore {
         self.cache_dir.as_ref().map(|d| d.join(key.file_name()))
     }
 
-    /// Whether a cached copy produced from `found` satisfies a caller
-    /// expecting `expected`. Hash 0 on the caller side means "don't
-    /// verify"; hash 0 on the cached side means "provenance unknown"
-    /// (v1 file / unverified save), which only an unverifying caller
-    /// accepts.
-    fn hash_current(expected: u64, found: u64) -> bool {
-        expected == 0 || found == expected
-    }
-
     /// The cache-file side of one lookup, shared by
     /// [`get_or_record`](Self::get_or_record) and
     /// [`open_stream`](Self::open_stream), which differ only in how
@@ -465,8 +410,9 @@ impl TraceStore {
     /// in-memory slot held an outdated copy.
     ///
     /// The key's file is opened — the one way the store reads a cache
-    /// file — and sorted as current (served), stale, missing, or corrupt:
-    /// unreadable, invalid, or failing to serve. A corrupt file is
+    /// file — and sorted as current (served), stale (another source hash
+    /// or format version), missing, or corrupt: unreadable, invalid, or
+    /// failing to serve. A corrupt file is
     /// quarantined, since it must never break a run nor shadow the
     /// re-record. Without a current file the lookup counts one stale
     /// event if it rejected an outdated copy (in memory or on disk), takes
@@ -485,7 +431,8 @@ impl TraceStore {
         let mut open = |path: Option<&Path>| {
             let Some(path) = path else { return Found::Missing };
             match StreamingTrace::open_with(path, self.io.clone()) {
-                Ok(st) if !Self::hash_current(source_hash, st.source_hash()) => Found::Stale,
+                Ok(st) if st.source_hash() != source_hash => Found::Stale,
+                Err(StreamError::Codec(CodecError::UnsupportedVersion(_))) => Found::Stale,
                 Err(StreamError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Found::Missing,
                 opened => match opened.and_then(&mut serve) {
                     Ok(hit) => Found::Hit(hit),
@@ -504,7 +451,7 @@ impl TraceStore {
             Found::Missing => {}
         }
         if stale {
-            Counters::bump(&self.counters.stale);
+            self.count(|s| s.stale += 1);
         }
         let lock = path.as_deref().and_then(|p| self.lock_record(p));
         if lock.is_some() {
@@ -524,10 +471,10 @@ impl TraceStore {
         let Some(path) = self.file_path(key) else { return };
         let Some(dir) = self.cache_dir.as_ref() else { return };
         let bytes = codec::encode_with_hash(trace, source_hash);
-        self.counters.account_trace(trace, bytes.len() as u64);
+        self.count(|s| s.account(trace, bytes.len() as u64));
         self.sweep_orphans();
         if fs::create_dir_all(dir).is_ok() && self.io.write_atomic(&path, &bytes).is_ok() {
-            Counters::bump(&self.counters.files_saved);
+            self.count(|s| s.files_saved += 1);
             self.enforce_cache_cap(&path);
         }
     }
@@ -544,7 +491,7 @@ impl TraceStore {
         if moved.is_none() {
             let _ = fs::remove_file(path);
         }
-        Counters::bump(&self.counters.quarantined);
+        self.count(|s| s.quarantined += 1);
         waymem_obs::warn!("store.quarantine", path = path.display());
         // A quarantine is an incident: leave the black box next to the
         // bare warn line (no-op unless a dump path is configured).
@@ -608,32 +555,39 @@ impl TraceStore {
         None
     }
 
-    /// Evicts oldest-mtime `.wmtr` files until the cache dir fits the
-    /// configured cap, sparing `just_written` (evicting the file we just
-    /// paid to encode would make the cap counter-productive). Every
-    /// eviction is logged as a `store.evicted` info event
-    /// (`WAYMEM_LOG=info` to see them). Best-effort throughout: racing
-    /// processes or I/O errors degrade to "evict less", never to a
-    /// failed lookup.
+    /// Evicts oldest-mtime `.wmtr` files, in the cache dir and in its
+    /// [`QUARANTINE_DIR`], until both together fit the configured cap,
+    /// sparing `just_written` (evicting the file we just paid to encode
+    /// would make the cap counter-productive). A quarantine keeps the
+    /// file's mtime, so evidence goes before the re-record that replaced
+    /// it, and before a current file of the same age. Every eviction is
+    /// logged as a `store.evicted` info event (`WAYMEM_LOG=info` to see
+    /// them). Best-effort throughout: racing processes or I/O errors
+    /// degrade to "evict less", never to a failed lookup.
     fn enforce_cache_cap(&self, just_written: &Path) {
         let Some(cap) = self.max_cache_bytes else { return };
         let Some(dir) = self.cache_dir.as_ref() else { return };
-        let Ok(entries) = fs::read_dir(dir) else { return };
-        let mut files: Vec<(SystemTime, u64, PathBuf)> = entries
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "wmtr"))
-            .filter_map(|e| {
-                let meta = e.metadata().ok()?;
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                Some((mtime, meta.len(), e.path()))
-            })
-            .collect();
-        let mut total: u64 = files.iter().map(|(_, len, _)| *len).sum();
+        // (mtime, current?, bytes, path): on a tie, evidence sorts first.
+        let mut files: Vec<(SystemTime, bool, u64, PathBuf)> = Vec::new();
+        for (listed, current) in [(dir.join(QUARANTINE_DIR), false), (dir.clone(), true)] {
+            let Ok(entries) = fs::read_dir(listed) else { continue };
+            files.extend(
+                entries
+                    .flatten()
+                    .filter(|e| e.path().extension().is_some_and(|x| x == "wmtr"))
+                    .filter_map(|e| {
+                        let meta = e.metadata().ok()?;
+                        let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                        Some((mtime, current, meta.len(), e.path()))
+                    }),
+            );
+        }
+        let mut total: u64 = files.iter().map(|(_, _, len, _)| *len).sum();
         if total <= cap {
             return;
         }
         files.sort();
-        for (_, len, path) in files {
+        for (_, _, len, path) in files {
             if total <= cap {
                 break;
             }
@@ -648,8 +602,10 @@ impl TraceStore {
             match fs::remove_file(&path) {
                 Ok(()) => {
                     total = total.saturating_sub(len);
-                    Counters::bump(&self.counters.files_evicted);
-                    self.counters.bytes_evicted.fetch_add(len, Ordering::Relaxed);
+                    self.count(|s| {
+                        s.files_evicted += 1;
+                        s.bytes_evicted += len;
+                    });
                     waymem_obs::info!(
                         "store.evicted",
                         path = path.display(),
@@ -673,10 +629,10 @@ impl TraceStore {
     /// With a cache dir, a miss first tries the saved file.
     ///
     /// `source_hash` is the FNV-1a64 of whatever produces the trace
-    /// (kernel source text, raw log bytes, generator spec). Cached
-    /// copies — on disk *or* in memory from an earlier lookup under
-    /// another hash — whose hash disagrees are re-recorded, not
-    /// replayed; pass `0` to skip verification.
+    /// (kernel source text, raw log bytes, generator spec). A cached
+    /// copy — on disk *or* in memory from an earlier lookup — serves
+    /// only a lookup with exactly its hash; any other copy, and a file
+    /// of another format version, is re-recorded, not replayed.
     ///
     /// # Errors
     ///
@@ -695,10 +651,10 @@ impl TraceStore {
         let _span = waymem_obs::span!("store.lookup", workload = key.name());
         let slot = self.slot(key);
         let mut guard = slot.lock().expect("trace slot poisoned");
-        Counters::bump(&self.counters.lookups);
+        self.count(|s| s.lookups += 1);
         if let Some((cached_hash, trace)) = guard.as_ref() {
-            if Self::hash_current(source_hash, *cached_hash) {
-                Counters::bump(&self.counters.hits);
+            if *cached_hash == source_hash {
+                self.count(|s| s.hits += 1);
                 return Ok(Arc::clone(trace));
             }
         }
@@ -707,9 +663,11 @@ impl TraceStore {
         let decode = |st: StreamingTrace| Ok((st.source_hash(), st.encoded_len(), st.decode()?));
         let miss = match self.probe(key, source_hash, stale, decode) {
             Ok((hash, encoded_len, trace)) => {
-                Counters::bump(&self.counters.disk_hits);
-                Counters::bump(&self.counters.files_loaded);
-                self.counters.account_trace(&trace, encoded_len);
+                self.count(|s| {
+                    s.disk_hits += 1;
+                    s.files_loaded += 1;
+                    s.account(&trace, encoded_len);
+                });
                 let trace = Arc::new(trace);
                 *guard = Some((hash, Arc::clone(&trace)));
                 return Ok(trace);
@@ -717,10 +675,10 @@ impl TraceStore {
             Err(miss) => miss,
         };
         let trace = Arc::new(record()?);
-        Counters::bump(&self.counters.records);
-        if miss.recovering {
-            Counters::bump(&self.counters.recovered);
-        }
+        self.count(|s| {
+            s.records += 1;
+            s.recovered += u64::from(miss.recovering);
+        });
         *guard = Some((source_hash, Arc::clone(&trace)));
         // Account + persist outside the per-key lock: waiters queued on
         // this key proceed with the Arc immediately; the encode pass
@@ -746,14 +704,16 @@ impl TraceStore {
     /// `stream_opens` event, `records` and `raw_bytes` untouched); if the
     /// key's trace happens to sit in this process's memory already, it is
     /// spilled to disk once and streamed from there (`hits` +
-    /// `stream_opens`, and the spill counted in `raw_bytes` and
-    /// `encoded_bytes`). Without a cache dir the file lives under the
-    /// system temp dir ([`stream::scratch`]) and deletes itself when the
-    /// handle drops, or at once if production or validation fails.
+    /// `stream_opens` once the spill has opened, and the spill counted in
+    /// `raw_bytes` and `encoded_bytes`). Without a cache dir the file
+    /// lives under the system temp dir ([`stream::scratch`]) and deletes
+    /// itself when the handle drops, or at once if production or
+    /// validation fails. A written file that fails validation is
+    /// quarantined and counts as no hit.
     ///
     /// Staleness follows the same rule as `get_or_record`: a copy whose
-    /// embedded hash disagrees with a nonzero `source_hash` is
-    /// re-produced, not replayed.
+    /// embedded hash is not exactly `source_hash`, and a file of another
+    /// format version, is re-produced, not replayed.
     ///
     /// # Errors
     ///
@@ -772,54 +732,61 @@ impl TraceStore {
         let _span = waymem_obs::span!("store.open_stream", workload = key.name());
         let slot = self.slot(key);
         let guard = slot.lock().expect("trace slot poisoned");
-        Counters::bump(&self.counters.lookups);
+        self.count(|s| s.lookups += 1);
         let cached = guard
             .as_ref()
-            .filter(|(h, _)| Self::hash_current(source_hash, *h))
+            .filter(|(h, _)| *h == source_hash)
             .map(|(h, t)| (*h, Arc::clone(t)));
         let stale = guard.is_some() && cached.is_none();
         let miss = match self.probe(key, source_hash, stale, Ok) {
             Ok(st) => {
-                Counters::bump(&self.counters.disk_hits);
-                Counters::bump(&self.counters.stream_opens);
+                self.count(|s| {
+                    s.disk_hits += 1;
+                    s.stream_opens += 1;
+                });
                 return Ok(st);
             }
             Err(miss) => miss,
         };
         // Spill an in-memory copy if there is one (still no
         // production), else run the producer.
+        let spill = cached.is_some();
         let write = |path: &Path| -> Result<(), E> {
             if let Some((hash, trace)) = &cached {
                 let encoded_len = stream::write_encoded_with(trace, *hash, path, &self.io)
                     .map_err(|e| E::from(StreamError::Io(e)))?;
-                self.counters.account_trace(trace, encoded_len);
-                Counters::bump(&self.counters.hits);
-                Counters::bump(&self.counters.stream_opens);
+                self.count(|s| s.account(trace, encoded_len));
             } else {
                 produce(path)?;
-                Counters::bump(&self.counters.records);
+                self.count(|s| s.records += 1);
             }
             Ok(())
         };
-        let Some(path) = miss.path.as_deref() else {
+        let st = match miss.path.as_deref() {
             // Memory-only store: the file is scratch, cleaned up on drop
             // (and on failure).
-            return Ok(stream::scratch(self.io.clone(), write)?.0);
+            None => stream::scratch(self.io.clone(), write)?.0,
+            Some(path) => {
+                write(path)?;
+                self.count(|s| s.files_saved += 1);
+                drop(guard);
+                self.enforce_cache_cap(path);
+                StreamingTrace::open_with(path, self.io.clone()).map_err(|e| {
+                    // The freshly written file failed validation (torn or
+                    // fault-corrupted write): move it aside so the next
+                    // lookup re-produces instead of replaying it.
+                    self.quarantine(path);
+                    E::from(e)
+                })?
+            }
         };
-        write(path)?;
-        Counters::bump(&self.counters.files_saved);
-        if miss.recovering {
-            Counters::bump(&self.counters.recovered);
-        }
-        drop(guard);
-        self.enforce_cache_cap(path);
-        StreamingTrace::open_with(path, self.io.clone()).map_err(|e| {
-            // The freshly written file failed validation (torn or
-            // fault-corrupted write): move it aside so the next lookup
-            // re-produces instead of replaying it.
-            self.quarantine(path);
-            E::from(e)
-        })
+        // Only a file that opened is a hit or a recovery.
+        self.count(|s| {
+            s.hits += u64::from(spill);
+            s.stream_opens += u64::from(spill);
+            s.recovered += u64::from(miss.recovering);
+        });
+        Ok(st)
     }
 
     /// The trace for `key` if it is already in memory. Does not consult
@@ -902,6 +869,7 @@ impl Drop for RecordLock {
 mod tests {
     use super::*;
     use crate::workload::{SynthPattern, SynthSpec};
+    use std::sync::atomic::AtomicU64;
     use waymem_isa::{FetchKind, TraceEvent};
     use waymem_workloads::Benchmark;
 
@@ -923,6 +891,18 @@ mod tests {
             "io_retries",
         ] {
             assert!(rendered.contains(&format!("\"{key}\":")), "missing {key} in {rendered}");
+        }
+    }
+
+    #[test]
+    fn publish_sets_one_gauge_per_json_key() {
+        let stats = StoreStats::default();
+        stats.publish();
+        let gauges = waymem_obs::registry().snapshot().gauges;
+        let Json::Object(fields) = stats.to_json() else { panic!("not an object") };
+        for (key, _) in fields {
+            let name = format!("store.{key}");
+            assert!(gauges.iter().any(|(g, _)| *g == name), "no {name} gauge");
         }
     }
 
@@ -1084,17 +1064,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_expected_hash_accepts_any_file() {
+    fn a_file_saved_under_one_hash_is_stale_to_a_lookup_under_zero() {
         let tmp = TempDir::new("zerohash");
         let writer = TraceStore::with_cache_dir(&tmp.0);
         writer
             .get_or_record(dct(1), 0x1234, || Ok::<_, ()>(tiny_trace(5)))
             .expect("records");
+        // 0 is an ordinary hash: it does not match 0x1234...
         let reader = TraceStore::with_cache_dir(&tmp.0);
         let t = reader
+            .get_or_record(dct(1), 0, || Ok::<_, ()>(tiny_trace(6)))
+            .expect("re-records");
+        assert_eq!(t.cycles, 6, "a file of another hash must not be replayed");
+        let s = reader.stats();
+        assert_eq!((s.stale, s.records, s.disk_hits), (1, 1, 0), "{s:?}");
+        // ...and a file saved under 0 serves a lookup under 0.
+        let warm = TraceStore::with_cache_dir(&tmp.0);
+        let t = warm
             .get_or_record(dct(1), 0, || Err::<RecordedTrace, _>("must not record"))
-            .expect("loads unverified");
-        assert_eq!(t.cycles, 5);
+            .expect("loads");
+        assert_eq!(t.cycles, 6);
     }
 
     #[test]
@@ -1105,13 +1094,13 @@ mod tests {
             .get_or_record(dct(1), 0xaaaa, || Ok::<_, ()>(tiny_trace(1)))
             .expect("records");
 
-        // An unverified (hash 0) lookup preloads the file into memory.
+        // A lookup under the file's own hash preloads it into memory.
         let preloaded = TraceStore::with_cache_dir(&tmp.0);
         preloaded
-            .get_or_record(dct(1), 0, || Err::<RecordedTrace, _>("must not record"))
+            .get_or_record(dct(1), 0xaaaa, || Err::<RecordedTrace, _>("must not record"))
             .expect("preloads");
-        // A verifying lookup with a different hash must reject the copy
-        // even though it sits in memory.
+        // A lookup under another hash must reject the copy even though
+        // it sits in memory.
         let t = preloaded
             .get_or_record(dct(1), 0xcccc, || Ok::<_, ()>(tiny_trace(9)))
             .expect("re-records");
@@ -1149,6 +1138,42 @@ mod tests {
         assert!(s.bytes_evicted >= one_file, "{s:?}");
         // Eviction only touches the disk cache: all three remain in memory.
         assert_eq!(store.len(), 3);
+    }
+
+    /// Bytes of every file under `dir`, subdirectories included.
+    fn dir_bytes(dir: &Path) -> u64 {
+        std::fs::read_dir(dir).map_or(0, |entries| {
+            entries
+                .flatten()
+                .map(|e| match e.metadata() {
+                    Ok(meta) if meta.is_dir() => dir_bytes(&e.path()),
+                    Ok(meta) => meta.len(),
+                    Err(_) => 0,
+                })
+                .sum()
+        })
+    }
+
+    #[test]
+    fn cache_cap_counts_the_quarantine() {
+        let tmp = TempDir::new("capquarantine");
+        std::fs::create_dir_all(&tmp.0).expect("mkdir");
+        let mut corrupt = codec::encode_with_hash(&tiny_trace(3), 0xfeed);
+        let one_file = corrupt.len() as u64;
+        let cap = 2 * one_file;
+        // A corrupt file (its length disagrees with its header) twice the
+        // cap: quarantined by the lookup, then evicted by the save that
+        // follows its re-record.
+        corrupt.resize(4 * corrupt.len(), 0);
+        std::fs::write(tmp.0.join(dct(1).file_name()), corrupt).expect("corrupts");
+        let store = TraceStore::with_cache_dir(&tmp.0).with_cache_limit(Some(cap));
+        let t = store.get_or_record(dct(1), 0xfeed, || Ok::<_, ()>(tiny_trace(3))).expect("records");
+        assert_eq!(t.cycles, 3);
+        let s = store.stats();
+        assert_eq!((s.quarantined, s.files_evicted, s.bytes_evicted), (1, 1, 4 * one_file));
+        let on_disk = dir_bytes(&tmp.0);
+        assert!(on_disk <= cap, "{on_disk} bytes on disk under a {cap}-byte cap");
+        assert!(tmp.0.join(dct(1).file_name()).exists(), "the re-record is spared");
     }
 
     #[test]
@@ -1376,6 +1401,48 @@ mod tests {
     }
 
     #[test]
+    fn a_file_of_another_version_is_a_stale_miss_re_recorded_in_place() {
+        for version in [1u16, 3] {
+            for streaming in [false, true] {
+                let tmp = TempDir::new(&format!("version{version}-{streaming}"));
+                let writer = TraceStore::with_cache_dir(&tmp.0);
+                writer.get_or_record(dct(1), 0x11, || Ok::<_, ()>(tiny_trace(1))).expect("records");
+                // A sealed file of another version: its version field and
+                // checksum differ from what this build writes.
+                let path = tmp.0.join(dct(1).file_name());
+                let mut bytes = std::fs::read(&path).expect("reads");
+                bytes[4..6].copy_from_slice(&version.to_le_bytes());
+                let body = bytes.len() - 4;
+                let checksum = codec::fnv1a32_update(codec::FNV1A32_SEED, &bytes[4..body]);
+                bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+                std::fs::write(&path, &bytes).expect("rewrites the version");
+
+                let store = TraceStore::with_cache_dir(&tmp.0);
+                let cycles = if streaming {
+                    store
+                        .open_stream(dct(1), 0x11, |p| produce_file(&tiny_trace(2), 0x11, p))
+                        .expect("re-produces")
+                        .cycles()
+                } else {
+                    let record = || Ok::<_, ()>(tiny_trace(2));
+                    store.get_or_record(dct(1), 0x11, record).expect("re-records").cycles
+                };
+                assert_eq!(cycles, 2, "version {version}: the old file must not be replayed");
+                let s = store.stats();
+                assert_eq!(
+                    (s.stale, s.quarantined, s.recovered, s.records),
+                    (1, 0, 0, 1),
+                    "version {version}, streaming {streaming}: {s:?}"
+                );
+                assert!(!tmp.0.join(QUARANTINE_DIR).exists(), "version {version} quarantined");
+                // The re-record overwrote the file in place.
+                let st = StreamingTrace::open(&path).expect("the re-record opens");
+                assert_eq!((st.source_hash(), st.cycles()), (0x11, 2));
+            }
+        }
+    }
+
+    #[test]
     fn both_lookups_quarantine_a_corrupt_file_found_on_the_locked_re_check() {
         for streaming in [false, true] {
             let tmp = TempDir::new(if streaming { "recheck-stream" } else { "recheck" });
@@ -1429,13 +1496,20 @@ mod tests {
             store.get_or_record(dct(1), 0x11, || Ok::<_, ()>(tiny_trace(4))).expect("records");
             let path = tmp.0.join(dct(1).file_name());
             let _ = std::fs::remove_file(&path); // forces the spill
-            let before = store.stats().quarantined;
+            let before = store.stats();
             let opened = store.open_stream(dct(1), 0x11, |_| -> Result<(), StreamError> {
                 panic!("must spill, not re-produce")
             });
             if let Err(StreamError::Codec(e)) = opened {
                 corrupted += 1;
-                assert_eq!(store.stats().quarantined, before + 1, "seed {seed}: {e}");
+                let after = store.stats();
+                assert_eq!(after.quarantined, before.quarantined + 1, "seed {seed}: {e}");
+                // A spill that failed to open is no hit.
+                assert_eq!(
+                    (after.hits, after.stream_opens),
+                    (before.hits, before.stream_opens),
+                    "seed {seed}: {e}"
+                );
                 assert!(tmp.0.join(QUARANTINE_DIR).join(dct(1).file_name()).exists());
                 assert!(!path.exists(), "seed {seed}: the corrupt spill stayed in place");
             }

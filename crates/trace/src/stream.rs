@@ -47,8 +47,8 @@ use waymem_obs::phase::Phase;
 use waymem_isa::{FetchKind, RecordedTrace, TraceEvent, TraceSink};
 
 use crate::codec::{
-    self, CodecError, Header, Section, FNV1A32_SEED, FORMAT_VERSION, HEADER_LEN, MAGIC,
-    MAX_EVENT_WIRE, REPLAY_CHUNK, TRAILER_LEN, WINDOW_BYTES,
+    self, CodecError, Header, Section, FNV1A32_SEED, HEADER_LEN, MAGIC, MAX_EVENT_WIRE,
+    REPLAY_CHUNK, TRAILER_LEN, WINDOW_BYTES,
 };
 use crate::fault::{read_full, FaultFile, StoreIo};
 
@@ -293,7 +293,6 @@ impl StreamingEncoder {
         let (data_path, data_len, data_count) = data.seal()?;
 
         let header = Header {
-            version: FORMAT_VERSION,
             fetch_count,
             data_count,
             cycles,
@@ -524,16 +523,10 @@ impl StreamingTrace {
         self.header.cycles
     }
 
-    /// The source hash embedded in the header (0 = unknown / v1).
+    /// The source hash embedded in the header.
     #[must_use]
     pub fn source_hash(&self) -> u64 {
         self.header.source_hash
-    }
-
-    /// The header's format version.
-    #[must_use]
-    pub fn version(&self) -> u16 {
-        self.header.version
     }
 
     /// Events in the fetch stream.
